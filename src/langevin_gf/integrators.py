@@ -20,7 +20,14 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .errors import ArgumentError, CapabilityError, EvaluationError, RangeError, StepSizeError
+from .errors import (
+    ArgumentError,
+    CapabilityError,
+    Error,
+    EvaluationError,
+    RangeError,
+    StepSizeError,
+)
 from .models import LangevinModel, LinearOscillator, PhaseState, eval_model
 
 Array = np.ndarray
@@ -291,7 +298,8 @@ def simulate(
 
     Raises
     ------
-    Error subclasses from the step, re-raised with the failing step index.
+    Error subclasses from the step, re-raised with the failing step index;
+    other exceptions (e.g. from a custom force) propagate unchanged.
     """
     if scheme not in _SCHEMES:
         raise ArgumentError(f"unknown scheme {scheme!r}; choose from {sorted(_SCHEMES)}")
@@ -306,7 +314,7 @@ def simulate(
     for k in range(n_steps):
         try:
             current = step(model, current, h, values[k])
-        except Exception as exc:
+        except Error as exc:
             raise type(exc)(f"step {k}: {exc}") from exc
         states.append(current)
     times = h * np.arange(n_steps + 1)

@@ -2,14 +2,18 @@
 
 Reproducibility contract
 ------------------------
-Every estimator in this module is bit-identical across runs and across worker
-counts for a fixed :class:`SeedPlan`:
+Every estimator in this module is bit-identical across runs, worker counts,
+kernel widths and draw block sizes for a fixed :class:`SeedPlan`:
 
 * each realization owns a private generator seeded by an avalanche-style
   mixing of (master_seed, realization index), so no generator state is shared
   and no draw order depends on scheduling;
-* realizations are processed in fixed batches of :data:`BATCH_SIZE`; workers
-  write into disjoint slices of preallocated arrays;
+* seed granularity is one generator per realization, and it alone defines
+  the bits: kernel tasks span balanced runs of at most :data:`BATCH_SIZE`
+  realizations, each draw block holds at most :data:`DRAW_BLOCK` normals, and
+  neither size changes a result, because every kernel operation is
+  elementwise over realizations; workers write into disjoint slices of
+  preallocated arrays;
 * reductions over realizations use a fixed-shape pairwise summation tree
   keyed by realization index, never a scheduling-dependent accumulation;
 * Brownian increments are drawn in chunks along the step axis, which yields
@@ -41,8 +45,11 @@ from .models import LangevinModel, PhaseState
 
 Array = np.ndarray
 
-BATCH_SIZE = 512
-STEP_CHUNK = 512
+# Most realizations one kernel task advances (the kernel width).
+BATCH_SIZE = 2048
+# Most normals one task draws at a time, unless a single coarse step of a
+# coupled estimator needs more; bounds the per-task draw buffer.
+DRAW_BLOCK = 2**18
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -193,11 +200,18 @@ def mean_and_se(values: Array) -> EstimatorResult:
     return EstimatorResult(mean=mean, std_error=math.sqrt(max(var, 0.0) / n), n_samples=n)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, falling back to the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_threads() -> int:
     """Worker count from LANGEVIN_GF_THREADS (unset or 0 means auto)."""
     raw = os.environ.get("LANGEVIN_GF_THREADS")
     if raw is None or raw.strip() == "":
-        return os.cpu_count() or 1
+        return _usable_cpus()
     try:
         value = int(raw)
     except ValueError:
@@ -206,7 +220,7 @@ def resolve_threads() -> int:
         ) from None
     if value < 0:
         raise ConfigError(f"LANGEVIN_GF_THREADS must be nonnegative, got {value}")
-    return value if value > 0 else (os.cpu_count() or 1)
+    return value if value > 0 else _usable_cpus()
 
 
 def _map_batches(task: Callable[[int], None], n_batches: int) -> None:
@@ -222,10 +236,19 @@ def _map_batches(task: Callable[[int], None], n_batches: int) -> None:
 
 
 def _batch_bounds(n_realizations: int) -> list[tuple[int, int]]:
+    """Balanced task ranges of at most BATCH_SIZE realizations each."""
+    n_tasks = -(-n_realizations // BATCH_SIZE)
+    width = -(-n_realizations // n_tasks)
     return [
-        (lo, min(lo + BATCH_SIZE, n_realizations))
-        for lo in range(0, n_realizations, BATCH_SIZE)
+        (lo, min(lo + width, n_realizations))
+        for lo in range(0, n_realizations, width)
     ]
+
+
+def _block_steps(bounds: list[tuple[int, int]], m: int) -> int:
+    """Steps per draw that keep each task's draw block within DRAW_BLOCK."""
+    width = bounds[0][1] - bounds[0][0]
+    return max(1, DRAW_BLOCK // (width * m))
 
 
 def _steps_for(h: float, horizon: float) -> int:
@@ -293,12 +316,21 @@ class _BatchState:
     """Mutable per-batch ensemble state for the chunked drivers."""
 
     def __init__(
-        self, model: LangevinModel, z0: PhaseState, plan: SeedPlan, lo: int, hi: int
+        self,
+        model: LangevinModel,
+        z0: PhaseState,
+        plan: SeedPlan,
+        lo: int,
+        hi: int,
+        generators: list[np.random.Generator] | None = None,
     ) -> None:
         size = hi - lo
         self.lo = lo
         self.hi = hi
-        self.generators = [generator_for(derive_seed(plan, i)) for i in range(lo, hi)]
+        if generators is None:
+            generators = [generator_for(derive_seed(plan, i)) for i in range(lo, hi)]
+        self.generators = generators
+        self._buffer = np.empty(0)
         if _use_batched_path(model):
             self.p = np.full(size, z0.p[0])
             self.q = np.full(size, z0.q[0])
@@ -306,10 +338,17 @@ class _BatchState:
             self.states = [z0] * size
 
     def draw(self, n_steps: int, m: int, h: float) -> Array:
-        block = np.empty((self.hi - self.lo, n_steps, m))
-        root = math.sqrt(h)
+        """N(0, h) increments of shape (size, n_steps, m), filled in place.
+
+        The result is a view of a buffer that the next call overwrites.
+        """
+        size = (self.hi - self.lo) * n_steps * m
+        if self._buffer.size < size:
+            self._buffer = np.empty(size)
+        block = self._buffer[:size].reshape(self.hi - self.lo, n_steps, m)
         for b, gen in enumerate(self.generators):
-            block[b] = gen.standard_normal((n_steps, m)) * root
+            gen.standard_normal(out=block[b])
+        block *= math.sqrt(h)
         return block
 
 
@@ -424,12 +463,13 @@ def mc_expectation(
     n_steps = _steps_for(h, T)
     values = np.empty(n_realizations)
     bounds = _batch_bounds(n_realizations)
+    chunk = _block_steps(bounds, model.noise_dim)
 
     def task(b: int) -> None:
         lo, hi = bounds[b]
         state = _BatchState(model, z0, plan, lo, hi)
         done = 0
-        for length in _chunk_lengths(n_steps, STEP_CHUNK):
+        for length in _chunk_lengths(n_steps, chunk):
             dw = state.draw(length, model.noise_dim, h)
             _advance_chunk(model, scheme, state, h, dw, done)
             done += length
@@ -466,13 +506,13 @@ def weak_error_mc(
     h_fine = h / refine
     values = np.empty(n_realizations)
     bounds = _batch_bounds(n_realizations)
-    chunk_coarse = max(1, STEP_CHUNK // refine)
+    chunk_coarse = max(1, _block_steps(bounds, model.noise_dim) // refine)
 
     def task(b: int) -> None:
         lo, hi = bounds[b]
         coarse = _BatchState(model, z0, plan, lo, hi)
-        fine = _BatchState(model, z0, plan, lo, hi)
-        fine.generators = coarse.generators  # one Brownian path per realization
+        # One Brownian path per realization: the fine chain shares the generators.
+        fine = _BatchState(model, z0, plan, lo, hi, coarse.generators)
         done = 0
         for length in _chunk_lengths(n_coarse, chunk_coarse):
             dw_fine = coarse.draw(length * refine, model.noise_dim, h_fine)
@@ -515,8 +555,7 @@ def one_step_ms_gap(
     def task(b: int) -> None:
         lo, hi = bounds[b]
         coarse = _BatchState(model, z0, plan, lo, hi)
-        fine = _BatchState(model, z0, plan, lo, hi)
-        fine.generators = coarse.generators
+        fine = _BatchState(model, z0, plan, lo, hi, coarse.generators)
         dw_fine = coarse.draw(refine, model.noise_dim, h / refine)
         dw_coarse = dw_fine.reshape(hi - lo, 1, refine, model.noise_dim).sum(axis=2)
         _advance_chunk(model, "gf2", fine, h / refine, dw_fine, 0)
@@ -559,7 +598,10 @@ def mc_step_means(
         means[j, 0] = float(np.asarray(psi(z0.p[None, :], z0.q[None, :]))[0])
     bounds = _batch_bounds(n_realizations)
     states = [_BatchState(model, z0, plan, lo, hi) for lo, hi in bounds]
-    chunk = max(1, min(STEP_CHUNK, 4_000_000 // max(1, k * n_realizations)))
+    chunk = max(
+        1,
+        min(_block_steps(bounds, model.noise_dim), 4_000_000 // max(1, k * n_realizations)),
+    )
 
     done = 0
     for length in _chunk_lengths(n_steps, chunk):

@@ -196,7 +196,8 @@ class DoubleWell:
     """Parameters of the tilted double-well system.
 
     f(q) = 4q^3 - 4q - 1/2, F(q) = (1 - q^2)^2 - q/2 (so F(0) = 1 and
-    f = grad F exactly), M = 1, Sigma = +sqrt(2 v / beta).
+    f = grad F exactly), M = 1, Sigma = +sqrt(2 v / beta).  The force is
+    evaluated in Horner form, q (4q^2 - 4) - 1/2, which avoids a power call.
     """
 
     v: float
@@ -212,7 +213,7 @@ class DoubleWell:
         return LangevinModel(
             dim=1,
             noise_dim=1,
-            force=lambda q: 4.0 * q**3 - 4.0 * q - 0.5,
+            force=lambda q: q * (4.0 * q * q - 4.0) - 0.5,
             potential=lambda q: (1.0 - q**2) ** 2 - 0.5 * q,
             force_jacobian=lambda q: 12.0 * q**2 - 4.0,
             mass=np.array([[1.0]]),

@@ -319,6 +319,28 @@ def test_simulate_reports_failing_step():
         simulate(model, "rk4", z0, h=1.0, n_steps=1, noise=np.zeros((1, 1)))
 
 
+class _TwoArgumentError(Exception):
+    def __init__(self, code: int, detail: str) -> None:
+        super().__init__(code, detail)
+        self.code = code
+
+
+def test_simulate_propagates_foreign_exceptions_unchanged():
+    calls = []
+
+    def force(q):
+        calls.append(q)
+        if len(calls) > 2:
+            raise _TwoArgumentError(7, "custom force refused")
+        return q
+
+    model = dataclasses.replace(LinearOscillator(a=1.0, v=2.0, sigma=0.5).build(), force=force)
+    with pytest.raises(_TwoArgumentError) as info:
+        simulate(model, "em", PhaseState([0.0], [1.0]), h=0.1, n_steps=5, noise=np.zeros((5, 1)))
+    assert info.value.code == 7
+    assert info.value.args == (7, "custom force refused")
+
+
 def test_linear_exact_moments_endpoints():
     params = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
     z0 = PhaseState([3.0], [1.0])

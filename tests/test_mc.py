@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from langevin_gf import mc
 from langevin_gf.errors import ArgumentError, ConfigError, EstimationError
 from langevin_gf.integrators import (
     GaussianLaw,
@@ -15,6 +16,7 @@ from langevin_gf.integrators import (
 )
 from langevin_gf.mc import (
     BATCH_SIZE,
+    DRAW_BLOCK,
     EstimatorResult,
     IncrementBlock,
     SeedPlan,
@@ -237,6 +239,18 @@ def test_resolve_threads(monkeypatch):
     with pytest.raises(ConfigError):
         resolve_threads()
 
+    # Auto counts the CPUs the process may run on, not the machine's.
+    monkeypatch.delenv("LANGEVIN_GF_THREADS", raising=False)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert resolve_threads() == 3
+    monkeypatch.setenv("LANGEVIN_GF_THREADS", "0")
+    assert resolve_threads() == 3
+    monkeypatch.delattr(mc.os, "sched_getaffinity")
+    assert resolve_threads() == 64
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+    assert resolve_threads() == 1
+
 
 def test_mc_expectation_deterministic_dynamics():
     model = deterministic_linear()
@@ -289,6 +303,70 @@ def test_mc_expectation_worker_invariance(monkeypatch):
     threaded = mc_expectation(model, "gf2", cos_sum, z0, 0.125, 0.5, n_real, SeedPlan(99))
     assert serial.mean == threaded.mean
     assert serial.std_error == threaded.std_error
+
+
+def test_batch_bounds_are_balanced():
+    assert mc._batch_bounds(16384) == [(lo, lo + 2048) for lo in range(0, 16384, 2048)]
+    assert mc._batch_bounds(5000) == [(0, 1667), (1667, 3334), (3334, 5000)]
+    assert mc._batch_bounds(3) == [(0, 3)]
+    for n in (1, 2047, 2048, 2049, 4097, 100_000):
+        bounds = mc._batch_bounds(n)
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        widths = [hi - lo for lo, hi in bounds]
+        assert len(bounds) == math.ceil(n / BATCH_SIZE)
+        assert set(widths[:-1]) <= {widths[0]} and 0 < widths[-1] <= widths[0] <= BATCH_SIZE
+
+
+# (kernel width, draw block): the first pair is the old fixed layout, the
+# others give uneven task widths and several draws per chunk of steps.
+_LAYOUTS = [(512, 2**20), (1000, 2**12), (2048, 2**12), (BATCH_SIZE, DRAW_BLOCK)]
+
+
+def test_estimates_are_width_and_block_invariant(monkeypatch):
+    model = DoubleWell(v=4.0, beta=2.0).build()
+    z0 = PhaseState([0.0], [1.0])
+    quartic = lambda p, q: (np.sum(p * p, axis=-1) + np.sum(q * q, axis=-1)) ** 2
+    n_real = 2500
+    outputs = []
+    for width, block in _LAYOUTS:
+        monkeypatch.setattr(mc, "BATCH_SIZE", width)
+        monkeypatch.setattr(mc, "DRAW_BLOCK", block)
+        expectation = mc_expectation(model, "gf2", cos_sum, z0, 0.125, 1.0, n_real, SeedPlan(41))
+        weak = weak_error_mc(model, cos_sum, z0, 0.25, 1.0, n_real, 4, SeedPlan(42))
+        _, means = mc_step_means(model, [cos_sum, quartic], z0, 0.125, 12, n_real, SeedPlan(43))
+        outputs.append(
+            (expectation.mean, expectation.std_error, weak.mean, weak.std_error, means.tobytes())
+        )
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
+def test_batch_draw_matches_fresh_generator_stream():
+    model = DoubleWell(v=4.0, beta=2.0).build()
+    plan = SeedPlan(1234)
+    h, m = 0.1, 3
+    state = mc._BatchState(model, PhaseState([0.0], [1.0]), plan, 5, 9)
+    first = state.draw(6, m, h).copy()
+    second = state.draw(2, m, h)  # shorter chunk: a prefix of the same buffer
+    for b, index in enumerate(range(5, 9)):
+        gen = generator_for(derive_seed(plan, index))
+        assert np.array_equal(first[b], gen.standard_normal((6, m)) * math.sqrt(h))
+        assert np.array_equal(second[b], gen.standard_normal((2, m)) * math.sqrt(h))
+
+
+def test_weak_error_builds_one_generator_per_realization(monkeypatch):
+    created = []
+    original = mc.generator_for
+
+    def counting(seed):
+        created.append(seed)
+        return original(seed)
+
+    monkeypatch.setattr(mc, "generator_for", counting)
+    model = DoubleWell(v=4.0, beta=2.0).build()
+    n_real = BATCH_SIZE + 40
+    weak_error_mc(model, cos_sum, PhaseState([0.0], [1.0]), 0.25, 0.5, n_real, 2, SeedPlan(3))
+    assert len(created) == len(set(created)) == n_real
 
 
 def test_mc_expectation_em_scheme_runs():
