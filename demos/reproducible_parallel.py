@@ -1,24 +1,22 @@
-"""Bit-identical Monte Carlo, no matter how many threads run it.
+"""Bit-identical Monte Carlo, however the realizations are grouped.
 
 Three ingredients make every estimate in this package a pure function of
 (master seed, realization count):
 
 1. each realization's generator seed is derived from the master seed and the
-   realization index alone, so no draw depends on scheduling;
-2. reductions use a fixed-shape pairwise tree over the fully assembled
-   per-realization array, so the additions happen in the same order whether
-   one thread or eight produced the values;
-3. worker threads write to disjoint slices and share no generator state.
+   realization index alone, so no draw depends on which task advances it;
+2. the kernel is elementwise over realizations, so the task width and the
+   number of steps drawn at a time change no bit;
+3. reductions use a fixed-shape pairwise tree over the fully assembled
+   per-realization array, so the additions happen in the same order whatever
+   the layout that produced the values.
 
 This script derives a few seeds, then computes the same estimate under
-different thread counts and compares the results bit for bit.
+several master seeds and, for each, under different kernel widths and draw
+blocks, and compares the results bit for bit.
 """
 
 from __future__ import annotations
-
-import os
-
-import numpy as np
 
 from langevin_gf import (
     DoubleWell,
@@ -28,6 +26,7 @@ from langevin_gf import (
     mc_expectation,
     weak_error_mc,
 )
+from langevin_gf import mc
 from langevin_gf.observables import TEST_FUNCTIONS
 
 plan = SeedPlan(master_seed=20240817)
@@ -39,20 +38,25 @@ for index in (0, 1, 2, 1_000_000):
 model = DoubleWell(v=4.0, beta=2.0).build()
 z0 = PhaseState([-2.0], [-2.0])
 psi = TEST_FUNCTIONS["cos_sum"]
+# (kernel width, draw block): the defaults, then two other layouts.
+layouts = [(mc.BATCH_SIZE, mc.DRAW_BLOCK), (512, 2**20), (1000, 2**12)]
+defaults = layouts[0]
 
-results = {}
-for threads in ("1", "2", "8"):
-    os.environ["LANGEVIN_GF_THREADS"] = threads
-    est = mc_expectation(model, "gf2", psi, z0, 0.125, 2.0, 4096, plan)
-    results[threads] = est
-    print(f"\nthreads={threads}: mean = {est.mean!r}")
-    print(f"           std error = {est.std_error!r}")
-bits = {(res.mean, res.std_error) for res in results.values()}
-print(f"\ndistinct (mean, std_error) pairs across thread counts: {len(bits)}")
+for master in (plan.master_seed, 0, 2**64 - 1):
+    seeded = SeedPlan(master_seed=master)
+    results = []
+    for width, block in layouts:
+        mc.BATCH_SIZE, mc.DRAW_BLOCK = width, block
+        est = mc_expectation(model, "gf2", psi, z0, 0.125, 2.0, 4096, seeded)
+        results.append((est.mean, est.std_error))
+    mc.BATCH_SIZE, mc.DRAW_BLOCK = defaults
+    mean, se = results[0]
+    print(f"\nmaster seed {master}: mean = {mean!r}, std error = {se!r}")
+    print(f"  distinct (mean, std_error) pairs over {len(layouts)} layouts:"
+          f" {len(set(results))}")
 
 # The coupled estimator inherits the same contract: the fine chain reuses the
 # coarse chain's generators, so the coupling is part of the derivation too.
-os.environ["LANGEVIN_GF_THREADS"] = "0"  # 0 means pick automatically
 coupled = weak_error_mc(model, psi, z0, 0.125, 2.0, 4096, 8, plan)
 print(
     f"\ncoupled weak-error estimate at h=0.125 vs h/8: "

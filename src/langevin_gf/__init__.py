@@ -77,7 +77,6 @@ from .mc import (
     mean_and_se,
     one_step_ms_gap,
     pairwise_sum,
-    resolve_threads,
     sample_increments,
     weak_error_mc,
 )
@@ -153,7 +152,6 @@ __all__ = [
     "coarsen",
     "pairwise_sum",
     "mean_and_se",
-    "resolve_threads",
     "mc_expectation",
     "weak_error_mc",
     "one_step_ms_gap",

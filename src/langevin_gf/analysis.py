@@ -23,11 +23,12 @@ from .errors import (
 )
 from .integrators import (
     GaussianLaw,
+    _check_step_size,
     gf2_affine_map,
     linear_exact_moments,
     propagate_gaussian_chain,
 )
-from .mc import SeedPlan, one_step_ms_gap, weak_error_mc
+from .mc import SeedPlan, _steps_for, one_step_ms_gap, weak_error_mc
 from .models import PhaseState, gibbs_density_fn
 
 Array = np.ndarray
@@ -168,17 +169,6 @@ def _phase_psi(psi: Callable[[Array, Array], Array]) -> Callable[[Array], Array]
     return lambda z: psi(z[..., :1], z[..., 1:])
 
 
-def _integral_steps(h: float, horizon: float) -> int:
-    if not (h > 0 and math.isfinite(h)):
-        raise ArgumentError(f"step size must be positive and finite, got {h}")
-    if horizon < 0 or not math.isfinite(horizon):
-        raise ArgumentError(f"time horizon must be nonnegative and finite, got {horizon}")
-    n = round(horizon / h)
-    if abs(n * h - horizon) > 1e-9 * max(1.0, abs(horizon)):
-        raise ArgumentError(f"horizon {horizon} is not an integer multiple of h={h}")
-    return n
-
-
 def weak_error_linear(
     model: object,
     psi: Callable[[Array, Array], Array],
@@ -195,7 +185,7 @@ def weak_error_linear(
     """
     if z0.dim != 1:
         raise ArgumentError("the deterministic weak-error pipeline is one-dimensional")
-    n_steps = _integral_steps(h, T)
+    n_steps = _steps_for(h, T)
     exact = linear_exact_moments(model, z0, T)
     start = GaussianLaw(np.array([z0.p[0], z0.q[0]]), np.zeros((2, 2)))
     numeric = propagate_gaussian_chain(gf2_affine_map(model, h), start, n_steps, h)
@@ -252,8 +242,7 @@ class WeakOrderPoint:
     pipeline: str
 
     def __post_init__(self) -> None:
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise ArgumentError(f"step size must be positive and finite, got {self.h}")
+        _check_step_size(self.h)
         if not self.std_error >= 0:
             raise ArgumentError("std_error must be nonnegative")
         if self.pipeline not in _PIPELINES:

@@ -14,7 +14,7 @@ reported at once, so a typo cannot silently change an experiment.  All
 floating-point output uses 17 significant digits, '.' decimal separator,
 comma field separator and LF line endings; re-running a command with the
 same config and seed reproduces each file byte for byte regardless of the
-worker count.
+kernel width.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from .analysis import (
 from .errors import ArgumentError, ConfigError, Error
 from .genfun import AugmentedState, from_augmented, gf2_step_augmented, to_augmented
 from .integrators import gf2_jacobian, gf2_step, simulate
-from .mc import SeedPlan, derive_seed, generator_for, mc_step_means, sample_increments
+from .mc import SeedPlan, _steps_for, derive_seed, generator_for, mc_step_means
+from .mc import sample_increments
 from .models import DoubleWell, LinearOscillator, PhaseState
 from .observables import TEST_FUNCTIONS, get_test_function
 
@@ -410,11 +411,12 @@ def _run_ergodic(config: ExperimentConfig) -> list[Path]:
     exp = config.experiment
     h = float(exp["step_size"])
     T = float(exp["T"])
-    n_steps = round(T / h)
-    if abs(n_steps * h - T) > 1e-9 * max(1.0, T):
+    try:
+        n_steps = _steps_for(h, T)
+    except ArgumentError:
         raise ConfigError(
             "invalid configuration: experiment.T: must be an integer multiple of step_size"
-        )
+        ) from None
     names = list(exp["test_functions"])
     psis = [get_test_function(name) for name in names]
     references = [
@@ -469,12 +471,11 @@ def _run_structure(config: ExperimentConfig) -> list[Path]:
 
         block = gen.normal(0.0, math.sqrt(h), (volume_steps, m))
         state = z
-        total = np.eye(2 * d)
+        logdet = 0.0
         for k in range(volume_steps):
-            total = gf2_jacobian(model, state, h, block[k]) @ total
+            logdet += np.linalg.slogdet(gf2_jacobian(model, state, h, block[k]))[1]
             state = gf2_step(model, state, h, block[k])
-        target = math.exp(-model.friction * volume_steps * h * d)
-        volume_rel = abs(float(np.linalg.det(total)) - target) / target
+        volume_rel = abs(math.expm1(logdet + model.friction * volume_steps * h * d))
 
         aug = to_augmented(z, t_n, model)
         xg, yg = gf2_step_augmented(model, aug.X, aug.Y, h, dw)

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import ArgumentError, CapabilityError, EvaluationError, RangeError
-from .integrators import _check_step_matrix
+from .integrators import _check_step_matrix, _check_step_size
 from .models import LangevinModel, PhaseState, eval_model
 
 Array = np.ndarray
@@ -258,8 +258,7 @@ def gf2_step_augmented(
     t = float(yv[d])
     if t < 0:
         raise ArgumentError("the clock coordinate must be nonnegative")
-    if not (h > 0 and math.isfinite(h)):
-        raise ArgumentError(f"step size must be positive and finite, got {h}")
+    _check_step_size(h)
     dw = np.zeros(model.noise_dim) if dW is None else np.asarray(dW, dtype=float).reshape(-1)
     if dw.shape[0] != model.noise_dim:
         raise ArgumentError("increment dimension does not match the model")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 import scipy.linalg
@@ -132,11 +133,15 @@ def _check_step_matrix(step_matrix: Array, h: float) -> None:
         )
 
 
+def _check_step_size(h: object) -> None:
+    if not (isinstance(h, numbers.Real) and h > 0 and math.isfinite(h)):
+        raise ArgumentError(f"step size must be positive and finite, got {h}")
+
+
 def _step_inputs(model: LangevinModel, z: PhaseState, h: float, dW: object) -> tuple:
     if z.dim != model.dim:
         raise ArgumentError("state dimension does not match the model")
-    if not (isinstance(h, (int, float)) and h > 0 and math.isfinite(h)):
-        raise ArgumentError(f"step size must be positive and finite, got {h}")
+    _check_step_size(h)
     dw = np.zeros(model.noise_dim) if dW is None else np.asarray(dW, dtype=float).reshape(-1)
     if dw.shape[0] != model.noise_dim:
         raise ArgumentError(
@@ -364,8 +369,7 @@ def gf2_affine_map(model: object, h: float) -> AffineStepMap:
     Z_{n+1} = B Z_n + G dW (no drift offset).  det B = e^{-vh} to rounding.
     """
     a, v, sigma = _linear_params(model)
-    if not (h > 0 and math.isfinite(h)):
-        raise ArgumentError(f"step size must be positive and finite, got {h}")
+    _check_step_size(h)
     noise = -sigma  # model noise convention Sigma = -sigma
     evm = math.exp(-v * h)
     evp = math.exp(v * h)

@@ -2,48 +2,46 @@
 
 Reproducibility contract
 ------------------------
-Every estimator in this module is bit-identical across runs, worker counts,
-kernel widths and draw block sizes for a fixed :class:`SeedPlan`:
+Every estimator in this module is bit-identical across runs, kernel widths
+and draw block sizes for a fixed :class:`SeedPlan`:
 
 * each realization owns a private generator seeded by an avalanche-style
   mixing of (master_seed, realization index), so no generator state is shared
-  and no draw order depends on scheduling;
+  and no draw order depends on how realizations are grouped;
 * seed granularity is one generator per realization, and it alone defines
   the bits: kernel tasks span balanced runs of at most :data:`BATCH_SIZE`
-  realizations, each draw block holds at most :data:`DRAW_BLOCK` normals, and
-  neither size changes a result, because every kernel operation is
-  elementwise over realizations; workers write into disjoint slices of
-  preallocated arrays;
+  realizations, run one after another on the calling thread, each draw block
+  holds at most :data:`DRAW_BLOCK` normals, and neither size changes a
+  result, because every kernel operation is elementwise over realizations;
 * reductions over realizations use a fixed-shape pairwise summation tree
-  keyed by realization index, never a scheduling-dependent accumulation;
+  keyed by realization index, never an order-dependent accumulation;
 * Brownian increments are drawn in chunks along the step axis, which yields
   the same stream as a single draw (a NumPy generator guarantee the test
   suite pins down).
 
-The normal transform is pinned in exactly one place, :func:`generator_for`,
-so regression goldens survive refactors elsewhere.
+Each task seeds its generators in one vectorised pass that reproduces
+``SeedSequence(derive_seed(plan, i))`` word for word.  The normal transform
+is pinned in exactly one place, :func:`generator_for`, so regression goldens
+survive refactors elsewhere.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-from .errors import (
-    ArgumentError,
-    ConfigError,
-    Error,
-    EstimationError,
-)
-from .integrators import em_step, gf2_step
+from .errors import ArgumentError, Error, EstimationError
+from .integrators import _check_step_size, em_step, gf2_step
 from .models import LangevinModel, PhaseState
 
 Array = np.ndarray
+# A batch step at fixed h: (p, q, noise kick) -> (p1, q1).
+_Kernel = Callable[[Array, Array, Array], tuple[Array, Array]]
 
 # Most realizations one kernel task advances (the kernel width).
 BATCH_SIZE = 2048
@@ -51,6 +49,7 @@ BATCH_SIZE = 2048
 # coupled estimator needs more; bounds the per-task draw buffer.
 DRAW_BLOCK = 2**18
 
+_MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _DERIVATIONS = ("splitmix64-v1",)
@@ -107,6 +106,47 @@ def generator_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _derive_seeds(plan: SeedPlan, lo: int, hi: int) -> Array:
+    """derive_seed(plan, i) for i in [lo, hi): uint64 arithmetic wraps mod 2^64."""
+    return _mix64(plan.master_seed + np.arange(lo + 1, hi + 1, dtype=np.uint64) * _GAMMA)
+
+
+def _seed_words(seeds: Array) -> Array:
+    """SeedSequence(seed).generate_state(4, np.uint64) for each uint64 seed.
+
+    NumPy's algorithm, vectorised: the entropy [lo32, hi32, 0, 0] is hashed
+    into the pool, mixed pairwise, then hashed out as eight uint32 words that
+    pair up little-endian.
+    """
+    const = 0x43B0D7E5
+
+    def hashmix(value: Array, mult: int) -> Array:
+        nonlocal const
+        xor, const = const, const * mult & _MASK32
+        value = (value ^ xor) * const
+        return value ^ (value >> 16)
+
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    entropy = (seeds.astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero)
+    pool = [hashmix(word, 0x931E8875) for word in entropy]
+    for src, dst in itertools.permutations(range(4), 2):
+        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src], 0x931E8875)
+        pool[dst] = mixed ^ (mixed >> 16)
+    const = 0x8B51F9DD
+    words = np.stack([hashmix(pool[i % 4], 0x58F38DED) for i in range(8)], axis=-1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """Precomputed seed words, which PCG64 accepts in place of a seed."""
+
+    def __init__(self, words: Array) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype: object = np.uint32) -> Array:
+        return self.words
+
+
 @dataclasses.dataclass(frozen=True)
 class IncrementBlock:
     """n Brownian increments of step h in m noise dimensions, entries N(0, h)."""
@@ -118,8 +158,7 @@ class IncrementBlock:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise ArgumentError(f"step size must be positive and finite, got {self.h}")
+        _check_step_size(self.h)
         if self.n < 1 or self.m < 1:
             raise ArgumentError("step count and noise dimension must be at least 1")
         if values.shape != (self.n, self.m):
@@ -135,8 +174,7 @@ def sample_increments(seed: int, n: int, m: int, h: float) -> IncrementBlock:
     """Draw an n-by-m block of N(0, h) increments from the seeded generator."""
     if n < 1 or m < 1:
         raise ArgumentError("step count and noise dimension must be at least 1")
-    if not (h > 0 and math.isfinite(h)):
-        raise ArgumentError(f"step size must be positive and finite, got {h}")
+    _check_step_size(h)
     gen = generator_for(seed)
     return IncrementBlock(h=h, m=m, n=n, values=gen.standard_normal((n, m)) * math.sqrt(h))
 
@@ -200,39 +238,15 @@ def mean_and_se(values: Array) -> EstimatorResult:
     return EstimatorResult(mean=mean, std_error=math.sqrt(max(var, 0.0) / n), n_samples=n)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on, falling back to the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def resolve_threads() -> int:
-    """Worker count from LANGEVIN_GF_THREADS (unset or 0 means auto)."""
-    raw = os.environ.get("LANGEVIN_GF_THREADS")
-    if raw is None or raw.strip() == "":
-        return _usable_cpus()
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"LANGEVIN_GF_THREADS must be a nonnegative integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ConfigError(f"LANGEVIN_GF_THREADS must be nonnegative, got {value}")
-    return value if value > 0 else _usable_cpus()
+    """Threads the Monte Carlo engine runs on: always one."""
+    return 1
 
 
 def _map_batches(task: Callable[[int], None], n_batches: int) -> None:
-    workers = min(resolve_threads(), n_batches)
-    if workers <= 1:
-        for b in range(n_batches):
-            task(b)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task, b) for b in range(n_batches)]
-        for future in futures:
-            future.result()
+    """Run the kernel tasks in order on the calling thread."""
+    for b in range(n_batches):
+        task(b)
 
 
 def _batch_bounds(n_realizations: int) -> list[tuple[int, int]]:
@@ -252,8 +266,8 @@ def _block_steps(bounds: list[tuple[int, int]], m: int) -> int:
 
 
 def _steps_for(h: float, horizon: float) -> int:
-    if not (h > 0 and math.isfinite(h)):
-        raise ArgumentError(f"step size must be positive and finite, got {h}")
+    """Step count n with n * h equal to the horizon, to a relative 1e-9."""
+    _check_step_size(h)
     if horizon < 0 or not math.isfinite(horizon):
         raise ArgumentError(f"time horizon must be nonnegative and finite, got {horizon}")
     n = round(horizon / h)
@@ -266,40 +280,58 @@ def _use_batched_path(model: LangevinModel) -> bool:
     return model.dim == 1 and model.kind in _BATCHED_KINDS
 
 
-def _gf2_batch_step(
-    model: LangevinModel, p: Array, q: Array, h: float, dw: Array
-) -> tuple[Array, Array]:
+def _gf2_batch_kernel(model: LangevinModel, h: float) -> _Kernel:
+    """The gf2 step over a batch of 1-d states; each scalar coefficient is
+    multiplied out in the update's left-to-right order, so no bit moves."""
+    v, ms = model.friction, model.mass[0, 0]
+    force, hessian = model.force, model.force_jacobian
+    evm, evp, half = math.exp(-v * h), math.exp(v * h), 0.5 * v * h
+    hh, drift_p, kick_p = 0.5 * h * h, h * (1.0 + half) * evm, (1.0 + half) * evm
+    gain_q, drift_q, kick_q = h * (1.0 - half) * evp * ms, 0.5 * h * h * ms, 0.5 * h * ms
+
+    def step(p: Array, q: Array, kick: Array) -> tuple[Array, Array]:
+        frc = np.asarray(force(q), dtype=float)
+        den = 1.0 + hh * np.asarray(hessian(q), dtype=float) * ms
+        p1 = (evm * p - drift_p * frc + kick_p * kick) / den
+        q1 = q + gain_q * p1 + drift_q * frc - kick_q * kick
+        return p1, q1
+
+    return step
+
+
+def _em_batch_kernel(model: LangevinModel, h: float) -> _Kernel:
+    """The Euler-Maruyama step over a batch of 1-d states."""
     v = model.friction
-    ms = model.mass[0, 0]
-    evm = math.exp(-v * h)
-    evp = math.exp(v * h)
-    half = 0.5 * v * h
-    with np.errstate(all="ignore"):
-        frc = np.asarray(model.force(q), dtype=float)
-        hess = np.asarray(model.force_jacobian(q), dtype=float)
-        kick = dw @ model.noise[0]
-        den = 1.0 + 0.5 * h * h * hess * ms
-        p1 = (evm * p - h * (1.0 + half) * evm * frc + (1.0 + half) * evm * kick) / den
-        q1 = q + h * (1.0 - half) * evp * ms * p1 + 0.5 * h * h * ms * frc - 0.5 * h * ms * kick
-    return p1, q1
+    gain_q = h * model.mass[0, 0]
+    force = model.force
+
+    def step(p: Array, q: Array, kick: Array) -> tuple[Array, Array]:
+        p1 = p - (np.asarray(force(q), dtype=float) + v * p) * h + kick
+        return p1, q + gain_q * p
+
+    return step
 
 
-def _em_batch_step(
-    model: LangevinModel, p: Array, q: Array, h: float, dw: Array
-) -> tuple[Array, Array]:
-    v = model.friction
-    ms = model.mass[0, 0]
-    with np.errstate(all="ignore"):
-        frc = np.asarray(model.force(q), dtype=float)
-        p1 = p - (frc + v * p) * h + dw @ model.noise[0]
-        q1 = q + h * ms * p
-    return p1, q1
+_BATCH_KERNELS = {"gf2": _gf2_batch_kernel, "em": _em_batch_kernel}
 
 
-_BATCH_STEPS = {"gf2": _gf2_batch_step, "em": _em_batch_step}
+def _kicks(model: LangevinModel, dw: Array) -> Array:
+    """dw[:, s, :] @ Sigma[0] for every step s, as contiguous rows."""
+    if model.noise_dim > 1:
+        return np.ascontiguousarray((dw @ model.noise[0]).T)
+    # A one-term matmul sums onto +0.0; adding it keeps the signs of zeros.
+    kicks = np.multiply(dw[:, :, 0].T, model.noise[0, 0], order="C")
+    kicks += 0.0
+    return kicks
 
 
 def _check_batch_finite(p: Array, q: Array, lo: int, step: int) -> None:
+    """Raise naming the first realization whose state is not finite.
+
+    Any non-finite entry makes p . q non-finite, so one dot product screens.
+    """
+    if math.isfinite(np.dot(p, q)):
+        return
     bad = ~(np.isfinite(p) & np.isfinite(q))
     if np.any(bad):
         index = lo + int(np.argmax(bad))
@@ -325,10 +357,10 @@ class _BatchState:
         generators: list[np.random.Generator] | None = None,
     ) -> None:
         size = hi - lo
-        self.lo = lo
-        self.hi = hi
+        self.lo, self.hi = lo, hi
         if generators is None:
-            generators = [generator_for(derive_seed(plan, i)) for i in range(lo, hi)]
+            words = _seed_words(_derive_seeds(plan, lo, hi))
+            generators = [generator_for(_SeedWords(row)) for row in words]
         self.generators = generators
         self._buffer = np.empty(0)
         if _use_batched_path(model):
@@ -346,13 +378,13 @@ class _BatchState:
         if self._buffer.size < size:
             self._buffer = np.empty(size)
         block = self._buffer[:size].reshape(self.hi - self.lo, n_steps, m)
-        for b, gen in enumerate(self.generators):
-            gen.standard_normal(out=block[b])
+        for row, gen in zip(block, self.generators):
+            gen.standard_normal(out=row)
         block *= math.sqrt(h)
         return block
 
 
-def _advance_batched(
+def _advance_chunk(
     model: LangevinModel,
     scheme: str,
     state: _BatchState,
@@ -362,27 +394,22 @@ def _advance_batched(
     psi_rows: Sequence[Callable[[Array, Array], Array]] | None = None,
     out: Array | None = None,
 ) -> None:
-    step_fn = _BATCH_STEPS[scheme]
-    for s in range(dw.shape[1]):
-        state.p, state.q = step_fn(model, state.p, state.q, h, dw[:, s, :])
-        _check_batch_finite(state.p, state.q, state.lo, first_step + s)
-        if psi_rows is not None and out is not None:
-            pcol = state.p[:, None]
-            qcol = state.q[:, None]
-            for j, psi in enumerate(psi_rows):
-                out[s, j, state.lo: state.hi] = psi(pcol, qcol)
+    """Advance a task through one chunk of increments.
 
-
-def _advance_fallback(
-    model: LangevinModel,
-    scheme: str,
-    state: _BatchState,
-    h: float,
-    dw: Array,
-    first_step: int,
-    psi_rows: Sequence[Callable[[Array, Array], Array]] | None = None,
-    out: Array | None = None,
-) -> None:
+    With psi_rows, psi_rows[j] after step s is written to out[s, j, realization].
+    """
+    if _use_batched_path(model):
+        step = _BATCH_KERNELS[scheme](model, h)
+        p, q = state.p, state.q
+        with np.errstate(all="ignore"):
+            for s, kick in enumerate(_kicks(model, dw)):
+                p, q = step(p, q, kick)
+                _check_batch_finite(p, q, state.lo, first_step + s)
+                if psi_rows is not None and out is not None:
+                    for j, psi in enumerate(psi_rows):
+                        out[s, j, state.lo: state.hi] = psi(p[:, None], q[:, None])
+        state.p, state.q = p, q
+        return
     step_fn = _STEP_FUNCTIONS[scheme]
     for b in range(dw.shape[0]):
         z = state.states[b]
@@ -397,22 +424,6 @@ def _advance_fallback(
                 for j, psi in enumerate(psi_rows):
                     out[s, j, state.lo + b] = float(psi(z.p[None, :], z.q[None, :])[0])
         state.states[b] = z
-
-
-def _advance_chunk(
-    model: LangevinModel,
-    scheme: str,
-    state: _BatchState,
-    h: float,
-    dw: Array,
-    first_step: int,
-    psi_rows: Sequence[Callable[[Array, Array], Array]] | None = None,
-    out: Array | None = None,
-) -> None:
-    if _use_batched_path(model):
-        _advance_batched(model, scheme, state, h, dw, first_step, psi_rows, out)
-    else:
-        _advance_fallback(model, scheme, state, h, dw, first_step, psi_rows, out)
 
 
 def _endpoint_arrays(model: LangevinModel, state: _BatchState) -> tuple[Array, Array]:
@@ -455,7 +466,7 @@ def mc_expectation(
 ) -> EstimatorResult:
     """Estimate E psi(Z_N) at time T over independent trajectories.
 
-    The result is bit-identical across runs and worker counts; see the module
+    The result is bit-identical across runs and kernel widths; see the module
     docstring for the contract.  A trajectory leaving the numeric domain
     raises EstimationError naming the realization index and step.
     """
@@ -547,8 +558,7 @@ def one_step_ms_gap(
     _validate_run(model, "gf2", z0, n_realizations, plan)
     if refine < 2 and not (allow_equal_steps and refine == 1):
         raise ArgumentError("refinement factor must be at least 2")
-    if not (h > 0 and math.isfinite(h)):
-        raise ArgumentError(f"step size must be positive and finite, got {h}")
+    _check_step_size(h)
     values = np.empty(n_realizations)
     bounds = _batch_bounds(n_realizations)
 
@@ -588,8 +598,7 @@ def mc_step_means(
     _validate_run(model, scheme, z0, n_realizations, plan)
     if n_steps < 0:
         raise ArgumentError("step count must be nonnegative")
-    if not (h > 0 and math.isfinite(h)):
-        raise ArgumentError(f"step size must be positive and finite, got {h}")
+    _check_step_size(h)
     k = len(psis)
     if k == 0:
         raise ArgumentError("need at least one test function")
@@ -598,14 +607,14 @@ def mc_step_means(
         means[j, 0] = float(np.asarray(psi(z0.p[None, :], z0.q[None, :]))[0])
     bounds = _batch_bounds(n_realizations)
     states = [_BatchState(model, z0, plan, lo, hi) for lo, hi in bounds]
-    chunk = max(
-        1,
-        min(_block_steps(bounds, model.noise_dim), 4_000_000 // max(1, k * n_realizations)),
-    )
+    budget = 4_000_000 // max(1, k * n_realizations)
+    chunk = max(1, min(_block_steps(bounds, model.noise_dim), budget))
 
+    # One buffer for all chunks: a new one per chunk made peak memory vary by run.
+    whole = np.empty((min(chunk, n_steps), k, n_realizations))
     done = 0
     for length in _chunk_lengths(n_steps, chunk):
-        buffer = np.empty((length, k, n_realizations))
+        buffer = whole[:length]
 
         def task(b: int, length: int = length, done: int = done) -> None:
             state = states[b]

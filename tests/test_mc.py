@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from langevin_gf import mc
-from langevin_gf.errors import ArgumentError, ConfigError, EstimationError
+from langevin_gf.errors import ArgumentError, EstimationError
 from langevin_gf.integrators import (
     GaussianLaw,
     gf2_affine_map,
@@ -225,31 +226,12 @@ def test_estimator_result_validation():
 def test_resolve_threads(monkeypatch):
     from langevin_gf.mc import resolve_threads
 
-    monkeypatch.delenv("LANGEVIN_GF_THREADS", raising=False)
-    auto = resolve_threads()
-    assert auto >= 1
-    monkeypatch.setenv("LANGEVIN_GF_THREADS", "0")
-    assert resolve_threads() == auto
-    monkeypatch.setenv("LANGEVIN_GF_THREADS", "6")
-    assert resolve_threads() == 6
-    monkeypatch.setenv("LANGEVIN_GF_THREADS", "abc")
-    with pytest.raises(ConfigError):
-        resolve_threads()
-    monkeypatch.setenv("LANGEVIN_GF_THREADS", "-2")
-    with pytest.raises(ConfigError):
-        resolve_threads()
-
-    # Auto counts the CPUs the process may run on, not the machine's.
-    monkeypatch.delenv("LANGEVIN_GF_THREADS", raising=False)
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    assert resolve_threads() == 3
-    monkeypatch.setenv("LANGEVIN_GF_THREADS", "0")
-    assert resolve_threads() == 3
-    monkeypatch.delattr(mc.os, "sched_getaffinity")
-    assert resolve_threads() == 64
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
-    assert resolve_threads() == 1
+    for value in (None, "", "0", "1", "6", "abc", "-2"):
+        if value is None:
+            monkeypatch.delenv("LANGEVIN_GF_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LANGEVIN_GF_THREADS", value)
+        assert resolve_threads() == 1
 
 
 def test_mc_expectation_deterministic_dynamics():
@@ -293,16 +275,73 @@ def test_mc_expectation_blowup_reports_location():
         mc_expectation(model, "gf2", cos_sum, PhaseState([0.0], [30.0]), 0.25, 2.0, 4, SeedPlan(8))
 
 
-def test_mc_expectation_worker_invariance(monkeypatch):
+def test_mc_expectation_worker_invariance():
     model = DoubleWell(v=4.0, beta=2.0).build()
     z0 = PhaseState([0.0], [1.0])
     n_real = BATCH_SIZE * 2 + 6
-    monkeypatch.setenv("LANGEVIN_GF_THREADS", "1")
-    serial = mc_expectation(model, "gf2", cos_sum, z0, 0.125, 0.5, n_real, SeedPlan(99))
-    monkeypatch.setenv("LANGEVIN_GF_THREADS", "3")
-    threaded = mc_expectation(model, "gf2", cos_sum, z0, 0.125, 0.5, n_real, SeedPlan(99))
-    assert serial.mean == threaded.mean
-    assert serial.std_error == threaded.std_error
+    first = mc_expectation(model, "gf2", cos_sum, z0, 0.125, 0.5, n_real, SeedPlan(99))
+    second = mc_expectation(model, "gf2", cos_sum, z0, 0.125, 0.5, n_real, SeedPlan(99))
+    assert first.mean == second.mean
+    assert first.std_error == second.std_error
+
+
+# Seeds where the 32-bit entropy words of SeedSequence change shape.
+_EDGE_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 2, 2**64 - 1]
+
+
+def test_seed_words_match_seed_sequence():
+    rng = np.random.default_rng(8)
+    seeds = _EDGE_SEEDS + [int(s) for s in rng.integers(0, 2**64, 500, dtype=np.uint64)]
+    words = mc._seed_words(np.array(seeds, dtype=np.uint64))
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+    for seed, row in zip(seeds, words):
+        assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+
+
+def test_vectorised_splitmix_matches_derive_seed():
+    for master in (0, 2**64 - 1, 987654321):
+        plan = SeedPlan(master)
+        seeds = mc._derive_seeds(plan, 1000, 3000)
+        assert seeds.dtype == np.uint64
+        assert [int(s) for s in seeds] == [derive_seed(plan, i) for i in range(1000, 3000)]
+
+
+@pytest.mark.parametrize("master", [0, 2**64 - 1, 20240817])
+def test_batch_generators_equal_generator_for_derive_seed(master):
+    plan = SeedPlan(master)
+    model = DoubleWell(v=4.0, beta=2.0).build()
+    lo, hi = 37, 5037
+    state = mc._BatchState(model, PhaseState([0.0], [1.0]), plan, lo, hi)
+    assert len(state.generators) == hi - lo
+    for index, gen in zip(range(lo, hi), state.generators):
+        expected = generator_for(derive_seed(plan, index))
+        assert gen.bit_generator.state == expected.bit_generator.state
+
+
+@pytest.mark.parametrize("noise", [[[0.7]], [[0.7, -0.3]]])
+def test_chunk_kicks_equal_per_step_matmul(noise):
+    sigma = np.array(noise)
+    model = dataclasses.replace(deterministic_linear(), noise=sigma, noise_dim=sigma.shape[1])
+    dw = np.random.default_rng(3).standard_normal((50, 7, model.noise_dim))
+    dw[4, 2] = -0.0
+    expected = np.stack([dw[:, s, :] @ model.noise[0] for s in range(7)])
+    kicks = mc._kicks(model, dw)
+    assert kicks.flags.c_contiguous
+    assert kicks.tobytes() == expected.tobytes()
+
+
+def test_blowup_mid_chunk_names_first_realization_and_step():
+    # h = 0.55 from q = 1.5: realizations leave the well within a few steps, at
+    # different steps; all 20 steps fit one chunk of every task.
+    model = DoubleWell(v=4.0, beta=2.0).build()
+    z0 = PhaseState([0.0], [1.5])
+    h, plan = 0.55, SeedPlan(8)
+    expected = r"^realization 13 produced a non-finite state at step 6$"
+    with pytest.raises(EstimationError, match=expected):
+        mc_expectation(model, "gf2", cos_sum, z0, h, 20 * h, 5000, plan)
+    # One step fewer runs clean, so step 6 is the first non-finite one.
+    res = mc_expectation(model, "gf2", cos_sum, z0, h, 6 * h, 5000, plan)
+    assert math.isfinite(res.mean)
 
 
 def test_batch_bounds_are_balanced():
@@ -391,8 +430,6 @@ def test_mc_expectation_argument_errors():
 def test_fast_path_matches_per_state_path():
     built = DoubleWell(v=4.0, beta=2.0).build()
     # Same dynamics, but the "custom" kind forces the per-realization route.
-    import dataclasses
-
     custom = dataclasses.replace(built, kind="custom")
     z0 = PhaseState([-2.0], [-2.0])
     plan = SeedPlan(31337)
@@ -452,16 +489,14 @@ def test_weak_error_se_scaling():
     assert 0.7071 * 0.8 <= ratio <= 0.7071 * 1.2
 
 
-def test_weak_error_worker_invariance(monkeypatch):
+def test_weak_error_worker_invariance():
     model = DoubleWell(v=4.0, beta=2.0).build()
     z0 = PhaseState([0.0], [1.0])
     n_real = BATCH_SIZE + 40
-    monkeypatch.setenv("LANGEVIN_GF_THREADS", "1")
-    serial = weak_error_mc(model, cos_sum, z0, 0.25, 1.0, n_real, 2, SeedPlan(77))
-    monkeypatch.setenv("LANGEVIN_GF_THREADS", "4")
-    threaded = weak_error_mc(model, cos_sum, z0, 0.25, 1.0, n_real, 2, SeedPlan(77))
-    assert serial.mean == threaded.mean
-    assert serial.std_error == threaded.std_error
+    first = weak_error_mc(model, cos_sum, z0, 0.25, 1.0, n_real, 2, SeedPlan(77))
+    second = weak_error_mc(model, cos_sum, z0, 0.25, 1.0, n_real, 2, SeedPlan(77))
+    assert first.mean == second.mean
+    assert first.std_error == second.std_error
 
 
 def test_mc_step_means_deterministic_dynamics():
@@ -477,14 +512,12 @@ def test_mc_step_means_deterministic_dynamics():
     assert_allclose(means[0], expected, rtol=1e-12)
 
 
-def test_mc_step_means_multiple_functions_and_workers(monkeypatch):
+def test_mc_step_means_multiple_functions_and_workers():
     model = DoubleWell(v=4.0, beta=2.0).build()
     z0 = PhaseState([0.0], [1.0])
     quartic = lambda p, q: (np.sum(p * p, axis=-1) + np.sum(q * q, axis=-1)) ** 2
     n_real = BATCH_SIZE * 2 + 6
-    monkeypatch.setenv("LANGEVIN_GF_THREADS", "1")
     t1, m1 = mc_step_means(model, [cos_sum, quartic], z0, 0.125, 40, n_real, SeedPlan(55))
-    monkeypatch.setenv("LANGEVIN_GF_THREADS", "4")
     t2, m2 = mc_step_means(model, [cos_sum, quartic], z0, 0.125, 40, n_real, SeedPlan(55))
     assert np.array_equal(m1, m2)
     assert np.array_equal(t1, t2)
