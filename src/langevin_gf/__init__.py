@@ -68,11 +68,9 @@ from .mc import (
     EstimatorResult,
     IncrementBlock,
     SeedPlan,
-    coarsen,
     derive_seed,
     generator_for,
     mc_expectation,
-    mc_running_average,
     mc_step_means,
     mean_and_se,
     one_step_ms_gap,
@@ -149,14 +147,12 @@ __all__ = [
     "derive_seed",
     "generator_for",
     "sample_increments",
-    "coarsen",
     "pairwise_sum",
     "mean_and_se",
     "mc_expectation",
     "weak_error_mc",
     "one_step_ms_gap",
     "mc_step_means",
-    "mc_running_average",
     # analysis
     "quad2d",
     "ergodic_reference",

@@ -16,7 +16,15 @@ class EvaluationError(Error):
 
 
 class StepSizeError(Error):
-    """The implicit step matrix is too ill-conditioned for the requested h."""
+    """The implicit step matrix is too ill-conditioned for the requested h.
+
+    ``row`` is the index of the first offending state when a batch of
+    states was stepped at once.
+    """
+
+    def __init__(self, message: str = "", row: int = 0) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class CapabilityError(Error):

@@ -9,7 +9,9 @@ The central object is the weak second order conformal symplectic map
 with H = grad^2 F.  Its Jacobian with respect to (p, q) scales the canonical
 two-form by exactly e^{-vh}, hence the one-step phase-volume factor e^{-vhd}.
 An explicit Euler-Maruyama baseline, trajectory iteration, and the exact and
-per-step Gaussian laws of the linear oscillator complete the module.
+per-step Gaussian laws of the linear oscillator complete the module.  Each
+map is written once, as a kernel over (R, d) arrays of states that the
+single-state steps and the Monte Carlo engine share.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -29,7 +32,7 @@ from .errors import (
     RangeError,
     StepSizeError,
 )
-from .models import LangevinModel, LinearOscillator, PhaseState, eval_model
+from .models import LangevinModel, LinearOscillator, PhaseState, _matvec
 
 Array = np.ndarray
 
@@ -113,23 +116,33 @@ class Trajectory:
 
 
 def _check_step_matrix(step_matrix: Array, h: float) -> None:
-    """Refuse near-singular implicit solves.
+    """Refuse near-singular implicit solves, naming the first offending row.
 
-    For d = 1 the matrix is 1x1 and its condition number is always 1, so the
-    guard measures the cancellation ratio (1 + |c|) / |1 + c| of the scalar
-    1 + c instead; both metrics flag the same loss of precision.
+    ``step_matrix`` has shape (..., d, d).  For d = 1 the condition number is
+    always 1, so the guard measures the cancellation ratio (1 + |c|) / |1 + c|
+    of each scalar 1 + c instead; it can pass the limit only where
+    1 + c < 2e-12, so one reduction screens a batch.  Non-finite matrices are
+    left to the callers' state checks.
     """
-    d = step_matrix.shape[0]
+    d = step_matrix.shape[-1]
     if d == 1:
-        c = step_matrix[0, 0] - 1.0
-        denom = abs(1.0 + c)
-        ratio = math.inf if denom == 0.0 else (1.0 + abs(c)) / denom
+        if not np.fmin.reduce(step_matrix, axis=None) <= 4.0 / _COND_LIMIT:
+            return
+        c = step_matrix.reshape(-1) - 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (1.0 + np.abs(c)) / np.abs(1.0 + c)
     else:
-        ratio = float(np.linalg.cond(step_matrix))
-    if not math.isfinite(ratio) or ratio > _COND_LIMIT:
+        flat = step_matrix.reshape(-1, d, d)
+        finite = np.all(np.isfinite(flat), axis=(1, 2))
+        ratio = np.full(flat.shape[0], np.nan)
+        ratio[finite] = np.linalg.cond(flat[finite])
+    bad = ratio > _COND_LIMIT
+    if np.any(bad):
+        row = int(np.argmax(bad))
         raise StepSizeError(
-            f"implicit step matrix has condition estimate {ratio:.3e} at h={h}; "
-            "reduce the step size"
+            f"implicit step matrix has condition estimate {ratio[row]:.3e} at h={h}; "
+            "reduce the step size",
+            row=row,
         )
 
 
@@ -138,7 +151,97 @@ def _check_step_size(h: object) -> None:
         raise ArgumentError(f"step size must be positive and finite, got {h}")
 
 
+def _noise_kick(noise: Array, dw: Array) -> Array:
+    """Sigma dW along the last axis of dw, summed term by term, C-ordered.
+
+    The sum starts from +0.0, as a matmul's does, which keeps its signs of
+    zeros; no BLAS call is involved, so each row's bits depend on that row
+    alone.
+    """
+    kick = np.multiply(dw[..., :1], noise[:, 0], order="C")
+    kick += 0.0
+    for j in range(1, noise.shape[1]):
+        kick += dw[..., j: j + 1] * noise[:, j]
+    return kick
+
+
+def _mass_map(mass: Array) -> Callable[[Array], Array]:
+    """x -> mass @ x along the last axis; an identity, which changes no value, is skipped."""
+    if np.array_equal(mass, np.eye(mass.shape[0])):
+        return lambda x: x
+    return lambda x: _matvec(mass, x)
+
+
+class _Gf2Kernel:
+    """The gf2 map at fixed (model, h) on R states at once, shape (R, d).
+
+    Every gf2 step of the package runs here: :func:`gf2_step` with R = 1
+    and the Monte Carlo engine with a whole task.  The operations follow the
+    map in the module docstring left to right, with M applied before the
+    scalar coefficients.  The implicit solve is a division for d = 1 and one
+    LAPACK solve per state for d > 1; all other products are elementwise, so
+    a state's bits never depend on R.
+    """
+
+    def __init__(self, model: LangevinModel, h: float) -> None:
+        v = model.friction
+        self.model, self.h = model, h
+        self.evm, half_vh = math.exp(-v * h), 0.5 * v * h
+        self.hh = 0.5 * h * h
+        self.drift_p = h * (1.0 + half_vh) * self.evm
+        self.kick_p = (1.0 + half_vh) * self.evm
+        self.gain_q = h * (1.0 - half_vh) * math.exp(v * h)
+        self.kick_q = 0.5 * h
+        self.eye = np.eye(model.dim)
+        self.times_mass = _mass_map(model.mass)
+        self.hess_times_mass = _mass_map(model.mass.T)
+
+    def update(self, p: Array, q: Array, kick: Array) -> tuple[Array, Array, Array, Array]:
+        """(grad^2 F(q), step matrix, P1, Q1); StepSizeError if the matrix is near singular."""
+        model = self.model
+        frc = np.asarray(model.force(q), dtype=float)
+        hess = np.asarray(model.force_jacobian(q), dtype=float)
+        if model.dim == 1 and hess.ndim == q.ndim:
+            hess = hess[..., None]
+        # In-place sums round as the map's left-to-right order does; they
+        # only spare the per-step temporaries.
+        step_matrix = self.hh * self.hess_times_mass(hess)
+        step_matrix += self.eye
+        _check_step_matrix(step_matrix, self.h)
+        p1 = self.evm * p
+        p1 -= self.drift_p * frc
+        p1 += self.kick_p * kick
+        if model.dim == 1:
+            p1 /= step_matrix[..., 0]
+        else:
+            p1 = np.linalg.solve(step_matrix, p1[..., None])[..., 0]
+        q1 = self.gain_q * self.times_mass(p1)
+        q1 += q
+        q1 += self.hh * self.times_mass(frc)
+        q1 -= self.kick_q * self.times_mass(kick)
+        return hess, step_matrix, p1, q1
+
+    def __call__(self, p: Array, q: Array, kick: Array) -> tuple[Array, Array]:
+        return self.update(p, q, kick)[2:]
+
+
+def _em_kernel(model: LangevinModel, h: float) -> Callable[[Array, Array, Array], tuple]:
+    """The Euler-Maruyama step (see :func:`em_step`) at fixed (model, h) on (R, d) states."""
+    v, force, times_mass = model.friction, model.force, _mass_map(model.mass)
+
+    def step(p: Array, q: Array, kick: Array) -> tuple[Array, Array]:
+        p1 = p - (np.asarray(force(q), dtype=float) + v * p) * h + kick
+        return p1, q + h * times_mass(p)
+
+    return step
+
+
+# Each maps (model, h) to a step (p, q, Sigma dW) -> (P1, Q1) on (R, d) arrays.
+_KERNELS = {"gf2": _Gf2Kernel, "em": _em_kernel}
+
+
 def _step_inputs(model: LangevinModel, z: PhaseState, h: float, dW: object) -> tuple:
+    """Validated (h, dW, Sigma dW) of one step from a single state."""
     if z.dim != model.dim:
         raise ArgumentError("state dimension does not match the model")
     _check_step_size(h)
@@ -149,7 +252,11 @@ def _step_inputs(model: LangevinModel, z: PhaseState, h: float, dW: object) -> t
         )
     if not np.all(np.isfinite(dw)):
         raise EvaluationError("increment contains non-finite entries")
-    return float(h), dw
+    return float(h), dw, _noise_kick(model.noise, dw[None])
+
+
+def _finite(*arrays: Array) -> bool:
+    return all(np.all(np.isfinite(a)) for a in arrays)
 
 
 def gf2_step(model: LangevinModel, z: PhaseState, h: float, dW: object = None) -> PhaseState:
@@ -178,26 +285,12 @@ def gf2_step(model: LangevinModel, z: PhaseState, h: float, dW: object = None) -
     EvaluationError
         On non-finite inputs or outputs.
     """
-    h, dw = _step_inputs(model, z, h, dW)
-    _, frc, hess = eval_model(model, z.q)
-    mass = model.mass
-    evm = math.exp(-model.friction * h)
-    evp = math.exp(model.friction * h)
-    half_vh = 0.5 * model.friction * h
-    step_matrix = np.eye(model.dim) + 0.5 * h * h * (hess @ mass)
-    _check_step_matrix(step_matrix, h)
-    noise_kick = model.noise @ dw
-    rhs = evm * z.p - h * (1.0 + half_vh) * evm * frc + (1.0 + half_vh) * evm * noise_kick
-    p1 = np.linalg.solve(step_matrix, rhs)
-    q1 = (
-        z.q
-        + h * (1.0 - half_vh) * evp * (mass @ p1)
-        + 0.5 * h * h * (mass @ frc)
-        - 0.5 * h * (mass @ noise_kick)
-    )
-    if not (np.all(np.isfinite(p1)) and np.all(np.isfinite(q1))):
+    h, _, kick = _step_inputs(model, z, h, dW)
+    with np.errstate(all="ignore"):
+        p1, q1 = _Gf2Kernel(model, h)(z.p[None], z.q[None], kick)
+    if not _finite(p1, q1):
         raise EvaluationError(f"step produced a non-finite state at h={h}")
-    return PhaseState(p1, q1)
+    return PhaseState(p1[0], q1[0])
 
 
 def gf2_jacobian(
@@ -213,37 +306,28 @@ def gf2_jacobian(
     -------
     (2d, 2d) ndarray in (p, q) block ordering.
     """
-    h, dw = _step_inputs(model, z, h, dW)
+    h, dw, kick = _step_inputs(model, z, h, dW)
     d = model.dim
     if model.force_third is None:
         return _fd_jacobian(model, z, h, dw)
-    _, frc, hess = eval_model(model, z.q)
-    mass = model.mass
-    evm = math.exp(-model.friction * h)
-    evp = math.exp(model.friction * h)
-    half_vh = 0.5 * model.friction * h
-    step_matrix = np.eye(d) + 0.5 * h * h * (hess @ mass)
-    _check_step_matrix(step_matrix, h)
-    dmat = np.linalg.inv(step_matrix)
+    kernel = _Gf2Kernel(model, h)
+    with np.errstate(all="ignore"):
+        hess, step_matrix, p1, q1 = kernel.update(z.p[None], z.q[None], kick)
+    if not _finite(hess, p1, q1):
+        raise EvaluationError(f"step produced a non-finite state at h={h}")
+    hess, p1 = hess.reshape(d, d), p1[0]
+    dmat = np.linalg.inv(step_matrix.reshape(d, d))
     third = np.asarray(model.force_third(z.q), dtype=float).reshape(d, d, d)
+    mass = model.mass
 
-    noise_kick = model.noise @ dw
-    rhs = evm * z.p - h * (1.0 + half_vh) * evm * frc + (1.0 + half_vh) * evm * noise_kick
-    p1 = dmat @ rhs
-
-    jpp = evm * dmat
+    jpp = kernel.evm * dmat
     jpq = np.empty((d, d))
     for j in range(d):
-        col = -h * (1.0 + half_vh) * evm * hess[:, j] - 0.5 * h * h * (
-            (third[:, :, j] @ mass) @ p1
-        )
+        col = -kernel.drift_p * hess[:, j] - kernel.hh * ((third[:, :, j] @ mass) @ p1)
         jpq[:, j] = dmat @ col
-    lower_gain = h * (1.0 - half_vh) * evp
-    jqp = lower_gain * (mass @ jpp)
-    jqq = np.eye(d) + 0.5 * h * h * (mass @ hess) + lower_gain * (mass @ jpq)
-    top = np.hstack([jpp, jpq])
-    bottom = np.hstack([jqp, jqq])
-    return np.vstack([top, bottom])
+    jqp = kernel.gain_q * (mass @ jpp)
+    jqq = np.eye(d) + kernel.hh * (mass @ hess) + kernel.gain_q * (mass @ jpq)
+    return np.block([[jpp, jpq], [jqp, jqq]])
 
 
 def _fd_jacobian(model: LangevinModel, z: PhaseState, h: float, dw: Array) -> Array:
@@ -265,16 +349,12 @@ def em_step(model: LangevinModel, z: PhaseState, h: float, dW: object = None) ->
 
     P1 = p - (f(q) + v p) h + Sigma dW,  Q1 = q + h M p.
     """
-    h, dw = _step_inputs(model, z, h, dW)
-    # Only the force enters; evaluate it directly so an overflowing update is
-    # classified by the output check below rather than by eval_model.
-    with np.errstate(over="ignore", invalid="ignore"):
-        frc = np.asarray(model.force(z.q), dtype=float).reshape(model.dim)
-        p1 = z.p - (frc + model.friction * z.p) * h + model.noise @ dw
-        q1 = z.q + h * (model.mass @ z.p)
-    if not (np.all(np.isfinite(p1)) and np.all(np.isfinite(q1))):
+    h, _, kick = _step_inputs(model, z, h, dW)
+    with np.errstate(all="ignore"):
+        p1, q1 = _em_kernel(model, h)(z.p[None], z.q[None], kick)
+    if not _finite(p1, q1):
         raise RangeError(f"explicit step overflowed at h={h}")
-    return PhaseState(p1, q1)
+    return PhaseState(p1[0], q1[0])
 
 
 _SCHEMES = {"gf2": gf2_step, "em": em_step}

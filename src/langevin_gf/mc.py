@@ -12,12 +12,18 @@ and draw block sizes for a fixed :class:`SeedPlan`:
   the bits: kernel tasks span balanced runs of at most :data:`BATCH_SIZE`
   realizations, run one after another on the calling thread, each draw block
   holds at most :data:`DRAW_BLOCK` normals, and neither size changes a
-  result, because every kernel operation is elementwise over realizations;
+  result, because every kernel operation acts on each realization alone;
 * reductions over realizations use a fixed-shape pairwise summation tree
   keyed by realization index, never an order-dependent accumulation;
 * Brownian increments are drawn in chunks along the step axis, which yields
   the same stream as a single draw (a NumPy generator guarantee the test
   suite pins down).
+
+Every model and dimension is stepped by the step kernels of
+:mod:`.integrators`, the ones ``gf2_step`` and ``em_step`` run with a single
+state: a task advances its realizations as (R, d) arrays, so a realization's
+trajectory equals, bit for bit, the single-state map iterated on its own
+increments, and both fail alike.
 
 Each task seeds its generators in one vectorised pass that reproduces
 ``SeedSequence(derive_seed(plan, i))`` word for word.  The normal transform
@@ -35,13 +41,11 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ArgumentError, Error, EstimationError
-from .integrators import _check_step_size, em_step, gf2_step
+from .errors import ArgumentError, EstimationError, StepSizeError
+from .integrators import _KERNELS, _check_step_size, _noise_kick
 from .models import LangevinModel, PhaseState
 
 Array = np.ndarray
-# A batch step at fixed h: (p, q, noise kick) -> (p1, q1).
-_Kernel = Callable[[Array, Array, Array], tuple[Array, Array]]
 
 # Most realizations one kernel task advances (the kernel width).
 BATCH_SIZE = 2048
@@ -53,10 +57,6 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _DERIVATIONS = ("splitmix64-v1",)
-
-_STEP_FUNCTIONS = {"gf2": gf2_step, "em": em_step}
-# Built-in one-dimensional models whose callables broadcast over batches.
-_BATCHED_KINDS = ("linear", "double_well")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -179,18 +179,6 @@ def sample_increments(seed: int, n: int, m: int, h: float) -> IncrementBlock:
     return IncrementBlock(h=h, m=m, n=n, values=gen.standard_normal((n, m)) * math.sqrt(h))
 
 
-def coarsen(block: IncrementBlock, k: int) -> IncrementBlock:
-    """Sum groups of k consecutive increments, coupling step k*h to step h."""
-    if k < 1:
-        raise ArgumentError("coarsening factor must be at least 1")
-    if block.n % k != 0:
-        raise ArgumentError(f"coarsening factor {k} does not divide n={block.n}")
-    if k == 1:
-        return block
-    summed = block.values.reshape(block.n // k, k, block.m).sum(axis=1)
-    return IncrementBlock(h=block.h * k, m=block.m, n=block.n // k, values=summed)
-
-
 def pairwise_sum(values: Array, axis: int = 0) -> Array:
     """Fixed-shape pairwise summation tree along one axis.
 
@@ -276,53 +264,9 @@ def _steps_for(h: float, horizon: float) -> int:
     return n
 
 
-def _use_batched_path(model: LangevinModel) -> bool:
-    return model.dim == 1 and model.kind in _BATCHED_KINDS
-
-
-def _gf2_batch_kernel(model: LangevinModel, h: float) -> _Kernel:
-    """The gf2 step over a batch of 1-d states; each scalar coefficient is
-    multiplied out in the update's left-to-right order, so no bit moves."""
-    v, ms = model.friction, model.mass[0, 0]
-    force, hessian = model.force, model.force_jacobian
-    evm, evp, half = math.exp(-v * h), math.exp(v * h), 0.5 * v * h
-    hh, drift_p, kick_p = 0.5 * h * h, h * (1.0 + half) * evm, (1.0 + half) * evm
-    gain_q, drift_q, kick_q = h * (1.0 - half) * evp * ms, 0.5 * h * h * ms, 0.5 * h * ms
-
-    def step(p: Array, q: Array, kick: Array) -> tuple[Array, Array]:
-        frc = np.asarray(force(q), dtype=float)
-        den = 1.0 + hh * np.asarray(hessian(q), dtype=float) * ms
-        p1 = (evm * p - drift_p * frc + kick_p * kick) / den
-        q1 = q + gain_q * p1 + drift_q * frc - kick_q * kick
-        return p1, q1
-
-    return step
-
-
-def _em_batch_kernel(model: LangevinModel, h: float) -> _Kernel:
-    """The Euler-Maruyama step over a batch of 1-d states."""
-    v = model.friction
-    gain_q = h * model.mass[0, 0]
-    force = model.force
-
-    def step(p: Array, q: Array, kick: Array) -> tuple[Array, Array]:
-        p1 = p - (np.asarray(force(q), dtype=float) + v * p) * h + kick
-        return p1, q + gain_q * p
-
-    return step
-
-
-_BATCH_KERNELS = {"gf2": _gf2_batch_kernel, "em": _em_batch_kernel}
-
-
 def _kicks(model: LangevinModel, dw: Array) -> Array:
-    """dw[:, s, :] @ Sigma[0] for every step s, as contiguous rows."""
-    if model.noise_dim > 1:
-        return np.ascontiguousarray((dw @ model.noise[0]).T)
-    # A one-term matmul sums onto +0.0; adding it keeps the signs of zeros.
-    kicks = np.multiply(dw[:, :, 0].T, model.noise[0, 0], order="C")
-    kicks += 0.0
-    return kicks
+    """Sigma dw[:, s, :] for every step s, step-major: shape (n_steps, R, d)."""
+    return _noise_kick(model.noise, dw.transpose(1, 0, 2))
 
 
 def _check_batch_finite(p: Array, q: Array, lo: int, step: int) -> None:
@@ -330,9 +274,9 @@ def _check_batch_finite(p: Array, q: Array, lo: int, step: int) -> None:
 
     Any non-finite entry makes p . q non-finite, so one dot product screens.
     """
-    if math.isfinite(np.dot(p, q)):
+    if math.isfinite(np.vdot(p, q)):
         return
-    bad = ~(np.isfinite(p) & np.isfinite(q))
+    bad = ~np.all(np.isfinite(p) & np.isfinite(q), axis=1)
     if np.any(bad):
         index = lo + int(np.argmax(bad))
         raise EstimationError(
@@ -349,25 +293,20 @@ class _BatchState:
 
     def __init__(
         self,
-        model: LangevinModel,
         z0: PhaseState,
         plan: SeedPlan,
         lo: int,
         hi: int,
         generators: list[np.random.Generator] | None = None,
     ) -> None:
-        size = hi - lo
         self.lo, self.hi = lo, hi
         if generators is None:
             words = _seed_words(_derive_seeds(plan, lo, hi))
             generators = [generator_for(_SeedWords(row)) for row in words]
         self.generators = generators
         self._buffer = np.empty(0)
-        if _use_batched_path(model):
-            self.p = np.full(size, z0.p[0])
-            self.q = np.full(size, z0.q[0])
-        else:
-            self.states = [z0] * size
+        self.p = np.tile(z0.p, (hi - lo, 1))
+        self.q = np.tile(z0.q, (hi - lo, 1))
 
     def draw(self, n_steps: int, m: int, h: float) -> Array:
         """N(0, h) increments of shape (size, n_steps, m), filled in place.
@@ -398,53 +337,29 @@ def _advance_chunk(
 
     With psi_rows, psi_rows[j] after step s is written to out[s, j, realization].
     """
-    if _use_batched_path(model):
-        step = _BATCH_KERNELS[scheme](model, h)
-        p, q = state.p, state.q
-        with np.errstate(all="ignore"):
-            for s, kick in enumerate(_kicks(model, dw)):
-                p, q = step(p, q, kick)
-                _check_batch_finite(p, q, state.lo, first_step + s)
-                if psi_rows is not None and out is not None:
-                    for j, psi in enumerate(psi_rows):
-                        out[s, j, state.lo: state.hi] = psi(p[:, None], q[:, None])
-        state.p, state.q = p, q
-        return
-    step_fn = _STEP_FUNCTIONS[scheme]
-    for b in range(dw.shape[0]):
-        z = state.states[b]
-        for s in range(dw.shape[1]):
+    step = _KERNELS[scheme](model, h)
+    p, q = state.p, state.q
+    with np.errstate(all="ignore"):
+        for s, kick in enumerate(_kicks(model, dw)):
             try:
-                z = step_fn(model, z, h, dw[b, s])
-            except Error as exc:
+                p, q = step(p, q, kick)
+            except StepSizeError as exc:
                 raise EstimationError(
-                    f"realization {state.lo + b} failed at step {first_step + s}: {exc}"
+                    f"realization {state.lo + exc.row} failed at step {first_step + s}: {exc}"
                 ) from exc
+            _check_batch_finite(p, q, state.lo, first_step + s)
             if psi_rows is not None and out is not None:
                 for j, psi in enumerate(psi_rows):
-                    out[s, j, state.lo + b] = float(psi(z.p[None, :], z.q[None, :])[0])
-        state.states[b] = z
-
-
-def _endpoint_arrays(model: LangevinModel, state: _BatchState) -> tuple[Array, Array]:
-    if _use_batched_path(model):
-        return state.p[:, None], state.q[:, None]
-    return np.stack([z.p for z in state.states]), np.stack([z.q for z in state.states])
-
-
-def _endpoint_psi(
-    model: LangevinModel, state: _BatchState, psi: Callable[[Array, Array], Array]
-) -> Array:
-    pts_p, pts_q = _endpoint_arrays(model, state)
-    return np.asarray(psi(pts_p, pts_q), dtype=float)
+                    out[s, j, state.lo: state.hi] = psi(p, q)
+    state.p, state.q = p, q
 
 
 def _validate_run(
     model: LangevinModel, scheme: str, z0: PhaseState, n_realizations: int, plan: SeedPlan
 ) -> None:
-    if scheme not in _STEP_FUNCTIONS:
+    if scheme not in _KERNELS:
         raise ArgumentError(
-            f"unknown scheme {scheme!r}; expected one of {sorted(_STEP_FUNCTIONS)}"
+            f"unknown scheme {scheme!r}; expected one of {sorted(_KERNELS)}"
         )
     if z0.dim != model.dim:
         raise ArgumentError("initial state dimension does not match the model")
@@ -478,13 +393,13 @@ def mc_expectation(
 
     def task(b: int) -> None:
         lo, hi = bounds[b]
-        state = _BatchState(model, z0, plan, lo, hi)
+        state = _BatchState(z0, plan, lo, hi)
         done = 0
         for length in _chunk_lengths(n_steps, chunk):
             dw = state.draw(length, model.noise_dim, h)
             _advance_chunk(model, scheme, state, h, dw, done)
             done += length
-        values[lo:hi] = _endpoint_psi(model, state, psi)
+        values[lo:hi] = psi(state.p, state.q)
 
     _map_batches(task, len(bounds))
     return mean_and_se(values)
@@ -521,9 +436,9 @@ def weak_error_mc(
 
     def task(b: int) -> None:
         lo, hi = bounds[b]
-        coarse = _BatchState(model, z0, plan, lo, hi)
+        coarse = _BatchState(z0, plan, lo, hi)
         # One Brownian path per realization: the fine chain shares the generators.
-        fine = _BatchState(model, z0, plan, lo, hi, coarse.generators)
+        fine = _BatchState(z0, plan, lo, hi, coarse.generators)
         done = 0
         for length in _chunk_lengths(n_coarse, chunk_coarse):
             dw_fine = coarse.draw(length * refine, model.noise_dim, h_fine)
@@ -532,9 +447,7 @@ def weak_error_mc(
             _advance_chunk(model, "gf2", fine, h_fine, dw_fine, done * refine)
             _advance_chunk(model, "gf2", coarse, h, dw_coarse, done)
             done += length
-        values[lo:hi] = _endpoint_psi(model, coarse, psi) - _endpoint_psi(
-            model, fine, psi
-        )
+        values[lo:hi] = np.subtract(psi(coarse.p, coarse.q), psi(fine.p, fine.q), dtype=float)
 
     _map_batches(task, len(bounds))
     return mean_and_se(values)
@@ -564,15 +477,13 @@ def one_step_ms_gap(
 
     def task(b: int) -> None:
         lo, hi = bounds[b]
-        coarse = _BatchState(model, z0, plan, lo, hi)
-        fine = _BatchState(model, z0, plan, lo, hi, coarse.generators)
+        coarse = _BatchState(z0, plan, lo, hi)
+        fine = _BatchState(z0, plan, lo, hi, coarse.generators)
         dw_fine = coarse.draw(refine, model.noise_dim, h / refine)
         dw_coarse = dw_fine.reshape(hi - lo, 1, refine, model.noise_dim).sum(axis=2)
         _advance_chunk(model, "gf2", fine, h / refine, dw_fine, 0)
         _advance_chunk(model, "gf2", coarse, h, dw_coarse, 0)
-        pc, qc = _endpoint_arrays(model, coarse)
-        pf, qf = _endpoint_arrays(model, fine)
-        values[lo:hi] = np.sum((pc - pf) ** 2 + (qc - qf) ** 2, axis=1)
+        values[lo:hi] = np.sum((coarse.p - fine.p) ** 2 + (coarse.q - fine.q) ** 2, axis=1)
 
     _map_batches(task, len(bounds))
     return mean_and_se(values)
@@ -606,7 +517,7 @@ def mc_step_means(
     for j, psi in enumerate(psis):
         means[j, 0] = float(np.asarray(psi(z0.p[None, :], z0.q[None, :]))[0])
     bounds = _batch_bounds(n_realizations)
-    states = [_BatchState(model, z0, plan, lo, hi) for lo, hi in bounds]
+    states = [_BatchState(z0, plan, lo, hi) for lo, hi in bounds]
     budget = 4_000_000 // max(1, k * n_realizations)
     chunk = max(1, min(_block_steps(bounds, model.noise_dim), budget))
 
@@ -627,17 +538,3 @@ def mc_step_means(
         done += length
     return h * np.arange(n_steps + 1), means
 
-
-def mc_running_average(
-    model: LangevinModel,
-    psi: Callable[[Array, Array], Array],
-    z0: PhaseState,
-    h: float,
-    n_steps: int,
-    n_realizations: int,
-    plan: SeedPlan,
-) -> tuple[Array, Array]:
-    """Cumulative time average of the ensemble mean of psi along the chain."""
-    times, means = mc_step_means(model, [psi], z0, h, n_steps, n_realizations, plan)
-    running = np.cumsum(means[0]) / np.arange(1, n_steps + 2)
-    return times, running

@@ -42,6 +42,18 @@ def _as_point(q: object, dim: int) -> Array:
     return arr
 
 
+def _matvec(matrix: Array, x: Array) -> Array:
+    """matrix @ x along the last axis of x, summed term by term.
+
+    No BLAS call is involved, so each row's bits depend on that row alone,
+    never on how many rows are stacked with it.
+    """
+    out = x[..., :1] * matrix[:, 0]
+    for j in range(1, matrix.shape[1]):
+        out = out + x[..., j: j + 1] * matrix[:, j]
+    return out
+
+
 def _scalar(value: object, what: str) -> float:
     arr = np.asarray(value, dtype=float)
     if arr.size != 1:
@@ -84,13 +96,19 @@ class LangevinModel:
     noise_dim : int
         Number of driving Wiener processes, m >= d.
     force : callable
-        q (d,) -> f(q) (d,).  The built-in d=1 models broadcast elementwise
-        over arrays of any shape, which the batched Monte Carlo engine relies
-        on.
+        q (..., d) -> f(q) (..., d).  Every step, single or Monte Carlo,
+        passes a batch of R positions of shape (R, d), so the callable must
+        act row by row.  For d > 1 a plain ``K @ q`` does not: it raises
+        unless R == d, and when R == d it silently returns K Q instead of
+        the rows K q_r.  ``q @ K.T`` is correct, but BLAS may round a row
+        differently with another R; :func:`make_quadratic_model` sums term
+        by term, so Monte Carlo bits do not depend on the kernel width.
     potential : callable
         q (d,) -> scalar F(q) with f = grad F.
     force_jacobian : callable
-        q (d,) -> (d, d) symmetric matrix grad^2 F(q).
+        q (..., d) -> (..., d, d) symmetric matrices grad^2 F(q).  A
+        constant (d, d) matrix broadcasts; for d = 1 a result of q's shape
+        is also accepted.
     mass : ndarray
         (d, d) symmetric positive definite matrix M.
     friction : float
@@ -181,7 +199,7 @@ class LinearOscillator:
             noise_dim=1,
             force=lambda q: a * q,
             potential=lambda q: 0.5 * a * q**2,
-            force_jacobian=lambda q: np.full_like(np.asarray(q, dtype=float), a),
+            force_jacobian=lambda q: np.full(np.shape(q) + (1,), a),
             mass=np.array([[a]]),
             friction=self.v,
             noise=np.array([[-self.sigma]]),
@@ -215,7 +233,7 @@ class DoubleWell:
             noise_dim=1,
             force=lambda q: q * (4.0 * q * q - 4.0) - 0.5,
             potential=lambda q: (1.0 - q**2) ** 2 - 0.5 * q,
-            force_jacobian=lambda q: 12.0 * q**2 - 4.0,
+            force_jacobian=lambda q: (12.0 * q**2 - 4.0)[..., None],
             mass=np.array([[1.0]]),
             friction=self.v,
             noise=np.array([[math.sqrt(2.0 * self.v / self.beta)]]),
@@ -245,9 +263,9 @@ def make_quadratic_model(
     return LangevinModel(
         dim=d,
         noise_dim=noise_arr.shape[1],
-        force=lambda q: kmat @ q,
+        force=lambda q: _matvec(kmat, q),
         potential=lambda q: 0.5 * float(q @ kmat @ q),
-        force_jacobian=lambda q: kmat,
+        force_jacobian=lambda q: np.broadcast_to(kmat, np.shape(q) + (d,)),
         mass=np.asarray(mass, dtype=float),
         friction=friction,
         noise=noise_arr,

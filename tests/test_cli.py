@@ -523,3 +523,22 @@ def test_main_rejects_bad_realizations_override(tmp_path, capsys):
     )
     assert main(["weak-order", "--config", config_path, "--realizations", "1"]) == 1
     assert "mc.realizations" in capsys.readouterr().err
+
+
+# The shipped configs whose committed results regenerate in seconds.
+# linear_ergodic is left out: its reference column depends on the BLAS stack
+# and its run takes about 40 s.
+_FAST_GOLDENS = [
+    ("weak-order", "linear_weak_order", "weak_order.csv"),
+    ("simulate", "simulate_double_well", "trajectory.csv"),
+    ("structure", "structure_linear", "structure.csv"),
+    ("structure", "structure_double_well", "structure.csv"),
+]
+
+
+@pytest.mark.parametrize("command, name, csv", _FAST_GOLDENS)
+def test_shipped_config_regenerates_committed_result(tmp_path, command, name, csv):
+    root = Path(__file__).resolve().parents[1]
+    config = str(root / "configs" / f"{name}.json")
+    assert main([command, "--config", config, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / csv).read_bytes() == (root / "results" / name / csv).read_bytes()

@@ -14,6 +14,7 @@ from langevin_gf.integrators import (
     AffineStepMap,
     GaussianLaw,
     Trajectory,
+    _check_step_matrix,
     em_step,
     gf2_affine_map,
     gf2_jacobian,
@@ -133,6 +134,19 @@ def test_gf2_step_size_guard_matrix():
     model = make_quadratic_model(kmat, np.eye(2), friction=1.0, noise=np.eye(2))
     with pytest.raises(StepSizeError):
         gf2_step(model, PhaseState([1.0, 0.0], [0.0, 1.0]), h=math.sqrt(2.0))
+
+
+def test_step_size_guard_names_first_bad_row_of_a_batch():
+    # 1 + c = 1.5e-12 gives the ratio (1 + |c|) / |1 + c| = 1.3e12, past the
+    # 1e12 limit; 3e-12 gives 6.7e11, inside it.
+    with pytest.raises(StepSizeError, match=r"condition estimate 1\.333e\+12 at h=0\.5;") as info:
+        _check_step_matrix(np.array([1.0, 2.0, 1.5e-12])[:, None, None], 0.5)
+    assert info.value.row == 2
+    _check_step_matrix(np.array([1.0, -0.5, 3e-12, np.nan])[:, None, None], 0.5)
+    batch = np.stack([np.eye(2), np.diag([1.0, 1e-13]), np.full((2, 2), np.inf)])
+    with pytest.raises(StepSizeError, match=r"condition estimate 1\.000e\+13") as info:
+        _check_step_matrix(batch, 0.5)
+    assert info.value.row == 1
 
 
 def test_gf2_jacobian_determinant():

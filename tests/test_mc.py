@@ -8,10 +8,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from langevin_gf import mc
-from langevin_gf.errors import ArgumentError, EstimationError
+from langevin_gf.errors import ArgumentError, EstimationError, StepSizeError
 from langevin_gf.integrators import (
     GaussianLaw,
     gf2_affine_map,
+    gf2_step,
     propagate_gaussian_chain,
     simulate,
 )
@@ -21,11 +22,9 @@ from langevin_gf.mc import (
     EstimatorResult,
     IncrementBlock,
     SeedPlan,
-    coarsen,
     derive_seed,
     generator_for,
     mc_expectation,
-    mc_running_average,
     mc_step_means,
     mean_and_se,
     pairwise_sum,
@@ -37,6 +36,7 @@ from langevin_gf.models import (
     LangevinModel,
     LinearOscillator,
     PhaseState,
+    make_quadratic_model,
 )
 
 
@@ -48,6 +48,16 @@ def gaussian_cos_expectation(mean: np.ndarray, cov: np.ndarray) -> float:
     """E cos(P + Q) under N(mean, cov), closed form for u = (1, 1)."""
     u = np.ones(2)
     return math.cos(float(u @ mean)) * math.exp(-0.5 * float(u @ cov @ u))
+
+
+def quadratic_d2() -> LangevinModel:
+    """A d=2 model with coupled stiffness, a non-identity mass and two noises."""
+    return make_quadratic_model(
+        np.array([[2.0, 0.5], [0.5, 1.0]]),
+        np.array([[1.0, 0.2], [0.2, 0.8]]),
+        friction=1.0,
+        noise=np.array([[0.7, 0.1], [0.0, 0.6]]),
+    )
 
 
 def deterministic_linear(a: float = 1.0, v: float = 2.0) -> LangevinModel:
@@ -131,45 +141,6 @@ def test_sample_increments_validation():
         sample_increments(1, 0, 1, 0.1)
     with pytest.raises(ArgumentError):
         sample_increments(1, 10, 1, -0.5)
-
-
-def test_coarsen_pairs():
-    block = IncrementBlock(h=0.5, m=1, n=2, values=np.array([[0.1], [-0.2]]))
-    out = coarsen(block, 2)
-    assert out.n == 1 and out.m == 1
-    assert out.h == 1.0
-    assert out.values[0, 0] == np.float64(0.1) + np.float64(-0.2)
-
-
-def test_coarsen_identity_and_errors():
-    block = sample_increments(3, 12, 2, 0.01)
-    same = coarsen(block, 1)
-    assert np.array_equal(same.values, block.values)
-    with pytest.raises(ArgumentError):
-        coarsen(block, 5)
-    with pytest.raises(ArgumentError):
-        coarsen(block, 0)
-
-
-def test_coarsen_exact_sums():
-    rng = np.random.default_rng(9)
-    dyadic = rng.integers(-(2**20), 2**20, size=(64, 2)).astype(float) * 2.0**-10
-    block = IncrementBlock(h=0.125, m=2, n=64, values=dyadic)
-    out = coarsen(block, 16)
-    expected = np.array(
-        [
-            [math.fsum(dyadic[i * 16: (i + 1) * 16, j]) for j in range(2)]
-            for i in range(4)
-        ]
-    )
-    assert np.array_equal(out.values, expected)
-
-
-def test_coarsen_variance_law():
-    block = sample_increments(11, 200_000, 1, 0.01)
-    out = coarsen(block, 4)
-    var = float(np.var(out.values.ravel()))
-    assert abs(var - 0.04) <= 0.04 * 4.0 * math.sqrt(2.0 / out.values.size)
 
 
 def test_increment_block_validation():
@@ -309,9 +280,8 @@ def test_vectorised_splitmix_matches_derive_seed():
 @pytest.mark.parametrize("master", [0, 2**64 - 1, 20240817])
 def test_batch_generators_equal_generator_for_derive_seed(master):
     plan = SeedPlan(master)
-    model = DoubleWell(v=4.0, beta=2.0).build()
     lo, hi = 37, 5037
-    state = mc._BatchState(model, PhaseState([0.0], [1.0]), plan, lo, hi)
+    state = mc._BatchState(PhaseState([0.0], [1.0]), plan, lo, hi)
     assert len(state.generators) == hi - lo
     for index, gen in zip(range(lo, hi), state.generators):
         expected = generator_for(derive_seed(plan, index))
@@ -324,7 +294,15 @@ def test_chunk_kicks_equal_per_step_matmul(noise):
     model = dataclasses.replace(deterministic_linear(), noise=sigma, noise_dim=sigma.shape[1])
     dw = np.random.default_rng(3).standard_normal((50, 7, model.noise_dim))
     dw[4, 2] = -0.0
-    expected = np.stack([dw[:, s, :] @ model.noise[0] for s in range(7)])
+    # Each kick is a sum onto +0.0, one product per noise dimension, in the
+    # order of a matmul without fused multiply-adds.
+    expected = np.zeros((7, 50))
+    for s in range(7):
+        for b in range(50):
+            for j in range(model.noise_dim):
+                expected[s, b] = expected[s, b] + dw[b, s, j] * sigma[0, j]
+    if model.noise_dim == 1:
+        assert expected.tobytes() == np.stack([dw[:, s, :] @ sigma[0] for s in range(7)]).tobytes()
     kicks = mc._kicks(model, dw)
     assert kicks.flags.c_contiguous
     assert kicks.tobytes() == expected.tobytes()
@@ -363,28 +341,32 @@ _LAYOUTS = [(512, 2**20), (1000, 2**12), (2048, 2**12), (BATCH_SIZE, DRAW_BLOCK)
 
 
 def test_estimates_are_width_and_block_invariant(monkeypatch):
-    model = DoubleWell(v=4.0, beta=2.0).build()
-    z0 = PhaseState([0.0], [1.0])
     quartic = lambda p, q: (np.sum(p * p, axis=-1) + np.sum(q * q, axis=-1)) ** 2
     n_real = 2500
-    outputs = []
-    for width, block in _LAYOUTS:
-        monkeypatch.setattr(mc, "BATCH_SIZE", width)
-        monkeypatch.setattr(mc, "DRAW_BLOCK", block)
-        expectation = mc_expectation(model, "gf2", cos_sum, z0, 0.125, 1.0, n_real, SeedPlan(41))
-        weak = weak_error_mc(model, cos_sum, z0, 0.25, 1.0, n_real, 4, SeedPlan(42))
-        _, means = mc_step_means(model, [cos_sum, quartic], z0, 0.125, 12, n_real, SeedPlan(43))
-        outputs.append(
-            (expectation.mean, expectation.std_error, weak.mean, weak.std_error, means.tobytes())
-        )
-    assert all(out == outputs[0] for out in outputs[1:])
+    inputs = [
+        (DoubleWell(v=4.0, beta=2.0).build(), PhaseState([0.0], [1.0])),
+        (quadratic_d2(), PhaseState([1.0, 0.0], [0.0, 1.0])),
+    ]
+    for model, z0 in inputs:
+        outputs = []
+        for width, block in _LAYOUTS:
+            monkeypatch.setattr(mc, "BATCH_SIZE", width)
+            monkeypatch.setattr(mc, "DRAW_BLOCK", block)
+            plans = SeedPlan(41), SeedPlan(42), SeedPlan(43)
+            expectation = mc_expectation(model, "gf2", cos_sum, z0, 0.125, 1.0, n_real, plans[0])
+            weak = weak_error_mc(model, cos_sum, z0, 0.25, 1.0, n_real, 4, plans[1])
+            _, means = mc_step_means(model, [cos_sum, quartic], z0, 0.125, 12, n_real, plans[2])
+            outputs.append(
+                (expectation.mean, expectation.std_error, weak.mean, weak.std_error,
+                 means.tobytes())
+            )
+        assert all(out == outputs[0] for out in outputs[1:])
 
 
 def test_batch_draw_matches_fresh_generator_stream():
-    model = DoubleWell(v=4.0, beta=2.0).build()
     plan = SeedPlan(1234)
     h, m = 0.1, 3
-    state = mc._BatchState(model, PhaseState([0.0], [1.0]), plan, 5, 9)
+    state = mc._BatchState(PhaseState([0.0], [1.0]), plan, 5, 9)
     first = state.draw(6, m, h).copy()
     second = state.draw(2, m, h)  # shorter chunk: a prefix of the same buffer
     for b, index in enumerate(range(5, 9)):
@@ -428,15 +410,47 @@ def test_mc_expectation_argument_errors():
 
 
 def test_fast_path_matches_per_state_path():
+    # Each realization's endpoint in the batched engine equals, bit for bit,
+    # gf2_step iterated from one state on that realization's own increments.
+    custom = dataclasses.replace(DoubleWell(v=4.0, beta=2.0).build(), kind="custom")
+    inputs = [
+        (custom, PhaseState([-2.0], [-2.0])),
+        (quadratic_d2(), PhaseState([1.0, 0.0], [0.0, 1.0])),
+    ]
+    plan, h, n, n_real = SeedPlan(31337), 0.125, 8, 40
+    for model, z0 in inputs:
+        ends = []
+
+        def record(p, q):
+            ends.append((p.copy(), q.copy()))
+            return np.zeros(p.shape[0])
+
+        mc_expectation(model, "gf2", record, z0, h, n * h, n_real, plan)
+        p_mc = np.concatenate([p for p, _ in ends])
+        q_mc = np.concatenate([q for _, q in ends])
+        assert p_mc.shape == (n_real, model.dim)
+        for i in range(n_real):
+            gen = generator_for(derive_seed(plan, i))
+            incs = gen.standard_normal((n, model.noise_dim)) * math.sqrt(h)
+            end = simulate(model, "gf2", z0, h, n, incs).states[-1]
+            assert p_mc[i].tobytes() == end.p.tobytes()
+            assert q_mc[i].tobytes() == end.q.tobytes()
+
+
+def test_singular_step_matrix_fails_alike_for_every_kind():
+    # At h = sqrt(1/2) from q = 0 the double well's step matrix is
+    # 1 + (h^2/2)(-4) = -2.2e-16.
     built = DoubleWell(v=4.0, beta=2.0).build()
-    # Same dynamics, but the "custom" kind forces the per-realization route.
-    custom = dataclasses.replace(built, kind="custom")
-    z0 = PhaseState([-2.0], [-2.0])
-    plan = SeedPlan(31337)
-    fast = mc_expectation(built, "gf2", cos_sum, z0, 0.125, 1.0, 256, plan)
-    slow = mc_expectation(custom, "gf2", cos_sum, z0, 0.125, 1.0, 256, plan)
-    assert_allclose(fast.mean, slow.mean, rtol=1e-12)
-    assert_allclose(fast.std_error, slow.std_error, rtol=1e-10, atol=1e-15)
+    z0, h = PhaseState([0.0], [0.0]), math.sqrt(0.5)
+    reason = (
+        r"implicit step matrix has condition estimate 9\.007e\+15 at h=0\.7071067811865476; "
+        r"reduce the step size$"
+    )
+    with pytest.raises(StepSizeError, match="^" + reason):
+        gf2_step(built, z0, h, [0.0])
+    for model in (built, dataclasses.replace(built, kind="custom")):
+        with pytest.raises(EstimationError, match=r"^realization 0 failed at step 0: " + reason):
+            mc_expectation(model, "gf2", cos_sum, z0, h, h, 8, SeedPlan(1))
 
 
 def test_weak_error_identical_chains_vanish():
@@ -531,15 +545,3 @@ def test_mc_step_means_zero_steps():
     assert times.shape == (1,) and times[0] == 0.0
     assert_allclose(means[0, 0], math.cos(1.0))
 
-
-def test_mc_running_average_deterministic():
-    model = deterministic_linear()
-    z0 = PhaseState([3.0], [1.0])
-    h, n = 0.125, 12
-    times, running = mc_running_average(model, cos_sum, z0, h, n, 8, SeedPlan(6))
-    path = simulate(model, "gf2", z0, h, n, np.zeros((n, 1)))
-    series = np.array(
-        [float(cos_sum(z.p[None, :], z.q[None, :])[0]) for z in path.states]
-    )
-    assert_allclose(running, np.cumsum(series) / np.arange(1, n + 2), rtol=1e-12)
-    assert times[-1] == pytest.approx(n * h)
