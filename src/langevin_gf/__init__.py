@@ -43,12 +43,10 @@ from .errors import (
 )
 from .genfun import (
     AugmentedState,
-    H1Derivatives,
     MultiIndex,
     from_augmented,
     g_alpha,
     gf2_step_augmented,
-    h1_derivatives,
     hamiltonians,
     to_augmented,
 )
@@ -133,12 +131,10 @@ __all__ = [
     # genfun
     "AugmentedState",
     "MultiIndex",
-    "H1Derivatives",
     "to_augmented",
     "from_augmented",
     "hamiltonians",
     "g_alpha",
-    "h1_derivatives",
     "gf2_step_augmented",
     # mc
     "SeedPlan",

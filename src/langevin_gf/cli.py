@@ -41,10 +41,10 @@ from .analysis import (
 )
 from .errors import ArgumentError, ConfigError, Error
 from .genfun import AugmentedState, from_augmented, gf2_step_augmented, to_augmented
-from .integrators import gf2_jacobian, gf2_step, simulate
+from .integrators import _finite, _Gf2Kernel, _noise_kick, gf2_jacobian, gf2_step, simulate
 from .mc import SeedPlan, _steps_for, derive_seed, generator_for, mc_step_means
 from .mc import sample_increments
-from .models import DoubleWell, LinearOscillator, PhaseState
+from .models import DoubleWell, LangevinModel, LinearOscillator, PhaseState
 from .observables import TEST_FUNCTIONS, get_test_function
 
 COMMANDS = ("weak-order", "ergodic", "structure", "simulate")
@@ -451,41 +451,119 @@ def _run_ergodic(config: ExperimentConfig) -> list[Path]:
     return [path]
 
 
+@dataclasses.dataclass(frozen=True)
+class _StructureTrial:
+    """One structure trial's draws: state, step size, clock, one-step and volume increments."""
+
+    z: PhaseState
+    h: float
+    t_n: float
+    dw: np.ndarray
+    block: np.ndarray
+
+
+def _draw_structure_trial(
+    model: LangevinModel, gen: np.random.Generator, volume_steps: int
+) -> _StructureTrial:
+    d, m = model.dim, model.noise_dim
+    z = PhaseState(gen.uniform(-2.0, 2.0, d), gen.uniform(-2.0, 2.0, d))
+    h = float(gen.uniform(1e-3, 0.25))
+    t_n = float(gen.uniform(0.0, 1.0))
+    dw = gen.normal(0.0, math.sqrt(h), m)
+    block = gen.normal(0.0, math.sqrt(h), (volume_steps, m))
+    return _StructureTrial(z, h, t_n, dw, block)
+
+
+def _genfun_gap(
+    model: LangevinModel, trial: _StructureTrial, direct_p: np.ndarray, direct_q: np.ndarray
+) -> float:
+    """Max difference between the augmented generating-function step and the direct map."""
+    aug = to_augmented(trial.z, trial.t_n, model)
+    xg, yg = gf2_step_augmented(model, aug.X, aug.Y, trial.h, trial.dw)
+    back, _ = from_augmented(AugmentedState(X=xg, Y=yg), model)
+    return max(
+        float(np.max(np.abs(back.p - direct_p))),
+        float(np.max(np.abs(back.q - direct_q))),
+    )
+
+
+def _replay_structure(model: LangevinModel, trials: Sequence[_StructureTrial]) -> None:
+    """Run the trials one state at a time, in order, through gf2_jacobian and gf2_step.
+
+    The batch has flagged a trial; this raises the first failure, as a
+    trial-by-trial run would, naming the trial and the step of its volume
+    chain (the one-step checks leave the initial state and count as step 0).
+    """
+    for i, trial in enumerate(trials):
+        k = 0
+        try:
+            gf2_jacobian(model, trial.z, trial.h, trial.dw)
+            state = trial.z
+            for k, dw in enumerate(trial.block):
+                gf2_jacobian(model, state, trial.h, dw)
+                state = gf2_step(model, state, trial.h, dw)
+            k = 0
+            direct = gf2_step(model, trial.z, trial.h, trial.dw)
+            _genfun_gap(model, trial, direct.p, direct.q)
+        except Error as exc:
+            raise type(exc)(f"trial {i}, step {k}: {exc}") from exc
+
+
+def _structure_rows(
+    model: LangevinModel, trials: Sequence[_StructureTrial], volume_steps: int
+) -> list[tuple] | None:
+    """The table rows, from one (trials, d) batch; None if a state left the finite numbers."""
+    h = np.array([trial.h for trial in trials])
+    kernel = _Gf2Kernel(model, h)
+    p = np.stack([trial.z.p for trial in trials])
+    q = np.stack([trial.z.q for trial in trials])
+    one_step_kicks = _noise_kick(model.noise, np.stack([trial.dw for trial in trials]))
+    volume_kicks = _noise_kick(model.noise, np.stack([trial.block for trial in trials]))
+    logdet = np.zeros(len(trials))
+    with np.errstate(all="ignore"):
+        hess, step_matrix, p1, q1 = kernel.update(p, q, one_step_kicks)
+        if not _finite(hess, p1, q1):
+            return None
+        jac = kernel.jacobian(q, hess, step_matrix, p1)
+        for k in range(volume_steps):
+            hess, step_matrix, p_next, q_next = kernel.update(p, q, volume_kicks[:, k])
+            if not _finite(hess, p_next, q_next):
+                return None
+            logdet += np.linalg.slogdet(kernel.jacobian(q, hess, step_matrix, p_next))[1]
+            p, q = p_next, q_next
+    rows = []
+    for i, trial in enumerate(trials):
+        defect = conformal_defect(jac[i], model.friction, trial.h)
+        rate = model.friction * volume_steps * trial.h * model.dim
+        volume_rel = abs(math.expm1(logdet[i] + rate))
+        equiv = _genfun_gap(model, trial, p1[i], q1[i])
+        rows.append((i, trial.h, defect, volume_rel, equiv))
+    return rows
+
+
 def _run_structure(config: ExperimentConfig) -> list[Path]:
+    """Conformal defect, phase-volume error and genfun gap per trial.
+
+    Each trial draws its inputs from its own generator.  The one-step map,
+    its Jacobian and the volume chain then run once over all trials as a
+    (trials, d) batch with one step size per row; a row's bits do not depend
+    on the batch, so each equals its trial stepped alone.  A failure is
+    raised by replaying the trials one at a time.
+    """
     spec = _model_spec(config)
     model = spec.build()
     exp = config.experiment
     plan = SeedPlan(config.mc["master_seed"])
-    volume_steps = exp["volume_steps"]
-    rows: list[tuple] = []
-    for trial in range(exp["trials"]):
-        gen = generator_for(derive_seed(plan, trial))
-        d, m = model.dim, model.noise_dim
-        z = PhaseState(gen.uniform(-2.0, 2.0, d), gen.uniform(-2.0, 2.0, d))
-        h = float(gen.uniform(1e-3, 0.25))
-        t_n = float(gen.uniform(0.0, 1.0))
-        dw = gen.normal(0.0, math.sqrt(h), m)
-
-        jac = gf2_jacobian(model, z, h, dw)
-        defect = conformal_defect(jac, model.friction, h)
-
-        block = gen.normal(0.0, math.sqrt(h), (volume_steps, m))
-        state = z
-        logdet = 0.0
-        for k in range(volume_steps):
-            logdet += np.linalg.slogdet(gf2_jacobian(model, state, h, block[k]))[1]
-            state = gf2_step(model, state, h, block[k])
-        volume_rel = abs(math.expm1(logdet + model.friction * volume_steps * h * d))
-
-        aug = to_augmented(z, t_n, model)
-        xg, yg = gf2_step_augmented(model, aug.X, aug.Y, h, dw)
-        back, _ = from_augmented(AugmentedState(X=xg, Y=yg), model)
-        direct = gf2_step(model, z, h, dw)
-        equiv = max(
-            float(np.max(np.abs(back.p - direct.p))),
-            float(np.max(np.abs(back.q - direct.q))),
-        )
-        rows.append((trial, h, defect, volume_rel, equiv))
+    trials = [
+        _draw_structure_trial(model, generator_for(derive_seed(plan, i)), exp["volume_steps"])
+        for i in range(exp["trials"])
+    ]
+    try:
+        rows = _structure_rows(model, trials, exp["volume_steps"])
+    except Error:
+        rows = None
+    if rows is None:
+        _replay_structure(model, trials)
     path = _write_csv(
         _out_path(config, "structure.csv"),
         config,

@@ -36,7 +36,16 @@ class RangeError(Error):
 
 
 class EstimationError(Error):
-    """A Monte Carlo estimate could not be formed (e.g. trajectory blow-up)."""
+    """A Monte Carlo estimate could not be formed (e.g. trajectory blow-up).
+
+    ``where`` locates a trajectory failure as (step, 0 for a refused step or
+    1 for a non-finite state after it, realization), which orders failures;
+    it is None for other failures.
+    """
+
+    def __init__(self, message: str = "", where: tuple[int, int, int] | None = None) -> None:
+        super().__init__(message)
+        self.where = where
 
 
 class DegenerateDensityError(Error):

@@ -5,8 +5,8 @@ Hamiltonian system in an augmented phase space: positions gain a clock
 coordinate y_{d+1} = t, momenta gain an energy-like partner x_{d+1}, and the
 physical momenta are rescaled as x_i = e^{vt} p_i.  This module implements
 that transformation, the augmented Hamiltonians, the closed-form G
-coefficients of the truncated generating function, the modified-Hamiltonian
-derivative choices, and the one-step scheme in augmented coordinates.
+coefficients of the truncated generating function, and the one-step scheme
+in augmented coordinates.
 Composing the augmented scheme with the transformation reproduces the direct
 map exactly, which the test suite certifies numerically.
 
@@ -68,28 +68,6 @@ class MultiIndex:
         if any(j < 0 for j in entries):
             raise ArgumentError("multi-index entries must be nonnegative")
         object.__setattr__(self, "entries", entries)
-
-
-@dataclasses.dataclass(frozen=True)
-class H1Derivatives:
-    """Partial derivatives of the modified-Hamiltonian corrections.
-
-    The x_{d+1} slots are identically zero; the y_{d+1} slot of the H_0
-    correction is not pinned by the matching procedure and is stored as zero
-    (``unpinned_clock_slot`` records that choice).
-    """
-
-    dHr_dx: Array
-    dHr_dy: Array
-    dH0_dx: Array
-    dH0_dy: Array
-    unpinned_clock_slot: bool = True
-
-    def __post_init__(self) -> None:
-        for name in ("dHr_dx", "dHr_dy", "dH0_dx", "dH0_dy"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if np.any(self.dHr_dx[:, -1] != 0.0) or self.dH0_dx[-1] != 0.0:
-            raise ArgumentError("the x_{d+1} derivative slots must be zero")
 
 
 def _paper_noise(model: LangevinModel) -> Array:
@@ -206,37 +184,6 @@ def g_alpha(model: LangevinModel, alpha: object, X: Array, y: Array) -> float:
     raise CapabilityError(
         f"multi-index {entries} is outside the closed-form catalog"
     )
-
-
-def h1_derivatives(model: LangevinModel, x: Array, y: Array) -> H1Derivatives:
-    """Derivative tables of the modified-Hamiltonian corrections at (x, y).
-
-    dH_r/dx_i = (M sigma_r)_i / 2, dH_r/dy_i = v C_1 sigma_r^i / 2,
-    dH_0/dx_i = (M (f - v C_2 x))_i / 2 and
-    dH_0/dy_i = ((grad^2 F) M x)_i / 2 + v C_1 f_i / 2, with all x_{d+1}
-    slots zero and the unpinned dH_0/dy_{d+1} slot stored as zero.
-    """
-    d, m = model.dim, model.noise_dim
-    xv = np.asarray(x, dtype=float).reshape(d + 1)
-    yv = np.asarray(y, dtype=float).reshape(d + 1)
-    t = float(yv[d])
-    if abs(model.friction * t) > _EXP_LIMIT:
-        raise RangeError(f"e^(v y_(d+1)) overflows at v*y = {model.friction * t}")
-    c1 = math.exp(model.friction * t)
-    c2 = math.exp(-model.friction * t)
-    _, frc, hess = eval_model(model, yv[:d])
-    sig = _paper_noise(model)
-
-    dhr_dx = np.zeros((m, d + 1))
-    dhr_dy = np.zeros((m, d + 1))
-    dhr_dx[:, :d] = 0.5 * (model.mass @ sig).T
-    dhr_dy[:, :d] = 0.5 * model.friction * c1 * sig.T
-
-    dh0_dx = np.zeros(d + 1)
-    dh0_dx[:d] = 0.5 * (model.mass @ (frc - model.friction * c2 * xv[:d]))
-    dh0_dy = np.zeros(d + 1)
-    dh0_dy[:d] = 0.5 * (hess @ model.mass @ xv[:d]) + 0.5 * model.friction * c1 * frc
-    return H1Derivatives(dHr_dx=dhr_dx, dHr_dy=dhr_dy, dH0_dx=dh0_dx, dH0_dy=dh0_dy)
 
 
 def gf2_step_augmented(

@@ -11,7 +11,11 @@ two-form by exactly e^{-vh}, hence the one-step phase-volume factor e^{-vhd}.
 An explicit Euler-Maruyama baseline, trajectory iteration, and the exact and
 per-step Gaussian laws of the linear oscillator complete the module.  Each
 map is written once, as a kernel over (R, d) arrays of states that the
-single-state steps and the Monte Carlo engine share.
+single-state steps, :func:`simulate`, the Monte Carlo engine and the CLI's
+structure command share; the gf2 kernel also takes one step size per state
+and gives the analytic Jacobians of the states it stepped, which
+:func:`gf2_jacobian` returns for R = 1.  :func:`simulate` builds one kernel
+per run and steps (1, d) rows of a preallocated trajectory.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import numbers
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ArgumentError,
@@ -40,6 +43,8 @@ Array = np.ndarray
 _COND_LIMIT = 1e12
 # Central-difference step for the Jacobian fallback.
 _FD_STEP = 1e-6
+# Relative tolerance of the conformal determinant identity of AffineStepMap.
+_DET_RTOL = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,8 +73,9 @@ class GaussianLaw:
 class AffineStepMap:
     """One-step affine map Z_{n+1} = B Z_n + c + G dW with dW ~ N(0, h I_m).
 
-    ``friction`` and ``h`` are carried so the conformal determinant identity
-    det B = e^{-vh} can be checked at construction (d = 1).
+    B acts on (p, q) in R^d x R^d.  ``friction`` and ``h`` are carried so the
+    conformal determinant identity det B = e^{-vhd} can be checked at
+    construction, to a relative 1e-12.
     """
 
     B: Array
@@ -86,12 +92,13 @@ class AffineStepMap:
             raise ArgumentError("B must be square")
         if c.shape[0] != B.shape[0] or G.shape[0] != B.shape[0]:
             raise ArgumentError("c and G must match the state dimension of B")
-        if B.shape[0] == 2:
-            expected = math.exp(-self.friction * self.h)
-            if abs(float(np.linalg.det(B)) - expected) > 1e-12:
-                raise ArgumentError(
-                    "det(B) deviates from the conformal factor exp(-vh)"
-                )
+        if B.shape[0] % 2:
+            raise ArgumentError("B must act on (p, q) pairs, a 2d x 2d matrix")
+        expected = math.exp(-self.friction * self.h * (B.shape[0] // 2))
+        if not abs(float(np.linalg.det(B)) - expected) <= _DET_RTOL * expected:
+            raise ArgumentError(
+                "det(B) deviates from the conformal factor exp(-vhd)"
+            )
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "G", G)
@@ -115,14 +122,18 @@ class Trajectory:
         object.__setattr__(self, "states", states)
 
 
-def _check_step_matrix(step_matrix: Array, h: float) -> None:
+def _check_step_matrix(step_matrix: Array, h: float | Array) -> None:
     """Refuse near-singular implicit solves, naming the first offending row.
 
-    ``step_matrix`` has shape (..., d, d).  For d = 1 the condition number is
-    always 1, so the guard measures the cancellation ratio (1 + |c|) / |1 + c|
-    of each scalar 1 + c instead; it can pass the limit only where
-    1 + c < 2e-12, so one reduction screens a batch.  Non-finite matrices are
-    left to the callers' state checks.
+    ``step_matrix`` has shape (..., d, d); ``h`` is a float or one step size
+    per row.  For d = 1 the condition number is always 1, so the guard
+    measures the cancellation ratio (1 + |c|) / |1 + c| of each scalar 1 + c
+    instead; it can pass the limit only where 1 + c < 2e-12, so one reduction
+    screens a batch.  For d > 1 Guggenheimer's bound
+    cond(S) <= (2 / |det S|) (|S|_F / sqrt(d))^d screens, and the SVD runs
+    only on the rows whose bound passes half the limit (headroom for the
+    rounding of det near singularity).  Non-finite matrices are left to the
+    callers' state checks.
     """
     d = step_matrix.shape[-1]
     if d == 1:
@@ -133,14 +144,20 @@ def _check_step_matrix(step_matrix: Array, h: float) -> None:
             ratio = (1.0 + np.abs(c)) / np.abs(1.0 + c)
     else:
         flat = step_matrix.reshape(-1, d, d)
-        finite = np.all(np.isfinite(flat), axis=(1, 2))
+        with np.errstate(all="ignore"):
+            frobenius = np.sqrt(np.sum(flat * flat, axis=(1, 2)) / d)
+            bound = 2.0 / np.abs(np.linalg.det(flat)) * frobenius**d
+        flagged = np.all(np.isfinite(flat), axis=(1, 2)) & ~(bound <= 0.5 * _COND_LIMIT)
+        if not np.any(flagged):
+            return
         ratio = np.full(flat.shape[0], np.nan)
-        ratio[finite] = np.linalg.cond(flat[finite])
+        ratio[flagged] = np.linalg.cond(flat[flagged])
     bad = ratio > _COND_LIMIT
     if np.any(bad):
         row = int(np.argmax(bad))
+        at = h if np.ndim(h) == 0 else np.ravel(h)[row]
         raise StepSizeError(
-            f"implicit step matrix has condition estimate {ratio[row]:.3e} at h={h}; "
+            f"implicit step matrix has condition estimate {ratio[row]:.3e} at h={at}; "
             "reduce the step size",
             row=row,
         )
@@ -172,26 +189,43 @@ def _mass_map(mass: Array) -> Callable[[Array], Array]:
     return lambda x: _matvec(mass, x)
 
 
+def _gf2_coefficients(v: float, h: float) -> tuple[float, ...]:
+    """(e^{-vh}, h^2/2, h(1 + vh/2)e^{-vh}, (1 + vh/2)e^{-vh}, h(1 - vh/2)e^{vh}, h/2)."""
+    evm, half_vh = math.exp(-v * h), 0.5 * v * h
+    return (
+        evm,
+        0.5 * h * h,
+        h * (1.0 + half_vh) * evm,
+        (1.0 + half_vh) * evm,
+        h * (1.0 - half_vh) * math.exp(v * h),
+        0.5 * h,
+    )
+
+
 class _Gf2Kernel:
     """The gf2 map at fixed (model, h) on R states at once, shape (R, d).
 
-    Every gf2 step of the package runs here: :func:`gf2_step` with R = 1
-    and the Monte Carlo engine with a whole task.  The operations follow the
-    map in the module docstring left to right, with M applied before the
-    scalar coefficients.  The implicit solve is a division for d = 1 and one
-    LAPACK solve per state for d > 1; all other products are elementwise, so
-    a state's bits never depend on R.
+    Every gf2 step of the package runs here: :func:`gf2_step` with R = 1,
+    the Monte Carlo engine with a whole task, and the structure command with
+    one state per trial.  ``h`` is a float, or a 1-d array of R step sizes,
+    one per state; each coefficient is then an (R, 1) column whose entries
+    are computed exactly as the scalar ones.  The operations follow the map
+    in the module docstring left to right, with M applied before the scalar
+    coefficients.  The implicit solve is a division for d = 1 and one LAPACK
+    solve per state for d > 1; all other products are elementwise, so a
+    state's bits never depend on R.
     """
 
-    def __init__(self, model: LangevinModel, h: float) -> None:
+    def __init__(self, model: LangevinModel, h: float | Array) -> None:
         v = model.friction
         self.model, self.h = model, h
-        self.evm, half_vh = math.exp(-v * h), 0.5 * v * h
-        self.hh = 0.5 * h * h
-        self.drift_p = h * (1.0 + half_vh) * self.evm
-        self.kick_p = (1.0 + half_vh) * self.evm
-        self.gain_q = h * (1.0 - half_vh) * math.exp(v * h)
-        self.kick_q = 0.5 * h
+        if np.ndim(h) == 0:
+            coefficients = _gf2_coefficients(v, h)
+            self.hh_matrix = coefficients[1]
+        else:
+            coefficients = np.array([_gf2_coefficients(v, float(x)) for x in h]).T[..., None]
+            self.hh_matrix = coefficients[1][..., None]
+        self.evm, self.hh, self.drift_p, self.kick_p, self.gain_q, self.kick_q = coefficients
         self.eye = np.eye(model.dim)
         self.times_mass = _mass_map(model.mass)
         self.hess_times_mass = _mass_map(model.mass.T)
@@ -205,7 +239,7 @@ class _Gf2Kernel:
             hess = hess[..., None]
         # In-place sums round as the map's left-to-right order does; they
         # only spare the per-step temporaries.
-        step_matrix = self.hh * self.hess_times_mass(hess)
+        step_matrix = self.hh_matrix * self.hess_times_mass(hess)
         step_matrix += self.eye
         _check_step_matrix(step_matrix, self.h)
         p1 = self.evm * p
@@ -223,6 +257,35 @@ class _Gf2Kernel:
 
     def __call__(self, p: Array, q: Array, kick: Array) -> tuple[Array, Array]:
         return self.update(p, q, kick)[2:]
+
+    def jacobian(self, q: Array, hess: Array, step_matrix: Array, p1: Array) -> Array:
+        """(R, 2d, 2d) Jacobians in (p, q) blocks of the step from q that :meth:`update` took.
+
+        Takes the update's Hessian, step matrix and P1, and the model's
+        ``force_third``; each column is formed as the derivative of the update
+        along one coordinate, with term-by-term products.
+        """
+        model, d = self.model, self.model.dim
+        third = np.asarray(model.force_third(q), dtype=float)
+        if d == 1 and third.ndim == q.ndim:
+            third = third[..., None, None]
+        dmat = np.linalg.inv(step_matrix)
+        jac = np.empty(q.shape[:-1] + (2 * d, 2 * d))
+        for j in range(d):
+            dp = self.evm * dmat[..., :, j]
+            jac[..., :d, j] = dp
+            jac[..., d:, j] = self.gain_q * self.times_mass(dp)
+            col = -self.drift_p * hess[..., :, j] - self.hh * _matvec(
+                self.hess_times_mass(third[..., j]), p1
+            )
+            dp = _matvec(dmat, col)
+            jac[..., :d, d + j] = dp
+            jac[..., d:, d + j] = (
+                self.eye[j]
+                + self.hh * self.times_mass(hess[..., :, j])
+                + self.gain_q * self.times_mass(dp)
+            )
+        return jac
 
 
 def _em_kernel(model: LangevinModel, h: float) -> Callable[[Array, Array, Array], tuple]:
@@ -259,6 +322,30 @@ def _finite(*arrays: Array) -> bool:
     return all(np.all(np.isfinite(a)) for a in arrays)
 
 
+# The error each scheme raises when a step leaves the finite numbers.
+_BLOWUPS = {
+    "gf2": (EvaluationError, "step produced a non-finite state"),
+    "em": (RangeError, "explicit step overflowed"),
+}
+
+
+def _check_stepped(scheme: str, h: float, p1: Array, q1: Array) -> None:
+    # Any non-finite entry makes p . q non-finite, so one dot product screens.
+    if not math.isfinite(np.vdot(p1, q1)) and not _finite(p1, q1):
+        error, what = _BLOWUPS[scheme]
+        raise error(f"{what} at h={h}")
+
+
+def _single_step(
+    model: LangevinModel, scheme: str, z: PhaseState, h: float, dW: object
+) -> PhaseState:
+    h, _, kick = _step_inputs(model, z, h, dW)
+    with np.errstate(all="ignore"):
+        p1, q1 = _KERNELS[scheme](model, h)(z.p[None], z.q[None], kick)
+    _check_stepped(scheme, h, p1, q1)
+    return PhaseState(p1[0], q1[0])
+
+
 def gf2_step(model: LangevinModel, z: PhaseState, h: float, dW: object = None) -> PhaseState:
     """Advance one step of the conformal symplectic map.
 
@@ -285,12 +372,7 @@ def gf2_step(model: LangevinModel, z: PhaseState, h: float, dW: object = None) -
     EvaluationError
         On non-finite inputs or outputs.
     """
-    h, _, kick = _step_inputs(model, z, h, dW)
-    with np.errstate(all="ignore"):
-        p1, q1 = _Gf2Kernel(model, h)(z.p[None], z.q[None], kick)
-    if not _finite(p1, q1):
-        raise EvaluationError(f"step produced a non-finite state at h={h}")
-    return PhaseState(p1[0], q1[0])
+    return _single_step(model, "gf2", z, h, dW)
 
 
 def gf2_jacobian(
@@ -307,27 +389,15 @@ def gf2_jacobian(
     (2d, 2d) ndarray in (p, q) block ordering.
     """
     h, dw, kick = _step_inputs(model, z, h, dW)
-    d = model.dim
     if model.force_third is None:
         return _fd_jacobian(model, z, h, dw)
     kernel = _Gf2Kernel(model, h)
+    q = z.q[None]
     with np.errstate(all="ignore"):
-        hess, step_matrix, p1, q1 = kernel.update(z.p[None], z.q[None], kick)
+        hess, step_matrix, p1, q1 = kernel.update(z.p[None], q, kick)
     if not _finite(hess, p1, q1):
         raise EvaluationError(f"step produced a non-finite state at h={h}")
-    hess, p1 = hess.reshape(d, d), p1[0]
-    dmat = np.linalg.inv(step_matrix.reshape(d, d))
-    third = np.asarray(model.force_third(z.q), dtype=float).reshape(d, d, d)
-    mass = model.mass
-
-    jpp = kernel.evm * dmat
-    jpq = np.empty((d, d))
-    for j in range(d):
-        col = -kernel.drift_p * hess[:, j] - kernel.hh * ((third[:, :, j] @ mass) @ p1)
-        jpq[:, j] = dmat @ col
-    jqp = kernel.gain_q * (mass @ jpp)
-    jqq = np.eye(d) + kernel.hh * (mass @ hess) + kernel.gain_q * (mass @ jpq)
-    return np.block([[jpp, jpq], [jqp, jqq]])
+    return kernel.jacobian(q, hess, step_matrix, p1)[0]
 
 
 def _fd_jacobian(model: LangevinModel, z: PhaseState, h: float, dw: Array) -> Array:
@@ -349,15 +419,7 @@ def em_step(model: LangevinModel, z: PhaseState, h: float, dW: object = None) ->
 
     P1 = p - (f(q) + v p) h + Sigma dW,  Q1 = q + h M p.
     """
-    h, _, kick = _step_inputs(model, z, h, dW)
-    with np.errstate(all="ignore"):
-        p1, q1 = _em_kernel(model, h)(z.p[None], z.q[None], kick)
-    if not _finite(p1, q1):
-        raise RangeError(f"explicit step overflowed at h={h}")
-    return PhaseState(p1[0], q1[0])
-
-
-_SCHEMES = {"gf2": gf2_step, "em": em_step}
+    return _single_step(model, "em", z, h, dW)
 
 
 def simulate(
@@ -386,24 +448,39 @@ def simulate(
     Error subclasses from the step, re-raised with the failing step index;
     other exceptions (e.g. from a custom force) propagate unchanged.
     """
-    if scheme not in _SCHEMES:
-        raise ArgumentError(f"unknown scheme {scheme!r}; choose from {sorted(_SCHEMES)}")
+    if scheme not in _KERNELS:
+        raise ArgumentError(f"unknown scheme {scheme!r}; choose from {sorted(_KERNELS)}")
     if n_steps < 0:
         raise ArgumentError("n_steps must be nonnegative")
+    if n_steps == 0:
+        return Trajectory(times=h * np.arange(1), states=(z0,))
     values = np.asarray(getattr(noise, "values", noise), dtype=float)
-    if n_steps > 0:
-        values = values.reshape(n_steps, model.noise_dim)
-    step = _SCHEMES[scheme]
-    states = [z0]
-    current = z0
-    for k in range(n_steps):
-        try:
-            current = step(model, current, h, values[k])
-        except Error as exc:
-            raise type(exc)(f"step {k}: {exc}") from exc
-        states.append(current)
-    times = h * np.arange(n_steps + 1)
-    return Trajectory(times=times, states=tuple(states))
+    values = values.reshape(n_steps, model.noise_dim)
+    finite_rows = np.all(np.isfinite(values), axis=1)
+    n_ok = n_steps if finite_rows.all() else int(np.argmin(finite_rows))
+    p = np.empty((n_steps + 1, model.dim))
+    q = np.empty((n_steps + 1, model.dim))
+    k = 0
+    try:
+        if z0.dim != model.dim:
+            raise ArgumentError("state dimension does not match the model")
+        _check_step_size(h)
+        h = float(h)
+        p[0], q[0] = z0.p, z0.q
+        kicks = _noise_kick(model.noise, values[:n_ok])
+        step = _KERNELS[scheme](model, h)
+        with np.errstate(all="ignore"):
+            for k in range(n_ok):
+                p1, q1 = step(p[k: k + 1], q[k: k + 1], kicks[k: k + 1])
+                _check_stepped(scheme, h, p1, q1)
+                p[k + 1], q[k + 1] = p1[0], q1[0]
+        if n_ok < n_steps:
+            k = n_ok
+            raise EvaluationError("increment contains non-finite entries")
+    except Error as exc:
+        raise type(exc)(f"step {k}: {exc}") from exc
+    states = (z0,) + tuple(PhaseState(p[i], q[i]) for i in range(1, n_steps + 1))
+    return Trajectory(times=h * np.arange(n_steps + 1), states=states)
 
 
 def _linear_params(model: object) -> tuple[float, float, float]:
@@ -423,6 +500,10 @@ def linear_exact_moments(model: object, z0: PhaseState, t: float) -> GaussianLaw
     augmented matrix exponential (Van Loan block trick), accurate to
     relative 1e-12.
     """
+    # Imported here: scipy.linalg adds about 28 MB and 0.3 s to every process
+    # that imports the package, and only this function uses it.
+    import scipy.linalg
+
     a, v, sigma = _linear_params(model)
     if t < 0:
         raise ArgumentError("time must be nonnegative")

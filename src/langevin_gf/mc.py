@@ -23,7 +23,10 @@ Every model and dimension is stepped by the step kernels of
 :mod:`.integrators`, the ones ``gf2_step`` and ``em_step`` run with a single
 state: a task advances its realizations as (R, d) arrays, so a realization's
 trajectory equals, bit for bit, the single-state map iterated on its own
-increments, and both fail alike.
+increments, and both fail alike.  A failing run reports the earliest step
+at which a realization failed, then the lowest such realization, over all
+tasks, so for a single chain the report does not depend on the kernel width
+either.
 
 Each task seeds its generators in one vectorised pass that reproduces
 ``SeedSequence(derive_seed(plan, i))`` word for word.  The normal transform
@@ -232,9 +235,22 @@ def resolve_threads() -> int:
 
 
 def _map_batches(task: Callable[[int], None], n_batches: int) -> None:
-    """Run the kernel tasks in order on the calling thread."""
+    """Run the kernel tasks in order on the calling thread.
+
+    A trajectory failure stops only its own task.  The one raised is the
+    earliest (step, realization) over all tasks, so it does not depend on
+    how realizations are grouped into tasks.
+    """
+    failures = []
     for b in range(n_batches):
-        task(b)
+        try:
+            task(b)
+        except EstimationError as exc:
+            if exc.where is None:
+                raise
+            failures.append(exc)
+    if failures:
+        raise min(failures, key=lambda exc: exc.where)
 
 
 def _batch_bounds(n_realizations: int) -> list[tuple[int, int]]:
@@ -280,7 +296,8 @@ def _check_batch_finite(p: Array, q: Array, lo: int, step: int) -> None:
     if np.any(bad):
         index = lo + int(np.argmax(bad))
         raise EstimationError(
-            f"realization {index} produced a non-finite state at step {step}"
+            f"realization {index} produced a non-finite state at step {step}",
+            where=(step, 1, index),
         )
 
 
@@ -344,8 +361,9 @@ def _advance_chunk(
             try:
                 p, q = step(p, q, kick)
             except StepSizeError as exc:
+                index, at = state.lo + exc.row, first_step + s
                 raise EstimationError(
-                    f"realization {state.lo + exc.row} failed at step {first_step + s}: {exc}"
+                    f"realization {index} failed at step {at}: {exc}", where=(at, 0, index)
                 ) from exc
             _check_batch_finite(p, q, state.lo, first_step + s)
             if psi_rows is not None and out is not None:

@@ -45,12 +45,13 @@ def _as_point(q: object, dim: int) -> Array:
 def _matvec(matrix: Array, x: Array) -> Array:
     """matrix @ x along the last axis of x, summed term by term.
 
+    ``matrix`` is one (d, d) matrix or a stack (..., d, d) matching x's rows.
     No BLAS call is involved, so each row's bits depend on that row alone,
     never on how many rows are stacked with it.
     """
-    out = x[..., :1] * matrix[:, 0]
-    for j in range(1, matrix.shape[1]):
-        out = out + x[..., j: j + 1] * matrix[:, j]
+    out = x[..., :1] * matrix[..., :, 0]
+    for j in range(1, matrix.shape[-1]):
+        out = out + x[..., j: j + 1] * matrix[..., :, j]
     return out
 
 
@@ -75,7 +76,7 @@ class PhaseState:
             raise ArgumentError(
                 f"p and q must be 1-d arrays of equal length, got {p.shape} and {q.shape}"
             )
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+        if not (np.isfinite(p).all() and np.isfinite(q).all()):
             raise ArgumentError("phase state contains non-finite entries")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -123,8 +124,11 @@ class LangevinModel:
     params : mapping
         Scalar parameters of the built-in kinds.
     force_third : callable or None
-        Optional q (d,) -> (d, d, d) third derivative tensor of F.  When
-        absent, Jacobians of the implicit scheme fall back to finite
+        Optional q (..., d) -> (..., d, d, d) third derivative tensors of F,
+        row by row like ``force``; the Jacobian of the structure command
+        passes all trials' positions at once.  A constant (d, d, d) tensor
+        broadcasts, and for d = 1 a result of q's shape is also accepted.
+        When absent, Jacobians of the implicit scheme fall back to finite
         differences.
     """
 
@@ -239,7 +243,7 @@ class DoubleWell:
             noise=np.array([[math.sqrt(2.0 * self.v / self.beta)]]),
             kind="double_well",
             params={"v": float(self.v), "beta": float(self.beta)},
-            force_third=lambda q: (24.0 * np.asarray(q, dtype=float)).reshape(1, 1, 1),
+            force_third=lambda q: (24.0 * np.asarray(q, dtype=float))[..., None, None],
         )
 
 

@@ -13,12 +13,16 @@ from langevin_gf import __version__
 from langevin_gf.cli import (
     ExperimentConfig,
     _checkpoint_indices,
+    _replay_structure,
+    _structure_rows,
+    _StructureTrial,
     load_config,
     main,
     parse_config,
     run,
 )
-from langevin_gf.errors import ConfigError
+from langevin_gf.errors import ConfigError, EvaluationError, StepSizeError
+from langevin_gf.models import LangevinModel, PhaseState
 
 
 def linear_section() -> dict:
@@ -399,6 +403,53 @@ def test_structure_double_well_volume_error_within_c03(tmp_path):
     _, _, rows = read_csv(path)
     assert len(rows) == 100
     assert max(float(row[3]) for row in rows) <= 1e-6
+
+
+def test_structure_failure_names_the_first_failing_trial_and_step(tmp_path, capsys):
+    # At master_seed 1, trial 19 draws h = 0.2396 and leaves the numeric
+    # domain at step 11 of its volume chain; trial-by-trial runs raised the
+    # same error, without the location.
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "structure_double_well.json"
+    raw = json.loads(shipped.read_text(encoding="utf-8"))
+    raw["mc"]["master_seed"] = 1
+    raw["output"] = {"directory": str(tmp_path)}
+    message = (
+        "trial 19, step 11: step produced a non-finite state at h=0.23959312239747693"
+    )
+    with pytest.raises(EvaluationError) as info:
+        run(parse_config(raw, "structure"), "structure")
+    assert str(info.value) == message
+    path = write_config(tmp_path, "structure.json", raw)
+    assert main(["structure", "--config", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "structure.csv").exists()
+
+
+def test_structure_refused_step_is_replayed_to_the_failing_trial():
+    # f = c q with c = -2 / 0.125^2 makes the step matrix of the trial with
+    # h = 0.125 singular; the batch refuses it, and the replay names it.
+    c = -2.0 / 0.125**2
+    model = LangevinModel(
+        dim=1,
+        noise_dim=1,
+        force=lambda q: c * q,
+        potential=lambda q: 0.5 * c * float(q[0]) ** 2,
+        force_jacobian=lambda q: np.full_like(q, c),
+        mass=np.eye(1),
+        friction=1.0,
+        noise=np.eye(1),
+        force_third=lambda q: np.zeros((1, 1, 1)),
+    )
+    trials = [
+        _StructureTrial(PhaseState([0.1 * i], [0.2]), h, 0.5, np.zeros(1), np.zeros((4, 1)))
+        for i, h in enumerate([0.1, 0.2, 0.125, 0.15])
+    ]
+    with pytest.raises(StepSizeError, match=r"at h=0\.125; ") as info:
+        _structure_rows(model, trials, 4)
+    assert info.value.row == 2
+    reason = r"^trial 2, step 0: implicit step matrix .* at h=0\.125; "
+    with pytest.raises(StepSizeError, match=reason):
+        _replay_structure(model, trials)
 
 
 def test_structure_rerun_byte_identical(tmp_path):

@@ -13,7 +13,6 @@ from langevin_gf.genfun import (
     from_augmented,
     g_alpha,
     gf2_step_augmented,
-    h1_derivatives,
     hamiltonians,
     to_augmented,
 )
@@ -223,42 +222,6 @@ def test_multi_index_validation():
         MultiIndex((1,))
     with pytest.raises(ArgumentError):
         MultiIndex((0, -1))
-
-
-def test_h1_derivatives_frozen():
-    model = LinearOscillator(a=2.0, v=3.0, sigma=0.7).build()
-    table = h1_derivatives(model, np.array([0.5, 0.0]), np.array([1.0, 0.0]))
-    assert_allclose(table.dHr_dx[0, 0], 0.7, rtol=1e-14)
-    assert_allclose(table.dHr_dy[0, 0], 1.05, rtol=1e-14)
-    assert table.dHr_dx[0, 1] == 0.0
-    assert table.dH0_dx[1] == 0.0
-    assert table.dH0_dy[1] == 0.0
-    assert table.unpinned_clock_slot
-
-
-def test_h1_derivatives_formula():
-    rng = np.random.default_rng(19)
-    model = random_quadratic(rng)
-    x = rng.uniform(-2.0, 2.0, size=3)
-    y = np.array([0.4, -1.1, 0.6])
-    table = h1_derivatives(model, x, y)
-    v = model.friction
-    c1, c2 = math.exp(v * y[2]), math.exp(-v * y[2])
-    frc = model.force(y[:2])
-    hess = model.force_jacobian(y[:2])
-    assert_allclose(table.dH0_dx[:2], 0.5 * model.mass @ (frc - v * c2 * x[:2]), rtol=1e-12)
-    assert_allclose(
-        table.dH0_dy[:2], 0.5 * hess @ model.mass @ x[:2] + 0.5 * v * c1 * frc, rtol=1e-12
-    )
-    sig = -model.noise
-    assert_allclose(table.dHr_dx[:, :2], 0.5 * (model.mass @ sig).T, rtol=1e-12)
-    assert_allclose(table.dHr_dy[:, :2], 0.5 * v * c1 * sig.T, rtol=1e-12)
-
-
-def test_h1_derivatives_zero_noise():
-    table = h1_derivatives(zero_noise_model(), np.array([1.0, 0.0]), np.array([1.0, 0.5]))
-    assert_allclose(table.dHr_dx, 0.0)
-    assert_allclose(table.dHr_dy, 0.0)
 
 
 def test_augmented_free_case():

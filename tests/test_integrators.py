@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from langevin_gf.errors import ArgumentError, RangeError, StepSizeError
+from langevin_gf.errors import ArgumentError, EvaluationError, RangeError, StepSizeError
 from langevin_gf.integrators import (
     AffineStepMap,
     GaussianLaw,
     Trajectory,
     _check_step_matrix,
+    _Gf2Kernel,
+    _noise_kick,
     em_step,
     gf2_affine_map,
     gf2_jacobian,
@@ -147,6 +149,133 @@ def test_step_size_guard_names_first_bad_row_of_a_batch():
     with pytest.raises(StepSizeError, match=r"condition estimate 1\.000e\+13") as info:
         _check_step_matrix(batch, 0.5)
     assert info.value.row == 1
+
+
+def _full_svd_guard(batch: np.ndarray, h) -> tuple[int, str] | None:
+    """The d > 1 guard without a screen: the SVD on every finite row."""
+    finite = np.all(np.isfinite(batch), axis=(1, 2))
+    ratio = np.full(batch.shape[0], np.nan)
+    ratio[finite] = np.linalg.cond(batch[finite])
+    bad = ratio > 1e12
+    if not np.any(bad):
+        return None
+    row = int(np.argmax(bad))
+    at = h if np.ndim(h) == 0 else h[row]
+    return row, (
+        f"implicit step matrix has condition estimate {ratio[row]:.3e} at h={at}; "
+        "reduce the step size"
+    )
+
+
+def test_step_matrix_screen_runs_the_svd_on_flagged_rows_only(monkeypatch):
+    rng = np.random.default_rng(12)
+    svd_rows = []
+    cond = np.linalg.cond
+
+    def counted_cond(x, *args):
+        svd_rows.append(len(x))
+        return cond(x, *args)
+
+    for trial in range(40):
+        batch = np.eye(2) + 0.2 * rng.standard_normal((300, 2, 2))
+        # Near-singular rows with condition numbers from 1e10 to 1e14.
+        rows = rng.choice(300, size=3, replace=False)
+        for row, gap in zip(rows, 10.0 ** rng.uniform(-14.0, -10.0, 3)):
+            u = rng.standard_normal(2)
+            batch[row] = np.outer(u, u) + gap * np.outer(u[::-1] * [1, -1], u[::-1] * [1, -1])
+        if trial % 4 == 0:
+            batch[rows[0]] = np.inf
+        h = 0.5 if trial % 2 else rng.uniform(0.1, 0.2, 300)
+        expected = _full_svd_guard(batch, h)
+        svd_rows.clear()
+        monkeypatch.setattr(np.linalg, "cond", counted_cond)
+        try:
+            if expected is None:
+                _check_step_matrix(batch, h)
+            else:
+                with pytest.raises(StepSizeError) as info:
+                    _check_step_matrix(batch, h)
+                assert (info.value.row, str(info.value)) == expected
+        finally:
+            monkeypatch.setattr(np.linalg, "cond", cond)
+        assert sum(svd_rows) <= 3
+
+
+def _kernel_inputs(model, rows: int, seed: int):
+    """Random states, one step size per row, and their increments and kicks."""
+    rng = np.random.default_rng(seed)
+    d = model.dim
+    p = rng.uniform(-2.0, 2.0, (rows, d))
+    q = rng.uniform(-2.0, 2.0, (rows, d))
+    hs = rng.uniform(1e-3, 0.25, rows)
+    dw = rng.normal(0.0, 0.3, (rows, model.noise_dim))
+    return p, q, hs, dw, _noise_kick(model.noise, dw)
+
+
+_KERNEL_MODELS = {
+    "linear": LinearOscillator(a=1.3, v=2.0, sigma=0.5).build(),
+    "double_well": DoubleWell(v=4.0, beta=2.0).build(),
+    "quadratic_d2": make_quadratic_model(
+        np.array([[2.0, 0.5], [0.5, 1.0]]),
+        np.array([[1.0, 0.2], [0.2, 0.8]]),
+        friction=1.0,
+        noise=np.array([[0.7, 0.1], [0.0, 0.6]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_MODELS))
+def test_per_row_step_sizes_equal_the_scalar_kernel(name):
+    model = _KERNEL_MODELS[name]
+    p, q, hs, _, kick = _kernel_inputs(model, 9, 17)
+    batch = _Gf2Kernel(model, hs).update(p, q, kick)
+    for i, h in enumerate(hs):
+        single = _Gf2Kernel(model, float(h)).update(p[i: i + 1], q[i: i + 1], kick[i: i + 1])
+        for got, want in zip(batch, single):
+            got = np.broadcast_to(got, (9,) + got.shape[-2:]) if got.ndim == 3 else got
+            assert got[i].tobytes() == want.reshape(got[i].shape).tobytes()
+
+
+def reference_jacobian(model, z, h, dw):
+    """The analytic Jacobian with an explicit inverse and BLAS products."""
+    d, v, mass = model.dim, model.friction, model.mass
+    evm, half = math.exp(-v * h), 0.5 * v * h
+    hess = np.asarray(model.force_jacobian(z.q), dtype=float).reshape(d, d)
+    third = np.asarray(model.force_third(z.q), dtype=float).reshape(d, d, d)
+    step_matrix = np.eye(d) + 0.5 * h * h * hess @ mass
+    rhs = (
+        evm * z.p
+        - h * (1.0 + half) * evm * model.force(z.q)
+        + (1.0 + half) * evm * model.noise @ dw
+    )
+    p1 = np.linalg.solve(step_matrix, rhs)
+    dmat = np.linalg.inv(step_matrix)
+    jpq = np.empty((d, d))
+    for j in range(d):
+        col = -h * (1.0 + half) * evm * hess[:, j] - 0.5 * h * h * ((third[:, :, j] @ mass) @ p1)
+        jpq[:, j] = dmat @ col
+    gain = h * (1.0 - half) * math.exp(v * h)
+    jqq = np.eye(d) + 0.5 * h * h * (mass @ hess) + gain * (mass @ jpq)
+    return np.block([[evm * dmat, jpq], [gain * (mass @ (evm * dmat)), jqq]])
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_MODELS))
+def test_batched_jacobian_equals_gf2_jacobian_row_by_row(name):
+    model = _KERNEL_MODELS[name]
+    p, q, hs, dw, kick = _kernel_inputs(model, 9, 23)
+    kernel = _Gf2Kernel(model, hs)
+    hess, step_matrix, p1, _ = kernel.update(p, q, kick)
+    jac = kernel.jacobian(q, hess, step_matrix, p1)
+    assert jac.shape == (9, 2 * model.dim, 2 * model.dim)
+    for i, h in enumerate(hs):
+        z = PhaseState(p[i], q[i])
+        assert jac[i].tobytes() == gf2_jacobian(model, z, float(h), dw[i]).tobytes()
+        reference = reference_jacobian(model, z, float(h), dw[i])
+        if model.dim == 1:
+            assert jac[i].tobytes() == reference.tobytes()
+        else:
+            # Term-by-term sums instead of BLAS: agreement to the last ulp.
+            assert np.max(np.abs(jac[i] - reference)) <= 1e-15 * np.max(np.abs(reference))
 
 
 def test_gf2_jacobian_determinant():
@@ -333,6 +462,44 @@ def test_simulate_reports_failing_step():
         simulate(model, "rk4", z0, h=1.0, n_steps=1, noise=np.zeros((1, 1)))
 
 
+def test_simulate_equals_iterated_single_steps_for_each_scheme():
+    model = DoubleWell(v=4.0, beta=2.0).build()
+    z0 = PhaseState([0.5], [-1.0])
+    incs = np.random.default_rng(4).normal(0.0, math.sqrt(0.05), size=(40, 1))
+    for scheme, step in (("gf2", gf2_step), ("em", em_step)):
+        traj = simulate(model, scheme, z0, h=0.05, n_steps=40, noise=incs)
+        z = z0
+        for k in range(40):
+            z = step(model, z, 0.05, incs[k])
+            assert traj.states[k + 1].p.tobytes() == z.p.tobytes()
+            assert traj.states[k + 1].q.tobytes() == z.q.tobytes()
+
+
+def test_simulate_names_the_failing_step():
+    model = DoubleWell(v=4.0, beta=2.0).build()
+    nan_row = np.zeros((6, 1))
+    nan_row[3, 0] = np.nan
+    cases = [
+        ("gf2", [0.0, 30.0], 0.5, np.zeros((10, 1)), EvaluationError,
+         "step 4: step produced a non-finite state at h=0.5"),
+        ("em", [0.0, 30.0], 1.0, np.zeros((10, 1)), RangeError,
+         "step 8: explicit step overflowed at h=1.0"),
+        ("gf2", [0.0, 1.0], 0.1, nan_row, EvaluationError,
+         "step 3: increment contains non-finite entries"),
+        ("em", [0.0, 1.0], 0.1, nan_row, EvaluationError,
+         "step 3: increment contains non-finite entries"),
+        ("gf2", [0.0, 0.0], math.sqrt(0.5), np.zeros((3, 1)), StepSizeError,
+         "step 0: implicit step matrix has condition estimate 9.007e+15 "
+         "at h=0.7071067811865476; reduce the step size"),
+        ("gf2", [0.0, 0.0], -1.0, np.zeros((3, 1)), ArgumentError,
+         "step 0: step size must be positive and finite, got -1.0"),
+    ]
+    for scheme, (p0, q0), h, noise, error, message in cases:
+        with np.errstate(all="ignore"), pytest.raises(error) as info:
+            simulate(model, scheme, PhaseState([p0], [q0]), h, len(noise), noise)
+        assert str(info.value) == message
+
+
 class _TwoArgumentError(Exception):
     def __init__(self, code: int, detail: str) -> None:
         super().__init__(code, detail)
@@ -450,8 +617,10 @@ def test_propagate_gaussian_chain_basics():
     assert_allclose(out.mean, init.mean)
     assert_allclose(out.cov, init.cov)
 
-    zero_b = AffineStepMap(
-        B=np.zeros((4, 4)),
+    # A uniform contraction s I_4 with det s^4 = e^{-vhd} for d = 2.
+    s = math.exp(-0.15)
+    contraction = AffineStepMap(
+        B=s * np.eye(4),
         c=np.zeros(4),
         G=np.eye(4)[:, :1],
         friction=1.0,
@@ -459,9 +628,27 @@ def test_propagate_gaussian_chain_basics():
     )
     init4 = GaussianLaw(mean=np.ones(4), cov=np.eye(4))
     for n in (1, 3):
-        out = propagate_gaussian_chain(zero_b, init4, n, 0.3)
-        assert_allclose(out.mean, np.zeros(4))
-        assert_allclose(out.cov, 0.3 * zero_b.G @ zero_b.G.T)
+        out = propagate_gaussian_chain(contraction, init4, n, 0.3)
+        assert_allclose(out.mean, s**n * np.ones(4))
+        kept = sum(s ** (2 * i) for i in range(n))
+        noise_cov = 0.3 * contraction.G @ contraction.G.T
+        assert_allclose(out.cov, s ** (2 * n) * np.eye(4) + kept * noise_cov)
+
+
+def test_affine_step_map_checks_conformal_determinant_in_every_dimension():
+    v, h = 1.0, 0.3
+    s = math.exp(-v * h / 2.0)
+    rotation = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                         [0.0, 0.0, 1.0, 0.5], [0.0, 0.0, 0.0, 1.0]])
+    AffineStepMap(B=s * rotation, c=np.zeros(4), G=np.eye(4)[:, :2], friction=v, h=h)
+    off = s * rotation
+    off[2, 2] *= 1.0 + 1e-9
+    # Off in the ninth digit, singular, and the d = 1 factor e^{-vh}.
+    for bad in (off, np.zeros((4, 4)), math.exp(-v * h / 4.0) * np.eye(4)):
+        with pytest.raises(ArgumentError, match=r"exp\(-vhd\)"):
+            AffineStepMap(B=bad, c=np.zeros(4), G=np.eye(4)[:, :2], friction=v, h=h)
+    with pytest.raises(ArgumentError, match="2d x 2d"):
+        AffineStepMap(B=np.eye(3), c=np.zeros(3), G=np.eye(3)[:, :1], friction=0.0, h=h)
 
 
 def test_gaussian_chain_matches_monte_carlo():

@@ -315,11 +315,55 @@ def test_blowup_mid_chunk_names_first_realization_and_step():
     z0 = PhaseState([0.0], [1.5])
     h, plan = 0.55, SeedPlan(8)
     expected = r"^realization 13 produced a non-finite state at step 6$"
-    with pytest.raises(EstimationError, match=expected):
+    with pytest.raises(EstimationError, match=expected) as info:
         mc_expectation(model, "gf2", cos_sum, z0, h, 20 * h, 5000, plan)
+    assert info.value.where == (6, 1, 13)
     # One step fewer runs clean, so step 6 is the first non-finite one.
     res = mc_expectation(model, "gf2", cos_sum, z0, h, 6 * h, 5000, plan)
     assert math.isfinite(res.mean)
+
+
+def test_blowup_report_does_not_depend_on_the_task_width(monkeypatch):
+    # The run above with tasks of 8 realizations: the first task's realization
+    # 0 blows up at step 7 before the task holding realization 13 runs.
+    model = DoubleWell(v=4.0, beta=2.0).build()
+    z0, h = PhaseState([0.0], [1.5]), 0.55
+    for width in (4, 8, 16, 2048):
+        monkeypatch.setattr(mc, "BATCH_SIZE", width)
+        with pytest.raises(EstimationError) as info:
+            mc_expectation(model, "gf2", cos_sum, z0, h, 20 * h, 5000, SeedPlan(8))
+        assert str(info.value) == "realization 13 produced a non-finite state at step 6"
+        assert info.value.where == (6, 1, 13)
+
+
+def test_failure_reported_is_the_earliest_over_all_tasks():
+    # (step, 0 refused / 1 non-finite, realization): a refused step s comes
+    # before a non-finite state after step s, as it does inside one task.
+    failures = {
+        0: EstimationError("realization 1, non-finite at step 7", where=(7, 1, 1)),
+        2: EstimationError("realization 30, non-finite at step 5", where=(5, 1, 30)),
+        3: EstimationError("realization 41 failed at step 5", where=(5, 0, 41)),
+        4: EstimationError("realization 45 failed at step 5", where=(5, 0, 45)),
+    }
+    ran = []
+
+    def task(b):
+        ran.append(b)
+        if b in failures:
+            raise failures[b]
+
+    with pytest.raises(EstimationError) as info:
+        mc._map_batches(task, 6)
+    assert info.value is failures[3]
+    assert ran == list(range(6))
+
+    def other(b):
+        if b == 1:
+            raise EstimationError("not a trajectory failure")
+        raise failures[0]
+
+    with pytest.raises(EstimationError, match="^not a trajectory failure$"):
+        mc._map_batches(other, 3)
 
 
 def test_batch_bounds_are_balanced():
@@ -449,8 +493,10 @@ def test_singular_step_matrix_fails_alike_for_every_kind():
     with pytest.raises(StepSizeError, match="^" + reason):
         gf2_step(built, z0, h, [0.0])
     for model in (built, dataclasses.replace(built, kind="custom")):
-        with pytest.raises(EstimationError, match=r"^realization 0 failed at step 0: " + reason):
+        expected = r"^realization 0 failed at step 0: " + reason
+        with pytest.raises(EstimationError, match=expected) as info:
             mc_expectation(model, "gf2", cos_sum, z0, h, h, 8, SeedPlan(1))
+        assert info.value.where == (0, 0, 0)
 
 
 def test_weak_error_identical_chains_vanish():
