@@ -293,60 +293,6 @@ def weak_order_report(points: Sequence[WeakOrderPoint]) -> WeakOrderReport:
     return WeakOrderReport(points=tuple(labeled), slope=slope, intercept=intercept)
 
 
-@dataclasses.dataclass(frozen=True)
-class ErgodicSeries:
-    """Per-step expectations and their running average for one initial value."""
-
-    label: str
-    times: Array
-    values: Array
-    running: Array
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float).reshape(-1)
-        values = np.asarray(self.values, dtype=float).reshape(-1)
-        running = np.asarray(self.running, dtype=float).reshape(-1)
-        if not (times.shape == values.shape == running.shape) or times.size == 0:
-            raise ArgumentError("times, values and running must be equal-length and non-empty")
-        if np.any(np.diff(times) <= 0):
-            raise ArgumentError("times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "running", running)
-
-
-@dataclasses.dataclass(frozen=True)
-class ErgodicReport:
-    """Running temporal averages per initial value against one reference."""
-
-    psi: str
-    series: tuple[ErgodicSeries, ...]
-    reference: float
-    final_deviations: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.series:
-            raise ArgumentError("a report needs at least one series")
-        length = self.series[0].times.size
-        if any(s.times.size != length for s in self.series):
-            raise ArgumentError("all series must have equal length")
-        if not math.isfinite(self.reference):
-            raise ArgumentError("reference must be finite")
-        if len(self.final_deviations) != len(self.series):
-            raise ArgumentError("one final deviation per series is required")
-
-
-def ergodic_report(
-    psi_label: str, series: Sequence[ErgodicSeries], reference: float
-) -> ErgodicReport:
-    """Assemble an ErgodicReport, computing final deviations from the data."""
-    tup = tuple(series)
-    deviations = tuple(abs(float(s.running[-1]) - reference) for s in tup)
-    return ErgodicReport(
-        psi=psi_label, series=tup, reference=reference, final_deviations=deviations
-    )
-
-
 def linear_ergodic_series(
     model: object,
     psis: Sequence[Callable[[Array, Array], Array]],

@@ -96,7 +96,10 @@ class ExperimentConfig:
 
 
 def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float (json.loads also yields bools, NaN, inf, huge ints)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return math.isfinite(value) if isinstance(value, float) else abs(value) <= sys.float_info.max
 
 
 def _check_model(section: dict, problems: list[str]) -> None:
@@ -113,7 +116,7 @@ def _check_model(section: dict, problems: list[str]) -> None:
         problems.append(f"model.{key}: not a parameter of kind {kind!r}")
     for key in wanted & set(section):
         if not _is_number(section[key]):
-            problems.append(f"model.{key}: must be a number")
+            problems.append(f"model.{key}: must be a finite number")
 
 
 def _check_experiment(section: dict, command: str, problems: list[str]) -> None:
@@ -125,7 +128,7 @@ def _check_experiment(section: dict, command: str, problems: list[str]) -> None:
 
     if command in ("weak-order", "ergodic"):
         if need("T") and not (_is_number(section["T"]) and section["T"] > 0):
-            problems.append("experiment.T: must be a positive number")
+            problems.append("experiment.T: must be a positive finite number")
         if need("test_functions"):
             names = section["test_functions"]
             if (
@@ -146,11 +149,11 @@ def _check_experiment(section: dict, command: str, problems: list[str]) -> None:
         )
         if not ok:
             problems.append(
-                "experiment.step_sizes: need at least 2 distinct positive numbers"
+                "experiment.step_sizes: need at least 2 distinct positive finite numbers"
             )
     if command in ("ergodic", "simulate") and need("step_size"):
         if not (_is_number(section["step_size"]) and section["step_size"] > 0):
-            problems.append("experiment.step_size: must be a positive number")
+            problems.append("experiment.step_size: must be a positive finite number")
     if command == "simulate" and need("n_steps"):
         n = section["n_steps"]
         if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
@@ -166,7 +169,9 @@ def _check_experiment(section: dict, command: str, problems: list[str]) -> None:
             )
         )
         if not ok:
-            problems.append("experiment.initials: need a non-empty list of [p, q] pairs")
+            problems.append(
+                "experiment.initials: need a non-empty list of [p, q] pairs of finite numbers"
+            )
         labels = section.get("initial_labels")
         if labels is not None:
             ok_labels = (
@@ -218,7 +223,9 @@ def _check_quadrature(section: dict, problems: list[str]) -> None:
             and box[0] < box[1]
         )
         if not ok:
-            problems.append("quadrature.box: must be [lo, hi] with lo < hi")
+            problems.append(
+                "quadrature.box: must be [lo, hi] of finite numbers with lo < hi"
+            )
     nodes = section.get("nodes")
     if nodes is not None and not (
         isinstance(nodes, int) and not isinstance(nodes, bool) and nodes >= 2
@@ -582,8 +589,7 @@ def _run_simulate(config: ExperimentConfig) -> list[Path]:
     _, z0 = _initials(config)[0]
     plan = SeedPlan(config.mc["master_seed"])
     if n_steps > 0:
-        block = sample_increments(derive_seed(plan, 0), n_steps, model.noise_dim, h)
-        noise: object = block
+        noise = sample_increments(derive_seed(plan, 0), n_steps, model.noise_dim, h)
     else:
         noise = np.zeros((0, model.noise_dim))
     path_obj = simulate(model, "gf2", z0, h, n_steps, noise)

@@ -428,14 +428,14 @@ def simulate(
     z0: PhaseState,
     h: float,
     n_steps: int,
-    noise: object,
+    noise: Array,
 ) -> Trajectory:
     """Iterate a one-step map over a supplied increment sequence.
 
     Parameters
     ----------
     scheme : {"gf2", "em"}
-    noise : IncrementBlock or array_like of shape (n_steps, m)
+    noise : ndarray of shape (n_steps, m)
         Brownian increments; row k drives step k.
 
     Returns
@@ -454,8 +454,7 @@ def simulate(
         raise ArgumentError("n_steps must be nonnegative")
     if n_steps == 0:
         return Trajectory(times=h * np.arange(1), states=(z0,))
-    values = np.asarray(getattr(noise, "values", noise), dtype=float)
-    values = values.reshape(n_steps, model.noise_dim)
+    values = np.asarray(noise, dtype=float).reshape(n_steps, model.noise_dim)
     finite_rows = np.all(np.isfinite(values), axis=1)
     n_ok = n_steps if finite_rows.all() else int(np.argmin(finite_rows))
     p = np.empty((n_steps + 1, model.dim))

@@ -28,6 +28,15 @@ at which a realization failed, then the lowest such realization, over all
 tasks, so for a single chain the report does not depend on the kernel width
 either.
 
+The three endpoint estimators (``mc_expectation``, ``weak_error_mc`` and
+``one_step_ms_gap``) are validation around one driver,
+:func:`_endpoint_values`, which runs a whole task, single or coupled chain,
+before the next one starts, so only one task's state is ever held.
+``mc_step_means`` keeps its own chunk-outer loop: its per-step means are
+reduced over all realizations after every chunk, so it must hold every
+task's state across chunks, which the endpoint driver must not do for
+100 000-realization runs.
+
 Each task seeds its generators in one vectorised pass that reproduces
 ``SeedSequence(derive_seed(plan, i))`` word for word.  The normal transform
 is pinned in exactly one place, :func:`generator_for`, so regression goldens
@@ -150,36 +159,12 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-@dataclasses.dataclass(frozen=True)
-class IncrementBlock:
-    """n Brownian increments of step h in m noise dimensions, entries N(0, h)."""
-
-    h: float
-    m: int
-    n: int
-    values: Array
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        _check_step_size(self.h)
-        if self.n < 1 or self.m < 1:
-            raise ArgumentError("step count and noise dimension must be at least 1")
-        if values.shape != (self.n, self.m):
-            raise ArgumentError(
-                f"values must have shape ({self.n}, {self.m}), got {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ArgumentError("increments contain non-finite entries")
-        object.__setattr__(self, "values", values)
-
-
-def sample_increments(seed: int, n: int, m: int, h: float) -> IncrementBlock:
-    """Draw an n-by-m block of N(0, h) increments from the seeded generator."""
+def sample_increments(seed: int, n: int, m: int, h: float) -> Array:
+    """Draw an (n, m) array of N(0, h) increments from the seeded generator."""
     if n < 1 or m < 1:
         raise ArgumentError("step count and noise dimension must be at least 1")
     _check_step_size(h)
-    gen = generator_for(seed)
-    return IncrementBlock(h=h, m=m, n=n, values=gen.standard_normal((n, m)) * math.sqrt(h))
+    return generator_for(seed).standard_normal((n, m)) * math.sqrt(h)
 
 
 def pairwise_sum(values: Array, axis: int = 0) -> Array:
@@ -387,6 +372,51 @@ def _validate_run(
         raise ArgumentError("plan must be a SeedPlan")
 
 
+def _endpoint_values(
+    model: LangevinModel,
+    scheme: str,
+    z0: PhaseState,
+    h: float,
+    n_steps: int,
+    n_realizations: int,
+    plan: SeedPlan,
+    refine: int | None,
+    endpoint: Callable[..., Array],
+) -> EstimatorResult:
+    """Mean and standard error of an endpoint value over seeded realizations.
+
+    With ``refine=None`` each realization runs one chain of n_steps steps of h
+    and contributes endpoint(p, q) of its final state.  Otherwise a fine chain
+    at step h/refine runs on the coarse chain's generators, so both follow one
+    Brownian path: coarse increments are exact sums of refine consecutive fine
+    increments (common random numbers), and each realization contributes
+    endpoint(coarse, fine) of the two final batch states.
+    """
+    m = model.noise_dim
+    values = np.empty(n_realizations)
+    bounds = _batch_bounds(n_realizations)
+    chunk = max(1, _block_steps(bounds, m) // (refine or 1))
+
+    def task(b: int) -> None:
+        lo, hi = bounds[b]
+        state = _BatchState(z0, plan, lo, hi)
+        fine = None if refine is None else _BatchState(z0, plan, lo, hi, state.generators)
+        done = 0
+        for length in _chunk_lengths(n_steps, chunk):
+            if fine is None:
+                dw = state.draw(length, m, h)
+            else:
+                dw_fine = state.draw(length * refine, m, h / refine)
+                dw = dw_fine.reshape(hi - lo, length, refine, m).sum(axis=2)
+                _advance_chunk(model, scheme, fine, h / refine, dw_fine, done * refine)
+            _advance_chunk(model, scheme, state, h, dw, done)
+            done += length
+        values[lo:hi] = endpoint(state.p, state.q) if fine is None else endpoint(state, fine)
+
+    _map_batches(task, len(bounds))
+    return mean_and_se(values)
+
+
 def mc_expectation(
     model: LangevinModel,
     scheme: str,
@@ -405,22 +435,7 @@ def mc_expectation(
     """
     _validate_run(model, scheme, z0, n_realizations, plan)
     n_steps = _steps_for(h, T)
-    values = np.empty(n_realizations)
-    bounds = _batch_bounds(n_realizations)
-    chunk = _block_steps(bounds, model.noise_dim)
-
-    def task(b: int) -> None:
-        lo, hi = bounds[b]
-        state = _BatchState(z0, plan, lo, hi)
-        done = 0
-        for length in _chunk_lengths(n_steps, chunk):
-            dw = state.draw(length, model.noise_dim, h)
-            _advance_chunk(model, scheme, state, h, dw, done)
-            done += length
-        values[lo:hi] = psi(state.p, state.q)
-
-    _map_batches(task, len(bounds))
-    return mean_and_se(values)
+    return _endpoint_values(model, scheme, z0, h, n_steps, n_realizations, plan, None, psi)
 
 
 def weak_error_mc(
@@ -432,43 +447,22 @@ def weak_error_mc(
     n_realizations: int,
     refine: int,
     plan: SeedPlan,
-    *,
-    allow_equal_steps: bool = False,
 ) -> EstimatorResult:
     """Coupled estimate of E psi(coarse endpoint) - E psi(fine endpoint).
 
     The fine chain runs at step h/refine on the same Brownian path; coarse
     increments are exact sums of refine consecutive fine increments (common
-    random numbers).  ``allow_equal_steps`` admits refine=1, where both
-    chains coincide and the estimate is exactly zero; it exists for test
-    calibration only.
+    random numbers).
     """
     _validate_run(model, "gf2", z0, n_realizations, plan)
-    if refine < 2 and not (allow_equal_steps and refine == 1):
+    if refine < 2:
         raise ArgumentError("refinement factor must be at least 2")
     n_coarse = _steps_for(h, T)
-    h_fine = h / refine
-    values = np.empty(n_realizations)
-    bounds = _batch_bounds(n_realizations)
-    chunk_coarse = max(1, _block_steps(bounds, model.noise_dim) // refine)
 
-    def task(b: int) -> None:
-        lo, hi = bounds[b]
-        coarse = _BatchState(z0, plan, lo, hi)
-        # One Brownian path per realization: the fine chain shares the generators.
-        fine = _BatchState(z0, plan, lo, hi, coarse.generators)
-        done = 0
-        for length in _chunk_lengths(n_coarse, chunk_coarse):
-            dw_fine = coarse.draw(length * refine, model.noise_dim, h_fine)
-            shape = (hi - lo, length, refine, model.noise_dim)
-            dw_coarse = dw_fine.reshape(shape).sum(axis=2)
-            _advance_chunk(model, "gf2", fine, h_fine, dw_fine, done * refine)
-            _advance_chunk(model, "gf2", coarse, h, dw_coarse, done)
-            done += length
-        values[lo:hi] = np.subtract(psi(coarse.p, coarse.q), psi(fine.p, fine.q), dtype=float)
+    def gap(coarse: _BatchState, fine: _BatchState) -> Array:
+        return np.subtract(psi(coarse.p, coarse.q), psi(fine.p, fine.q), dtype=float)
 
-    _map_batches(task, len(bounds))
-    return mean_and_se(values)
+    return _endpoint_values(model, "gf2", z0, h, n_coarse, n_realizations, plan, refine, gap)
 
 
 def one_step_ms_gap(
@@ -478,33 +472,20 @@ def one_step_ms_gap(
     refine: int,
     n_realizations: int,
     plan: SeedPlan,
-    *,
-    allow_equal_steps: bool = False,
 ) -> EstimatorResult:
     """E ||Z(one coarse step) - Z(refine fine steps)||^2 on a shared path.
 
     The local mean-square probe behind third-order step-error measurements.
-    ``allow_equal_steps`` admits refine=1 (identical chains, gap exactly 0).
     """
     _validate_run(model, "gf2", z0, n_realizations, plan)
-    if refine < 2 and not (allow_equal_steps and refine == 1):
+    if refine < 2:
         raise ArgumentError("refinement factor must be at least 2")
     _check_step_size(h)
-    values = np.empty(n_realizations)
-    bounds = _batch_bounds(n_realizations)
 
-    def task(b: int) -> None:
-        lo, hi = bounds[b]
-        coarse = _BatchState(z0, plan, lo, hi)
-        fine = _BatchState(z0, plan, lo, hi, coarse.generators)
-        dw_fine = coarse.draw(refine, model.noise_dim, h / refine)
-        dw_coarse = dw_fine.reshape(hi - lo, 1, refine, model.noise_dim).sum(axis=2)
-        _advance_chunk(model, "gf2", fine, h / refine, dw_fine, 0)
-        _advance_chunk(model, "gf2", coarse, h, dw_coarse, 0)
-        values[lo:hi] = np.sum((coarse.p - fine.p) ** 2 + (coarse.q - fine.q) ** 2, axis=1)
+    def gap(coarse: _BatchState, fine: _BatchState) -> Array:
+        return np.sum((coarse.p - fine.p) ** 2 + (coarse.q - fine.q) ** 2, axis=1)
 
-    _map_batches(task, len(bounds))
-    return mean_and_se(values)
+    return _endpoint_values(model, "gf2", z0, h, 1, n_realizations, plan, refine, gap)
 
 
 def mc_step_means(
@@ -515,7 +496,6 @@ def mc_step_means(
     n_steps: int,
     n_realizations: int,
     plan: SeedPlan,
-    scheme: str = "gf2",
 ) -> tuple[Array, Array]:
     """Ensemble mean of each test function after every step.
 
@@ -524,7 +504,7 @@ def mc_step_means(
     stays bounded: psi values are buffered per step chunk and tree-reduced
     over realizations before the next chunk starts.
     """
-    _validate_run(model, scheme, z0, n_realizations, plan)
+    _validate_run(model, "gf2", z0, n_realizations, plan)
     if n_steps < 0:
         raise ArgumentError("step count must be nonnegative")
     _check_step_size(h)
@@ -548,7 +528,7 @@ def mc_step_means(
         def task(b: int, length: int = length, done: int = done) -> None:
             state = states[b]
             dw = state.draw(length, model.noise_dim, h)
-            _advance_chunk(model, scheme, state, h, dw, done, psis, buffer)
+            _advance_chunk(model, "gf2", state, h, dw, done, psis, buffer)
 
         _map_batches(task, len(bounds))
         reduced = pairwise_sum(buffer, axis=2) / n_realizations

@@ -425,8 +425,3 @@ def gibbs_density_fn(model: object) -> Callable[[Array, Array], Array]:
 
     return rho
 
-
-def gibbs_density(model: object, z: PhaseState) -> float:
-    """Unnormalized Boltzmann-Gibbs density of a built-in model at one state."""
-    rho = gibbs_density_fn(model)
-    return float(rho(z.p[0], z.q[0]) if z.dim == 1 else rho(z.p, z.q))

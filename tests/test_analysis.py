@@ -8,12 +8,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from langevin_gf.analysis import (
-    ErgodicSeries,
     WeakOrderPoint,
     WeakOrderReport,
     conformal_defect,
     ergodic_reference,
-    ergodic_report,
     fit_order,
     gauss_expectation,
     linear_ergodic_series,
@@ -37,7 +35,7 @@ from langevin_gf.integrators import (
     propagate_gaussian_chain,
     simulate,
 )
-from langevin_gf.mc import SeedPlan, one_step_ms_gap, sample_increments
+from langevin_gf.mc import SeedPlan, _endpoint_values, sample_increments
 from langevin_gf.models import (
     DoubleWell,
     LangevinModel,
@@ -259,7 +257,7 @@ def test_n_step_defect_regularity_guard():
     total = np.eye(2)
     worst_step = 0.0
     for k in range(n):
-        jac = gf2_jacobian(model, path.states[k], h, block.values[k])
+        jac = gf2_jacobian(model, path.states[k], h, block[k])
         total = jac @ total
         worst_step = max(worst_step, conformal_defect(jac, model.friction, h))
     bound = n * worst_step * max(1.0, float(np.linalg.norm(total, 2))) ** 2
@@ -345,26 +343,17 @@ def test_local_ms_gap_deterministic_slope():
 
 
 def test_local_ms_gap_identical_chains():
+    # One coarse step against one fine step of the same size on one path.
     model = DoubleWell(v=4.0, beta=2.0).build()
-    res = one_step_ms_gap(
-        model, PhaseState([0.0], [1.0]), 0.125, 1, 64, SeedPlan(2), allow_equal_steps=True
+
+    def gap(coarse, fine):
+        return np.sum((coarse.p - fine.p) ** 2 + (coarse.q - fine.q) ** 2, axis=1)
+
+    res = _endpoint_values(
+        model, "gf2", PhaseState([0.0], [1.0]), 0.125, 1, 64, SeedPlan(2), 1, gap
     )
     assert res.mean == 0.0
     assert res.std_error == 0.0
-
-
-def test_ergodic_series_and_report_types():
-    times = np.array([0.0, 0.5, 1.0])
-    series = ErgodicSeries(
-        label="p3_q1", times=times, values=np.array([0.1, 0.2, 0.3]),
-        running=temporal_average([0.1, 0.2, 0.3]),
-    )
-    report = ergodic_report("cos_sum", [series], 0.2)
-    assert_allclose(report.final_deviations[0], abs(series.running[-1] - 0.2))
-    with pytest.raises(ArgumentError):
-        ErgodicSeries(label="x", times=times, values=np.zeros(2), running=np.zeros(3))
-    with pytest.raises(ArgumentError):
-        ergodic_report("cos_sum", [], 0.2)
 
 
 def test_linear_ergodic_series_matches_direct_composition():

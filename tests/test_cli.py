@@ -129,6 +129,39 @@ def test_parse_reports_missing_and_invalid_together():
     assert "experiment.initials" in message
 
 
+def test_parse_rejects_non_finite_numbers(tmp_path):
+    # json.loads reads NaN and Infinity; both must fail as config errors, not
+    # deep inside a run with a misleading message.
+    with pytest.raises(ConfigError) as info:
+        parse_config(
+            {
+                "model": {**linear_section(), "v": math.nan},
+                "experiment": {
+                    "T": math.inf,
+                    "step_sizes": [0.25, 0.125],
+                    "test_functions": ["cos_sum"],
+                    "initials": [[3.0, -math.inf]],
+                },
+                "quadrature": {"box": [-10.0, math.nan]},
+            },
+            "weak-order",
+        )
+    message = str(info.value)
+    for path in ("model.v", "experiment.T", "experiment.initials", "quadrature.box"):
+        assert path in message
+    assert message.count("finite number") == 4
+    # An int past the float range is refused too, not left to overflow later.
+    path = tmp_path / "infinite.json"
+    huge = "1" + "0" * 400
+    path.write_text(
+        '{"model": {"kind": "linear", "a": Infinity, "v": 2.0, "sigma": %s}}' % huge
+    )
+    with pytest.raises(ConfigError) as info:
+        load_config(path, "structure")
+    for key in ("a", "sigma"):
+        assert f"model.{key}: must be a finite number" in str(info.value)
+
+
 def test_parse_rejects_duplicate_step_sizes():
     with pytest.raises(ConfigError, match="step_sizes"):
         parse_config(

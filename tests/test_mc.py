@@ -20,7 +20,6 @@ from langevin_gf.mc import (
     BATCH_SIZE,
     DRAW_BLOCK,
     EstimatorResult,
-    IncrementBlock,
     SeedPlan,
     derive_seed,
     generator_for,
@@ -117,7 +116,7 @@ def test_seed_plan_validation():
 def test_sample_increments_moments():
     h = 0.25
     block = sample_increments(2024, 1_000_000, 1, h)
-    flat = block.values.ravel()
+    flat = block.ravel()
     assert abs(float(np.mean(flat))) <= 4.0 * math.sqrt(h / flat.size)
     assert h * 0.99 <= float(np.var(flat)) <= h * 1.01
 
@@ -125,8 +124,8 @@ def test_sample_increments_moments():
 def test_sample_increments_reproducible():
     a = sample_increments(7, 50, 3, 0.1)
     b = sample_increments(7, 50, 3, 0.1)
-    assert np.array_equal(a.values, b.values)
-    assert (a.h, a.m, a.n) == (0.1, 3, 50)
+    assert np.array_equal(a, b)
+    assert a.shape == (50, 3)
 
 
 def test_generator_stream_is_chunking_invariant():
@@ -141,15 +140,6 @@ def test_sample_increments_validation():
         sample_increments(1, 0, 1, 0.1)
     with pytest.raises(ArgumentError):
         sample_increments(1, 10, 1, -0.5)
-
-
-def test_increment_block_validation():
-    with pytest.raises(ArgumentError):
-        IncrementBlock(h=0.1, m=2, n=3, values=np.zeros((3, 1)))
-    with pytest.raises(ArgumentError):
-        IncrementBlock(h=0.1, m=1, n=1, values=np.array([[np.inf]]))
-    with pytest.raises(ArgumentError):
-        IncrementBlock(h=0.0, m=1, n=1, values=np.zeros((1, 1)))
 
 
 def test_pairwise_sum_values():
@@ -500,17 +490,15 @@ def test_singular_step_matrix_fails_alike_for_every_kind():
 
 
 def test_weak_error_identical_chains_vanish():
+    # refine = 1 couples two identical chains on one path, so every
+    # realization's psi gap is exactly zero.
     model = DoubleWell(v=4.0, beta=2.0).build()
-    res = weak_error_mc(
-        model,
-        cos_sum,
-        PhaseState([0.0], [1.0]),
-        0.125,
-        1.0,
-        64,
-        1,
-        SeedPlan(5),
-        allow_equal_steps=True,
+
+    def gap(coarse, fine):
+        return cos_sum(coarse.p, coarse.q) - cos_sum(fine.p, fine.q)
+
+    res = mc._endpoint_values(
+        model, "gf2", PhaseState([0.0], [1.0]), 0.125, 8, 64, SeedPlan(5), 1, gap
     )
     assert res.mean == 0.0
     assert res.std_error == 0.0
@@ -522,7 +510,7 @@ def test_weak_error_refine_validation():
     with pytest.raises(ArgumentError):
         weak_error_mc(model, cos_sum, z0, 0.125, 1.0, 32, 1, SeedPlan(5))
     with pytest.raises(ArgumentError):
-        weak_error_mc(model, cos_sum, z0, 0.125, 1.0, 32, 0, SeedPlan(5), allow_equal_steps=True)
+        weak_error_mc(model, cos_sum, z0, 0.125, 1.0, 32, 0, SeedPlan(5))
 
 
 def test_weak_error_gaussian_chain_oracle():

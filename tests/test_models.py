@@ -17,7 +17,7 @@ from langevin_gf.models import (
     PhaseState,
     check_assumption1,
     eval_model,
-    gibbs_density,
+    gibbs_density_fn,
     lyapunov_v,
     make_quadratic_model,
 )
@@ -145,22 +145,18 @@ def test_check_assumption1_argument_errors():
 
 
 def test_gibbs_density_values():
-    dw = DoubleWell(v=4.0, beta=2.0).build()
-    assert_allclose(
-        gibbs_density(dw, PhaseState([0.0], [0.0])), math.exp(-2.0), rtol=1e-15
-    )
+    dw = gibbs_density_fn(DoubleWell(v=4.0, beta=2.0).build())
+    assert_allclose(dw(0.0, 0.0), math.exp(-2.0), rtol=1e-15)
 
-    lin = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
-    assert_allclose(gibbs_density(lin, PhaseState([0.0], [0.0])), 1.0, rtol=0)
-    assert_allclose(
-        gibbs_density(lin, PhaseState([1.0], [0.0])), math.exp(-8.0), rtol=1e-15
-    )
+    lin = gibbs_density_fn(LinearOscillator(a=1.0, v=2.0, sigma=0.5).build())
+    assert_allclose(lin(0.0, 0.0), 1.0, rtol=0)
+    assert_allclose(lin(1.0, 0.0), math.exp(-8.0), rtol=1e-15)
 
 
 def test_gibbs_density_rejects_unsupported_models():
     quad = make_quadratic_model(np.eye(2), np.eye(2), friction=1.0, noise=np.eye(2))
     with pytest.raises(CapabilityError):
-        gibbs_density(quad, PhaseState([0.0, 0.0], [0.0, 0.0]))
+        gibbs_density_fn(quad)
 
 
 def test_phase_state_validation():
