@@ -8,6 +8,12 @@ digest and says why in CHANGES.md.
 The coupled d = 2 quadratic model has its own digest: its per-state
 ``np.linalg.solve`` goes through LAPACK, so a mismatch there on another
 numeric stack points at the stack rather than at the engine.
+
+The deterministic linear pipeline is pinned the same way: the affine
+one-step map's B and G, ``weak_error_linear`` and ``linear_ergodic_series``
+on the shipped linear parameters.  Their quadrature sums are BLAS dot
+products and ``eigh`` calls, so these digests, too, belong to this numeric
+stack.
 """
 
 from __future__ import annotations
@@ -17,7 +23,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from langevin_gf.analysis import linear_ergodic_series, weak_error_linear
 from langevin_gf.errors import EstimationError
+from langevin_gf.integrators import gf2_affine_map
 from langevin_gf.mc import (
     SeedPlan,
     mc_expectation,
@@ -90,3 +98,47 @@ def test_blowup_message_is_pinned():
             model, "gf2", cos_sum, PhaseState([0.0], [1.5]), h, 20 * h, 5000, SeedPlan(8)
         )
     assert str(info.value) == "realization 13 produced a non-finite state at step 6"
+
+
+LINEAR = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+PSIS = (cos_sum, exp_negsq, sin_sumsq)
+STEP_SIZES = tuple(2.0**-k for k in range(3, 8))
+
+
+def _affine_map_bytes() -> bytes:
+    maps = [gf2_affine_map(LINEAR, h) for h in STEP_SIZES]
+    return b"".join(m.B.astype("<f8").tobytes() + m.G.astype("<f8").tobytes() for m in maps)
+
+
+def _weak_error_linear_bytes() -> bytes:
+    z0 = PhaseState([3.0], [1.0])
+    errors = [weak_error_linear(LINEAR, psi, z0, h, 1.0) for psi in PSIS for h in STEP_SIZES]
+    return np.array(errors, dtype="<f8").tobytes()
+
+
+def _linear_ergodic_series_bytes() -> bytes:
+    chunks = []
+    for z0 in (PhaseState([-10.0], [1.0]), PhaseState([4.0], [2.0])):
+        times, means = linear_ergodic_series(LINEAR, PSIS, z0, 2.0**-6, 160)
+        chunks.append(np.ascontiguousarray(times, dtype="<f8").tobytes())
+        chunks.append(np.ascontiguousarray(means, dtype="<f8").tobytes())
+    return b"".join(chunks)
+
+
+DETERMINISTIC = {
+    "gf2_affine_map": _affine_map_bytes,
+    "weak_error_linear": _weak_error_linear_bytes,
+    "linear_ergodic_series": _linear_ergodic_series_bytes,
+}
+
+DETERMINISTIC_DIGESTS = {
+    "gf2_affine_map": "1da4914008f4342169f4c1f676c17dfa21dcf509ce1e9a808ecf36867a7b66ed",
+    "weak_error_linear": "31ec8212f2d561c6cd355cc1a327fc697f82badac55d83a0fa7663bae2b5c5e6",
+    "linear_ergodic_series": "95b886f883165431d93d9898b141fd28d9a99c93c4d35268cb0b22f058d06011",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DETERMINISTIC))
+def test_deterministic_output_digest(name):
+    output = DETERMINISTIC[name]()
+    assert hashlib.sha256(output).hexdigest() == DETERMINISTIC_DIGESTS[name]

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from langevin_gf.errors import ArgumentError, EvaluationError, RangeError, StepSizeError
+from langevin_gf.errors import (
+    ArgumentError,
+    CapabilityError,
+    EvaluationError,
+    RangeError,
+    StepSizeError,
+)
 from langevin_gf.integrators import (
     AffineStepMap,
     GaussianLaw,
@@ -590,6 +597,45 @@ def test_gf2_affine_map_structure():
     tiny = gf2_affine_map(params, h=1e-8)
     assert_allclose(tiny.B, np.eye(2), atol=1e-6)
     assert_allclose(tiny.G, [[-0.5], [0.0]], atol=1e-7)
+
+
+def closed_form_affine(a, v, sigma, h):
+    """B and G of the gf2 map on the linear oscillator, solved by hand.
+
+    With f(q) = a q and M = a the implicit solve is a division by
+    1 + (h^2/2) a^2, and Sigma = -sigma; an oracle independent of the kernel.
+    """
+    noise = -sigma
+    evm = math.exp(-v * h)
+    evp = math.exp(v * h)
+    half_vh = 0.5 * v * h
+    den = 1.0 + 0.5 * h * h * a * a
+    b00 = evm / den
+    b01 = -h * (1.0 + half_vh) * evm * a / den
+    lower_gain = h * (1.0 - half_vh) * evp * a
+    b10 = lower_gain * b00
+    b11 = 1.0 + 0.5 * h * h * a * a + lower_gain * b01
+    g0 = (1.0 + half_vh) * evm * noise / den
+    g1 = lower_gain * g0 - 0.5 * h * a * noise
+    return np.array([[b00, b01], [b10, b11]]), np.array([[g0], [g1]])
+
+
+def test_gf2_affine_map_matches_closed_form():
+    grid = itertools.product((0.3, 1.0, 2.5, 4.0), (0.0, 0.1, 2.0, 5.0), (1e-6, 1e-3, 0.125, 0.5))
+    for a, v, h in grid:
+        amap = gf2_affine_map(LinearOscillator(a=a, v=v, sigma=0.5), h)
+        for got, want in zip((amap.B, amap.G), closed_form_affine(a, v, 0.5, h)):
+            assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want)), (a, v, h)
+        assert amap.c.tobytes() == np.zeros(2).tobytes()
+    # Bit for bit at the shipped parameters, from the spec and the built model.
+    spec = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    for k in range(3, 8):
+        B, G = closed_form_affine(1.0, 2.0, 0.5, 2.0**-k)
+        for model in (spec, spec.build()):
+            amap = gf2_affine_map(model, 2.0**-k)
+            assert amap.B.tobytes() == B.tobytes() and amap.G.tobytes() == G.tobytes()
+    with pytest.raises(CapabilityError):
+        gf2_affine_map(DoubleWell(v=2.0, beta=2.0).build(), 0.125)
 
 
 def test_affine_consistency_with_gf2_step():
