@@ -31,7 +31,7 @@ from langevin_gf.observables import TEST_FUNCTIONS
 
 plan = SeedPlan(master_seed=20240817)
 print("per-realization seeds derived from master seed"
-      f" {plan.master_seed} ({plan.derivation}):")
+      f" {plan.master_seed} (splitmix64):")
 for index in (0, 1, 2, 1_000_000):
     print(f"  realization {index:>8} -> {derive_seed(plan, index):>20}")
 

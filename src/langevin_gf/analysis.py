@@ -4,7 +4,10 @@ Quadrature over Gibbs and Gaussian laws, weak-error curves with order
 fitting, conformal-defect metrics, temporal averages, and the local
 mean-square order probe.  Everything here is deterministic; the Monte Carlo
 legs delegate to :mod:`langevin_gf.mc` and inherit its reproducibility
-contract.
+contract.  Gaussian expectations, single or per step of the linear chain,
+go through one routine that builds the Gauss-Hermite grid once per law and
+refuses a non-finite psi value, and the three order curves (deterministic,
+Monte Carlo weak error and local mean-square gap) share one point loop.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -39,18 +43,13 @@ DEFAULT_HERMITE_NODES = 64
 
 _PIPELINES = ("deterministic", "mc", "mc-censored")
 
-
-@functools.lru_cache(maxsize=64)
-def _leggauss(n_nodes: int) -> tuple[Array, Array]:
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+_mean_se = operator.attrgetter("mean", "std_error")
 
 
 @functools.lru_cache(maxsize=64)
-def _hermgauss(n_nodes: int) -> tuple[Array, Array]:
-    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
+def _gauss_rule(rule: Callable[[int], tuple[Array, Array]], n_nodes: int) -> tuple[Array, Array]:
+    """Read-only nodes and weights of a numpy Gauss rule, computed once per (rule, n)."""
+    nodes, weights = rule(n_nodes)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -71,7 +70,7 @@ def quad2d(
         raise ArgumentError(f"box must satisfy lo < hi, got ({lo}, {hi})")
     if n_nodes < 2:
         raise ArgumentError("need at least 2 quadrature nodes per axis")
-    ref_nodes, weights = _leggauss(n_nodes)
+    ref_nodes, weights = _gauss_rule(np.polynomial.legendre.leggauss, n_nodes)
     nodes = 0.5 * (hi - lo) * ref_nodes + 0.5 * (hi + lo)
     pgrid, qgrid = np.meshgrid(nodes, nodes, indexing="ij")
     values = np.asarray(f(pgrid, qgrid), dtype=float)
@@ -129,7 +128,7 @@ def _gauss_grid(law: GaussianLaw, n_nodes: int) -> tuple[Array, Array]:
     weights: list[Array] = []
     for lam in eigvals:
         if lam > 0.0 and lam > top * 1e-14:
-            x, w = _hermgauss(n_nodes)
+            x, w = _gauss_rule(np.polynomial.hermite.hermgauss, n_nodes)
             coords.append(x)
             weights.append(w)
         else:
@@ -144,6 +143,23 @@ def _gauss_grid(law: GaussianLaw, n_nodes: int) -> tuple[Array, Array]:
     return points, total_w / math.pi ** (k / 2.0)
 
 
+def _gauss_means(
+    psis: Sequence[Callable[[Array], Array]], law: GaussianLaw, n_nodes: int
+) -> Array:
+    """E psi(Z) for Z ~ law and each psi, all on one Gauss-Hermite grid."""
+    if n_nodes < 1:
+        raise ArgumentError("need at least 1 quadrature node per axis")
+    points, weights = _gauss_grid(law, n_nodes)
+    means = np.empty(len(psis))
+    for j, psi in enumerate(psis):
+        values = np.asarray(psi(points), dtype=float).reshape(weights.shape)
+        if not np.all(np.isfinite(values)):
+            bad = int(np.argmax(~np.isfinite(values)))
+            raise EvaluationError(f"psi is non-finite at quadrature point {points[bad]}")
+        means[j] = weights @ values
+    return means
+
+
 def gauss_expectation(
     psi: Callable[[Array], Array],
     law: GaussianLaw,
@@ -154,14 +170,7 @@ def gauss_expectation(
     psi receives an (N, k) block of sample points and returns (N,) values.
     Exact (to rounding) for polynomials of total degree <= 2*n_nodes - 1.
     """
-    if n_nodes < 1:
-        raise ArgumentError("need at least 1 quadrature node per axis")
-    points, weights = _gauss_grid(law, n_nodes)
-    values = np.asarray(psi(points), dtype=float).reshape(weights.shape)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.argmax(~np.isfinite(values)))
-        raise EvaluationError(f"psi is non-finite at quadrature point {points[bad]}")
-    return float(weights @ values)
+    return float(_gauss_means([psi], law, n_nodes)[0])
 
 
 def _phase_psi(psi: Callable[[Array, Array], Array]) -> Callable[[Array], Array]:
@@ -318,10 +327,17 @@ def linear_ergodic_series(
     for step in range(n_steps + 1):
         if step > 0:
             law = propagate_gaussian_chain(amap, law, 1, h)
-        points, weights = _gauss_grid(law, n_nodes)
-        for j, fn in enumerate(fns):
-            means[j, step] = float(weights @ np.asarray(fn(points), dtype=float))
+        means[:, step] = _gauss_means(fns, law, n_nodes)
     return h * np.arange(n_steps + 1), means
+
+
+def _order_report(
+    step_sizes: Sequence[float], pipeline: str, estimate: Callable[[float], tuple[float, float]]
+) -> WeakOrderReport:
+    """Fit the order of (error, std_error) = estimate(h) over the step sizes."""
+    return weak_order_report(
+        [WeakOrderPoint(float(h), *estimate(float(h)), pipeline) for h in step_sizes]
+    )
 
 
 def linear_weak_order(
@@ -333,16 +349,11 @@ def linear_weak_order(
     n_nodes: int = DEFAULT_HERMITE_NODES,
 ) -> WeakOrderReport:
     """Weak-order curve on the linear model, fully deterministic pipeline."""
-    points = [
-        WeakOrderPoint(
-            h=float(h),
-            error=weak_error_linear(model, psi, z0, h, T, n_nodes),
-            std_error=0.0,
-            pipeline="deterministic",
-        )
-        for h in step_sizes
-    ]
-    return weak_order_report(points)
+    return _order_report(
+        step_sizes,
+        "deterministic",
+        lambda h: (weak_error_linear(model, psi, z0, h, T, n_nodes), 0.0),
+    )
 
 
 def mc_weak_order(
@@ -356,15 +367,11 @@ def mc_weak_order(
     plan: SeedPlan,
 ) -> WeakOrderReport:
     """Weak-order curve against a common-random-number fine reference."""
-    points = []
-    for h in step_sizes:
-        est = weak_error_mc(model, psi, z0, float(h), T, n_realizations, refine, plan)
-        points.append(
-            WeakOrderPoint(
-                h=float(h), error=est.mean, std_error=est.std_error, pipeline="mc"
-            )
-        )
-    return weak_order_report(points)
+    return _order_report(
+        step_sizes,
+        "mc",
+        lambda h: _mean_se(weak_error_mc(model, psi, z0, h, T, n_realizations, refine, plan)),
+    )
 
 
 def local_ms_error(
@@ -376,12 +383,8 @@ def local_ms_error(
     plan: SeedPlan,
 ) -> WeakOrderReport:
     """Order fit of the one-step mean-square gap E ||Z(h) - Z_1||^2."""
-    points = []
-    for h in step_sizes:
-        est = one_step_ms_gap(model, z0, float(h), refine, n_realizations, plan)
-        points.append(
-            WeakOrderPoint(
-                h=float(h), error=est.mean, std_error=est.std_error, pipeline="mc"
-            )
-        )
-    return weak_order_report(points)
+    return _order_report(
+        step_sizes,
+        "mc",
+        lambda h: _mean_se(one_step_ms_gap(model, z0, h, refine, n_realizations, plan)),
+    )

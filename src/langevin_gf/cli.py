@@ -179,10 +179,11 @@ def _check_experiment(section: dict, command: str, problems: list[str]) -> None:
                 and isinstance(initials, list)
                 and len(labels) == len(initials)
                 and all(isinstance(s, str) and s and "," not in s for s in labels)
+                and len(set(labels)) == len(labels)
             )
             if not ok_labels:
                 problems.append(
-                    "experiment.initial_labels: one comma-free string per initial"
+                    "experiment.initial_labels: one distinct comma-free string per initial"
                 )
     pipeline = section.get("pipeline")
     if pipeline is not None and pipeline not in ("deterministic", "mc"):

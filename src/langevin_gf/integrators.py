@@ -15,7 +15,10 @@ single-state steps, :func:`simulate`, the Monte Carlo engine and the CLI's
 structure command share; the gf2 kernel also takes one step size per state
 and gives the analytic Jacobians of the states it stepped, which
 :func:`gf2_jacobian` returns for R = 1.  :func:`simulate` builds one kernel
-per run and steps (1, d) rows of a preallocated trajectory.
+per run and steps (1, d) rows of a preallocated trajectory.  On the linear
+oscillator the gf2 map is affine, and :func:`gf2_affine_map` reads its
+B, c and G off the same kernel rather than from a second copy of the update.
+The step loops here and in :mod:`.mc` share one blow-up screen, :func:`_nonfinite_row`.
 """
 
 from __future__ import annotations
@@ -329,9 +332,19 @@ _BLOWUPS = {
 }
 
 
+def _nonfinite_row(p: Array, q: Array) -> int | None:
+    """The first row of the (R, d) states (p, q) with a non-finite entry, or None.
+
+    Any non-finite entry makes p . q non-finite, so one dot product screens.
+    """
+    if math.isfinite(np.vdot(p, q)):
+        return None
+    bad = ~np.all(np.isfinite(p) & np.isfinite(q), axis=1)
+    return int(np.argmax(bad)) if np.any(bad) else None
+
+
 def _check_stepped(scheme: str, h: float, p1: Array, q1: Array) -> None:
-    # Any non-finite entry makes p . q non-finite, so one dot product screens.
-    if not math.isfinite(np.vdot(p1, q1)) and not _finite(p1, q1):
+    if _nonfinite_row(p1, q1) is not None:
         error, what = _BLOWUPS[scheme]
         raise error(f"{what} at h={h}")
 
@@ -452,8 +465,6 @@ def simulate(
         raise ArgumentError(f"unknown scheme {scheme!r}; choose from {sorted(_KERNELS)}")
     if n_steps < 0:
         raise ArgumentError("n_steps must be nonnegative")
-    if n_steps == 0:
-        return Trajectory(times=h * np.arange(1), states=(z0,))
     values = np.asarray(noise, dtype=float).reshape(n_steps, model.noise_dim)
     finite_rows = np.all(np.isfinite(values), axis=1)
     n_ok = n_steps if finite_rows.all() else int(np.argmin(finite_rows))
@@ -461,10 +472,7 @@ def simulate(
     q = np.empty((n_steps + 1, model.dim))
     k = 0
     try:
-        if z0.dim != model.dim:
-            raise ArgumentError("state dimension does not match the model")
-        _check_step_size(h)
-        h = float(h)
+        h = _step_inputs(model, z0, h, None)[0]
         p[0], q[0] = z0.p, z0.q
         kicks = _noise_kick(model.noise, values[:n_ok])
         step = _KERNELS[scheme](model, h)
@@ -525,30 +533,28 @@ def linear_exact_moments(model: object, z0: PhaseState, t: float) -> GaussianLaw
 def gf2_affine_map(model: object, h: float) -> AffineStepMap:
     """Exact affine form of the one-step map on the linear oscillator.
 
-    With f(q) = a q and M = a the implicit solve is scalar and the map is
-    Z_{n+1} = B Z_n + G dW (no drift offset).  det B = e^{-vh} to rounding.
+    The map is Z_{n+1} = B Z_n + c + G dW, read off the gf2 kernel in one
+    batch: the image of the origin is c, the images of the 2d unit states
+    minus c are the columns of B, and those of the origin under the m unit
+    noise kicks minus c are the columns of G.  c = 0 on this model, and
+    det B = e^{-vhd} to rounding.
     """
     a, v, sigma = _linear_params(model)
     _check_step_size(h)
-    noise = -sigma  # model noise convention Sigma = -sigma
-    evm = math.exp(-v * h)
-    evp = math.exp(v * h)
-    half_vh = 0.5 * v * h
-    den = 1.0 + 0.5 * h * h * a * a
-    b00 = evm / den
-    b01 = -h * (1.0 + half_vh) * evm * a / den
-    lower_gain = h * (1.0 - half_vh) * evp * a
-    b10 = lower_gain * b00
-    b11 = 1.0 + 0.5 * h * h * a * a + lower_gain * b01
-    g0 = (1.0 + half_vh) * evm * noise / den
-    g1 = lower_gain * g0 - 0.5 * h * a * noise
-    return AffineStepMap(
-        B=np.array([[b00, b01], [b10, b11]]),
-        c=np.zeros(2),
-        G=np.array([[g0], [g1]]),
-        friction=v,
-        h=h,
-    )
+    linear = model
+    if isinstance(model, LinearOscillator):
+        # build() refuses v = 0, which the frictionless diagnostics use; the kernel does not.
+        linear = dataclasses.replace(LinearOscillator(a, 1.0, sigma).build(), friction=v)
+    d, m = linear.dim, linear.noise_dim
+    states = np.vstack([np.zeros((1 + m, 2 * d)), np.eye(2 * d)])
+    dw = np.vstack([np.zeros((1, m)), np.eye(m), np.zeros((2 * d, m))])
+    kick = _noise_kick(linear.noise, dw)
+    p1, q1 = _Gf2Kernel(linear, h)(states[:, :d], states[:, d:], kick)
+    images = np.hstack([p1, q1])
+    c = images[0]
+    # C-ordered, as the chain's matrix products round differently by memory layout.
+    B, G = (np.ascontiguousarray(x.T) for x in (images[1 + m:] - c, images[1: 1 + m] - c))
+    return AffineStepMap(B=B, c=c, G=G, friction=v, h=h)
 
 
 def propagate_gaussian_chain(

@@ -54,7 +54,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ArgumentError, EstimationError, StepSizeError
-from .integrators import _KERNELS, _check_step_size, _noise_kick
+from .integrators import _KERNELS, _check_step_size, _noise_kick, _nonfinite_row
 from .models import LangevinModel, PhaseState
 
 Array = np.ndarray
@@ -68,24 +68,18 @@ DRAW_BLOCK = 2**18
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_DERIVATIONS = ("splitmix64-v1",)
 
 
 @dataclasses.dataclass(frozen=True)
 class SeedPlan:
-    """Master seed plus the name of the index-to-seed derivation."""
+    """Master seed of the per-realization seeds that :func:`derive_seed` derives."""
 
     master_seed: int
-    derivation: str = "splitmix64-v1"
 
     def __post_init__(self) -> None:
         seed = int(self.master_seed)
         if not 0 <= seed <= _MASK64:
             raise ArgumentError("master_seed must be an unsigned 64-bit integer")
-        if self.derivation not in _DERIVATIONS:
-            raise ArgumentError(
-                f"unknown derivation {self.derivation!r}; supported: {_DERIVATIONS}"
-            )
         object.__setattr__(self, "master_seed", seed)
 
 
@@ -270,22 +264,6 @@ def _kicks(model: LangevinModel, dw: Array) -> Array:
     return _noise_kick(model.noise, dw.transpose(1, 0, 2))
 
 
-def _check_batch_finite(p: Array, q: Array, lo: int, step: int) -> None:
-    """Raise naming the first realization whose state is not finite.
-
-    Any non-finite entry makes p . q non-finite, so one dot product screens.
-    """
-    if math.isfinite(np.vdot(p, q)):
-        return
-    bad = ~np.all(np.isfinite(p) & np.isfinite(q), axis=1)
-    if np.any(bad):
-        index = lo + int(np.argmax(bad))
-        raise EstimationError(
-            f"realization {index} produced a non-finite state at step {step}",
-            where=(step, 1, index),
-        )
-
-
 def _chunk_lengths(total: int, chunk: int) -> list[int]:
     return [min(chunk, total - start) for start in range(0, total, chunk)]
 
@@ -350,7 +328,13 @@ def _advance_chunk(
                 raise EstimationError(
                     f"realization {index} failed at step {at}: {exc}", where=(at, 0, index)
                 ) from exc
-            _check_batch_finite(p, q, state.lo, first_step + s)
+            row = _nonfinite_row(p, q)
+            if row is not None:
+                index, at = state.lo + row, first_step + s
+                raise EstimationError(
+                    f"realization {index} produced a non-finite state at step {at}",
+                    where=(at, 1, index),
+                )
             if psi_rows is not None and out is not None:
                 for j, psi in enumerate(psi_rows):
                     out[s, j, state.lo: state.hi] = psi(p, q)

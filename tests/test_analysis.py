@@ -186,6 +186,13 @@ def test_gauss_expectation_nonfinite_psi():
         gauss_expectation(bad, law, 8)
 
 
+def test_linear_ergodic_series_nonfinite_psi():
+    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    blows_up = lambda p, q: np.where(q[..., 0] > 0.5, np.inf, 0.0)
+    with pytest.raises(EvaluationError, match=r"non-finite at quadrature point \[-?\d"):
+        linear_ergodic_series(osc, [cos_sum, blows_up], PhaseState([3.0], [1.0]), 0.125, 4)
+
+
 def test_weak_error_linear_zero_horizon():
     model = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
     z0 = PhaseState([3.0], [1.0])

@@ -196,20 +196,22 @@ def test_parse_rejects_deterministic_pipeline_on_double_well():
 
 
 def test_parse_rejects_comma_in_labels():
-    with pytest.raises(ConfigError, match="initial_labels"):
-        parse_config(
-            {
-                "model": linear_section(),
-                "experiment": {
-                    "T": 1.0,
-                    "step_size": 0.25,
-                    "test_functions": ["cos_sum"],
-                    "initials": [[3.0, 1.0]],
-                    "initial_labels": ["a,b"],
+    # A comma would split a CSV field; a repeated label gives rows that cannot be told apart.
+    for labels in (["a,b", "c"], ["x", "x"]):
+        with pytest.raises(ConfigError, match="initial_labels"):
+            parse_config(
+                {
+                    "model": linear_section(),
+                    "experiment": {
+                        "T": 1.0,
+                        "step_size": 0.25,
+                        "test_functions": ["cos_sum"],
+                        "initials": [[3.0, 1.0], [0.0, 2.0]],
+                        "initial_labels": labels,
+                    },
                 },
-            },
-            "ergodic",
-        )
+                "ergodic",
+            )
 
 
 def test_parse_rejects_wrong_model_params():

@@ -500,10 +500,17 @@ def test_simulate_names_the_failing_step():
          "at h=0.7071067811865476; reduce the step size"),
         ("gf2", [0.0, 0.0], -1.0, np.zeros((3, 1)), ArgumentError,
          "step 0: step size must be positive and finite, got -1.0"),
+        # An empty run validates its inputs as a one-step run does.
+        ("gf2", [[0.0, 0.0], [1.0, 1.0]], -1.0, np.zeros((0, 1)), ArgumentError,
+         "step 0: state dimension does not match the model"),
+        ("em", [[0.0, 0.0], [1.0, 1.0]], math.nan, np.zeros((0, 1)), ArgumentError,
+         "step 0: state dimension does not match the model"),
+        ("gf2", [0.0, 1.0], math.nan, np.zeros((0, 1)), ArgumentError,
+         "step 0: step size must be positive and finite, got nan"),
     ]
     for scheme, (p0, q0), h, noise, error, message in cases:
         with np.errstate(all="ignore"), pytest.raises(error) as info:
-            simulate(model, scheme, PhaseState([p0], [q0]), h, len(noise), noise)
+            simulate(model, scheme, PhaseState(p0, q0), h, len(noise), noise)
         assert str(info.value) == message
 
 

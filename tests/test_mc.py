@@ -109,8 +109,6 @@ def test_seed_plan_validation():
         SeedPlan(master_seed=-1)
     with pytest.raises(ArgumentError):
         SeedPlan(master_seed=2**64)
-    with pytest.raises(ArgumentError):
-        SeedPlan(master_seed=1, derivation="md5")
 
 
 def test_sample_increments_moments():
