@@ -78,7 +78,9 @@ class AffineStepMap:
 
     B acts on (p, q) in R^d x R^d.  ``friction`` and ``h`` are carried so the
     conformal determinant identity det B = e^{-vhd} can be checked at
-    construction, to a relative 1e-12.
+    construction, to a relative 1e-12.  B and G are stored C-ordered: the
+    BLAS products of :func:`propagate_gaussian_chain` round differently for
+    another memory layout.
     """
 
     B: Array
@@ -88,9 +90,9 @@ class AffineStepMap:
     h: float
 
     def __post_init__(self) -> None:
-        B = np.asarray(self.B, dtype=float)
+        B = np.ascontiguousarray(self.B, dtype=float)
         c = np.asarray(self.c, dtype=float).reshape(-1)
-        G = np.asarray(self.G, dtype=float)
+        G = np.ascontiguousarray(self.G, dtype=float)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise ArgumentError("B must be square")
         if c.shape[0] != B.shape[0] or G.shape[0] != B.shape[0]:
@@ -552,8 +554,7 @@ def gf2_affine_map(model: object, h: float) -> AffineStepMap:
     p1, q1 = _Gf2Kernel(linear, h)(states[:, :d], states[:, d:], kick)
     images = np.hstack([p1, q1])
     c = images[0]
-    # C-ordered, as the chain's matrix products round differently by memory layout.
-    B, G = (np.ascontiguousarray(x.T) for x in (images[1 + m:] - c, images[1: 1 + m] - c))
+    B, G = (images[1 + m:] - c).T, (images[1: 1 + m] - c).T
     return AffineStepMap(B=B, c=c, G=G, friction=v, h=h)
 
 

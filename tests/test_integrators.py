@@ -687,6 +687,15 @@ def test_propagate_gaussian_chain_basics():
         noise_cov = 0.3 * contraction.G @ contraction.G.T
         assert_allclose(out.cov, s ** (2 * n) * np.eye(4) + kept * noise_cov)
 
+    # The chain's bits do not depend on the memory layout B and G arrive in.
+    h = 2.0**-6
+    amap = gf2_affine_map(LinearOscillator(a=1.0, v=2.0, sigma=0.5), h)
+    fortran = dataclasses.replace(amap, B=np.asfortranarray(amap.B), G=np.asfortranarray(amap.G))
+    start = GaussianLaw(mean=[-10.0, 1.0], cov=np.zeros((2, 2)))
+    laws = [propagate_gaussian_chain(m, start, 160, h) for m in (amap, fortran)]
+    assert laws[0].mean.tobytes() == laws[1].mean.tobytes()
+    assert laws[0].cov.tobytes() == laws[1].cov.tobytes()
+
 
 def test_affine_step_map_checks_conformal_determinant_in_every_dimension():
     v, h = 1.0, 0.3
