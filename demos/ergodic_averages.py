@@ -41,11 +41,11 @@ T = 60.0
 n_steps = round(T / h)
 print(f"linear oscillator, h = {h}, averaging window T = {T}")
 print(f"{'initial':>10}  " + "".join(f"{name:>12}" for name in NAMES))
-for label, z0 in INITIALS:
-    _, means = linear_ergodic_series(linear, PSIS, z0, h, n_steps)
+_, all_means = linear_ergodic_series(linear, PSIS, [z0 for _, z0 in INITIALS], h, n_steps)
+for (label, _), means in zip(INITIALS, all_means):
     finals = [temporal_average(series)[-1] for series in means]
     print(f"{label:>10}  " + "".join(f"{value:>12.6f}" for value in finals))
-refs = [ergodic_reference(linear, psi) for psi in PSIS]
+refs = ergodic_reference(linear, PSIS)
 print(f"{'reference':>10}  " + "".join(f"{value:>12.6f}" for value in refs))
 
 # --- double well, Monte Carlo pipeline ------------------------------------
@@ -63,7 +63,7 @@ for i, (label, z0) in enumerate(INITIALS):
     _, means = mc_step_means(model, PSIS, z0, h, n_steps, n_realizations, SeedPlan(50 + i))
     finals = [temporal_average(series)[-1] for series in means]
     print(f"{label:>10}  " + "".join(f"{value:>12.6f}" for value in finals))
-refs = [ergodic_reference(double_well, psi) for psi in PSIS]
+refs = ergodic_reference(double_well, PSIS)
 print(f"{'reference':>10}  " + "".join(f"{value:>12.6f}" for value in refs))
 print(
     "\nthe double-well rows carry Monte Carlo noise of a few parts in a"

@@ -19,8 +19,8 @@ T = 1.0
 step_sizes = [2.0**-k for k in range(3, 8)]
 
 print(f"linear oscillator a=1, v=2, sigma=0.5, start (3, 1), horizon T={T}\n")
-for name, psi in TEST_FUNCTIONS.items():
-    report = linear_weak_order(model, psi, z0, T, step_sizes)
+reports = linear_weak_order(model, list(TEST_FUNCTIONS.values()), z0, T, step_sizes)
+for name, report in zip(TEST_FUNCTIONS, reports):
     print(f"test function {name}:")
     print(f"  {'h':>12} {'weak error':>14}")
     for point in report.points:

@@ -5,9 +5,15 @@ fitting, conformal-defect metrics, temporal averages, and the local
 mean-square order probe.  Everything here is deterministic; the Monte Carlo
 legs delegate to :mod:`langevin_gf.mc` and inherit its reproducibility
 contract.  Gaussian expectations, single or per step of the linear chain,
-go through one routine that builds the Gauss-Hermite grid once per law and
-refuses a non-finite psi value, and the three order curves (deterministic,
-Monte Carlo weak error and local mean-square gap) share one point loop.
+go through one routine that refuses a non-finite psi value; the tensor
+Gauss-Hermite grid is built once per process and only rotated and scaled
+to each covariance.  Every function takes the sequence of test functions
+and does the law-dependent work once for all of them: one Gibbs density
+for the ergodic references, one exact and one chain law per step size for
+the deterministic weak order, and, in the ergodic series, one covariance
+chain for all initial points, with exact reuse once the chain stops
+moving in floating point.  The three order curves (deterministic, Monte
+Carlo weak error and local mean-square gap) share one point loop.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from .errors import (
 )
 from .integrators import (
     GaussianLaw,
+    _chain_step,
+    _check_spectrum,
     _check_step_size,
     gf2_affine_map,
     linear_exact_moments,
@@ -42,6 +50,9 @@ DEFAULT_LEGENDRE_NODES = 200
 DEFAULT_HERMITE_NODES = 64
 
 _PIPELINES = ("deterministic", "mc", "mc-censored")
+# Grid rows per block when a test function or density is evaluated on the
+# Gauss-Legendre grid.
+_ROW_BLOCK = 25
 
 _mean_se = operator.attrgetter("mean", "std_error")
 
@@ -55,16 +66,10 @@ def _gauss_rule(rule: Callable[[int], tuple[Array, Array]], n_nodes: int) -> tup
     return nodes, weights
 
 
-def quad2d(
-    f: Callable[[Array, Array], Array],
-    box: tuple[float, float] = DEFAULT_BOX,
-    n_nodes: int = DEFAULT_LEGENDRE_NODES,
-) -> float:
-    """Tensor-product Gauss-Legendre integral of f over box x box.
-
-    The integrand must be vectorized: it receives two (n, n) grids and must
-    return an (n, n) array of values.
-    """
+def _legendre_grid(
+    box: tuple[float, float], n_nodes: int
+) -> tuple[Array, Array, Array, float]:
+    """(p, q) node grids, axis weights and area factor of Gauss-Legendre on box x box."""
     lo, hi = float(box[0]), float(box[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ArgumentError(f"box must satisfy lo < hi, got ({lo}, {hi})")
@@ -72,7 +77,23 @@ def quad2d(
         raise ArgumentError("need at least 2 quadrature nodes per axis")
     ref_nodes, weights = _gauss_rule(np.polynomial.legendre.leggauss, n_nodes)
     nodes = 0.5 * (hi - lo) * ref_nodes + 0.5 * (hi + lo)
-    pgrid, qgrid = np.meshgrid(nodes, nodes, indexing="ij")
+    # Read-only broadcast views: a full copy of each grid would add 2 n^2 floats.
+    pgrid = np.broadcast_to(nodes[:, None], (n_nodes, n_nodes))
+    qgrid = np.broadcast_to(nodes[None, :], (n_nodes, n_nodes))
+    return pgrid, qgrid, weights, (0.5 * (hi - lo)) ** 2
+
+
+def quad2d(
+    f: Callable[[Array, Array], Array],
+    box: tuple[float, float] = DEFAULT_BOX,
+    n_nodes: int = DEFAULT_LEGENDRE_NODES,
+) -> float:
+    """Tensor-product Gauss-Legendre integral of f over box x box.
+
+    The integrand must be vectorized: it receives two read-only (n, n) grids
+    and must return an (n, n) array of values.
+    """
+    pgrid, qgrid, weights, scale = _legendre_grid(box, n_nodes)
     values = np.asarray(f(pgrid, qgrid), dtype=float)
     if values.shape != pgrid.shape:
         raise ArgumentError(
@@ -84,50 +105,63 @@ def quad2d(
         raise EvaluationError(
             f"integrand is non-finite at node (p={pgrid[i, j]}, q={qgrid[i, j]})"
         )
-    scale = (0.5 * (hi - lo)) ** 2
     return float(scale * (weights @ values @ weights))
 
 
 def ergodic_reference(
     model: object,
-    psi: Callable[[Array, Array], Array],
+    psis: Sequence[Callable[[Array, Array], Array]],
     box: tuple[float, float] = DEFAULT_BOX,
     n_nodes: int = DEFAULT_LEGENDRE_NODES,
-) -> float:
-    """Spatial average of psi under the model's Gibbs density.
+) -> list[float]:
+    """Spatial average of each psi under the model's Gibbs density.
 
     Computes quad2d(psi * rho) / quad2d(rho); the normalization is computed,
-    never assumed.  psi follows the test-function convention (momentum and
-    position blocks with a trailing coordinate axis).
+    never assumed.  rho is evaluated and normalised once for all psis.  psi
+    follows the test-function convention (momentum and position blocks with
+    a trailing coordinate axis, values per point); it and rho are evaluated
+    on blocks of grid rows, which keeps every bit and the memory small.
     """
-    rho = gibbs_density_fn(model)
-    norm = quad2d(rho, box, n_nodes)
+    rho = _by_row_blocks(gibbs_density_fn(model), *_legendre_grid(box, n_nodes)[:2])
+    # quad2d integrates on the same grid, so its integrands reuse rho as is.
+    norm = quad2d(lambda p, q: rho, box, n_nodes)
     if not norm > 1e-300:
         raise DegenerateDensityError(
             f"Gibbs normalization integral {norm} is numerically zero on {box}"
         )
-    weighted = quad2d(
-        lambda p, q: np.asarray(psi(p[..., None], q[..., None]), dtype=float) * rho(p, q),
-        box,
-        n_nodes,
-    )
-    return weighted / norm
+
+    def weighted(p: Array, q: Array, psi: Callable[[Array, Array], Array]) -> Array:
+        values = _by_row_blocks(lambda pb, qb: psi(pb[..., None], qb[..., None]), p, q)
+        values *= rho
+        return values
+
+    return [
+        quad2d(functools.partial(weighted, psi=psi), box, n_nodes) / norm for psi in psis
+    ]
 
 
-def _gauss_grid(law: GaussianLaw, n_nodes: int) -> tuple[Array, Array]:
-    """Gauss-Hermite tensor grid adapted to the law's eigenstructure.
+def _by_row_blocks(fn: Callable[[Array, Array], Array], p: Array, q: Array) -> Array:
+    """fn(p, q) for an elementwise fn, evaluated on blocks of grid rows.
 
-    Directions with (numerically) zero variance collapse to point masses, so
-    degenerate laws cost nothing extra and stay exact.
+    The values are those of one call on the whole grid, but fn's temporaries
+    stay the size of a block rather than of the grid.
     """
-    cov = law.cov
-    k = cov.shape[0]
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    top = max(float(eigvals[-1]), 0.0)
+    out = np.empty(p.shape)
+    for lo in range(0, p.shape[0], _ROW_BLOCK):
+        out[lo: lo + _ROW_BLOCK] = fn(p[lo: lo + _ROW_BLOCK], q[lo: lo + _ROW_BLOCK])
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _hermite_grid(live: tuple[bool, ...], n_nodes: int) -> tuple[Array, Array]:
+    """Read-only tensor Gauss-Hermite nodes and normalised weights, built once per pattern.
+
+    A direction that is not live is a point mass: one node at 0.
+    """
     coords: list[Array] = []
     weights: list[Array] = []
-    for lam in eigvals:
-        if lam > 0.0 and lam > top * 1e-14:
+    for alive in live:
+        if alive:
             x, w = _gauss_rule(np.polynomial.hermite.hermgauss, n_nodes)
             coords.append(x)
             weights.append(w)
@@ -138,18 +172,34 @@ def _gauss_grid(law: GaussianLaw, n_nodes: int) -> tuple[Array, Array]:
     wmesh = np.meshgrid(*weights, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
     total_w = np.prod(np.stack([m.ravel() for m in wmesh], axis=1), axis=1)
+    total_w = total_w / math.pi ** (len(live) / 2.0)
+    grid.setflags(write=False)
+    total_w.setflags(write=False)
+    return grid, total_w
+
+
+def _gauss_grid(cov: Array, n_nodes: int) -> tuple[Array, Array]:
+    """Offsets from the mean and weights of the Gauss-Hermite grid adapted to cov.
+
+    The grid follows cov's eigenstructure.  Directions with (numerically)
+    zero variance collapse to point masses, so degenerate laws cost nothing
+    extra and stay exact.  A significantly negative eigenvalue is refused.
+    """
+    if n_nodes < 1:
+        raise ArgumentError("need at least 1 quadrature node per axis")
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    _check_spectrum(eigvals, cov)
+    top = max(float(eigvals[-1]), 0.0)
+    live = tuple(bool(lam > 0.0 and lam > top * 1e-14) for lam in eigvals)
+    grid, weights = _hermite_grid(live, n_nodes)
     scales = np.sqrt(2.0 * np.clip(eigvals, 0.0, None))
-    points = law.mean + (grid * scales) @ eigvecs.T
-    return points, total_w / math.pi ** (k / 2.0)
+    return (grid * scales) @ eigvecs.T, weights
 
 
 def _gauss_means(
-    psis: Sequence[Callable[[Array], Array]], law: GaussianLaw, n_nodes: int
+    psis: Sequence[Callable[[Array], Array]], points: Array, weights: Array
 ) -> Array:
-    """E psi(Z) for Z ~ law and each psi, all on one Gauss-Hermite grid."""
-    if n_nodes < 1:
-        raise ArgumentError("need at least 1 quadrature node per axis")
-    points, weights = _gauss_grid(law, n_nodes)
+    """weights @ psi(points) for each psi; a non-finite psi value names its point."""
     means = np.empty(len(psis))
     for j, psi in enumerate(psis):
         values = np.asarray(psi(points), dtype=float).reshape(weights.shape)
@@ -158,6 +208,14 @@ def _gauss_means(
             raise EvaluationError(f"psi is non-finite at quadrature point {points[bad]}")
         means[j] = weights @ values
     return means
+
+
+def _law_means(
+    psis: Sequence[Callable[[Array], Array]], law: GaussianLaw, n_nodes: int
+) -> Array:
+    """E psi(Z) for Z ~ law and each psi, all on one Gauss-Hermite grid."""
+    offsets, weights = _gauss_grid(law.cov, n_nodes)
+    return _gauss_means(psis, law.mean + offsets, weights)
 
 
 def gauss_expectation(
@@ -170,7 +228,7 @@ def gauss_expectation(
     psi receives an (N, k) block of sample points and returns (N,) values.
     Exact (to rounding) for polynomials of total degree <= 2*n_nodes - 1.
     """
-    return float(_gauss_means([psi], law, n_nodes)[0])
+    return float(_law_means([psi], law, n_nodes)[0])
 
 
 def _phase_psi(psi: Callable[[Array, Array], Array]) -> Callable[[Array], Array]:
@@ -180,17 +238,18 @@ def _phase_psi(psi: Callable[[Array, Array], Array]) -> Callable[[Array], Array]
 
 def weak_error_linear(
     model: object,
-    psi: Callable[[Array, Array], Array],
+    psis: Sequence[Callable[[Array, Array], Array]],
     z0: PhaseState,
     h: float,
     T: float,
     n_nodes: int = DEFAULT_HERMITE_NODES,
-) -> float:
-    """|E psi(exact law at T) - E psi(numerical Gaussian chain at T)|.
+) -> Array:
+    """|E psi(exact law at T) - E psi(numerical Gaussian chain at T)| for each psi.
 
     Fully deterministic: the exact law comes from the augmented matrix
     exponential, the numerical law from propagating the affine one-step map,
-    and both expectations from Gauss-Hermite quadrature.
+    and both expectations from Gauss-Hermite quadrature.  Each law is
+    computed, and its grid built, once for all psis.
     """
     if z0.dim != 1:
         raise ArgumentError("the deterministic weak-error pipeline is one-dimensional")
@@ -198,8 +257,8 @@ def weak_error_linear(
     exact = linear_exact_moments(model, z0, T)
     start = GaussianLaw(np.array([z0.p[0], z0.q[0]]), np.zeros((2, 2)))
     numeric = propagate_gaussian_chain(gf2_affine_map(model, h), start, n_steps, h)
-    fn = _phase_psi(psi)
-    return abs(gauss_expectation(fn, exact, n_nodes) - gauss_expectation(fn, numeric, n_nodes))
+    fns = [_phase_psi(psi) for psi in psis]
+    return np.abs(_law_means(fns, exact, n_nodes) - _law_means(fns, numeric, n_nodes))
 
 
 def fit_order(points: Iterable[tuple[float, float]]) -> tuple[float, float]:
@@ -305,29 +364,59 @@ def weak_order_report(points: Sequence[WeakOrderPoint]) -> WeakOrderReport:
 def linear_ergodic_series(
     model: object,
     psis: Sequence[Callable[[Array, Array], Array]],
-    z0: PhaseState,
+    initials: Sequence[PhaseState],
     h: float,
     n_steps: int,
     n_nodes: int = DEFAULT_HERMITE_NODES,
 ) -> tuple[Array, Array]:
     """Deterministic per-step expectations E psi(Z_n) on the linear model.
 
-    Propagates the exact Gaussian law of the scheme step by step and applies
-    Gauss-Hermite quadrature for every test function on a shared node grid.
-    Returns (times, means) with means of shape (len(psis), n_steps + 1).
+    Propagates the exact Gaussian law of the scheme from each initial point
+    step by step and applies Gauss-Hermite quadrature for every test
+    function on a shared node grid.  The covariance starts at zero for every
+    initial, so it is stepped and factored once per step for all of them,
+    and a covariance that repeats the previous step's byte for byte reuses
+    its grid offsets.  An initial whose quadrature points repeat the previous
+    step's byte for byte copies that step's means instead of calling psi,
+    which must therefore be a pure function of its points.  Every value is
+    bit-identical to composing :func:`propagate_gaussian_chain` and
+    :func:`gauss_expectation` step by step.
+
+    Returns (times, means) with means of shape
+    (len(initials), len(psis), n_steps + 1).
     """
     if n_steps < 0:
         raise ArgumentError("step count must be nonnegative")
-    if z0.dim != 1:
+    if any(z0.dim != 1 for z0 in initials):
         raise ArgumentError("the deterministic ergodic pipeline is one-dimensional")
     amap = gf2_affine_map(model, h)
-    law = GaussianLaw(np.array([z0.p[0], z0.q[0]]), np.zeros((2, 2)))
+    noise_cov = h * (amap.G @ amap.G.T)
+    centres = [np.array([z0.p[0], z0.q[0]]) for z0 in initials]
+    cov = np.zeros((2, 2))
     fns = [_phase_psi(psi) for psi in psis]
-    means = np.empty((len(fns), n_steps + 1))
+    means = np.empty((len(centres), len(fns), n_steps + 1))
+    cov_key = None
+    point_keys: list[bytes | None] = [None] * len(centres)
     for step in range(n_steps + 1):
         if step > 0:
-            law = propagate_gaussian_chain(amap, law, 1, h)
-        means[:, step] = _gauss_means(fns, law, n_nodes)
+            centres, cov = _chain_step(amap, centres, cov, noise_cov)
+        if cov.tobytes() != cov_key:
+            cov_key = cov.tobytes()
+            offsets, weights = _gauss_grid(cov, n_nodes)
+            pairs = offsets.view(np.complex128)
+        for i, centre in enumerate(centres):
+            # centre + offsets, as one complex sum per point: the real and
+            # imaginary parts add separately, so the floats are the same, and
+            # it avoids broadcasting over a length-2 axis, which costs 8x more.
+            points = (pairs + complex(centre[0], centre[1])).view(np.float64)
+            # Grids with as many points have the same weights, so equal
+            # points give equal means.
+            key = points.tobytes()
+            if key == point_keys[i]:
+                means[i, :, step] = means[i, :, step - 1]
+            else:
+                means[i, :, step] = _gauss_means(fns, points, weights)
+                point_keys[i] = key
     return h * np.arange(n_steps + 1), means
 
 
@@ -342,18 +431,23 @@ def _order_report(
 
 def linear_weak_order(
     model: object,
-    psi: Callable[[Array, Array], Array],
+    psis: Sequence[Callable[[Array, Array], Array]],
     z0: PhaseState,
     T: float,
     step_sizes: Sequence[float],
     n_nodes: int = DEFAULT_HERMITE_NODES,
-) -> WeakOrderReport:
-    """Weak-order curve on the linear model, fully deterministic pipeline."""
-    return _order_report(
-        step_sizes,
-        "deterministic",
-        lambda h: (weak_error_linear(model, psi, z0, h, T, n_nodes), 0.0),
-    )
+) -> list[WeakOrderReport]:
+    """Weak-order curve of each psi on the linear model, fully deterministic pipeline.
+
+    The laws of each step size are computed once for all psis.
+    """
+    errors = {
+        float(h): weak_error_linear(model, psis, z0, float(h), T, n_nodes) for h in step_sizes
+    }
+    return [
+        _order_report(step_sizes, "deterministic", lambda h, j=j: (float(errors[h][j]), 0.0))
+        for j in range(len(psis))
+    ]
 
 
 def mc_weak_order(

@@ -380,14 +380,13 @@ def _run_weak_order(config: ExperimentConfig) -> list[Path]:
     label, z0 = _initials(config)[0]
     steps = [float(h) for h in exp["step_sizes"]]
     plan = SeedPlan(config.mc["master_seed"])
-    rows: list[tuple] = []
-    footers: list[tuple] = []
-    for name in exp["test_functions"]:
-        psi = get_test_function(name)
-        if exp["pipeline"] == "deterministic":
-            report = linear_weak_order(spec, psi, z0, float(exp["T"]), steps)
-        else:
-            report = mc_weak_order(
+    names = list(exp["test_functions"])
+    psis = [get_test_function(name) for name in names]
+    if exp["pipeline"] == "deterministic":
+        reports = linear_weak_order(spec, psis, z0, float(exp["T"]), steps)
+    else:
+        reports = [
+            mc_weak_order(
                 spec.build(),
                 psi,
                 z0,
@@ -397,6 +396,11 @@ def _run_weak_order(config: ExperimentConfig) -> list[Path]:
                 config.mc["refine"],
                 plan,
             )
+            for psi in psis
+        ]
+    rows: list[tuple] = []
+    footers: list[tuple] = []
+    for name, report in zip(names, reports):
         for pt in report.points:
             rows.append((pt.h, name, pt.error, pt.std_error, pt.pipeline))
         footers.append((name, report.slope, report.intercept))
@@ -427,25 +431,22 @@ def _run_ergodic(config: ExperimentConfig) -> list[Path]:
         ) from None
     names = list(exp["test_functions"])
     psis = [get_test_function(name) for name in names]
-    references = [
-        ergodic_reference(
-            spec,
-            psi,
-            tuple(config.quadrature["box"]),
-            config.quadrature["nodes"],
-        )
-        for psi in psis
-    ]
+    references = ergodic_reference(
+        spec, psis, tuple(config.quadrature["box"]), config.quadrature["nodes"]
+    )
     plan = SeedPlan(config.mc["master_seed"])
     marks = _checkpoint_indices(n_steps, exp["checkpoints"])
+    initials = _initials(config)
+    if exp["pipeline"] == "deterministic":
+        times, series = linear_ergodic_series(spec, psis, [z0 for _, z0 in initials], h, n_steps)
+    else:
+        runs = [
+            mc_step_means(spec.build(), psis, z0, h, n_steps, config.mc["realizations"], plan)
+            for _, z0 in initials
+        ]
+        times, series = runs[0][0], [means for _, means in runs]
     rows: list[tuple] = []
-    for label, z0 in _initials(config):
-        if exp["pipeline"] == "deterministic":
-            times, means = linear_ergodic_series(spec, psis, z0, h, n_steps)
-        else:
-            times, means = mc_step_means(
-                spec.build(), psis, z0, h, n_steps, config.mc["realizations"], plan
-            )
+    for (label, _), means in zip(initials, series):
         for j, name in enumerate(names):
             running = temporal_average(means[j])
             for k in marks:

@@ -48,6 +48,18 @@ _COND_LIMIT = 1e12
 _FD_STEP = 1e-6
 # Relative tolerance of the conformal determinant identity of AffineStepMap.
 _DET_RTOL = 1e-12
+# Relative tolerance of a covariance's symmetry and of its negative eigenvalues.
+_COV_RTOL = 1e-12
+
+
+def _cov_scale(cov: Array) -> float:
+    return max(1.0, float(np.max(np.abs(cov))))
+
+
+def _check_spectrum(eigvals: Array, cov: Array) -> None:
+    """Refuse a covariance whose smallest eigenvalue is significantly negative."""
+    if float(np.min(eigvals)) < -_COV_RTOL * _cov_scale(cov):
+        raise ArgumentError("cov has a significantly negative eigenvalue")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,11 +75,9 @@ class GaussianLaw:
         n = mean.shape[0]
         if cov.shape != (n, n):
             raise ArgumentError(f"cov shape {cov.shape} does not match mean length {n}")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if float(np.max(np.abs(cov - cov.T))) > 1e-12 * scale:
+        if float(np.max(np.abs(cov - cov.T))) > _COV_RTOL * _cov_scale(cov):
             raise ArgumentError("cov is not symmetric")
-        if float(np.min(np.linalg.eigvalsh(cov))) < -1e-12 * scale:
-            raise ArgumentError("cov has a significantly negative eigenvalue")
+        _check_spectrum(np.linalg.eigvalsh(cov), cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -467,7 +477,12 @@ def simulate(
         raise ArgumentError(f"unknown scheme {scheme!r}; choose from {sorted(_KERNELS)}")
     if n_steps < 0:
         raise ArgumentError("n_steps must be nonnegative")
-    values = np.asarray(noise, dtype=float).reshape(n_steps, model.noise_dim)
+    values = np.asarray(noise, dtype=float)
+    if values.size != n_steps * model.noise_dim:
+        raise ArgumentError(
+            f"noise must hold ({n_steps}, {model.noise_dim}) increments, got shape {values.shape}"
+        )
+    values = values.reshape(n_steps, model.noise_dim)
     finite_rows = np.all(np.isfinite(values), axis=1)
     n_ok = n_steps if finite_rows.all() else int(np.argmin(finite_rows))
     p = np.empty((n_steps + 1, model.dim))
@@ -569,11 +584,21 @@ def propagate_gaussian_chain(
         raise ArgumentError("step count must be nonnegative")
     if amap.B.shape[0] != init.mean.shape[0]:
         raise ArgumentError("map and law dimensions disagree")
-    mean = init.mean.copy()
-    cov = init.cov.copy()
+    means, cov = [init.mean.copy()], init.cov.copy()
     noise_cov = h * (amap.G @ amap.G.T)
     for _ in range(n):
-        mean = amap.B @ mean + amap.c
-        cov = amap.B @ cov @ amap.B.T + noise_cov
-        cov = 0.5 * (cov + cov.T)
-    return GaussianLaw(mean=mean, cov=cov)
+        means, cov = _chain_step(amap, means, cov, noise_cov)
+    return GaussianLaw(mean=means[0], cov=cov)
+
+
+def _chain_step(
+    amap: AffineStepMap, means: list[Array], cov: Array, noise_cov: Array
+) -> tuple[list[Array], Array]:
+    """One step of Gaussian laws that share a covariance.
+
+    Returns B m + c for each mean m and the symmetrised B cov B^T + noise_cov.
+    Each mean is its own matrix-vector product, so the bits of a law do not
+    depend on how many others are stepped with it.
+    """
+    cov = amap.B @ cov @ amap.B.T + noise_cov
+    return [amap.B @ mean + amap.c for mean in means], 0.5 * (cov + cov.T)

@@ -71,8 +71,8 @@ def quadratic_d2_model():
 def test_c01_linear_weak_order_deterministic_slope():
     start = time.perf_counter()
     z0 = PhaseState([3.0], [1.0])
-    for name, psi in zip(PSI_NAMES, PSIS):
-        report = linear_weak_order(linear_spec(), psi, z0, 1.0, STEPS_COARSE)
+    reports = linear_weak_order(linear_spec(), PSIS, z0, 1.0, STEPS_COARSE)
+    for name, report in zip(PSI_NAMES, reports):
         assert 1.8 <= report.slope <= 2.2, f"{name}: slope {report.slope}"
     assert time.perf_counter() - start < 60.0
 
@@ -147,14 +147,14 @@ def test_c04_augmented_route_matches_direct_map():
                 assert g_alpha(model, alpha, x, y) == 0.0
 
 
-@pytest.mark.slow
 def test_c05_linear_ergodic_averages_match_quadrature():
     spec = linear_spec()
     h = 2.0**-6
     n_steps = round(300.0 / h)
-    references = [ergodic_reference(spec, psi) for psi in PSIS]
-    for label, z0 in PAPER_INITIALS:
-        _, means = linear_ergodic_series(spec, PSIS, z0, h, n_steps)
+    references = ergodic_reference(spec, PSIS)
+    initials = [z0 for _, z0 in PAPER_INITIALS]
+    _, all_means = linear_ergodic_series(spec, PSIS, initials, h, n_steps)
+    for (label, _), means in zip(PAPER_INITIALS, all_means):
         for name, series, ref in zip(PSI_NAMES, means, references):
             final = temporal_average(series)[-1]
             assert abs(final - ref) <= 0.02, f"{label}/{name}: {final} vs {ref}"
@@ -215,7 +215,7 @@ def test_c09_double_well_ergodic_averages_agree():
     model = spec.build()
     h = 2.0**-6
     n_steps = round(500.0 / h)
-    references = [ergodic_reference(spec, psi) for psi in PSIS]
+    references = ergodic_reference(spec, PSIS)
     finals = np.empty((len(PAPER_INITIALS), len(PSIS)))
     for i, (label, z0) in enumerate(PAPER_INITIALS):
         _, means = mc_step_means(

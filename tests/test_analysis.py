@@ -41,6 +41,7 @@ from langevin_gf.models import (
     LangevinModel,
     LinearOscillator,
     PhaseState,
+    gibbs_density_fn,
 )
 from langevin_gf.observables import cos_sum, exp_negsq, sin_sumsq
 
@@ -108,23 +109,35 @@ def test_quad2d_stabilizes_under_refinement():
 def test_ergodic_reference_constant_is_exact():
     model = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
     ones = lambda p, q: np.ones(p.shape[:-1])
-    assert ergodic_reference(model, ones) == 1.0
+    assert ergodic_reference(model, [ones]) == [1.0]
 
 
 def test_ergodic_reference_linear_closed_forms():
     # Stationary marginals are N(0, c) per coordinate with c = sigma^2/(2v).
     model = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
     c = 0.0625
-    assert_allclose(ergodic_reference(model, exp_negsq), 1.0 / (1.0 + c), rtol=1e-10)
-    assert_allclose(ergodic_reference(model, cos_sum), math.exp(-c), rtol=1e-10)
+    neg, cos, sin = ergodic_reference(model, [exp_negsq, cos_sum, sin_sumsq])
+    assert_allclose(neg, 1.0 / (1.0 + c), rtol=1e-10)
+    assert_allclose(cos, math.exp(-c), rtol=1e-10)
     # E sin(p^2+q^2) = Im[(1-2ic)^-1] = 2c/(1+4c^2).
-    assert_allclose(
-        ergodic_reference(model, sin_sumsq), 2 * c / (1 + 4 * c * c), rtol=1e-9
-    )
+    assert_allclose(sin, 2 * c / (1 + 4 * c * c), rtol=1e-9)
+
+
+def test_ergodic_reference_equals_the_whole_grid_quotient():
+    # One density and row-block evaluation give the bits of quad2d(psi rho) / quad2d(rho).
+    model = DoubleWell(v=4.0, beta=2.0)
+    psis = [cos_sum, exp_negsq, sin_sumsq]
+    rho = gibbs_density_fn(model)
+    norm = quad2d(rho)
+    direct = [
+        quad2d(lambda p, q: np.asarray(psi(p[..., None], q[..., None]), float) * rho(p, q)) / norm
+        for psi in psis
+    ]
+    assert ergodic_reference(model, psis) == direct
 
 
 def test_ergodic_reference_double_well_is_sane():
-    ref = ergodic_reference(DoubleWell(v=4.0, beta=2.0), cos_sum)
+    (ref,) = ergodic_reference(DoubleWell(v=4.0, beta=2.0), [cos_sum])
     assert math.isfinite(ref)
     assert abs(ref) <= 1.0
 
@@ -132,7 +145,7 @@ def test_ergodic_reference_double_well_is_sane():
 def test_ergodic_reference_degenerate_density():
     model = LinearOscillator(a=1e150, v=2.0, sigma=0.5)
     with pytest.raises(DegenerateDensityError):
-        ergodic_reference(model, cos_sum)
+        ergodic_reference(model, [cos_sum])
 
 
 def test_gauss_expectation_trivial_and_linear():
@@ -190,20 +203,20 @@ def test_linear_ergodic_series_nonfinite_psi():
     osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
     blows_up = lambda p, q: np.where(q[..., 0] > 0.5, np.inf, 0.0)
     with pytest.raises(EvaluationError, match=r"non-finite at quadrature point \[-?\d"):
-        linear_ergodic_series(osc, [cos_sum, blows_up], PhaseState([3.0], [1.0]), 0.125, 4)
+        linear_ergodic_series(osc, [cos_sum, blows_up], [PhaseState([3.0], [1.0])], 0.125, 4)
 
 
 def test_weak_error_linear_zero_horizon():
     model = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
     z0 = PhaseState([3.0], [1.0])
-    assert weak_error_linear(model, cos_sum, z0, 0.125, 0.0) == 0.0
+    assert weak_error_linear(model, [cos_sum, sin_sumsq], z0, 0.125, 0.0).tolist() == [0.0, 0.0]
 
 
 def test_weak_error_linear_second_order_ratio():
     model = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
     z0 = PhaseState([3.0], [1.0])
-    coarse = weak_error_linear(model, cos_sum, z0, 2.0**-3, 1.0)
-    fine = weak_error_linear(model, cos_sum, z0, 2.0**-5, 1.0)
+    (coarse,) = weak_error_linear(model, [cos_sum], z0, 2.0**-3, 1.0)
+    (fine,) = weak_error_linear(model, [cos_sum], z0, 2.0**-5, 1.0)
     ratio = coarse / fine
     assert 16.0 / 1.5 <= ratio <= 16.0 * 1.5
 
@@ -212,7 +225,7 @@ def test_weak_error_linear_deterministic_limit():
     model = linear_model_custom(a=1.0, v=2.0, sigma=0.0)
     z0 = PhaseState([3.0], [1.0])
     coordinate = lambda p, q: q[..., 0]
-    report = linear_weak_order(model, coordinate, z0, 1.0, [2.0**-3, 2.0**-4, 2.0**-5])
+    (report,) = linear_weak_order(model, [coordinate], z0, 1.0, [2.0**-3, 2.0**-4, 2.0**-5])
     assert 1.7 <= report.slope <= 2.3
 
 
@@ -314,9 +327,15 @@ def test_weak_order_types_validate():
 def test_linear_weak_order_slope():
     model = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
     z0 = PhaseState([3.0], [1.0])
-    report = linear_weak_order(model, cos_sum, z0, 1.0, [2.0**-3, 2.0**-4, 2.0**-5])
-    assert 1.8 <= report.slope <= 2.2
-    assert all(pt.pipeline == "deterministic" for pt in report.points)
+    steps = [2.0**-3, 2.0**-4, 2.0**-5]
+    reports = linear_weak_order(model, [cos_sum, exp_negsq], z0, 1.0, steps)
+    for psi, report in zip((cos_sum, exp_negsq), reports):
+        assert 1.8 <= report.slope <= 2.2
+        assert all(pt.pipeline == "deterministic" for pt in report.points)
+        # One psi at a time gives the same bits as the shared laws.
+        assert [pt.error for pt in report.points] == [
+            float(weak_error_linear(model, [psi], z0, h, 1.0)[0]) for h in steps
+        ]
 
 
 def test_mc_weak_order_smoke():
@@ -367,7 +386,8 @@ def test_linear_ergodic_series_matches_direct_composition():
     osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
     z0 = PhaseState([3.0], [1.0])
     h, n = 0.125, 16
-    times, means = linear_ergodic_series(osc, [cos_sum, exp_negsq], z0, h, n, n_nodes=32)
+    times, means = linear_ergodic_series(osc, [cos_sum, exp_negsq], [z0], h, n, n_nodes=32)
+    means = means[0]
     assert_allclose(means[0, 0], math.cos(4.0), rtol=1e-13)
     amap = gf2_affine_map(osc, h)
     law = GaussianLaw(np.array([3.0, 1.0]), np.zeros((2, 2)))
@@ -379,3 +399,118 @@ def test_linear_ergodic_series_matches_direct_composition():
         )
         assert_allclose(means[0, step], expected, rtol=1e-12)
     assert times[-1] == pytest.approx(2.0)
+
+
+def _gaussian_oracles(mean: np.ndarray, cov: np.ndarray) -> list[float]:
+    """Closed-form E cos_sum, E exp_negsq and E sin_sumsq for Z ~ N(mean, cov) in R^2."""
+    one = np.ones(2)
+    cos = math.cos(one @ mean) * math.exp(-0.5 * one @ cov @ one)
+    damped = np.eye(2) + cov
+    neg = math.exp(-0.5 * mean @ np.linalg.solve(damped, mean)) / math.sqrt(
+        np.linalg.det(damped)
+    )
+    # E exp(i |Z|^2) = det(I - 2iC)^(-1/2) exp(i m'(I - 2iC)^(-1) m); the
+    # determinant's argument lies in (-pi, 0], so the principal root applies.
+    rotated = np.eye(2) - 2j * cov
+    sin = np.exp(1j * mean @ np.linalg.solve(rotated, mean)) / np.sqrt(np.linalg.det(rotated))
+    return [cos, neg, float(sin.imag)]
+
+
+def test_linear_ergodic_series_matches_gaussian_closed_forms():
+    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    h, n = 2.0**-6, 1600
+    initials = [PhaseState([-10.0], [1.0]), PhaseState([3.0], [1.0])]
+    _, means = linear_ergodic_series(osc, [cos_sum, exp_negsq, sin_sumsq], initials, h, n)
+    amap = gf2_affine_map(osc, h)
+    for i, z0 in enumerate(initials):
+        law = GaussianLaw(np.array([z0.p[0], z0.q[0]]), np.zeros((2, 2)))
+        done = 0
+        for step in (0, 1, 10, 100, 800, 1600):
+            law = propagate_gaussian_chain(amap, law, step - done, h)
+            done = step
+            assert_allclose(means[i, :, step], _gaussian_oracles(law.mean, law.cov), atol=1e-12)
+
+
+# At h = 0.25 the covariance stops moving after about 110 steps and, with 16
+# nodes per axis, the quadrature points of both initials after about 260.
+FREEZE_H, FREEZE_STEPS, FREEZE_NODES = 0.25, 320, 16
+FREEZE_INITIALS = (PhaseState([3.0], [1.0]), PhaseState([-10.0], [1.0]))
+
+
+def _composed_series(model, psis, z0, h, n_steps, n_nodes):
+    """E psi(Z_n) by propagate_gaussian_chain and gauss_expectation, one step at a time."""
+    amap = gf2_affine_map(model, h)
+    law = GaussianLaw(np.array([z0.p[0], z0.q[0]]), np.zeros((2, 2)))
+    out = np.empty((len(psis), n_steps + 1))
+    for step in range(n_steps + 1):
+        if step > 0:
+            law = propagate_gaussian_chain(amap, law, 1, h)
+        for j, psi in enumerate(psis):
+            out[j, step] = gauss_expectation(
+                lambda z: psi(z[..., :1], z[..., 1:]), law, n_nodes
+            )
+    return out
+
+
+def test_linear_ergodic_series_reuse_is_bit_exact_past_the_freeze():
+    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    calls = []
+
+    def counted(p, q):
+        calls.append(p.shape[0])
+        return cos_sum(p, q)
+
+    psis = [counted, sin_sumsq]
+    _, means = linear_ergodic_series(
+        osc, psis, FREEZE_INITIALS, FREEZE_H, FREEZE_STEPS, FREEZE_NODES
+    )
+    # Both initials froze well before the last step, so psi ran on fewer steps.
+    assert len(calls) < 2 * (FREEZE_STEPS - 40)
+    for i, z0 in enumerate(FREEZE_INITIALS):
+        direct = _composed_series(osc, psis, z0, FREEZE_H, FREEZE_STEPS, FREEZE_NODES)
+        assert means[i].tobytes() == direct.tobytes()
+        assert means[i, 0, -1] == means[i, 0, -41]
+
+
+def test_linear_ergodic_series_initials_are_independent():
+    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    psis = [cos_sum, exp_negsq, sin_sumsq]
+    times, together = linear_ergodic_series(
+        osc, psis, FREEZE_INITIALS, FREEZE_H, FREEZE_STEPS, FREEZE_NODES
+    )
+    assert together.shape == (2, 3, FREEZE_STEPS + 1)
+    for i, z0 in enumerate(FREEZE_INITIALS):
+        alone_times, alone = linear_ergodic_series(
+            osc, psis, [z0], FREEZE_H, FREEZE_STEPS, FREEZE_NODES
+        )
+        assert alone_times.tobytes() == times.tobytes()
+        assert alone[0].tobytes() == together[i].tobytes()
+
+
+def test_linear_ergodic_series_without_noise_is_a_point_mass():
+    model = linear_model_custom(a=1.0, v=2.0, sigma=0.0)
+    z0 = PhaseState([3.0], [1.0])
+    h, n = 0.125, 40
+    _, means = linear_ergodic_series(model, [cos_sum, sin_sumsq], [z0], h, n, n_nodes=8)
+    direct = _composed_series(model, [cos_sum, sin_sumsq], z0, h, n, 8)
+    assert means[0].tobytes() == direct.tobytes()
+    amap = gf2_affine_map(model, h)
+    z = np.array([3.0, 1.0])
+    for step in range(n + 1):
+        assert_allclose(means[0, 0, step], math.cos(z.sum()), rtol=1e-13, atol=1e-15)
+        z = amap.B @ z
+
+
+def test_linear_ergodic_series_refuses_a_negative_covariance(monkeypatch):
+    import langevin_gf.analysis as analysis
+
+    step = analysis._chain_step
+
+    def skewed(amap, means, cov, noise_cov):
+        means, cov = step(amap, means, cov, noise_cov)
+        return means, cov - np.eye(2)
+
+    monkeypatch.setattr(analysis, "_chain_step", skewed)
+    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    with pytest.raises(ArgumentError, match="cov has a significantly negative eigenvalue"):
+        linear_ergodic_series(osc, [cos_sum], [PhaseState([3.0], [1.0])], 0.125, 4)

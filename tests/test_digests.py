@@ -112,16 +112,17 @@ def _affine_map_bytes() -> bytes:
 
 def _weak_error_linear_bytes() -> bytes:
     z0 = PhaseState([3.0], [1.0])
-    errors = [weak_error_linear(LINEAR, psi, z0, h, 1.0) for psi in PSIS for h in STEP_SIZES]
-    return np.array(errors, dtype="<f8").tobytes()
+    errors = np.array([weak_error_linear(LINEAR, PSIS, z0, h, 1.0) for h in STEP_SIZES])
+    return np.ascontiguousarray(errors.T, dtype="<f8").tobytes()
 
 
 def _linear_ergodic_series_bytes() -> bytes:
+    initials = (PhaseState([-10.0], [1.0]), PhaseState([4.0], [2.0]))
+    times, means = linear_ergodic_series(LINEAR, PSIS, initials, 2.0**-6, 160)
     chunks = []
-    for z0 in (PhaseState([-10.0], [1.0]), PhaseState([4.0], [2.0])):
-        times, means = linear_ergodic_series(LINEAR, PSIS, z0, 2.0**-6, 160)
+    for series in means:
         chunks.append(np.ascontiguousarray(times, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(means, dtype="<f8").tobytes())
+        chunks.append(np.ascontiguousarray(series, dtype="<f8").tobytes())
     return b"".join(chunks)
 
 

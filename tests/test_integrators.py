@@ -467,6 +467,9 @@ def test_simulate_reports_failing_step():
             simulate(model, "em", z0, h=1.0, n_steps=10, noise=np.zeros((10, 1)))
     with pytest.raises(ArgumentError):
         simulate(model, "rk4", z0, h=1.0, n_steps=1, noise=np.zeros((1, 1)))
+    with pytest.raises(ArgumentError) as info:
+        simulate(model, "gf2", z0, 0.1, 5, np.zeros((3, 1)))
+    assert str(info.value) == "noise must hold (5, 1) increments, got shape (3, 1)"
 
 
 def test_simulate_equals_iterated_single_steps_for_each_scheme():
