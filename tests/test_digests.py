@@ -39,6 +39,7 @@ from langevin_gf.observables import cos_sum, exp_negsq, sin_sumsq
 SEEDS = (0, 2**64 - 1, 20240817)
 N_REALIZATIONS = 2500
 H, T, REFINE = 0.125, 1.0, 4
+PSIS = (cos_sum, exp_negsq, sin_sumsq)
 
 
 def _quadratic_d2():
@@ -90,6 +91,41 @@ def test_mc_output_digest(name):
     assert hashlib.sha256(_output_bytes(name)).hexdigest() == DIGESTS[name]
 
 
+# weak_error_mc for every (h, psi) and one_step_ms_gap for every h, per seed.
+COUPLED_STEP_SIZES = (0.25, 0.125, 0.0625)
+
+COUPLED_DIGESTS = {
+    "double_well": "0e5c6e7a4b35e4c4bfa1c3b44e693574f7557dd16cc64ebc98faf925903bfa31",
+    "linear_a1.3": "45894dc60f7c3bcf0c8821c56d944490d117784a5bff4a2173ddd71afd25aedb",
+    "quadratic_d2": "c3934afcd87fd5f7a1c42f13c3ce026ed3de6a666b3a6b56408d3fc0db84ef26",
+}
+
+
+def _coupled_bytes(name: str) -> bytes:
+    build, p0, q0 = MODELS[name]
+    model, z0 = build(), PhaseState(p0, q0)
+    chunks = []
+    for seed in SEEDS:
+        plan = SeedPlan(seed)
+        results = [
+            weak_error_mc(model, psi, z0, h, T, N_REALIZATIONS, REFINE, plan)
+            for h in COUPLED_STEP_SIZES
+            for psi in PSIS
+        ]
+        results += [
+            one_step_ms_gap(model, z0, h, REFINE, N_REALIZATIONS, plan)
+            for h in COUPLED_STEP_SIZES
+        ]
+        for result in results:
+            chunks.append(np.array([result.mean, result.std_error], dtype="<f8").tobytes())
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_coupled_output_digest(name):
+    assert hashlib.sha256(_coupled_bytes(name)).hexdigest() == COUPLED_DIGESTS[name]
+
+
 def test_blowup_message_is_pinned():
     model = DoubleWell(v=4.0, beta=2.0).build()
     h = 0.55
@@ -101,7 +137,6 @@ def test_blowup_message_is_pinned():
 
 
 LINEAR = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
-PSIS = (cos_sum, exp_negsq, sin_sumsq)
 STEP_SIZES = tuple(2.0**-k for k in range(3, 8))
 
 
