@@ -57,7 +57,7 @@ for master in (plan.master_seed, 0, 2**64 - 1):
 
 # The coupled estimator inherits the same contract: the fine chain reuses the
 # coarse chain's generators, so the coupling is part of the derivation too.
-coupled = weak_error_mc(model, psi, z0, 0.125, 2.0, 4096, 8, plan)
+[[coupled]] = weak_error_mc(model, [psi], z0, [0.125], 2.0, 4096, 8, plan)
 print(
     f"\ncoupled weak-error estimate at h=0.125 vs h/8: "
     f"{coupled.mean:+.6e} +- {coupled.std_error:.2e}"

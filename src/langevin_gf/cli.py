@@ -385,19 +385,16 @@ def _run_weak_order(config: ExperimentConfig) -> list[Path]:
     if exp["pipeline"] == "deterministic":
         reports = linear_weak_order(spec, psis, z0, float(exp["T"]), steps)
     else:
-        reports = [
-            mc_weak_order(
-                spec.build(),
-                psi,
-                z0,
-                float(exp["T"]),
-                steps,
-                config.mc["realizations"],
-                config.mc["refine"],
-                plan,
-            )
-            for psi in psis
-        ]
+        reports = mc_weak_order(
+            spec.build(),
+            psis,
+            z0,
+            float(exp["T"]),
+            steps,
+            config.mc["realizations"],
+            config.mc["refine"],
+            plan,
+        )
     rows: list[tuple] = []
     footers: list[tuple] = []
     for name, report in zip(names, reports):

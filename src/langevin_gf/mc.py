@@ -30,8 +30,13 @@ either.
 
 The three endpoint estimators (``mc_expectation``, ``weak_error_mc`` and
 ``one_step_ms_gap``) are validation around one driver,
-:func:`_endpoint_values`, which runs a whole task, single or coupled chain,
-before the next one starts, so only one task's state is ever held.
+:func:`_endpoint_values`, which runs a whole task before the next one
+starts, so only one task's state is ever held.  One normal stream per
+realization feeds every step size of a call: a task seeds its generators
+once, draws each block of unscaled normals once, and advances one chain
+(or one coupled coarse/fine pair) per step size on it, each scaling its
+own increments, so every step size keeps the bits of a call with it alone.
+Every test function is evaluated on the same endpoints.
 ``mc_step_means`` keeps its own chunk-outer loop: its per-step means are
 reduced over all realizations after every chunk, so it must hold every
 task's state across chunks, which the endpoint driver must not do for
@@ -360,45 +365,96 @@ def _endpoint_values(
     model: LangevinModel,
     scheme: str,
     z0: PhaseState,
-    h: float,
-    n_steps: int,
+    chains: Sequence[tuple[float, int]],
     n_realizations: int,
     plan: SeedPlan,
     refine: int | None,
-    endpoint: Callable[..., Array],
-) -> EstimatorResult:
-    """Mean and standard error of an endpoint value over seeded realizations.
+    endpoints: Sequence[Callable[..., Array]],
+) -> list[list[EstimatorResult]]:
+    """Mean and standard error of endpoint values, for each (h, n_steps) chain.
 
-    With ``refine=None`` each realization runs one chain of n_steps steps of h
-    and contributes endpoint(p, q) of its final state.  Otherwise a fine chain
-    at step h/refine runs on the coarse chain's generators, so both follow one
-    Brownian path: coarse increments are exact sums of refine consecutive fine
-    increments (common random numbers), and each realization contributes
-    endpoint(coarse, fine) of the two final batch states.
+    Each task seeds its generators once and draws each block of unscaled
+    normals once; every chain takes its increments from that one stream,
+    scaled to its step, so a chain's bits equal those of a run of its own.
+    With ``refine=None`` a chain runs n_steps steps of h and the endpoints
+    receive its final batch state.  Otherwise a fine chain at step h/refine
+    runs beside it on the same Brownian path: coarse increments are exact
+    sums of refine consecutive fine increments (common random numbers), and
+    the endpoints receive the coarse and fine final states.  Fine step k of
+    every chain uses normal k of the stream.
+
+    A failing realization stops only its own chain in its task.  The error
+    raised is that of the first failing chain in ``chains`` order, at its
+    earliest (step, realization) over all tasks, as if the chains had run
+    one after another.  Returns results indexed [chain][endpoint].
     """
     m = model.noise_dim
-    values = np.empty(n_realizations)
+    factor = refine or 1
     bounds = _batch_bounds(n_realizations)
-    chunk = max(1, _block_steps(bounds, m) // (refine or 1))
+    chunk = max(1, _block_steps(bounds, m) // factor)
+    longest = max(n_steps for _, n_steps in chains)
+    values = np.empty((len(chains), len(endpoints), n_realizations))
+    failures: list[list[EstimationError]] = [[] for _ in chains]
 
     def task(b: int) -> None:
         lo, hi = bounds[b]
-        state = _BatchState(z0, plan, lo, hi)
-        fine = None if refine is None else _BatchState(z0, plan, lo, hi, state.generators)
+        source = _BatchState(z0, plan, lo, hi)
+        n_states = 1 if refine is None else 2
+        runs = {
+            j: [_BatchState(z0, plan, lo, hi, source.generators) for _ in range(n_states)]
+            for j in range(len(chains))
+        }
+        scaled = np.empty((hi - lo) * min(chunk, longest) * factor * m)
         done = 0
-        for length in _chunk_lengths(n_steps, chunk):
-            if fine is None:
-                dw = state.draw(length, m, h)
-            else:
-                dw_fine = state.draw(length * refine, m, h / refine)
-                dw = dw_fine.reshape(hi - lo, length, refine, m).sum(axis=2)
-                _advance_chunk(model, scheme, fine, h / refine, dw_fine, done * refine)
-            _advance_chunk(model, scheme, state, h, dw, done)
+        for length in _chunk_lengths(longest, chunk):
+            z = source.draw(length * factor, m, 1.0)
+            for j, (h, n_steps) in enumerate(chains):
+                steps = min(length, n_steps - done)
+                if j not in runs or steps <= 0:
+                    continue
+                n_fine = steps * factor
+                dw = scaled[: (hi - lo) * n_fine * m].reshape(hi - lo, n_fine, m)
+                np.multiply(z[:, :n_fine], math.sqrt(h / factor), out=dw)
+                try:
+                    if refine is not None:
+                        _advance_chunk(model, scheme, runs[j][1], h / refine, dw, done * refine)
+                        dw = dw.reshape(hi - lo, steps, refine, m).sum(axis=2)
+                    _advance_chunk(model, scheme, runs[j][0], h, dw, done)
+                except EstimationError as exc:
+                    if exc.where is None:
+                        raise
+                    failures[j].append(exc)
+                    del runs[j]
             done += length
-        values[lo:hi] = endpoint(state.p, state.q) if fine is None else endpoint(state, fine)
+        for j, states in runs.items():
+            for k, endpoint in enumerate(endpoints):
+                values[j, k, lo:hi] = endpoint(*states)
 
     _map_batches(task, len(bounds))
-    return mean_and_se(values)
+    for failed in failures:
+        if failed:
+            raise min(failed, key=lambda exc: exc.where)
+    return [[mean_and_se(row) for row in rows] for rows in values]
+
+
+def _validate_chains(
+    model: LangevinModel,
+    z0: PhaseState,
+    step_sizes: Sequence[float],
+    n_realizations: int,
+    refine: int,
+    plan: SeedPlan,
+) -> list[float]:
+    """Validated inputs of the coupled estimators, with the step sizes as floats."""
+    _validate_run(model, "gf2", z0, n_realizations, plan)
+    if refine < 2:
+        raise ArgumentError("refinement factor must be at least 2")
+    hs = [float(h) for h in step_sizes]
+    if not hs:
+        raise ArgumentError("need at least one step size")
+    for h in hs:
+        _check_step_size(h)
+    return hs
 
 
 def mc_expectation(
@@ -418,58 +474,69 @@ def mc_expectation(
     raises EstimationError naming the realization index and step.
     """
     _validate_run(model, scheme, z0, n_realizations, plan)
-    n_steps = _steps_for(h, T)
-    return _endpoint_values(model, scheme, z0, h, n_steps, n_realizations, plan, None, psi)
+    chains = [(h, _steps_for(h, T))]
+
+    def endpoint(state: _BatchState) -> Array:
+        return psi(state.p, state.q)
+
+    [[result]] = _endpoint_values(
+        model, scheme, z0, chains, n_realizations, plan, None, [endpoint]
+    )
+    return result
 
 
 def weak_error_mc(
     model: LangevinModel,
-    psi: Callable[[Array, Array], Array],
+    psis: Sequence[Callable[[Array, Array], Array]],
     z0: PhaseState,
-    h: float,
+    step_sizes: Sequence[float],
     T: float,
     n_realizations: int,
     refine: int,
     plan: SeedPlan,
-) -> EstimatorResult:
-    """Coupled estimate of E psi(coarse endpoint) - E psi(fine endpoint).
+) -> list[list[EstimatorResult]]:
+    """Coupled estimates of E psi(coarse endpoint) - E psi(fine endpoint).
 
-    The fine chain runs at step h/refine on the same Brownian path; coarse
-    increments are exact sums of refine consecutive fine increments (common
-    random numbers).
+    For each step size h the fine chain runs at step h/refine on the same
+    Brownian path; coarse increments are exact sums of refine consecutive
+    fine increments (common random numbers).  One normal stream per
+    realization drives every step size, and every psi is evaluated on the
+    same endpoints.  Returns results indexed [h][psi].
     """
-    _validate_run(model, "gf2", z0, n_realizations, plan)
-    if refine < 2:
-        raise ArgumentError("refinement factor must be at least 2")
-    n_coarse = _steps_for(h, T)
+    hs = _validate_chains(model, z0, step_sizes, n_realizations, refine, plan)
+    if not psis:
+        raise ArgumentError("need at least one test function")
+    chains = [(h, _steps_for(h, T)) for h in hs]
 
-    def gap(coarse: _BatchState, fine: _BatchState) -> Array:
-        return np.subtract(psi(coarse.p, coarse.q), psi(fine.p, fine.q), dtype=float)
+    def gap(psi: Callable[[Array, Array], Array]) -> Callable[..., Array]:
+        return lambda coarse, fine: np.subtract(
+            psi(coarse.p, coarse.q), psi(fine.p, fine.q), dtype=float
+        )
 
-    return _endpoint_values(model, "gf2", z0, h, n_coarse, n_realizations, plan, refine, gap)
+    endpoints = [gap(psi) for psi in psis]
+    return _endpoint_values(model, "gf2", z0, chains, n_realizations, plan, refine, endpoints)
 
 
 def one_step_ms_gap(
     model: LangevinModel,
     z0: PhaseState,
-    h: float,
+    step_sizes: Sequence[float],
     refine: int,
     n_realizations: int,
     plan: SeedPlan,
-) -> EstimatorResult:
-    """E ||Z(one coarse step) - Z(refine fine steps)||^2 on a shared path.
+) -> list[EstimatorResult]:
+    """E ||Z(one coarse step) - Z(refine fine steps)||^2 on a shared path, per h.
 
     The local mean-square probe behind third-order step-error measurements.
     """
-    _validate_run(model, "gf2", z0, n_realizations, plan)
-    if refine < 2:
-        raise ArgumentError("refinement factor must be at least 2")
-    _check_step_size(h)
+    hs = _validate_chains(model, z0, step_sizes, n_realizations, refine, plan)
 
     def gap(coarse: _BatchState, fine: _BatchState) -> Array:
         return np.sum((coarse.p - fine.p) ** 2 + (coarse.q - fine.q) ** 2, axis=1)
 
-    return _endpoint_values(model, "gf2", z0, h, 1, n_realizations, plan, refine, gap)
+    chains = [(h, 1) for h in hs]
+    results = _endpoint_values(model, "gf2", z0, chains, n_realizations, plan, refine, [gap])
+    return [row[0] for row in results]
 
 
 def mc_step_means(

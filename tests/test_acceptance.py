@@ -166,8 +166,8 @@ def test_c06_double_well_weak_order_mc_slope():
     model = double_well_spec().build()
     z0 = PhaseState([-2.0], [-2.0])
     plan = SeedPlan(600001)
-    for name, psi in zip(PSI_NAMES, PSIS):
-        report = mc_weak_order(model, psi, z0, 1.0, STEPS_COARSE, 100_000, 16, plan)
+    reports = mc_weak_order(model, PSIS, z0, 1.0, STEPS_COARSE, 100_000, 16, plan)
+    for name, report in zip(PSI_NAMES, reports):
         fitted = [pt for pt in report.points if pt.pipeline == "mc"]
         assert len(fitted) >= 2
         assert 1.6 <= report.slope <= 2.4, f"{name}: slope {report.slope}"

@@ -341,8 +341,8 @@ def test_linear_weak_order_slope():
 def test_mc_weak_order_smoke():
     model = DoubleWell(v=4.0, beta=2.0).build()
     z0 = PhaseState([-2.0], [-2.0])
-    report = mc_weak_order(
-        model, cos_sum, z0, 0.5, [2.0**-3, 2.0**-4], 4000, 4, SeedPlan(606)
+    [report] = mc_weak_order(
+        model, [cos_sum], z0, 0.5, [2.0**-3, 2.0**-4], 4000, 4, SeedPlan(606)
     )
     assert math.isfinite(report.slope)
     assert all(pt.pipeline == "mc" for pt in report.points)
@@ -375,8 +375,8 @@ def test_local_ms_gap_identical_chains():
     def gap(coarse, fine):
         return np.sum((coarse.p - fine.p) ** 2 + (coarse.q - fine.q) ** 2, axis=1)
 
-    res = _endpoint_values(
-        model, "gf2", PhaseState([0.0], [1.0]), 0.125, 1, 64, SeedPlan(2), 1, gap
+    [[res]] = _endpoint_values(
+        model, "gf2", PhaseState([0.0], [1.0]), [(0.125, 1)], 64, SeedPlan(2), 1, [gap]
     )
     assert res.mean == 0.0
     assert res.std_error == 0.0

@@ -18,9 +18,10 @@ import langevin_gf
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# double_well_weak_order and ergodic_averages take 15-18 s each and stay out.
+# ergodic_averages takes about 8 s and stays out.
 _FAST_DEMOS = [
     "augmented_generating_function",
+    "double_well_weak_order",
     "linear_weak_order",
     "one_step_map",
     "reproducible_parallel",

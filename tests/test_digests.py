@@ -73,8 +73,8 @@ def _output_bytes(name: str) -> bytes:
         results = [
             mc_expectation(model, "gf2", cos_sum, z0, H, T, N_REALIZATIONS, plan),
             mc_expectation(model, "em", exp_negsq, z0, H, T, N_REALIZATIONS, plan),
-            weak_error_mc(model, sin_sumsq, z0, H, T, N_REALIZATIONS, REFINE, plan),
-            one_step_ms_gap(model, z0, H, REFINE, N_REALIZATIONS, plan),
+            weak_error_mc(model, [sin_sumsq], z0, [H], T, N_REALIZATIONS, REFINE, plan)[0][0],
+            one_step_ms_gap(model, z0, [H], REFINE, N_REALIZATIONS, plan)[0],
         ]
         for result in results:
             chunks.append(np.array([result.mean, result.std_error], dtype="<f8").tobytes())
@@ -107,15 +107,9 @@ def _coupled_bytes(name: str) -> bytes:
     chunks = []
     for seed in SEEDS:
         plan = SeedPlan(seed)
-        results = [
-            weak_error_mc(model, psi, z0, h, T, N_REALIZATIONS, REFINE, plan)
-            for h in COUPLED_STEP_SIZES
-            for psi in PSIS
-        ]
-        results += [
-            one_step_ms_gap(model, z0, h, REFINE, N_REALIZATIONS, plan)
-            for h in COUPLED_STEP_SIZES
-        ]
+        weak = weak_error_mc(model, PSIS, z0, COUPLED_STEP_SIZES, T, N_REALIZATIONS, REFINE, plan)
+        results = [result for row in weak for result in row]
+        results += one_step_ms_gap(model, z0, COUPLED_STEP_SIZES, REFINE, N_REALIZATIONS, plan)
         for result in results:
             chunks.append(np.array([result.mean, result.std_error], dtype="<f8").tobytes())
     return b"".join(chunks)

@@ -386,7 +386,7 @@ def test_estimates_are_width_and_block_invariant(monkeypatch):
             monkeypatch.setattr(mc, "DRAW_BLOCK", block)
             plans = SeedPlan(41), SeedPlan(42), SeedPlan(43)
             expectation = mc_expectation(model, "gf2", cos_sum, z0, 0.125, 1.0, n_real, plans[0])
-            weak = weak_error_mc(model, cos_sum, z0, 0.25, 1.0, n_real, 4, plans[1])
+            weak = weak_error_mc(model, [cos_sum], z0, [0.25], 1.0, n_real, 4, plans[1])[0][0]
             _, means = mc_step_means(model, [cos_sum, quartic], z0, 0.125, 12, n_real, plans[2])
             outputs.append(
                 (expectation.mean, expectation.std_error, weak.mean, weak.std_error,
@@ -418,7 +418,8 @@ def test_weak_error_builds_one_generator_per_realization(monkeypatch):
     monkeypatch.setattr(mc, "generator_for", counting)
     model = DoubleWell(v=4.0, beta=2.0).build()
     n_real = BATCH_SIZE + 40
-    weak_error_mc(model, cos_sum, PhaseState([0.0], [1.0]), 0.25, 0.5, n_real, 2, SeedPlan(3))
+    z0, steps = PhaseState([0.0], [1.0]), [0.25, 0.125, 0.0625]
+    weak_error_mc(model, [cos_sum], z0, steps, 0.5, n_real, 2, SeedPlan(3))
     assert len(created) == len(set(created)) == n_real
 
 
@@ -487,6 +488,23 @@ def test_singular_step_matrix_fails_alike_for_every_kind():
         assert info.value.where == (0, 0, 0)
 
 
+@pytest.mark.parametrize("block", [DRAW_BLOCK, 2**12])
+def test_weak_error_raises_the_first_failing_step_size(monkeypatch, block):
+    # From (-2, -2), run one h at a time, h = 0.25 diverges at step 9 and
+    # h = 0.375 already at step 7.  The error is the first failing h's, in
+    # the order given, as that loop raised it; with one coarse step per draw
+    # block, h = 0.375 fails in an earlier block than h = 0.25, so this also
+    # shows that a failure stops only its own chain.
+    monkeypatch.setattr(mc, "DRAW_BLOCK", block)
+    model = DoubleWell(v=4.0, beta=2.0).build()
+    z0 = PhaseState([-2.0], [-2.0])
+    steps = [0.125, 0.25, 0.375, 0.1875]
+    with pytest.raises(EstimationError) as info:
+        weak_error_mc(model, [cos_sum], z0, steps, 3.0, 3000, 4, SeedPlan(8))
+    assert str(info.value) == "realization 0 produced a non-finite state at step 9"
+    assert info.value.where == (9, 1, 0)
+
+
 def test_weak_error_identical_chains_vanish():
     # refine = 1 couples two identical chains on one path, so every
     # realization's psi gap is exactly zero.
@@ -495,8 +513,8 @@ def test_weak_error_identical_chains_vanish():
     def gap(coarse, fine):
         return cos_sum(coarse.p, coarse.q) - cos_sum(fine.p, fine.q)
 
-    res = mc._endpoint_values(
-        model, "gf2", PhaseState([0.0], [1.0]), 0.125, 8, 64, SeedPlan(5), 1, gap
+    [[res]] = mc._endpoint_values(
+        model, "gf2", PhaseState([0.0], [1.0]), [(0.125, 8)], 64, SeedPlan(5), 1, [gap]
     )
     assert res.mean == 0.0
     assert res.std_error == 0.0
@@ -506,9 +524,9 @@ def test_weak_error_refine_validation():
     model = DoubleWell(v=4.0, beta=2.0).build()
     z0 = PhaseState([0.0], [1.0])
     with pytest.raises(ArgumentError):
-        weak_error_mc(model, cos_sum, z0, 0.125, 1.0, 32, 1, SeedPlan(5))
+        weak_error_mc(model, [cos_sum], z0, [0.125], 1.0, 32, 1, SeedPlan(5))
     with pytest.raises(ArgumentError):
-        weak_error_mc(model, cos_sum, z0, 0.125, 1.0, 32, 0, SeedPlan(5))
+        weak_error_mc(model, [cos_sum], z0, [0.125], 1.0, 32, 0, SeedPlan(5))
 
 
 def test_weak_error_gaussian_chain_oracle():
@@ -516,7 +534,7 @@ def test_weak_error_gaussian_chain_oracle():
     model = osc.build()
     z0 = PhaseState([3.0], [1.0])
     h, refine = 0.25, 4
-    res = weak_error_mc(model, cos_sum, z0, h, 1.0, 32_768, refine, SeedPlan(314))
+    [[res]] = weak_error_mc(model, [cos_sum], z0, [h], 1.0, 32_768, refine, SeedPlan(314))
     init = GaussianLaw(np.array([3.0, 1.0]), np.zeros((2, 2)))
     coarse = propagate_gaussian_chain(gf2_affine_map(osc, h), init, 4, h)
     fine = propagate_gaussian_chain(gf2_affine_map(osc, h / refine), init, 16, h / refine)
@@ -529,8 +547,8 @@ def test_weak_error_gaussian_chain_oracle():
 def test_weak_error_se_scaling():
     model = DoubleWell(v=4.0, beta=2.0).build()
     z0 = PhaseState([-2.0], [-2.0])
-    small = weak_error_mc(model, cos_sum, z0, 0.125, 1.0, 4096, 2, SeedPlan(21))
-    large = weak_error_mc(model, cos_sum, z0, 0.125, 1.0, 8192, 2, SeedPlan(21))
+    [[small]] = weak_error_mc(model, [cos_sum], z0, [0.125], 1.0, 4096, 2, SeedPlan(21))
+    [[large]] = weak_error_mc(model, [cos_sum], z0, [0.125], 1.0, 8192, 2, SeedPlan(21))
     ratio = large.std_error / small.std_error
     assert 0.7071 * 0.8 <= ratio <= 0.7071 * 1.2
 
@@ -539,8 +557,8 @@ def test_weak_error_worker_invariance():
     model = DoubleWell(v=4.0, beta=2.0).build()
     z0 = PhaseState([0.0], [1.0])
     n_real = BATCH_SIZE + 40
-    first = weak_error_mc(model, cos_sum, z0, 0.25, 1.0, n_real, 2, SeedPlan(77))
-    second = weak_error_mc(model, cos_sum, z0, 0.25, 1.0, n_real, 2, SeedPlan(77))
+    [[first]] = weak_error_mc(model, [cos_sum], z0, [0.25], 1.0, n_real, 2, SeedPlan(77))
+    [[second]] = weak_error_mc(model, [cos_sum], z0, [0.25], 1.0, n_real, 2, SeedPlan(77))
     assert first.mean == second.mean
     assert first.std_error == second.std_error
 
