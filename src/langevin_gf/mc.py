@@ -371,22 +371,19 @@ def _endpoint_values(
     refine: int | None,
     endpoints: Sequence[Callable[..., Array]],
 ) -> list[list[EstimatorResult]]:
-    """Mean and standard error of endpoint values, for each (h, n_steps) chain.
+    """Mean and standard error of each endpoint, for each (h, n_steps) chain.
 
-    Each task seeds its generators once and draws each block of unscaled
-    normals once; every chain takes its increments from that one stream,
-    scaled to its step, so a chain's bits equal those of a run of its own.
     With ``refine=None`` a chain runs n_steps steps of h and the endpoints
     receive its final batch state.  Otherwise a fine chain at step h/refine
     runs beside it on the same Brownian path: coarse increments are exact
     sums of refine consecutive fine increments (common random numbers), and
     the endpoints receive the coarse and fine final states.  Fine step k of
-    every chain uses normal k of the stream.
+    every chain uses normal k of its realization's stream.
 
     A failing realization stops only its own chain in its task.  The error
-    raised is that of the first failing chain in ``chains`` order, at its
-    earliest (step, realization) over all tasks, as if the chains had run
-    one after another.  Returns results indexed [chain][endpoint].
+    raised is the first failing chain's, in ``chains`` order, at its earliest
+    (step, realization) over all tasks, as if the chains had run one after
+    another.  Returns results indexed [chain][endpoint].
     """
     m = model.noise_dim
     factor = refine or 1
@@ -499,8 +496,7 @@ def weak_error_mc(
 
     For each step size h the fine chain runs at step h/refine on the same
     Brownian path; coarse increments are exact sums of refine consecutive
-    fine increments (common random numbers).  One normal stream per
-    realization drives every step size, and every psi is evaluated on the
+    fine increments (common random numbers).  Every psi is evaluated on the
     same endpoints.  Returns results indexed [h][psi].
     """
     hs = _validate_chains(model, z0, step_sizes, n_realizations, refine, plan)
