@@ -2,17 +2,24 @@
 
 Reproducibility contract
 ------------------------
-Every estimator in this module is bit-identical across runs, kernel widths
-and draw block sizes for a fixed :class:`SeedPlan`:
+Every estimator in this module is bit-identical across runs, worker
+counts, kernel widths and draw block sizes for a fixed :class:`SeedPlan`:
 
 * each realization owns a private generator seeded by an avalanche-style
   mixing of (master_seed, realization index), so no generator state is shared
   and no draw order depends on how realizations are grouped;
 * seed granularity is one generator per realization, and it alone defines
   the bits: kernel tasks span balanced runs of at most :data:`BATCH_SIZE`
-  realizations, run one after another on the calling thread, each draw block
-  holds at most :data:`DRAW_BLOCK` normals, and neither size changes a
-  result, because every kernel operation acts on each realization alone;
+  realizations, each draw block holds at most :data:`DRAW_BLOCK` normals,
+  and neither size changes a result, because every kernel operation acts on
+  each realization alone;
+* the tasks run on :func:`resolve_threads` processes (the CPUs this process
+  may use): the caller forks the other workers once per estimator call and
+  runs the first share of the tasks itself.  A task writes only its own
+  realizations' slots of a buffer shared with the workers, and failures come
+  back to the caller, which raises the one a run in task order would raise,
+  so the worker count changes neither a value nor an error.  One task, one
+  CPU or another live thread runs every task on the caller;
 * reductions over realizations use a fixed-shape pairwise summation tree
   keyed by realization index, never an order-dependent accumulation;
 * Brownian increments are drawn in chunks along the step axis, which yields
@@ -30,17 +37,17 @@ either.
 
 The three endpoint estimators (``mc_expectation``, ``weak_error_mc`` and
 ``one_step_ms_gap``) are validation around one driver,
-:func:`_endpoint_values`, which runs a whole task before the next one
-starts, so only one task's state is ever held.  One normal stream per
-realization feeds every step size of a call: a task seeds its generators
-once, draws each block of unscaled normals once, and advances one chain
-(or one coupled coarse/fine pair) per step size on it, each scaling its
-own increments, so every step size keeps the bits of a call with it alone.
-Every test function is evaluated on the same endpoints.
-``mc_step_means`` keeps its own chunk-outer loop: its per-step means are
-reduced over all realizations after every chunk, so it must hold every
-task's state across chunks, which the endpoint driver must not do for
-100 000-realization runs.
+:func:`_endpoint_values`, in which each process runs a whole task before
+its next one starts, so it holds only one task's state at a time.  One
+normal stream per realization feeds every step size of a call: a task seeds
+its generators once, draws each block of unscaled normals once, and
+advances one chain (or one coupled coarse/fine pair) per step size on it,
+each scaling its own increments, so every step size keeps the bits of a
+call with it alone.  Every test function is evaluated on the same
+endpoints.  ``mc_step_means`` keeps its own chunk-outer loop: its per-step
+means are reduced over all realizations after every chunk, so each process
+holds its tasks' states across chunks and meets the caller once per chunk,
+which the endpoint driver must not do for 100 000-realization runs.
 
 Each task seeds its generators in one vectorised pass that reproduces
 ``SeedSequence(derive_seed(plan, i))`` word for word.  The normal transform
@@ -53,6 +60,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
+import pickle
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -214,32 +224,170 @@ def mean_and_se(values: Array) -> EstimatorResult:
 
 
 def resolve_threads() -> int:
-    """Threads the Monte Carlo engine runs on: always one."""
-    return 1
+    """Processes the Monte Carlo engine runs its kernel tasks on: the CPUs it may use.
+
+    One where the CPU affinity cannot be read (macOS, Windows), which keeps
+    every task on the calling process there.
+    """
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _is_trajectory_failure(exc: BaseException) -> bool:
+    return isinstance(exc, EstimationError) and exc.where is not None
+
+
+class _Workers:
+    """Forked processes that run one call's kernel tasks, round by round.
+
+    A round runs every task once.  Task b always runs in the same process:
+    the caller runs the first contiguous share of the task indices and each
+    worker, forked at the first round, one later share, so whatever a task
+    keeps between rounds stays in the process that made it.  Tasks write
+    their values into memory mapped before the fork (:func:`_shared_empty`);
+    a worker starts a round when the caller writes to its control pipe and
+    ends it by sending back its pickled (task, exception) failures.  The
+    round then raises what running the tasks in index order would raise.
+    One task, one CPU or another live thread (which a fork would not copy)
+    keeps every task on the calling process.
+    """
+
+    def __init__(self, task: Callable[[int], None], n_tasks: int) -> None:
+        self.task = task
+        n = 1 if threading.active_count() > 1 else min(resolve_threads(), n_tasks)
+        self.shares = [range(w * n_tasks // n, (w + 1) * n_tasks // n) for w in range(n)]
+        self.children: dict[int, tuple] = {}  # live pid -> (control pipe, results pipe)
+
+    def __enter__(self) -> "_Workers":
+        return self
+
+    def __exit__(self, exc_type: object, *_: object) -> None:
+        for pid, (control, results) in self.children.items():
+            control.close()  # an idle worker reads the end of input and exits
+            results.close()
+            if exc_type is not None:
+                import signal  # only a failed call kills its workers
+
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        self.children.clear()
+
+    def _fork(self, share: range) -> None:
+        control_r, control_w = os.pipe()
+        results_r, results_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (control_r, control_w, results_r, results_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(control_w)
+                os.close(results_r)
+                for control, results in self.children.values():
+                    control.close()
+                    results.close()
+                with open(control_r, "rb", buffering=0) as go, open(results_w, "wb") as out:
+                    while go.read(1):
+                        pickle.dump([(b, _portable(exc)) for b, exc in self._run(share)], out)
+                        out.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(control_r)
+        os.close(results_w)
+        self.children[pid] = open(control_w, "wb", buffering=0), open(results_r, "rb")
+
+    def _run(self, share: range) -> list[tuple[int, Exception]]:
+        """Failures of the tasks in share, run in order up to the first non-trajectory one."""
+        failures = []
+        for b in share:
+            try:
+                self.task(b)
+            except Exception as exc:
+                failures.append((b, exc))
+                if not _is_trajectory_failure(exc):
+                    break
+        return failures
+
+    def _receive(self, pid: int) -> list[tuple[int, Exception]]:
+        control, results = self.children[pid]
+        try:
+            return pickle.load(results)
+        except (EOFError, pickle.UnpicklingError):
+            del self.children[pid]
+            control.close()
+            results.close()
+            _, status = os.waitpid(pid, 0)
+            raise EstimationError(
+                "a Monte Carlo worker process exited with status "
+                f"{os.waitstatus_to_exitcode(status)}"
+            ) from None
+
+    def run(self) -> None:
+        """Run every task once, then raise the first failure in task order.
+
+        That is the lowest task's non-trajectory failure if there is one,
+        otherwise the earliest trajectory failure over all tasks.
+        """
+        if not self.children:
+            for share in self.shares[1:]:
+                self._fork(share)
+        for control, _ in self.children.values():
+            try:
+                control.write(b"r")
+            except BrokenPipeError:
+                pass  # the worker is gone; _receive reports how it ended
+        failures = self._run(self.shares[0])
+        for pid in list(self.children):
+            failures += self._receive(pid)
+        others = [(b, exc) for b, exc in failures if not _is_trajectory_failure(exc)]
+        if others:
+            raise min(others, key=lambda failure: failure[0])[1]
+        if failures:
+            raise min((exc for _, exc in failures), key=lambda exc: exc.where)
+
+
+def _portable(exc: Exception) -> Exception:
+    """exc if it survives pickling, else an EstimationError that names it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return EstimationError(f"{type(exc).__name__}: {exc}")
 
 
 def _map_batches(task: Callable[[int], None], n_batches: int) -> None:
-    """Run the kernel tasks in order on the calling thread.
+    """Run the kernel tasks once each, on up to :func:`resolve_threads` processes.
 
     A trajectory failure stops only its own task.  The one raised is the
     earliest (step, realization) over all tasks, so it does not depend on
-    how realizations are grouped into tasks.
+    how realizations are grouped into tasks or processes; any other failure
+    wins over it, the lowest task's first, as in a run in index order.
     """
-    failures = []
-    for b in range(n_batches):
-        try:
-            task(b)
-        except EstimationError as exc:
-            if exc.where is None:
-                raise
-            failures.append(exc)
-    if failures:
-        raise min(failures, key=lambda exc: exc.where)
+    with _Workers(task, n_batches) as workers:
+        workers.run()
+
+
+def _shared_empty(shape: tuple[int, ...]) -> Array:
+    """Uninitialised float array in anonymous shared memory, visible to forked workers."""
+    import mmap
+
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * max(1, size)), count=size).reshape(shape)
 
 
 def _batch_bounds(n_realizations: int) -> list[tuple[int, int]]:
-    """Balanced task ranges of at most BATCH_SIZE realizations each."""
+    """Balanced task ranges of at most BATCH_SIZE realizations each.
+
+    More than one task is rounded up to a multiple of the worker count, so
+    that every worker gets the same number of tasks.
+    """
     n_tasks = -(-n_realizations // BATCH_SIZE)
+    if n_tasks > 1:
+        workers = resolve_threads()
+        n_tasks = -(-n_tasks // workers) * workers
     width = -(-n_realizations // n_tasks)
     return [
         (lo, min(lo + width, n_realizations))
@@ -361,6 +509,10 @@ def _validate_run(
         raise ArgumentError("plan must be a SeedPlan")
 
 
+class _ChainFailure(EstimationError):
+    """A task's first failing chain: ``where`` is (chain, step, kind, realization)."""
+
+
 def _endpoint_values(
     model: LangevinModel,
     scheme: str,
@@ -390,8 +542,7 @@ def _endpoint_values(
     bounds = _batch_bounds(n_realizations)
     chunk = max(1, _block_steps(bounds, m) // factor)
     longest = max(n_steps for _, n_steps in chains)
-    values = np.empty((len(chains), len(endpoints), n_realizations))
-    failures: list[list[EstimationError]] = [[] for _ in chains]
+    values = _shared_empty((len(chains), len(endpoints), n_realizations))
 
     def task(b: int) -> None:
         lo, hi = bounds[b]
@@ -402,6 +553,7 @@ def _endpoint_values(
             for j in range(len(chains))
         }
         scaled = np.empty((hi - lo) * min(chunk, longest) * factor * m)
+        failed: dict[int, EstimationError] = {}
         done = 0
         for length in _chunk_lengths(longest, chunk):
             z = source.draw(length * factor, m, 1.0)
@@ -420,17 +572,20 @@ def _endpoint_values(
                 except EstimationError as exc:
                     if exc.where is None:
                         raise
-                    failures[j].append(exc)
+                    failed[j] = exc
                     del runs[j]
             done += length
         for j, states in runs.items():
             for k, endpoint in enumerate(endpoints):
                 values[j, k, lo:hi] = endpoint(*states)
-
-    _map_batches(task, len(bounds))
-    for failed in failures:
         if failed:
-            raise min(failed, key=lambda exc: exc.where)
+            j = min(failed)
+            raise _ChainFailure(str(failed[j]), where=(j, *failed[j].where))
+
+    try:
+        _map_batches(task, len(bounds))
+    except _ChainFailure as exc:
+        raise EstimationError(str(exc), where=exc.where[1:]) from None
     return [[mean_and_se(row) for row in rows] for rows in values]
 
 
@@ -562,24 +717,29 @@ def mc_step_means(
     for j, psi in enumerate(psis):
         means[j, 0] = float(np.asarray(psi(z0.p[None, :], z0.q[None, :]))[0])
     bounds = _batch_bounds(n_realizations)
-    states = [_BatchState(z0, plan, lo, hi) for lo, hi in bounds]
-    budget = 4_000_000 // max(1, k * n_realizations)
+    # At most 2M buffered values (16 MB), which the caller reads in full to
+    # reduce them; the narrower tasks of several workers would otherwise
+    # take longer chunks and a larger buffer.
+    budget = 2_000_000 // max(1, k * n_realizations)
     chunk = max(1, min(_block_steps(bounds, model.noise_dim), budget))
-
     # One buffer for all chunks: a new one per chunk made peak memory vary by run.
-    whole = np.empty((min(chunk, n_steps), k, n_realizations))
+    whole = _shared_empty((min(chunk, n_steps), k, n_realizations))
+    progress: dict[int, tuple[_BatchState, int]] = {}
+
+    def task(b: int) -> None:
+        """Advance task b by one chunk; its state lives in the process that runs it."""
+        state, done = progress.get(b) or (_BatchState(z0, plan, *bounds[b]), 0)
+        length = min(chunk, n_steps - done)
+        dw = state.draw(length, model.noise_dim, h)
+        _advance_chunk(model, "gf2", state, h, dw, done, psis, whole)
+        progress[b] = state, done + length
+
     done = 0
-    for length in _chunk_lengths(n_steps, chunk):
-        buffer = whole[:length]
-
-        def task(b: int, length: int = length, done: int = done) -> None:
-            state = states[b]
-            dw = state.draw(length, model.noise_dim, h)
-            _advance_chunk(model, "gf2", state, h, dw, done, psis, buffer)
-
-        _map_batches(task, len(bounds))
-        reduced = pairwise_sum(buffer, axis=2) / n_realizations
-        means[:, done + 1: done + 1 + length] = reduced.T
-        done += length
+    with _Workers(task, len(bounds)) as workers:
+        for length in _chunk_lengths(n_steps, chunk):
+            workers.run()
+            reduced = pairwise_sum(whole[:length], axis=2) / n_realizations
+            means[:, done + 1: done + 1 + length] = reduced.T
+            done += length
     return h * np.arange(n_steps + 1), means
 

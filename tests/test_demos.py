@@ -18,7 +18,8 @@ import langevin_gf
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# ergodic_averages takes about 8 s and stays out.
+# ergodic_averages takes about 6 s on 2 CPUs and stays out: its Monte Carlo
+# part runs 2000 realizations, one kernel task, so it never forks workers.
 _FAST_DEMOS = [
     "augmented_generating_function",
     "double_well_weak_order",

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +42,7 @@ from langevin_gf.models import (
     PhaseState,
     make_quadratic_model,
 )
+from test_digests import COUPLED_DIGESTS, DIGESTS, MODELS, _coupled_bytes, _output_bytes
 
 
 def cos_sum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -183,14 +189,13 @@ def test_estimator_result_validation():
 
 
 def test_resolve_threads(monkeypatch):
-    from langevin_gf.mc import resolve_threads
-
-    for value in (None, "", "0", "1", "6", "abc", "-2"):
+    # The one worker count: the CPUs this process may run on; no variable moves it.
+    for value in (None, "1", "6"):
         if value is None:
             monkeypatch.delenv("LANGEVIN_GF_THREADS", raising=False)
         else:
             monkeypatch.setenv("LANGEVIN_GF_THREADS", value)
-        assert resolve_threads() == 1
+        assert mc.resolve_threads() == len(os.sched_getaffinity(0))
 
 
 def test_mc_expectation_deterministic_dynamics():
@@ -296,16 +301,20 @@ def test_chunk_kicks_equal_per_step_matmul(noise):
     assert kicks.tobytes() == expected.tobytes()
 
 
-def test_blowup_mid_chunk_names_first_realization_and_step():
+def test_blowup_mid_chunk_names_first_realization_and_step(monkeypatch):
     # h = 0.55 from q = 1.5: realizations leave the well within a few steps, at
-    # different steps; all 20 steps fit one chunk of every task.
+    # different steps; all 20 steps fit one chunk of every task.  On two
+    # workers, tasks in both processes fail.
     model = DoubleWell(v=4.0, beta=2.0).build()
     z0 = PhaseState([0.0], [1.5])
     h, plan = 0.55, SeedPlan(8)
     expected = r"^realization 13 produced a non-finite state at step 6$"
-    with pytest.raises(EstimationError, match=expected) as info:
-        mc_expectation(model, "gf2", cos_sum, z0, h, 20 * h, 5000, plan)
-    assert info.value.where == (6, 1, 13)
+    for workers in (1, 2):
+        monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
+        with pytest.raises(EstimationError, match=expected) as info:
+            mc_expectation(model, "gf2", cos_sum, z0, h, 20 * h, 5000, plan)
+        assert info.value.where == (6, 1, 13)
+        _assert_no_child_left()
     # One step fewer runs clean, so step 6 is the first non-finite one.
     res = mc_expectation(model, "gf2", cos_sum, z0, h, 6 * h, 5000, plan)
     assert math.isfinite(res.mean)
@@ -324,15 +333,20 @@ def test_blowup_report_does_not_depend_on_the_task_width(monkeypatch):
         assert info.value.where == (6, 1, 13)
 
 
-def test_failure_reported_is_the_earliest_over_all_tasks():
-    # (step, 0 refused / 1 non-finite, realization): a refused step s comes
-    # before a non-finite state after step s, as it does inside one task.
-    failures = {
-        0: EstimationError("realization 1, non-finite at step 7", where=(7, 1, 1)),
-        2: EstimationError("realization 30, non-finite at step 5", where=(5, 1, 30)),
-        3: EstimationError("realization 41 failed at step 5", where=(5, 0, 41)),
-        4: EstimationError("realization 45 failed at step 5", where=(5, 0, 45)),
-    }
+# (step, 0 refused / 1 non-finite, realization): a refused step s comes
+# before a non-finite state after step s, as it does inside one task.
+_TASK_FAILURES = {
+    0: EstimationError("realization 1, non-finite at step 7", where=(7, 1, 1)),
+    2: EstimationError("realization 30, non-finite at step 5", where=(5, 1, 30)),
+    3: EstimationError("realization 41 failed at step 5", where=(5, 0, 41)),
+    4: EstimationError("realization 45 failed at step 5", where=(5, 0, 45)),
+}
+
+
+def test_failure_reported_is_the_earliest_over_all_tasks(monkeypatch):
+    # One process, so the parent-side list sees every task run.
+    monkeypatch.setattr(mc, "resolve_threads", lambda: 1)
+    failures = _TASK_FAILURES
     ran = []
 
     def task(b):
@@ -354,17 +368,183 @@ def test_failure_reported_is_the_earliest_over_all_tasks():
         mc._map_batches(other, 3)
 
 
-def test_batch_bounds_are_balanced():
-    assert mc._batch_bounds(16384) == [(lo, lo + 2048) for lo in range(0, 16384, 2048)]
-    assert mc._batch_bounds(5000) == [(0, 1667), (1667, 3334), (3334, 5000)]
-    assert mc._batch_bounds(3) == [(0, 3)]
-    for n in (1, 2047, 2048, 2049, 4097, 100_000):
+def test_failure_reported_across_worker_processes(monkeypatch):
+    # The twin of the test above on two processes: tasks 3-5 fail in a
+    # forked worker, so only the raised exception can be checked.
+    monkeypatch.setattr(mc, "resolve_threads", lambda: 2)
+
+    def task(b):
+        if b in _TASK_FAILURES:
+            raise _TASK_FAILURES[b]
+
+    with pytest.raises(EstimationError) as info:
+        mc._map_batches(task, 6)
+    assert str(info.value) == "realization 41 failed at step 5"
+    assert info.value.where == (5, 0, 41)
+    _assert_no_child_left()
+
+    def other(b):
+        if b == 2:
+            raise EstimationError("not a trajectory failure")
+        raise _TASK_FAILURES[0]
+
+    with pytest.raises(EstimationError, match="^not a trajectory failure$") as info:
+        mc._map_batches(other, 3)
+    assert info.value.where is None
+    _assert_no_child_left()
+
+    def two(b):
+        # Non-trajectory failures in both processes: the lower task's wins.
+        if b in (1, 3):
+            raise ValueError(f"task {b} refused")
+        raise _TASK_FAILURES[0]
+
+    with pytest.raises(ValueError, match="^task 1 refused$"):
+        mc._map_batches(two, 4)
+    _assert_no_child_left()
+
+    class Local(Exception):
+        """Defined in a function, so pickle cannot find it by name."""
+
+    def unpicklable(b):
+        if b == 1:
+            raise Local("cannot cross")
+
+    with pytest.raises(EstimationError, match="^Local: cannot cross$"):
+        mc._map_batches(unpicklable, 2)
+    _assert_no_child_left()
+
+
+_BOUNDS_5000 = {
+    1: [(0, 1667), (1667, 3334), (3334, 5000)],
+    2: [(0, 1250), (1250, 2500), (2500, 3750), (3750, 5000)],
+    3: [(0, 1667), (1667, 3334), (3334, 5000)],
+}
+
+
+def test_batch_bounds_are_balanced(monkeypatch):
+    # More than one task is rounded up to a multiple of the worker count, so
+    # every worker runs as many tasks; one task stays one task.
+    for workers, expected in _BOUNDS_5000.items():
+        monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
+        assert mc._batch_bounds(5000) == expected
+        assert mc._batch_bounds(3) == [(0, 3)]
+        _assert_bounds_split(workers)
+
+
+def _assert_bounds_split(workers):
+    for n in (1, 2047, 2048, 2049, 4097, 16384, 100_000):
         bounds = mc._batch_bounds(n)
         assert bounds[0][0] == 0 and bounds[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
         widths = [hi - lo for lo, hi in bounds]
-        assert len(bounds) == math.ceil(n / BATCH_SIZE)
+        n_tasks = math.ceil(n / BATCH_SIZE)
+        if n_tasks > 1:
+            n_tasks = math.ceil(n_tasks / workers) * workers
+        assert len(bounds) == n_tasks
         assert set(widths[:-1]) <= {widths[0]} and 0 < widths[-1] <= widths[0] <= BATCH_SIZE
+
+
+def test_import_loads_no_process_pool_module():
+    # The workers are plain forks; the pool modules would add to every
+    # process's start-up time.
+    code = (
+        "import sys, langevin_gf.mc; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    src = os.path.dirname(os.path.dirname(mc.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _assert_no_child_left():
+    # Every worker process was reaped: the caller has no child at all.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_outputs_are_identical_on_one_and_two_workers(monkeypatch, name):
+    # The digest runs: mc_expectation (gf2 and EM), weak_error_mc,
+    # one_step_ms_gap and mc_step_means.  The d = 2 model's kernel calls
+    # LAPACK inside the forked worker.
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
+        outputs.append((_output_bytes(name), _coupled_bytes(name)))
+        _assert_no_child_left()
+    assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[1][0]).hexdigest() == DIGESTS[name]
+    assert hashlib.sha256(outputs[1][1]).hexdigest() == COUPLED_DIGESTS[name]
+
+
+def test_step_means_are_identical_over_many_rounds(monkeypatch):
+    # A small draw block makes mc_step_means meet its workers every few steps;
+    # five workers, usually more than there are CPUs, write disjoint
+    # slots of one shared buffer, which a lost or misplaced write would break.
+    model, z0 = DoubleWell(v=4.0, beta=2.0).build(), PhaseState([0.0], [1.0])
+    monkeypatch.setattr(mc, "DRAW_BLOCK", 2**12)
+    monkeypatch.setattr(mc, "BATCH_SIZE", 1000)
+    outputs = []
+    for workers in (1, 2, 5):
+        monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
+        _, means = mc_step_means(model, [cos_sum], z0, 0.125, 20, 5000, SeedPlan(12))
+        outputs.append(means.tobytes())
+        _assert_no_child_left()
+    assert outputs[1:] == outputs[:1] * 2
+
+
+def test_worker_exception_is_reraised_with_its_class_and_message(monkeypatch):
+    monkeypatch.setattr(mc, "resolve_threads", lambda: 2)
+    model, z0 = DoubleWell(v=4.0, beta=2.0).build(), PhaseState([0.0], [1.0])
+    parent = os.getpid()
+
+    def psi(p, q):
+        if os.getpid() != parent:
+            raise ValueError(f"psi refused {p.shape[0]} states")
+        return np.zeros(p.shape[0])
+
+    for run in (
+        lambda: mc_expectation(model, "gf2", psi, z0, 0.125, 0.5, 5000, SeedPlan(1)),
+        lambda: mc_step_means(model, [psi], z0, 0.125, 4, 5000, SeedPlan(1)),
+    ):
+        with pytest.raises(ValueError, match="^psi refused 1250 states$"):
+            run()
+        _assert_no_child_left()
+
+
+def test_dead_worker_is_reported_with_its_exit_status(monkeypatch):
+    monkeypatch.setattr(mc, "resolve_threads", lambda: 2)
+    parent, advance = os.getpid(), mc._advance_chunk
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return advance(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "_advance_chunk", dying)
+    model, z0 = DoubleWell(v=4.0, beta=2.0).build(), PhaseState([0.0], [1.0])
+
+    def hung(signum, frame):
+        raise TimeoutError("the caller is still waiting for the dead worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        for run in (
+            lambda: mc_expectation(model, "gf2", cos_sum, z0, 0.125, 0.5, 5000, SeedPlan(1)),
+            lambda: mc_step_means(model, [cos_sum], z0, 0.125, 4, 5000, SeedPlan(1)),
+        ):
+            with pytest.raises(EstimationError, match=r"worker process exited with status 3$"):
+                run()
+            _assert_no_child_left()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # (kernel width, draw block): the first pair is the old fixed layout, the
@@ -416,6 +596,8 @@ def test_weak_error_builds_one_generator_per_realization(monkeypatch):
         return original(seed)
 
     monkeypatch.setattr(mc, "generator_for", counting)
+    # One process, so the parent-side list sees every generator.
+    monkeypatch.setattr(mc, "resolve_threads", lambda: 1)
     model = DoubleWell(v=4.0, beta=2.0).build()
     n_real = BATCH_SIZE + 40
     z0, steps = PhaseState([0.0], [1.0]), [0.25, 0.125, 0.0625]
@@ -499,10 +681,13 @@ def test_weak_error_raises_the_first_failing_step_size(monkeypatch, block):
     model = DoubleWell(v=4.0, beta=2.0).build()
     z0 = PhaseState([-2.0], [-2.0])
     steps = [0.125, 0.25, 0.375, 0.1875]
-    with pytest.raises(EstimationError) as info:
-        weak_error_mc(model, [cos_sum], z0, steps, 3.0, 3000, 4, SeedPlan(8))
-    assert str(info.value) == "realization 0 produced a non-finite state at step 9"
-    assert info.value.where == (9, 1, 0)
+    for workers in (1, 2):
+        monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
+        with pytest.raises(EstimationError) as info:
+            weak_error_mc(model, [cos_sum], z0, steps, 3.0, 3000, 4, SeedPlan(8))
+        assert str(info.value) == "realization 0 produced a non-finite state at step 9"
+        assert info.value.where == (9, 1, 0)
+        _assert_no_child_left()
 
 
 def test_weak_error_identical_chains_vanish():
