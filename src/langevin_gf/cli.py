@@ -20,13 +20,14 @@ kernel width.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import hashlib
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,28 +49,6 @@ from .models import DoubleWell, LangevinModel, LinearOscillator, PhaseState
 from .observables import TEST_FUNCTIONS, get_test_function
 
 COMMANDS = ("weak-order", "ergodic", "structure", "simulate")
-
-_SECTION_KEYS = {
-    "model": {"kind", "a", "v", "sigma", "beta"},
-    "experiment": {
-        "T",
-        "step_sizes",
-        "step_size",
-        "test_functions",
-        "initials",
-        "initial_labels",
-        "n_steps",
-        "checkpoints",
-        "trials",
-        "volume_steps",
-        "pipeline",
-    },
-    "mc": {"realizations", "master_seed", "refine"},
-    "quadrature": {"box", "nodes"},
-    "output": {"directory", "prefix"},
-}
-
-_MODEL_PARAM_KEYS = {"linear": {"a", "v", "sigma"}, "double_well": {"v", "beta"}}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,143 +81,151 @@ def _is_number(value: object) -> bool:
     return math.isfinite(value) if isinstance(value, float) else abs(value) <= sys.float_info.max
 
 
-def _check_model(section: dict, problems: list[str]) -> None:
-    kind = section.get("kind")
-    if kind not in _MODEL_PARAM_KEYS:
-        problems.append(
-            f"model.kind: expected one of {sorted(_MODEL_PARAM_KEYS)}, got {kind!r}"
-        )
-        return
-    wanted = _MODEL_PARAM_KEYS[kind]
-    for key in sorted(wanted - set(section)):
-        problems.append(f"model.{key}: required for kind {kind!r}")
-    for key in sorted(set(section) - wanted - {"kind"}):
-        problems.append(f"model.{key}: not a parameter of kind {kind!r}")
-    for key in wanted & set(section):
-        if not _is_number(section[key]):
-            problems.append(f"model.{key}: must be a finite number")
+def _positive(value: object) -> bool:
+    return _is_number(value) and value > 0
 
 
-def _check_experiment(section: dict, command: str, problems: list[str]) -> None:
-    def need(key: str) -> bool:
+def _integer(minimum: int, bound: float = math.inf) -> Callable[[object], bool]:
+    return lambda n: isinstance(n, int) and not isinstance(n, bool) and minimum <= n < bound
+
+
+def _pairs(value: object) -> bool:
+    return isinstance(value, list) and bool(value) and all(
+        isinstance(z, list) and len(z) == 2 and all(map(_is_number, z)) for z in value
+    )
+
+
+def _labels_ok(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) and s and "," not in s for s in value)
+
+
+class _Key(NamedTuple):
+    """A config key: its check and the problem a failed check reports, the
+    commands that require it, its default (None: none), and the commands
+    that read only its first entry."""
+
+    check: Callable[[object], bool]
+    problem: str
+    required_by: tuple[str, ...] = ()
+    default: object = None
+    one_for: tuple[str, ...] = ()
+
+
+_MODEL_PARAM_KEYS = {"linear": {"a", "v", "sigma"}, "double_well": {"v", "beta"}}
+_ESTIMATES = ("weak-order", "ergodic")
+_POSITIVE = "must be a positive finite number"
+
+# Every key of every section.  A given key is checked whether or not the
+# command reads it; the checks that read two keys are in _linked_problems.
+_RULES: dict[str, dict[str, _Key]] = {
+    "model": {
+        "kind": _Key(
+            lambda kind: kind in list(_MODEL_PARAM_KEYS),
+            f"expected one of {sorted(_MODEL_PARAM_KEYS)}",
+            COMMANDS,
+        ),
+        **dict.fromkeys(("a", "v", "sigma", "beta"), _Key(_is_number, "must be a finite number")),
+    },
+    "experiment": {
+        "T": _Key(_positive, _POSITIVE, _ESTIMATES),
+        "step_sizes": _Key(
+            lambda hs: isinstance(hs, list) and len(hs) >= 2 and all(map(_positive, hs))
+            and len(set(hs)) == len(hs),
+            "need at least 2 distinct positive finite numbers",
+            ("weak-order",),
+        ),
+        "step_size": _Key(_positive, _POSITIVE, ("ergodic", "simulate")),
+        "test_functions": _Key(
+            lambda names: isinstance(names, list) and bool(names)
+            and all(name in list(TEST_FUNCTIONS) for name in names),
+            f"non-empty subset of {sorted(TEST_FUNCTIONS)}",
+            _ESTIMATES,
+        ),
+        "initials": _Key(
+            _pairs,
+            "need a non-empty list of [p, q] pairs of finite numbers",
+            ("weak-order", "ergodic", "simulate"),
+            one_for=("weak-order", "simulate"),
+        ),
+        "initial_labels": _Key(_labels_ok, "one distinct comma-free string per initial"),
+        "n_steps": _Key(_integer(0), "must be a nonnegative integer", ("simulate",)),
+        "checkpoints": _Key(_integer(1), "must be an integer >= 1", default=100),
+        "trials": _Key(_integer(1), "must be an integer >= 1", default=100),
+        "volume_steps": _Key(_integer(1), "must be an integer >= 1", default=64),
+        "pipeline": _Key(
+            lambda name: name in ("deterministic", "mc"), "must be 'deterministic' or 'mc'"
+        ),
+    },
+    "mc": {
+        "realizations": _Key(_integer(2), "must be an integer >= 2"),
+        "master_seed": _Key(_integer(0, 2**64), "must be an unsigned 64-bit integer", default=0),
+        "refine": _Key(_integer(2), "must be an integer >= 2", default=16),
+    },
+    "quadrature": {
+        "box": _Key(
+            lambda box: isinstance(box, list) and len(box) == 2 and all(map(_is_number, box))
+            and box[0] < box[1],
+            "must be [lo, hi] of finite numbers with lo < hi",
+            default=[-10.0, 10.0],
+        ),
+        "nodes": _Key(_integer(2), "must be an integer >= 2", default=200),
+    },
+    "output": {
+        "directory": _Key(lambda s: isinstance(s, str), "must be a string", default="."),
+        "prefix": _Key(lambda s: isinstance(s, str), "must be a string", default=""),
+    },
+}
+
+
+def _section_problems(name: str, section: dict, command: str) -> list[str]:
+    """Unknown, missing and failed keys of one section, by its rules."""
+    rules = _RULES[name]
+    problems = [f"{name}.{key}: unknown key" for key in sorted(set(section) - set(rules))]
+    for key, rule in rules.items():
         if key not in section:
-            problems.append(f"experiment.{key}: required for command {command!r}")
-            return False
-        return True
-
-    if command in ("weak-order", "ergodic"):
-        if need("T") and not (_is_number(section["T"]) and section["T"] > 0):
-            problems.append("experiment.T: must be a positive finite number")
-        if need("test_functions"):
-            names = section["test_functions"]
-            if (
-                not isinstance(names, list)
-                or not names
-                or any(n not in TEST_FUNCTIONS for n in names)
-            ):
-                problems.append(
-                    f"experiment.test_functions: non-empty subset of {sorted(TEST_FUNCTIONS)}"
-                )
-    if command == "weak-order" and need("step_sizes"):
-        steps = section["step_sizes"]
-        ok = (
-            isinstance(steps, list)
-            and len(steps) >= 2
-            and all(_is_number(h) and h > 0 for h in steps)
-            and len(set(steps)) == len(steps)
-        )
-        if not ok:
+            if command in rule.required_by:
+                problems.append(f"{name}.{key}: required for command {command!r}")
+        elif not rule.check(section[key]):
+            problems.append(f"{name}.{key}: {rule.problem}")
+        elif command in rule.one_for and len(section[key]) != 1:
             problems.append(
-                "experiment.step_sizes: need at least 2 distinct positive finite numbers"
+                f"{name}.{key}: one entry for command {command!r}, got {len(section[key])}"
             )
-    if command in ("ergodic", "simulate") and need("step_size"):
-        if not (_is_number(section["step_size"]) and section["step_size"] > 0):
-            problems.append("experiment.step_size: must be a positive finite number")
-    if command == "simulate" and need("n_steps"):
-        n = section["n_steps"]
-        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
-            problems.append("experiment.n_steps: must be a nonnegative integer")
-    if command in ("weak-order", "ergodic", "simulate") and need("initials"):
-        initials = section["initials"]
-        ok = (
-            isinstance(initials, list)
-            and initials
-            and all(
-                isinstance(z, list) and len(z) == 2 and all(_is_number(c) for c in z)
-                for z in initials
+    return problems
+
+
+def _labels(experiment: dict) -> list[str]:
+    """The initial labels a run writes: the given ones, else one derived from each pair."""
+    given = experiment.get("initial_labels")
+    return given if given is not None else [f"p{p:g}_q{q:g}" for p, q in experiment["initials"]]
+
+
+def _linked_problems(model: dict, experiment: dict) -> list[str]:
+    """The checks that read two keys: model parameters per kind, labels per
+    initial, and the pipeline per kind."""
+    out = []
+    kind = model.get("kind")
+    if kind in list(_MODEL_PARAM_KEYS):
+        wanted, keys = _MODEL_PARAM_KEYS[kind], set(model) - {"kind"}
+        out += [f"model.{key}: required for kind {kind!r}" for key in sorted(wanted - keys)]
+        out += [f"model.{key}: not a parameter of kind {kind!r}" for key in sorted(keys - wanted)]
+        if kind != "linear" and experiment.get("pipeline") == "deterministic":
+            out.append(
+                "experiment.pipeline: the deterministic pipeline exists only for the linear model"
             )
-        )
-        if not ok:
-            problems.append(
-                "experiment.initials: need a non-empty list of [p, q] pairs of finite numbers"
+    if _pairs(experiment.get("initials")) and _labels_ok(experiment.get("initial_labels", [])):
+        labels = _labels(experiment)
+        if len(labels) != len(experiment["initials"]) or len(set(labels)) != len(labels):
+            out.append(
+                f"experiment.initial_labels: one distinct comma-free string per initial, "
+                f"got {labels}"
             )
-        labels = section.get("initial_labels")
-        if labels is not None:
-            ok_labels = (
-                isinstance(labels, list)
-                and isinstance(initials, list)
-                and len(labels) == len(initials)
-                and all(isinstance(s, str) and s and "," not in s for s in labels)
-                and len(set(labels)) == len(labels)
-            )
-            if not ok_labels:
-                problems.append(
-                    "experiment.initial_labels: one distinct comma-free string per initial"
-                )
-    pipeline = section.get("pipeline")
-    if pipeline is not None and pipeline not in ("deterministic", "mc"):
-        problems.append("experiment.pipeline: must be 'deterministic' or 'mc'")
-    for key, minimum in (("checkpoints", 1), ("trials", 1), ("volume_steps", 1)):
-        value = section.get(key)
-        if value is not None and not (
-            isinstance(value, int) and not isinstance(value, bool) and value >= minimum
-        ):
-            problems.append(f"experiment.{key}: must be an integer >= {minimum}")
+    return out
 
 
-def _check_mc(section: dict, problems: list[str]) -> None:
-    real = section.get("realizations")
-    if real is not None and not (
-        isinstance(real, int) and not isinstance(real, bool) and real >= 2
-    ):
-        problems.append("mc.realizations: must be an integer >= 2")
-    seed = section.get("master_seed")
-    if seed is not None and not (
-        isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2**64
-    ):
-        problems.append("mc.master_seed: must be an unsigned 64-bit integer")
-    refine = section.get("refine")
-    if refine is not None and not (
-        isinstance(refine, int) and not isinstance(refine, bool) and refine >= 2
-    ):
-        problems.append("mc.refine: must be an integer >= 2")
-
-
-def _check_quadrature(section: dict, problems: list[str]) -> None:
-    box = section.get("box")
-    if box is not None:
-        ok = (
-            isinstance(box, list)
-            and len(box) == 2
-            and all(_is_number(c) for c in box)
-            and box[0] < box[1]
-        )
-        if not ok:
-            problems.append(
-                "quadrature.box: must be [lo, hi] of finite numbers with lo < hi"
-            )
-    nodes = section.get("nodes")
-    if nodes is not None and not (
-        isinstance(nodes, int) and not isinstance(nodes, bool) and nodes >= 2
-    ):
-        problems.append("quadrature.nodes: must be an integer >= 2")
-
-
-def _check_output(section: dict, problems: list[str]) -> None:
-    for key in ("directory", "prefix"):
-        value = section.get(key)
-        if value is not None and not isinstance(value, str):
-            problems.append(f"output.{key}: must be a string")
+def _refuse(problems: list[str]) -> None:
+    if problems:
+        raise ConfigError("invalid configuration: " + "; ".join(problems))
 
 
 def parse_config(raw: dict, command: str) -> ExperimentConfig:
@@ -247,65 +234,28 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
         raise ArgumentError(f"unknown command {command!r}; expected one of {COMMANDS}")
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a JSON object")
-    problems: list[str] = []
-    for key in sorted(set(raw) - set(_SECTION_KEYS)):
-        problems.append(f"{key}: unknown section")
+    problems = [f"{key}: unknown section" for key in sorted(set(raw) - set(_RULES))]
     sections: dict[str, dict] = {}
-    for name in _SECTION_KEYS:
+    for name, rules in _RULES.items():
         section = raw.get(name, {})
         if not isinstance(section, dict):
             problems.append(f"{name}: must be a JSON object")
             section = {}
-        for key in sorted(set(section) - _SECTION_KEYS[name]):
-            problems.append(f"{name}.{key}: unknown key")
-        sections[name] = {k: v for k, v in section.items() if k in _SECTION_KEYS[name]}
+        problems += _section_problems(name, section, command)
+        sections[name] = {key: value for key, value in section.items() if key in rules}
+    problems += _linked_problems(sections["model"], sections["experiment"])
+    _refuse(problems)
 
-    if "model" not in raw:
-        problems.append("model: section is required")
-    _check_model(sections["model"], problems)
-    _check_experiment(sections["experiment"], command, problems)
-    _check_mc(sections["mc"], problems)
-    _check_quadrature(sections["quadrature"], problems)
-    _check_output(sections["output"], problems)
-    if problems:
-        raise ConfigError("invalid configuration: " + "; ".join(problems))
-
-    experiment = dict(sections["experiment"])
-    experiment.setdefault("checkpoints", 100)
-    experiment.setdefault("trials", 100)
-    experiment.setdefault("volume_steps", 64)
-    if command in ("weak-order", "ergodic"):
-        default_pipeline = (
-            "deterministic" if sections["model"].get("kind") == "linear" else "mc"
-        )
-        experiment.setdefault("pipeline", default_pipeline)
-        if (
-            experiment["pipeline"] == "deterministic"
-            and sections["model"].get("kind") != "linear"
-        ):
-            raise ConfigError(
-                "invalid configuration: experiment.pipeline: the deterministic "
-                "pipeline exists only for the linear model"
-            )
-    mc = dict(sections["mc"])
-    mc.setdefault("master_seed", 0)
-    mc.setdefault("refine", 16)
+    for name, rules in _RULES.items():
+        for key, rule in rules.items():
+            if rule.default is not None:
+                sections[name].setdefault(key, copy.deepcopy(rule.default))
+    if command in _ESTIMATES:
+        default_pipeline = "deterministic" if sections["model"]["kind"] == "linear" else "mc"
+        sections["experiment"].setdefault("pipeline", default_pipeline)
     # Order fitting needs statistical headroom; long ergodic sweeps do not.
-    mc.setdefault("realizations", 100_000 if command == "weak-order" else 5000)
-    quadrature = dict(sections["quadrature"])
-    quadrature.setdefault("box", [-10.0, 10.0])
-    quadrature.setdefault("nodes", 200)
-    output = dict(sections["output"])
-    output.setdefault("directory", ".")
-    output.setdefault("prefix", "")
-    return ExperimentConfig(
-        command=command,
-        model=dict(sections["model"]),
-        experiment=experiment,
-        mc=mc,
-        quadrature=quadrature,
-        output=output,
-    )
+    sections["mc"].setdefault("realizations", 100_000 if command == "weak-order" else 5000)
+    return ExperimentConfig(command=command, **sections)
 
 
 def load_config(path: str | Path, command: str) -> ExperimentConfig:
@@ -335,12 +285,10 @@ def _model_spec(config: ExperimentConfig) -> LinearOscillator | DoubleWell:
 
 def _initials(config: ExperimentConfig) -> list[tuple[str, PhaseState]]:
     pairs = config.experiment["initials"]
-    labels = config.experiment.get("initial_labels")
-    out = []
-    for i, (p, q) in enumerate(pairs):
-        label = labels[i] if labels else f"p{p:g}_q{q:g}"
-        out.append((label, PhaseState([float(p)], [float(q)])))
-    return out
+    return [
+        (label, PhaseState([float(p)], [float(q)]))
+        for label, (p, q) in zip(_labels(config.experiment), pairs)
+    ]
 
 
 def _fmt(value: object) -> str:
@@ -642,22 +590,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config, args.command)
-        overrides: dict[str, dict] = {"mc": dict(config.mc), "output": dict(config.output)}
-        if args.seed is not None:
-            overrides["mc"]["master_seed"] = args.seed
-        if args.realizations is not None:
-            overrides["mc"]["realizations"] = args.realizations
-        if args.out is not None:
-            overrides["output"]["directory"] = args.out
-        config = dataclasses.replace(
-            config, mc=overrides["mc"], output=overrides["output"]
-        )
-        if args.seed is not None or args.realizations is not None:
-            problems: list[str] = []
-            _check_mc(config.mc, problems)
-            if problems:
-                raise ConfigError("invalid configuration: " + "; ".join(problems))
-        paths = run(config, args.command)
+        overrides = {"master_seed": args.seed, "realizations": args.realizations}
+        mc = {**config.mc, **{k: v for k, v in overrides.items() if v is not None}}
+        _refuse(_section_problems("mc", mc, args.command))
+        output = config.output if args.out is None else {**config.output, "directory": args.out}
+        paths = run(dataclasses.replace(config, mc=mc, output=output), args.command)
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -31,6 +31,13 @@ Array = np.ndarray
 _EXP_LIMIT = 700.0
 
 
+def _exp_vt(v: float, t: float) -> float:
+    """e^{vt}, or RangeError once |vt| is past _EXP_LIMIT."""
+    if abs(v * t) > _EXP_LIMIT:
+        raise RangeError(f"e^(vt) overflows at v*t = {v * t}")
+    return math.exp(v * t)
+
+
 @dataclasses.dataclass(frozen=True)
 class AugmentedState:
     """State (X, Y) in R^{d+1} x R^{d+1}.
@@ -87,11 +94,9 @@ def to_augmented(z: PhaseState, t: float, model: LangevinModel) -> AugmentedStat
         raise ArgumentError("time must be nonnegative")
     if z.dim != model.dim:
         raise ArgumentError("state dimension does not match the model")
-    if model.friction * t > _EXP_LIMIT:
-        raise RangeError(f"e^(vt) overflows at v*t = {model.friction * t}")
+    scale = _exp_vt(model.friction, t)
     pot, _, _ = eval_model(model, z.q)
     sig = _paper_noise(model)
-    scale = math.exp(model.friction * t)
     x = np.empty(model.dim + 1)
     y = np.empty(model.dim + 1)
     x[: model.dim] = scale * z.p
@@ -117,9 +122,7 @@ def hamiltonians(model: LangevinModel, s: AugmentedState) -> tuple[float, Array]
     """
     d = model.dim
     t = float(s.Y[d])
-    if abs(model.friction * t) > _EXP_LIMIT:
-        raise RangeError(f"e^(v y_(d+1)) overflows at v*y = {model.friction * t}")
-    c1 = math.exp(model.friction * t)
+    c1 = _exp_vt(model.friction, t)
     c2 = math.exp(-model.friction * t)
     pot, _, _ = eval_model(model, s.Y[:d])
     xpos = s.X[:d]
@@ -160,9 +163,7 @@ def g_alpha(model: LangevinModel, alpha: object, X: Array, y: Array) -> float:
             )
 
     t = float(yv[d])
-    if abs(model.friction * t) > _EXP_LIMIT:
-        raise RangeError(f"e^(v y_(d+1)) overflows at v*y = {model.friction * t}")
-    c1 = math.exp(model.friction * t)
+    c1 = _exp_vt(model.friction, t)
     sig = _paper_noise(model)
 
     if entries == (0, 0):
@@ -209,11 +210,10 @@ def gf2_step_augmented(
     dw = np.zeros(model.noise_dim) if dW is None else np.asarray(dW, dtype=float).reshape(-1)
     if dw.shape[0] != model.noise_dim:
         raise ArgumentError("increment dimension does not match the model")
-    if model.friction * (t + h) > _EXP_LIMIT:
-        raise RangeError(f"e^(vt) overflows at v*t = {model.friction * (t + h)}")
 
     v = model.friction
-    c1 = math.exp(v * t)
+    _exp_vt(v, t + h)  # the step's end clock must stay within range too
+    c1 = _exp_vt(v, t)
     c2 = math.exp(-v * t)
     half_vh = 0.5 * v * h
     pot, frc, hess = eval_model(model, yv[:d])

@@ -7,9 +7,9 @@ A model describes the damped-driven Hamiltonian system
 with force f = grad F, symmetric positive definite mass M, friction v > 0 and
 additive noise matrix Sigma of full row rank.  This module provides the model
 container, the two built-in test systems (a linear oscillator and a tilted
-double well), the Lyapunov function used by the moment-stability diagnostics,
-an inequality scanner for the dissipativity assumption, and the closed-form
-Boltzmann-Gibbs densities of the built-ins.
+double well), a d-dimensional quadratic model, single-point evaluation of
+(F, f, grad^2 F), and the closed-form Boltzmann-Gibbs densities of the
+built-ins.
 """
 
 from __future__ import annotations
@@ -310,81 +310,6 @@ def eval_model(model: LangevinModel, q: object) -> tuple[float, Array, Array]:
     ):
         raise EvaluationError(f"model evaluation is non-finite at q={point}")
     return pot, frc, hess
-
-
-def lyapunov_v(model: LangevinModel, z: PhaseState) -> float:
-    """Lyapunov function V(z) = |p|^2/2 + F(q) + (v/2) p.q + (v^2/4)|q|^2 + 1."""
-    if z.dim != model.dim:
-        raise ArgumentError("state dimension does not match the model")
-    v = model.friction
-    pot, _, _ = eval_model(model, z.q)
-    return (
-        0.5 * float(z.p @ z.p)
-        + pot
-        + 0.5 * v * float(z.p @ z.q)
-        + 0.25 * v * v * float(z.q @ z.q)
-        + 1.0
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class Assumption1Report:
-    """Result of the dissipativity-inequality grid scan."""
-
-    passed: bool
-    min_slack: float
-    worst_q: Array
-
-
-def check_assumption1(
-    model: LangevinModel,
-    grid: object,
-    alpha: float,
-    beta: float,
-) -> Assumption1Report:
-    """Scan a grid for the dissipativity inequalities.
-
-    At each grid point q the scan checks F(q) >= 0 and
-
-        q.f(q)/2 >= beta F(q) + v^2 beta (2 - beta) / (8 (1 - beta)) |q|^2 - alpha.
-
-    Parameters
-    ----------
-    grid : iterable of positions
-        Points to scan; each is coerced to shape (d,).
-    alpha : float
-        Additive slack constant, expected positive.
-    beta : float
-        Must lie strictly inside (0, 1).
-
-    Returns
-    -------
-    Assumption1Report
-        Minimum slack over both inequalities and all points, its location,
-        and the pass verdict (all slacks nonnegative).
-    """
-    if not (0.0 < beta < 1.0):
-        raise ArgumentError(f"beta must lie in (0, 1), got {beta}")
-    if model.dim == 1:
-        raw = np.atleast_1d(np.asarray(grid, dtype=float))
-    else:
-        raw = list(grid)
-    points = [_as_point(q, model.dim) for q in raw]
-    if len(points) == 0:
-        raise ArgumentError("grid is empty")
-    v = model.friction
-    coeff = v * v * beta * (2.0 - beta) / (8.0 * (1.0 - beta))
-    min_slack = math.inf
-    worst = points[0]
-    for q in points:
-        pot, frc, _ = eval_model(model, q)
-        slack_pos = pot
-        slack_ineq = 0.5 * float(q @ frc) - beta * pot - coeff * float(q @ q) + alpha
-        for slack in (slack_pos, slack_ineq):
-            if slack < min_slack:
-                min_slack = slack
-                worst = q
-    return Assumption1Report(passed=min_slack >= 0.0, min_slack=min_slack, worst_q=worst)
 
 
 def gibbs_density_fn(model: object) -> Callable[[Array, Array], Array]:

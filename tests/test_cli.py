@@ -628,3 +628,54 @@ def test_shipped_config_regenerates_committed_result(tmp_path, command, name, cs
     config = str(root / "configs" / f"{name}.json")
     assert main([command, "--config", config, "--out", str(tmp_path)]) == 0
     assert (tmp_path / csv).read_bytes() == (root / "results" / name / csv).read_bytes()
+
+
+def test_parse_rejects_repeated_derived_labels():
+    # Without initial_labels each initial is labelled p{p:g}_q{q:g}; two
+    # initials that print alike would write rows that cannot be told apart.
+    for initials in ([[1e-7, 0.0], [1.000001e-7, 0.0]], [[1.0, 0.0], [1.0, 0.0]]):
+        with pytest.raises(ConfigError, match="experiment.initial_labels"):
+            parse_config(
+                {
+                    "model": linear_section(),
+                    "experiment": {
+                        "T": 1.0,
+                        "step_size": 0.25,
+                        "test_functions": ["cos_sum"],
+                        "initials": initials,
+                    },
+                },
+                "ergodic",
+            )
+
+
+def test_parse_rejects_extra_initials_where_one_is_read():
+    experiments = {
+        "weak-order": {"T": 1.0, "step_sizes": [0.25, 0.125], "test_functions": ["cos_sum"]},
+        "simulate": {"step_size": 0.25, "n_steps": 2},
+    }
+    for command, experiment in experiments.items():
+        raw = {"model": linear_section(), "experiment": experiment}
+        experiment["initials"] = [[3.0, 1.0]]
+        assert parse_config(raw, command).experiment["initials"] == [[3.0, 1.0]]
+        experiment["initials"] = [[3.0, 1.0], [0.0, 2.0]]
+        message = f"experiment.initials: one entry for command '{command}', got 2"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(raw, command)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_main_rejects_bad_seed_override(tmp_path, capsys, seed):
+    out_dir = tmp_path / "out"
+    config_path = write_config(
+        tmp_path,
+        "sim.json",
+        {
+            "model": linear_section(),
+            "experiment": {"step_size": 0.25, "n_steps": 2, "initials": [[1.0, 0.0]]},
+            "output": {"directory": str(out_dir)},
+        },
+    )
+    assert main(["simulate", "--config", config_path, f"--seed={seed}"]) == 1
+    assert "mc.master_seed" in capsys.readouterr().err
+    assert not out_dir.exists()

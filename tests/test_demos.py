@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -15,6 +16,7 @@ from types import ModuleType
 import pytest
 
 import langevin_gf
+from langevin_gf import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,3 +90,16 @@ def test_package_root_exports_exactly_all():
     }
     assert len(set(langevin_gf.__all__)) == len(langevin_gf.__all__)
     assert public | {"__version__"} == set(langevin_gf.__all__)
+
+
+def test_benchmark_tracer_installs_on_the_package():
+    # bench/tracing.py wraps package functions by name and raises if one is
+    # gone, which would break `bench/run.py --trace 1`; leaving the block must
+    # put every original back.
+    spec = importlib.util.spec_from_file_location("_bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    originals = {name: getattr(cli, name) for name in ("main", "load_config", "parse_config", "run")}
+    with tracing.Tracer().installed():
+        assert cli.parse_config is not originals["parse_config"]
+    assert {name: getattr(cli, name) for name in originals} == originals

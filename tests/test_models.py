@@ -10,15 +10,12 @@ from numpy.testing import assert_allclose
 
 from langevin_gf.errors import ArgumentError, CapabilityError
 from langevin_gf.models import (
-    Assumption1Report,
     DoubleWell,
     LangevinModel,
     LinearOscillator,
     PhaseState,
-    check_assumption1,
     eval_model,
     gibbs_density_fn,
-    lyapunov_v,
     make_quadratic_model,
 )
 
@@ -43,32 +40,6 @@ def test_eval_model_linear_oscillator():
     assert pot == 0.0
     assert frc[0] == 0.0
     assert hess[0, 0] == 1.0
-
-
-def test_lyapunov_examples():
-    dw = DoubleWell(v=4.0, beta=2.0).build()
-    assert_allclose(lyapunov_v(dw, PhaseState([0.0], [0.0])), 2.0)
-
-    lin = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
-    assert_allclose(lyapunov_v(lin, PhaseState([1.0], [1.0])), 4.0)
-
-    # F(0) = 0 and z = 0 leaves only the +1 offset.
-    quad = make_quadratic_model(
-        np.eye(2), np.eye(2), friction=1.0, noise=np.eye(2)
-    )
-    assert_allclose(lyapunov_v(quad, PhaseState([0.0, 0.0], [0.0, 0.0])), 1.0)
-
-
-def test_lyapunov_lower_bound_over_random_states():
-    rng = np.random.default_rng(2024)
-    for builder in (LinearOscillator(1.0, 2.0, 0.5), DoubleWell(4.0, 2.0)):
-        model = builder.build()
-        grid = np.linspace(-2.0, 2.0, 801)
-        min_pot = min(eval_model(model, q)[0] for q in grid)
-        for _ in range(100):
-            p, q = rng.uniform(-2.0, 2.0, size=2)
-            val = lyapunov_v(model, PhaseState([p], [q]))
-            assert val >= 1.0 + min_pot - 1e-12
 
 
 def test_force_matches_potential_gradient():
@@ -104,44 +75,6 @@ def test_quadratic_model_gradient_consistency():
             fminus, _, _ = eval_model(model, q - step)
             assert_allclose(frc[i], (fplus - fminus) / (2 * eps), atol=1e-6)
         assert_allclose(hess, kmat)
-
-
-def test_check_assumption1_linear_at_origin():
-    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
-    report = check_assumption1(model, [0.0], alpha=1.0, beta=0.5)
-    assert isinstance(report, Assumption1Report)
-    assert report.passed
-    # At q=0 the positivity slack F(0)=0 is the minimum.
-    assert_allclose(report.min_slack, 0.0, atol=0)
-
-
-def test_check_assumption1_double_well_scan():
-    model = DoubleWell(v=4.0, beta=2.0).build()
-    grid = np.linspace(-3.0, 3.0, 601)
-    alpha, beta = 20.0, 0.5
-    report = check_assumption1(model, grid, alpha=alpha, beta=beta)
-
-    # Independent scan of both inequalities.
-    v = model.friction
-    coeff = v * v * beta * (2.0 - beta) / (8.0 * (1.0 - beta))
-    expected = math.inf
-    for q in grid:
-        pot = (1.0 - q * q) ** 2 - 0.5 * q
-        frc = 4.0 * q**3 - 4.0 * q - 0.5
-        expected = min(expected, pot)
-        expected = min(expected, 0.5 * q * frc - beta * pot - coeff * q * q + alpha)
-    assert_allclose(report.min_slack, expected, rtol=1e-12)
-    assert report.passed == (expected >= 0.0)
-
-
-def test_check_assumption1_argument_errors():
-    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
-    with pytest.raises(ArgumentError):
-        check_assumption1(model, [0.0], alpha=1.0, beta=1.0)
-    with pytest.raises(ArgumentError):
-        check_assumption1(model, [0.0], alpha=1.0, beta=0.0)
-    with pytest.raises(ArgumentError):
-        check_assumption1(model, [], alpha=1.0, beta=0.5)
 
 
 def test_gibbs_density_values():
