@@ -42,7 +42,7 @@ from .analysis import (
 )
 from .errors import ArgumentError, ConfigError, Error
 from .genfun import AugmentedState, from_augmented, gf2_step_augmented, to_augmented
-from .integrators import _finite, _Gf2Kernel, _noise_kick, gf2_jacobian, gf2_step, simulate
+from .integrators import _check_stepped, _Gf2Kernel, _noise_kick, simulate
 from .mc import SeedPlan, _steps_for, derive_seed, generator_for, mc_step_means
 from .mc import sample_increments
 from .models import DoubleWell, LangevinModel, LinearOscillator, PhaseState
@@ -441,32 +441,14 @@ def _genfun_gap(
     )
 
 
-def _replay_structure(model: LangevinModel, trials: Sequence[_StructureTrial]) -> None:
-    """Run the trials one state at a time, in order, through gf2_jacobian and gf2_step.
-
-    The batch has flagged a trial; this raises the first failure, as a
-    trial-by-trial run would, naming the trial and the step of its volume
-    chain (the one-step checks leave the initial state and count as step 0).
-    """
-    for i, trial in enumerate(trials):
-        k = 0
-        try:
-            gf2_jacobian(model, trial.z, trial.h, trial.dw)
-            state = trial.z
-            for k, dw in enumerate(trial.block):
-                gf2_jacobian(model, state, trial.h, dw)
-                state = gf2_step(model, state, trial.h, dw)
-            k = 0
-            direct = gf2_step(model, trial.z, trial.h, trial.dw)
-            _genfun_gap(model, trial, direct.p, direct.q)
-        except Error as exc:
-            raise type(exc)(f"trial {i}, step {k}: {exc}") from exc
-
-
 def _structure_rows(
     model: LangevinModel, trials: Sequence[_StructureTrial], volume_steps: int
-) -> list[tuple] | None:
-    """The table rows, from one (trials, d) batch; None if a state left the finite numbers."""
+) -> list[tuple]:
+    """The table rows, from one (trials, d) batch.
+
+    A failure is raised as ``step k: <reason>``, k the step of the volume
+    chain; the one-step checks leave the initial state and count as step 0.
+    """
     h = np.array([trial.h for trial in trials])
     kernel = _Gf2Kernel(model, h)
     p = np.stack([trial.z.p for trial in trials])
@@ -474,25 +456,47 @@ def _structure_rows(
     one_step_kicks = _noise_kick(model.noise, np.stack([trial.dw for trial in trials]))
     volume_kicks = _noise_kick(model.noise, np.stack([trial.block for trial in trials]))
     logdet = np.zeros(len(trials))
-    with np.errstate(all="ignore"):
-        hess, step_matrix, p1, q1 = kernel.update(p, q, one_step_kicks)
-        if not _finite(hess, p1, q1):
-            return None
-        jac = kernel.jacobian(q, hess, step_matrix, p1)
-        for k in range(volume_steps):
-            hess, step_matrix, p_next, q_next = kernel.update(p, q, volume_kicks[:, k])
-            if not _finite(hess, p_next, q_next):
-                return None
-            logdet += np.linalg.slogdet(kernel.jacobian(q, hess, step_matrix, p_next))[1]
-            p, q = p_next, q_next
-    rows = []
-    for i, trial in enumerate(trials):
-        defect = conformal_defect(jac[i], model.friction, trial.h)
-        rate = model.friction * volume_steps * trial.h * model.dim
-        volume_rel = abs(math.expm1(logdet[i] + rate))
-        equiv = _genfun_gap(model, trial, p1[i], q1[i])
-        rows.append((i, trial.h, defect, volume_rel, equiv))
+    k = 0
+    try:
+        with np.errstate(all="ignore"):
+            hess, step_matrix, p1, q1 = kernel.update(p, q, one_step_kicks)
+            _check_stepped("gf2", h, p1, q1)
+            jac = kernel.jacobian(q, hess, step_matrix, p1)
+            for k in range(volume_steps):
+                hess, step_matrix, p_next, q_next = kernel.update(p, q, volume_kicks[:, k])
+                _check_stepped("gf2", h, p_next, q_next)
+                logdet += np.linalg.slogdet(kernel.jacobian(q, hess, step_matrix, p_next))[1]
+                p, q = p_next, q_next
+        k = 0
+        rows = []
+        for i, trial in enumerate(trials):
+            defect = conformal_defect(jac[i], model.friction, trial.h)
+            rate = model.friction * volume_steps * trial.h * model.dim
+            volume_rel = abs(math.expm1(logdet[i] + rate))
+            equiv = _genfun_gap(model, trial, p1[i], q1[i])
+            rows.append((i, trial.h, defect, volume_rel, equiv))
+    except Error as exc:
+        exc.args = (f"step {k}: {exc}",)  # in place, so a StepSizeError keeps its row
+        raise
     return rows
+
+
+def _structure_table(
+    model: LangevinModel, trials: Sequence[_StructureTrial], volume_steps: int
+) -> list[tuple]:
+    """The rows of all trials from one batch; if it fails, the first failing
+    trial run alone, raised as ``trial i, step k: <reason>``.  A row's bits
+    do not depend on the batch, so this is what a trial-by-trial run raises.
+    """
+    try:
+        return _structure_rows(model, trials, volume_steps)
+    except Error:
+        for i, trial in enumerate(trials):
+            try:
+                _structure_rows(model, [trial], volume_steps)
+            except Error as exc:
+                raise type(exc)(f"trial {i}, {exc}") from exc
+        raise
 
 
 def _run_structure(config: ExperimentConfig) -> list[Path]:
@@ -500,9 +504,7 @@ def _run_structure(config: ExperimentConfig) -> list[Path]:
 
     Each trial draws its inputs from its own generator.  The one-step map,
     its Jacobian and the volume chain then run once over all trials as a
-    (trials, d) batch with one step size per row; a row's bits do not depend
-    on the batch, so each equals its trial stepped alone.  A failure is
-    raised by replaying the trials one at a time.
+    (trials, d) batch with one step size per row.
     """
     spec = _model_spec(config)
     model = spec.build()
@@ -512,17 +514,11 @@ def _run_structure(config: ExperimentConfig) -> list[Path]:
         _draw_structure_trial(model, generator_for(derive_seed(plan, i)), exp["volume_steps"])
         for i in range(exp["trials"])
     ]
-    try:
-        rows = _structure_rows(model, trials, exp["volume_steps"])
-    except Error:
-        rows = None
-    if rows is None:
-        _replay_structure(model, trials)
     path = _write_csv(
         _out_path(config, "structure.csv"),
         config,
         ("trial", "h", "conformal_defect", "volume_rel_error", "genfun_equiv_maxdiff"),
-        rows,
+        _structure_table(model, trials, exp["volume_steps"]),
     )
     return [path]
 

@@ -18,7 +18,8 @@ and gives the analytic Jacobians of the states it stepped, which
 per run and steps (1, d) rows of a preallocated trajectory.  On the linear
 oscillator the gf2 map is affine, and :func:`gf2_affine_map` reads its
 B, c and G off the same kernel rather than from a second copy of the update.
-The step loops here and in :mod:`.mc` share one blow-up screen, :func:`_nonfinite_row`.
+The step loops here, in :mod:`.mc` and in the CLI's structure command share
+one blow-up screen, :func:`_nonfinite_row`.
 """
 
 from __future__ import annotations
@@ -264,6 +265,9 @@ class _Gf2Kernel:
             p1 /= step_matrix[..., 0]
         else:
             p1 = np.linalg.solve(step_matrix, p1[..., None])[..., 0]
+        if not math.isfinite(np.add.reduce(hess, axis=None)):
+            # I + (h^2/2) inf M would solve to P1 = 0: leave the finite numbers.
+            p1[~np.all(np.isfinite(hess), axis=(-2, -1))] = np.nan
         q1 = self.gain_q * self.times_mass(p1)
         q1 += q
         q1 += self.hh * self.times_mass(frc)
@@ -333,10 +337,6 @@ def _step_inputs(model: LangevinModel, z: PhaseState, h: float, dW: object) -> t
     return float(h), dw, _noise_kick(model.noise, dw[None])
 
 
-def _finite(*arrays: Array) -> bool:
-    return all(np.all(np.isfinite(a)) for a in arrays)
-
-
 # The error each scheme raises when a step leaves the finite numbers.
 _BLOWUPS = {
     "gf2": (EvaluationError, "step produced a non-finite state"),
@@ -355,10 +355,13 @@ def _nonfinite_row(p: Array, q: Array) -> int | None:
     return int(np.argmax(bad)) if np.any(bad) else None
 
 
-def _check_stepped(scheme: str, h: float, p1: Array, q1: Array) -> None:
-    if _nonfinite_row(p1, q1) is not None:
+def _check_stepped(scheme: str, h: float | Array, p1: Array, q1: Array) -> None:
+    """Refuse a non-finite state; ``h`` is a float or one step size per row."""
+    row = _nonfinite_row(p1, q1)
+    if row is not None:
         error, what = _BLOWUPS[scheme]
-        raise error(f"{what} at h={h}")
+        at = h if np.ndim(h) == 0 else np.ravel(h)[row]
+        raise error(f"{what} at h={at}")
 
 
 def _single_step(
@@ -420,8 +423,7 @@ def gf2_jacobian(
     q = z.q[None]
     with np.errstate(all="ignore"):
         hess, step_matrix, p1, q1 = kernel.update(z.p[None], q, kick)
-    if not _finite(hess, p1, q1):
-        raise EvaluationError(f"step produced a non-finite state at h={h}")
+    _check_stepped("gf2", h, p1, q1)
     return kernel.jacobian(q, hess, step_matrix, p1)[0]
 
 

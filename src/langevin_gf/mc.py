@@ -407,7 +407,7 @@ def _steps_for(h: float, horizon: float) -> int:
     if horizon < 0 or not math.isfinite(horizon):
         raise ArgumentError(f"time horizon must be nonnegative and finite, got {horizon}")
     n = round(horizon / h)
-    if abs(n * h - horizon) > 1e-9 * max(1.0, abs(horizon)):
+    if abs(n * h - horizon) > 1e-9 * abs(horizon):
         raise ArgumentError(f"horizon {horizon} is not an integer multiple of h={h}")
     return n
 

@@ -123,6 +123,20 @@ def test_ergodic_reference_linear_closed_forms():
     assert_allclose(sin, 2 * c / (1 + 4 * c * c), rtol=1e-9)
 
 
+def test_ergodic_reference_pins_the_gibbs_closed_forms_to_ulps():
+    # Under the Gibbs law p and q are i.i.d. N(0, s^2) with s^2 = sigma^2/(2av)
+    # = 1/16, so p + q ~ N(0, 2s^2) and p^2 + q^2 is exponential with mean
+    # 2s^2: cos_sum, exp_negsq and sin_sumsq average to exp(-s^2), 1/(1+s^2)
+    # and 2s^2/(1+4s^4).
+    exact = [math.exp(-1 / 16), 16 / 17, 8 / 65]
+    spec = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    for model in (spec, spec.build()):
+        refs = ergodic_reference(model, [cos_sum, exp_negsq, sin_sumsq])
+        ulps = [abs(int(np.float64(r).view(np.int64)) - int(np.float64(e).view(np.int64)))
+                for r, e in zip(refs, exact)]
+        assert max(ulps) <= 4, ulps
+
+
 def test_ergodic_reference_equals_the_whole_grid_quotient():
     # One density and row-block evaluation give the bits of quad2d(psi rho) / quad2d(rho).
     model = DoubleWell(v=4.0, beta=2.0)

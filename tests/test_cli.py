@@ -13,16 +13,20 @@ from langevin_gf import __version__
 from langevin_gf.cli import (
     ExperimentConfig,
     _checkpoint_indices,
-    _replay_structure,
+    _draw_structure_trial,
+    _genfun_gap,
     _structure_rows,
+    _structure_table,
     _StructureTrial,
     load_config,
     main,
     parse_config,
     run,
 )
-from langevin_gf.errors import ConfigError, EvaluationError, StepSizeError
-from langevin_gf.models import LangevinModel, PhaseState
+from langevin_gf.errors import ConfigError, Error, EvaluationError, StepSizeError
+from langevin_gf.integrators import gf2_jacobian, gf2_step
+from langevin_gf.mc import SeedPlan, derive_seed, generator_for
+from langevin_gf.models import DoubleWell, LangevinModel, PhaseState
 
 
 def linear_section() -> dict:
@@ -373,6 +377,27 @@ def test_ergodic_requires_commensurate_horizon(tmp_path):
         run(config, "ergodic")
 
 
+def test_ergodic_refuses_a_horizon_below_one_off_the_step_grid(tmp_path, capsys):
+    # T / h = 0.5 rounds to 0 steps, which an absolute tolerance accepted.
+    path = write_config(
+        tmp_path,
+        "ergodic.json",
+        {
+            "model": linear_section(),
+            "experiment": {
+                "T": 5e-10,
+                "step_size": 1e-9,
+                "test_functions": ["cos_sum"],
+                "initials": [[1.0, 1.0]],
+            },
+            "output": {"directory": str(tmp_path / "out")},
+        },
+    )
+    assert main(["ergodic", "--config", path]) == 1
+    assert "experiment.T: must be an integer multiple of step_size" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_ergodic_mc_reruns_byte_identical_across_workers(tmp_path):
     def build(out: str) -> ExperimentConfig:
         return parse_config(
@@ -484,7 +509,53 @@ def test_structure_refused_step_is_replayed_to_the_failing_trial():
     assert info.value.row == 2
     reason = r"^trial 2, step 0: implicit step matrix .* at h=0\.125; "
     with pytest.raises(StepSizeError, match=reason):
-        _replay_structure(model, trials)
+        _structure_table(model, trials, 4)
+
+
+def _trial_by_trial_failure(model, trials) -> tuple[type, str] | None:
+    """The per-state reference for a structure failure: each trial, in order,
+    through gf2_jacobian and gf2_step one state at a time, then the
+    generating-function check; the one-step checks count as step 0.  The
+    volume chain needs no gf2_jacobian: gf2_step refuses a non-finite
+    Hessian as it does."""
+    for i, trial in enumerate(trials):
+        k = 0
+        try:
+            gf2_jacobian(model, trial.z, trial.h, trial.dw)
+            state = trial.z
+            for k, dw in enumerate(trial.block):
+                state = gf2_step(model, state, trial.h, dw)
+            k = 0
+            direct = gf2_step(model, trial.z, trial.h, trial.dw)
+            _genfun_gap(model, trial, direct.p, direct.q)
+        except Error as exc:
+            return type(exc), f"trial {i}, step {k}: {exc}"
+    return None
+
+
+def test_structure_failures_match_the_trial_by_trial_reference(tmp_path):
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "structure_double_well.json"
+    raw = json.loads(shipped.read_text(encoding="utf-8"))
+    model = DoubleWell(v=raw["model"]["v"], beta=raw["model"]["beta"]).build()
+    exp = raw["experiment"]
+    failing = []
+    for seed in range(10):
+        raw["mc"]["master_seed"] = seed
+        raw["output"] = {"directory": str(tmp_path / str(seed))}
+        plan = SeedPlan(seed)
+        trials = [
+            _draw_structure_trial(model, generator_for(derive_seed(plan, i)), exp["volume_steps"])
+            for i in range(exp["trials"])
+        ]
+        expected = _trial_by_trial_failure(model, trials)
+        if expected is None:
+            run(parse_config(raw, "structure"), "structure")
+            continue
+        failing.append(seed)
+        with pytest.raises(Error) as info:
+            run(parse_config(raw, "structure"), "structure")
+        assert (type(info.value), str(info.value)) == expected
+    assert failing == [0, 1, 2, 3, 4, 5, 8, 9]
 
 
 def test_structure_rerun_byte_identical(tmp_path):

@@ -103,3 +103,20 @@ def test_benchmark_tracer_installs_on_the_package():
     with tracing.Tracer().installed():
         assert cli.parse_config is not originals["parse_config"]
     assert {name: getattr(cli, name) for name in originals} == originals
+
+
+def test_failing_structure_run_never_steps_a_single_state(tmp_path):
+    # The structure command names a failure by rerunning its batch code on
+    # one trial at a time; the single-state maps are not a second path.
+    spec = importlib.util.spec_from_file_location("_bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    config = str(ROOT / "configs" / "structure_double_well.json")
+    argv = ["structure", "--config", config, "--seed", "1", "--out", str(tmp_path)]
+    with tracing.Tracer().installed() as tracer:
+        assert cli.main(argv) == 1
+    metrics = tracer.layer_metrics()
+    assert metrics["integrators.gf2_step.calls"] == 0
+    assert metrics["integrators.gf2_jacobian.calls"] == 0
+    # Trials 0 to 18 pass alone before trial 19 fails, each with one genfun check.
+    assert metrics["genfun.gf2_step_augmented.calls"] == 19

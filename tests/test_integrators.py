@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from langevin_gf.errors import (
     ArgumentError,
     CapabilityError,
+    EstimationError,
     EvaluationError,
     RangeError,
     StepSizeError,
@@ -32,6 +33,7 @@ from langevin_gf.integrators import (
     propagate_gaussian_chain,
     simulate,
 )
+from langevin_gf.mc import SeedPlan, mc_expectation
 from langevin_gf.models import (
     DoubleWell,
     LangevinModel,
@@ -39,6 +41,7 @@ from langevin_gf.models import (
     PhaseState,
     make_quadratic_model,
 )
+from langevin_gf.observables import get_test_function
 
 OMEGA_1D = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -515,6 +518,36 @@ def test_simulate_names_the_failing_step():
         with np.errstate(all="ignore"), pytest.raises(error) as info:
             simulate(model, scheme, PhaseState(p0, q0), h, len(noise), noise)
         assert str(info.value) == message
+
+
+def test_infinite_hessian_leaves_the_finite_numbers_on_every_path():
+    # F(q) = |q|^1.5 has f(0) = 0 and an infinite Hessian at 0, so the step
+    # matrix I + (h^2/2) inf would solve to P1 = 0 without the kernel's screen.
+    with np.errstate(all="ignore"):
+        model = LangevinModel(
+            dim=1,
+            noise_dim=1,
+            force=lambda q: 1.5 * np.sign(q) * np.sqrt(np.abs(q)),
+            potential=lambda q: float(np.abs(q[0]) ** 1.5),
+            force_jacobian=lambda q: 0.75 / np.sqrt(np.abs(q)),
+            mass=np.eye(1),
+            friction=1.0,
+            noise=np.eye(1),
+            force_third=lambda q: -0.375 * np.sign(q) / np.abs(q) ** 1.5,
+        )
+    z0 = PhaseState([1.0], [0.0])
+    message = "step produced a non-finite state at h=0.1"
+    for step in (gf2_step, gf2_jacobian):
+        with pytest.raises(EvaluationError) as info:
+            step(model, z0, 0.1, [0.3])
+        assert str(info.value) == message
+    with pytest.raises(EvaluationError) as info:
+        simulate(model, "gf2", z0, 0.1, 1, [[0.3]])
+    assert str(info.value) == f"step 0: {message}"
+    cos_sum = get_test_function("cos_sum")
+    blowup = "^realization 0 produced a non-finite state at step 0"
+    with pytest.raises(EstimationError, match=blowup):
+        mc_expectation(model, "gf2", cos_sum, z0, 0.1, 0.1, 2, SeedPlan(0))
 
 
 class _TwoArgumentError(Exception):

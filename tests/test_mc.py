@@ -780,3 +780,16 @@ def test_mc_step_means_zero_steps():
     assert times.shape == (1,) and times[0] == 0.0
     assert_allclose(means[0, 0], math.cos(1.0))
 
+
+
+def test_step_count_tolerance_is_relative_to_the_horizon():
+    # An absolute 1e-9 below T = 1 once gave 0 steps for (1e-9, 5e-10), a
+    # point-mass estimate at z0, and 2 steps for (1e-10, 1.5e-10).
+    for h, T in ((1e-9, 5e-10), (1e-10, 1.5e-10)):
+        with pytest.raises(ArgumentError, match="not an integer multiple"):
+            mc._steps_for(h, T)
+    assert mc._steps_for(0.1, 0.3) == 3
+    assert mc._steps_for(0.1, 0.0) == 0
+    model, z0 = DoubleWell(v=4.0, beta=2.0).build(), PhaseState([0.5], [0.5])
+    with pytest.raises(ArgumentError, match="not an integer multiple"):
+        mc_expectation(model, "gf2", cos_sum, z0, 1e-9, 5e-10, 4, SeedPlan(0))
