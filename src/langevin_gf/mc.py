@@ -44,10 +44,13 @@ its generators once, draws each block of unscaled normals once, and
 advances one chain (or one coupled coarse/fine pair) per step size on it,
 each scaling its own increments, so every step size keeps the bits of a
 call with it alone.  Every test function is evaluated on the same
-endpoints.  ``mc_step_means`` keeps its own chunk-outer loop: its per-step
-means are reduced over all realizations after every chunk, so each process
-holds its tasks' states across chunks and meets the caller once per chunk,
-which the endpoint driver must not do for 100 000-realization runs.
+endpoints.  ``mc_step_means`` keeps its own chunk-outer loop of two rounds
+per chunk: every process advances its tasks through the chunk, then reduces
+its contiguous share of the chunk's step rows over all realizations, and the
+caller copies the reduced rows out.  Each row is one fixed tree over every
+realization, so which process reduces it moves no bit.  Each process holds
+its tasks' states across chunks, which the endpoint driver must not do for
+100 000-realization runs.
 
 Each task seeds its generators in one vectorised pass that reproduces
 ``SeedSequence(derive_seed(plan, i))`` word for word.  The normal transform
@@ -75,7 +78,9 @@ from .models import LangevinModel, PhaseState
 Array = np.ndarray
 
 # Most realizations one kernel task advances (the kernel width).
-BATCH_SIZE = 2048
+BATCH_SIZE = 2560
+# Realizations above which a call is split over the workers even as one task.
+SPLIT_SIZE = 2048
 # Most normals one task draws at a time, unless a single coarse step of a
 # coupled estimator needs more; bounds the per-task draw buffer.
 DRAW_BLOCK = 2**18
@@ -239,20 +244,21 @@ def _is_trajectory_failure(exc: BaseException) -> bool:
 class _Workers:
     """Forked processes that run one call's kernel tasks, round by round.
 
-    A round runs every task once.  Task b always runs in the same process:
-    the caller runs the first contiguous share of the task indices and each
-    worker, forked at the first round, one later share, so whatever a task
-    keeps between rounds stays in the process that made it.  Tasks write
-    their values into memory mapped before the fork (:func:`_shared_empty`);
-    a worker starts a round when the caller writes to its control pipe and
-    ends it by sending back its pickled (task, exception) failures.  The
-    round then raises what running the tasks in index order would raise.
-    One task, one CPU or another live thread (which a fork would not copy)
+    A round runs one job, ``jobs[i](b)``, once for every task b.  Task b
+    always runs in the same process: the caller runs the first contiguous
+    share of the task indices and each worker, forked at the first round,
+    one later share, so whatever a task keeps between rounds stays in the
+    process that made it.  Tasks write their values into memory mapped
+    before the fork (:func:`_shared_empty`); a worker starts a round when
+    the caller writes the job index, one byte, to its control pipe and ends
+    it by sending back its pickled (task, exception) failures.  The round
+    then raises what running the tasks in index order would raise.  One
+    task, one CPU or another live thread (which a fork would not copy)
     keeps every task on the calling process.
     """
 
-    def __init__(self, task: Callable[[int], None], n_tasks: int) -> None:
-        self.task = task
+    def __init__(self, jobs: Sequence[Callable[[int], None]], n_tasks: int) -> None:
+        self.jobs = jobs
         n = 1 if threading.active_count() > 1 else min(resolve_threads(), n_tasks)
         self.shares = [range(w * n_tasks // n, (w + 1) * n_tasks // n) for w in range(n)]
         self.children: dict[int, tuple] = {}  # live pid -> (control pipe, results pipe)
@@ -289,8 +295,8 @@ class _Workers:
                     control.close()
                     results.close()
                 with open(control_r, "rb", buffering=0) as go, open(results_w, "wb") as out:
-                    while go.read(1):
-                        pickle.dump([(b, _portable(exc)) for b, exc in self._run(share)], out)
+                    while job := go.read(1):
+                        pickle.dump([(b, _portable(e)) for b, e in self._run(share, job[0])], out)
                         out.flush()
                 status = 0
             finally:
@@ -299,12 +305,12 @@ class _Workers:
         os.close(results_w)
         self.children[pid] = open(control_w, "wb", buffering=0), open(results_r, "rb")
 
-    def _run(self, share: range) -> list[tuple[int, Exception]]:
-        """Failures of the tasks in share, run in order up to the first non-trajectory one."""
+    def _run(self, share: range, job: int) -> list[tuple[int, Exception]]:
+        """Failures of job on the tasks in share, in order up to the first non-trajectory one."""
         failures = []
         for b in share:
             try:
-                self.task(b)
+                self.jobs[job](b)
             except Exception as exc:
                 failures.append((b, exc))
                 if not _is_trajectory_failure(exc):
@@ -325,8 +331,8 @@ class _Workers:
                 f"{os.waitstatus_to_exitcode(status)}"
             ) from None
 
-    def run(self) -> None:
-        """Run every task once, then raise the first failure in task order.
+    def run(self, job: int = 0) -> None:
+        """Run job on every task once, then raise the first failure in task order.
 
         That is the lowest task's non-trajectory failure if there is one,
         otherwise the earliest trajectory failure over all tasks.
@@ -336,10 +342,10 @@ class _Workers:
                 self._fork(share)
         for control, _ in self.children.values():
             try:
-                control.write(b"r")
+                control.write(bytes([job]))
             except BrokenPipeError:
                 pass  # the worker is gone; _receive reports how it ended
-        failures = self._run(self.shares[0])
+        failures = self._run(self.shares[0], job)
         for pid in list(self.children):
             failures += self._receive(pid)
         others = [(b, exc) for b, exc in failures if not _is_trajectory_failure(exc)]
@@ -366,7 +372,7 @@ def _map_batches(task: Callable[[int], None], n_batches: int) -> None:
     how realizations are grouped into tasks or processes; any other failure
     wins over it, the lowest task's first, as in a run in index order.
     """
-    with _Workers(task, n_batches) as workers:
+    with _Workers([task], n_batches) as workers:
         workers.run()
 
 
@@ -381,11 +387,12 @@ def _shared_empty(shape: tuple[int, ...]) -> Array:
 def _batch_bounds(n_realizations: int) -> list[tuple[int, int]]:
     """Balanced task ranges of at most BATCH_SIZE realizations each.
 
-    More than one task is rounded up to a multiple of the worker count, so
-    that every worker gets the same number of tasks.
+    More than one task, or more than SPLIT_SIZE realizations, is rounded up
+    to a multiple of the worker count, so that every worker gets the same
+    number of tasks.
     """
     n_tasks = -(-n_realizations // BATCH_SIZE)
-    if n_tasks > 1:
+    if n_tasks > 1 or n_realizations > SPLIT_SIZE:
         workers = resolve_threads()
         n_tasks = -(-n_tasks // workers) * workers
     width = -(-n_realizations // n_tasks)
@@ -717,16 +724,17 @@ def mc_step_means(
     for j, psi in enumerate(psis):
         means[j, 0] = float(np.asarray(psi(z0.p[None, :], z0.q[None, :]))[0])
     bounds = _batch_bounds(n_realizations)
-    # At most 2M buffered values (16 MB), which the caller reads in full to
-    # reduce them; the narrower tasks of several workers would otherwise
-    # take longer chunks and a larger buffer.
+    # At most 2M buffered values (16 MB), of which each process reduces only
+    # its share of the rows; the narrower tasks of several workers would
+    # otherwise take longer chunks and a larger buffer.
     budget = 2_000_000 // max(1, k * n_realizations)
     chunk = max(1, min(_block_steps(bounds, model.noise_dim), budget))
     # One buffer for all chunks: a new one per chunk made peak memory vary by run.
     whole = _shared_empty((min(chunk, n_steps), k, n_realizations))
+    reduced = _shared_empty((min(chunk, n_steps), k))
     progress: dict[int, tuple[_BatchState, int]] = {}
 
-    def task(b: int) -> None:
+    def advance(b: int) -> None:
         """Advance task b by one chunk; its state lives in the process that runs it."""
         state, done = progress.get(b) or (_BatchState(z0, plan, *bounds[b]), 0)
         length = min(chunk, n_steps - done)
@@ -734,12 +742,18 @@ def mc_step_means(
         _advance_chunk(model, "gf2", state, h, dw, done, psis, whole)
         progress[b] = state, done + length
 
+    def reduce(b: int) -> None:
+        """Reduce task b's share of the step rows of the chunk just advanced."""
+        length = (progress[b][1] - 1) % chunk + 1  # only the last chunk is short
+        rows = slice(b * length // len(bounds), (b + 1) * length // len(bounds))
+        reduced[rows] = pairwise_sum(whole[rows], axis=2) / n_realizations
+
     done = 0
-    with _Workers(task, len(bounds)) as workers:
+    with _Workers([advance, reduce], len(bounds)) as workers:
         for length in _chunk_lengths(n_steps, chunk):
-            workers.run()
-            reduced = pairwise_sum(whole[:length], axis=2) / n_realizations
-            means[:, done + 1: done + 1 + length] = reduced.T
+            workers.run(0)
+            workers.run(1)
+            means[:, done + 1: done + 1 + length] = reduced[:length].T
             done += length
     return h * np.arange(n_steps + 1), means
 

@@ -24,6 +24,7 @@ from langevin_gf.integrators import (
 from langevin_gf.mc import (
     BATCH_SIZE,
     DRAW_BLOCK,
+    SPLIT_SIZE,
     EstimatorResult,
     SeedPlan,
     derive_seed,
@@ -42,7 +43,15 @@ from langevin_gf.models import (
     PhaseState,
     make_quadratic_model,
 )
-from test_digests import COUPLED_DIGESTS, DIGESTS, MODELS, _coupled_bytes, _output_bytes
+from test_digests import (
+    COUPLED_DIGESTS,
+    DIGESTS,
+    MODELS,
+    PSIS,
+    SEEDS,
+    _coupled_bytes,
+    _output_bytes,
+)
 
 
 def cos_sum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -415,31 +424,43 @@ def test_failure_reported_across_worker_processes(monkeypatch):
     _assert_no_child_left()
 
 
-_BOUNDS_5000 = {
-    1: [(0, 1667), (1667, 3334), (3334, 5000)],
-    2: [(0, 1250), (1250, 2500), (2500, 3750), (3750, 5000)],
-    3: [(0, 1667), (1667, 3334), (3334, 5000)],
+# (realizations, workers) -> task bounds.  The weak-order benchmark's 4096
+# realizations run as two tasks of 2048; 2500 fit one task but still split
+# over the workers.
+_BOUNDS = {
+    (5000, 1): [(0, 2500), (2500, 5000)],
+    (5000, 2): [(0, 2500), (2500, 5000)],
+    (5000, 3): [(0, 1667), (1667, 3334), (3334, 5000)],
+    (4096, 1): [(0, 2048), (2048, 4096)],
+    (4096, 2): [(0, 2048), (2048, 4096)],
+    (2500, 1): [(0, 2500)],
+    (2500, 2): [(0, 1250), (1250, 2500)],
+    (1024, 2): [(0, 1024)],
+    (3, 3): [(0, 3)],
 }
 
 
 def test_batch_bounds_are_balanced(monkeypatch):
-    # More than one task is rounded up to a multiple of the worker count, so
-    # every worker runs as many tasks; one task stays one task.
-    for workers, expected in _BOUNDS_5000.items():
+    # More than one task, or more than SPLIT_SIZE realizations, is rounded up
+    # to a multiple of the worker count, so every worker runs as many tasks;
+    # a smaller one-task call stays one task.
+    for (n, workers), expected in _BOUNDS.items():
         monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
-        assert mc._batch_bounds(5000) == expected
-        assert mc._batch_bounds(3) == [(0, 3)]
+        assert mc._batch_bounds(n) == expected
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
         _assert_bounds_split(workers)
 
 
 def _assert_bounds_split(workers):
-    for n in (1, 2047, 2048, 2049, 4097, 16384, 100_000):
+    sizes = (1, SPLIT_SIZE, SPLIT_SIZE + 1, BATCH_SIZE, BATCH_SIZE + 1, 2 * BATCH_SIZE + 1)
+    for n in (*sizes, 16384, 100_000):
         bounds = mc._batch_bounds(n)
         assert bounds[0][0] == 0 and bounds[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
         widths = [hi - lo for lo, hi in bounds]
         n_tasks = math.ceil(n / BATCH_SIZE)
-        if n_tasks > 1:
+        if n_tasks > 1 or n > SPLIT_SIZE:
             n_tasks = math.ceil(n_tasks / workers) * workers
         assert len(bounds) == n_tasks
         assert set(widths[:-1]) <= {widths[0]} and 0 < widths[-1] <= widths[0] <= BATCH_SIZE
@@ -471,37 +492,67 @@ def _assert_no_child_left():
 def test_outputs_are_identical_on_one_and_two_workers(monkeypatch, name):
     # The digest runs: mc_expectation (gf2 and EM), weak_error_mc,
     # one_step_ms_gap and mc_step_means.  The d = 2 model's kernel calls
-    # LAPACK inside the forked worker.
+    # LAPACK inside the forked worker.  The digest runs' realizations split
+    # over two workers, so the second arm must fork.
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
     outputs = []
     for workers in (1, 2):
         monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
+        forks.clear()
         outputs.append((_output_bytes(name), _coupled_bytes(name)))
+        assert bool(forks) == (workers > 1)
         _assert_no_child_left()
     assert outputs[0] == outputs[1]
     assert hashlib.sha256(outputs[1][0]).hexdigest() == DIGESTS[name]
     assert hashlib.sha256(outputs[1][1]).hexdigest() == COUPLED_DIGESTS[name]
 
 
+# (kernel width, draw block, test functions, steps) of the runs below.  A
+# small draw block meets the workers every few steps.  With the large one the
+# 2M-value buffer budget sets the chunk for every width, and the steps run
+# one past it: the last chunk has one row, which one process reduces while
+# every other reduces none.  A width of 512 gives more tasks than workers.
+_ROUNDS = [
+    (1000, 2**12, PSIS[:1], 20),
+    *(
+        (width, 2**20, psis, 2_000_000 // (len(psis) * 5000) + 1)
+        for width in (BATCH_SIZE, 512)
+        for psis in (PSIS[:1], PSIS)
+    ),
+]
+# sha256 of their step means, recorded when the caller reduced every chunk
+# alone, so it pins those bits.
+_STEP_MEANS_DIGEST = "b3d33bd2deead0cf1be3f4c24fec81b28f692440f47d05e6ec77bbe26e689801"
+
+
 def test_step_means_are_identical_over_many_rounds(monkeypatch):
-    # A small draw block makes mc_step_means meet its workers every few steps;
-    # five workers, usually more than there are CPUs, write disjoint
-    # slots of one shared buffer, which a lost or misplaced write would break.
-    model, z0 = DoubleWell(v=4.0, beta=2.0).build(), PhaseState([0.0], [1.0])
-    monkeypatch.setattr(mc, "DRAW_BLOCK", 2**12)
-    monkeypatch.setattr(mc, "BATCH_SIZE", 1000)
+    # Up to five workers, usually more than there are CPUs, write disjoint
+    # slots of one shared buffer and reduce disjoint step rows of it, which a
+    # lost or misplaced write or row would break.
+    build, p0, q0 = MODELS["double_well"]
+    model, z0 = build(), PhaseState(p0, q0)
     outputs = []
-    for workers in (1, 2, 5):
+    for workers in (1, 2, 3, 5):
         monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
-        _, means = mc_step_means(model, [cos_sum], z0, 0.125, 20, 5000, SeedPlan(12))
-        outputs.append(means.tobytes())
+        runs = []
+        for width, block, psis, n_steps in _ROUNDS:
+            monkeypatch.setattr(mc, "BATCH_SIZE", width)
+            monkeypatch.setattr(mc, "DRAW_BLOCK", block)
+            plan = SeedPlan(SEEDS[2])
+            _, means = mc_step_means(model, psis, z0, 0.125, n_steps, 5000, plan)
+            runs.append(means.astype("<f8").tobytes())
+        outputs.append(b"".join(runs))
         _assert_no_child_left()
-    assert outputs[1:] == outputs[:1] * 2
+    assert outputs[1:] == outputs[:1] * 3
+    assert hashlib.sha256(outputs[0]).hexdigest() == _STEP_MEANS_DIGEST
 
 
 def test_worker_exception_is_reraised_with_its_class_and_message(monkeypatch):
     monkeypatch.setattr(mc, "resolve_threads", lambda: 2)
     model, z0 = DoubleWell(v=4.0, beta=2.0).build(), PhaseState([0.0], [1.0])
     parent = os.getpid()
+    lo, hi = mc._batch_bounds(5000)[-1]  # a task that runs in the worker
 
     def psi(p, q):
         if os.getpid() != parent:
@@ -512,21 +563,25 @@ def test_worker_exception_is_reraised_with_its_class_and_message(monkeypatch):
         lambda: mc_expectation(model, "gf2", psi, z0, 0.125, 0.5, 5000, SeedPlan(1)),
         lambda: mc_step_means(model, [psi], z0, 0.125, 4, 5000, SeedPlan(1)),
     ):
-        with pytest.raises(ValueError, match="^psi refused 1250 states$"):
+        with pytest.raises(ValueError, match=f"^psi refused {hi - lo} states$"):
             run()
         _assert_no_child_left()
 
 
 def test_dead_worker_is_reported_with_its_exit_status(monkeypatch):
     monkeypatch.setattr(mc, "resolve_threads", lambda: 2)
-    parent, advance = os.getpid(), mc._advance_chunk
+    parent = os.getpid()
 
-    def dying(*args, **kwargs):
-        if os.getpid() != parent:
-            os._exit(3)
-        return advance(*args, **kwargs)
+    def dying(name):
+        original = getattr(mc, name)
 
-    monkeypatch.setattr(mc, "_advance_chunk", dying)
+        def call(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return original(*args, **kwargs)
+
+        return call
+
     model, z0 = DoubleWell(v=4.0, beta=2.0).build(), PhaseState([0.0], [1.0])
 
     def hung(signum, frame):
@@ -535,12 +590,21 @@ def test_dead_worker_is_reported_with_its_exit_status(monkeypatch):
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
-        for run in (
-            lambda: mc_expectation(model, "gf2", cos_sum, z0, 0.125, 0.5, 5000, SeedPlan(1)),
-            lambda: mc_step_means(model, [cos_sum], z0, 0.125, 4, 5000, SeedPlan(1)),
+        for name, run in (
+            ("_advance_chunk", lambda: mc_expectation(
+                model, "gf2", cos_sum, z0, 0.125, 0.5, 5000, SeedPlan(1))),
+            ("_advance_chunk", lambda: mc_step_means(
+                model, [cos_sum], z0, 0.125, 4, 5000, SeedPlan(1))),
+            # The worker advances its task, then dies in the reduce round.
+            ("pairwise_sum", lambda: mc_step_means(
+                model, [cos_sum], z0, 0.125, 4, 5000, SeedPlan(1))),
         ):
-            with pytest.raises(EstimationError, match=r"worker process exited with status 3$"):
-                run()
+            with monkeypatch.context() as patch:
+                patch.setattr(mc, name, dying(name))
+                with pytest.raises(
+                    EstimationError, match=r"^a Monte Carlo worker process exited with status 3$"
+                ):
+                    run()
             _assert_no_child_left()
     finally:
         signal.alarm(0)
