@@ -7,13 +7,16 @@ Three ingredients make every estimate in this package a pure function of
    realization index alone, so no draw depends on which task advances it;
 2. the kernel is elementwise over realizations, so the task width and the
    number of steps drawn at a time change no bit;
-3. reductions use a fixed-shape pairwise tree over the fully assembled
-   per-realization array, so the additions happen in the same order whatever
-   the layout that produced the values.
+3. reductions use a fixed-shape pairwise tree over realization indices, so
+   the additions happen in the same order whatever the layout that produced
+   the values.  Node i of level L covers realizations [i 2^L, (i+1) 2^L), and
+   task bounds are multiples of 2^L, so a task can build its own subtrees and
+   the joined subtrees finish into the very same tree.
 
 The kernel tasks run on one process per CPU (``mc.resolve_threads``): each
-worker writes only its own realizations' slots of a shared buffer, so the
-worker count is one more layout that changes no bit.
+worker writes only its own slots of a shared buffer (its realizations'
+values, or for ``mc_step_means`` its subtree sums), so the worker count is
+one more layout that changes no bit.
 
 This script derives a few seeds, then computes the same estimate under
 several master seeds and, for each, under different kernel widths and draw

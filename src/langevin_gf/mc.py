@@ -15,11 +15,11 @@ counts, kernel widths and draw block sizes for a fixed :class:`SeedPlan`:
   each realization alone;
 * the tasks run on :func:`resolve_threads` processes (the CPUs this process
   may use): the caller forks the other workers once per estimator call and
-  runs the first share of the tasks itself.  A task writes only its own
-  realizations' slots of a buffer shared with the workers, and failures come
-  back to the caller, which raises the one a run in task order would raise,
-  so the worker count changes neither a value nor an error.  One task, one
-  CPU or another live thread runs every task on the caller;
+  runs the first share of the tasks itself.  A task writes only its own slots
+  of a buffer shared with the workers, and failures come back to the caller,
+  which raises the one a run in task order would raise, so the worker count
+  changes neither a value nor an error.  One task, one CPU or another live
+  thread runs every task on the caller;
 * reductions over realizations use a fixed-shape pairwise summation tree
   keyed by realization index, never an order-dependent accumulation;
 * Brownian increments are drawn in chunks along the step axis, which yields
@@ -44,13 +44,13 @@ its generators once, draws each block of unscaled normals once, and
 advances one chain (or one coupled coarse/fine pair) per step size on it,
 each scaling its own increments, so every step size keeps the bits of a
 call with it alone.  Every test function is evaluated on the same
-endpoints.  ``mc_step_means`` keeps its own chunk-outer loop of two rounds
-per chunk: every process advances its tasks through the chunk, then reduces
-its contiguous share of the chunk's step rows over all realizations, and the
-caller copies the reduced rows out.  Each row is one fixed tree over every
-realization, so which process reduces it moves no bit.  Each process holds
-its tasks' states across chunks, which the endpoint driver must not do for
-100 000-realization runs.
+endpoints.  ``mc_step_means`` keeps its own chunk-outer loop of one round
+per chunk: each task advances its realizations through the chunk and, a few
+steps at a time, builds the first levels of each step's pairwise tree over
+them; the caller finishes each tree.  Task bounds sit on the tree's grid,
+so the joined subtrees are the tree over every realization, bit for bit.
+Each process holds its tasks' states across chunks, which the endpoint
+driver must not do for 100 000-realization runs.
 
 Each task seeds its generators in one vectorised pass that reproduces
 ``SeedSequence(derive_seed(plan, i))`` word for word.  The normal transform
@@ -84,6 +84,10 @@ SPLIT_SIZE = 2048
 # Most normals one task draws at a time, unless a single coarse step of a
 # coupled estimator needs more; bounds the per-task draw buffer.
 DRAW_BLOCK = 2**18
+# Most levels of the pairwise tree a task builds over its own realizations.
+_TASK_LEVELS = 8
+# Steps whose psi values an mc_step_means task holds before reducing them.
+_STAGE = 8
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -181,23 +185,27 @@ def sample_increments(seed: int, n: int, m: int, h: float) -> Array:
     return generator_for(seed).standard_normal((n, m)) * math.sqrt(h)
 
 
-def pairwise_sum(values: Array, axis: int = 0) -> Array:
+def pairwise_sum(values: Array, axis: int = 0, levels: int | None = None) -> Array:
     """Fixed-shape pairwise summation tree along one axis.
 
     Each level adds even-index to odd-index entries and carries an odd
     leftover unchanged, so the reduction order depends only on the array
-    length, never on how the entries were produced or scheduled.
+    length, never on how the entries were produced or scheduled.  Node i of
+    level L sums entries [i 2^L, (i+1) 2^L), so runs of entries cut at
+    multiples of 2^L build their nodes apart: ``levels=L`` returns them.
     """
     arr = np.asarray(values, dtype=float)
     if arr.shape[axis] == 0:
         raise ArgumentError("cannot reduce an empty axis")
     arr = np.moveaxis(arr, axis, 0)
-    while arr.shape[0] > 1:
+    level = 0
+    while arr.shape[0] > 1 and level != levels:
         n = arr.shape[0]
         even = n - (n % 2)
         paired = arr[0:even:2] + arr[1:even:2]
         arr = np.concatenate([paired, arr[even:]], axis=0) if n % 2 else paired
-    return arr[0]
+        level += 1
+    return arr[0] if levels is None else np.moveaxis(arr, 0, axis)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -244,21 +252,20 @@ def _is_trajectory_failure(exc: BaseException) -> bool:
 class _Workers:
     """Forked processes that run one call's kernel tasks, round by round.
 
-    A round runs one job, ``jobs[i](b)``, once for every task b.  Task b
-    always runs in the same process: the caller runs the first contiguous
-    share of the task indices and each worker, forked at the first round,
-    one later share, so whatever a task keeps between rounds stays in the
-    process that made it.  Tasks write their values into memory mapped
-    before the fork (:func:`_shared_empty`); a worker starts a round when
-    the caller writes the job index, one byte, to its control pipe and ends
-    it by sending back its pickled (task, exception) failures.  The round
-    then raises what running the tasks in index order would raise.  One
-    task, one CPU or another live thread (which a fork would not copy)
-    keeps every task on the calling process.
+    A round runs ``task(b)`` once for every task b.  Task b always runs in
+    the same process: the caller runs the first contiguous share of the task
+    indices and each worker, forked at the first round, one later share, so
+    whatever a task keeps between rounds stays in the process that made it.
+    Tasks write their values into memory mapped before the fork
+    (:func:`_shared_empty`); a worker starts a round when the caller writes
+    one byte to its control pipe and ends it by sending back its pickled
+    (task, exception) failures.  The round then raises what running the
+    tasks in index order would raise.  One task, one CPU or another live
+    thread (which a fork would not copy) keeps every task on the caller.
     """
 
-    def __init__(self, jobs: Sequence[Callable[[int], None]], n_tasks: int) -> None:
-        self.jobs = jobs
+    def __init__(self, task: Callable[[int], None], n_tasks: int) -> None:
+        self.task = task
         n = 1 if threading.active_count() > 1 else min(resolve_threads(), n_tasks)
         self.shares = [range(w * n_tasks // n, (w + 1) * n_tasks // n) for w in range(n)]
         self.children: dict[int, tuple] = {}  # live pid -> (control pipe, results pipe)
@@ -295,8 +302,8 @@ class _Workers:
                     control.close()
                     results.close()
                 with open(control_r, "rb", buffering=0) as go, open(results_w, "wb") as out:
-                    while job := go.read(1):
-                        pickle.dump([(b, _portable(e)) for b, e in self._run(share, job[0])], out)
+                    while go.read(1):
+                        pickle.dump([(b, _portable(e)) for b, e in self._run(share)], out)
                         out.flush()
                 status = 0
             finally:
@@ -305,12 +312,12 @@ class _Workers:
         os.close(results_w)
         self.children[pid] = open(control_w, "wb", buffering=0), open(results_r, "rb")
 
-    def _run(self, share: range, job: int) -> list[tuple[int, Exception]]:
-        """Failures of job on the tasks in share, in order up to the first non-trajectory one."""
+    def _run(self, share: range) -> list[tuple[int, Exception]]:
+        """Failures of the tasks in share, in order up to the first non-trajectory one."""
         failures = []
         for b in share:
             try:
-                self.jobs[job](b)
+                self.task(b)
             except Exception as exc:
                 failures.append((b, exc))
                 if not _is_trajectory_failure(exc):
@@ -331,8 +338,8 @@ class _Workers:
                 f"{os.waitstatus_to_exitcode(status)}"
             ) from None
 
-    def run(self, job: int = 0) -> None:
-        """Run job on every task once, then raise the first failure in task order.
+    def run(self) -> None:
+        """Run every task once, then raise the first failure in task order.
 
         That is the lowest task's non-trajectory failure if there is one,
         otherwise the earliest trajectory failure over all tasks.
@@ -342,10 +349,10 @@ class _Workers:
                 self._fork(share)
         for control, _ in self.children.values():
             try:
-                control.write(bytes([job]))
+                control.write(b"\0")
             except BrokenPipeError:
                 pass  # the worker is gone; _receive reports how it ended
-        failures = self._run(self.shares[0], job)
+        failures = self._run(self.shares[0])
         for pid in list(self.children):
             failures += self._receive(pid)
         others = [(b, exc) for b, exc in failures if not _is_trajectory_failure(exc)]
@@ -372,7 +379,7 @@ def _map_batches(task: Callable[[int], None], n_batches: int) -> None:
     how realizations are grouped into tasks or processes; any other failure
     wins over it, the lowest task's first, as in a run in index order.
     """
-    with _Workers([task], n_batches) as workers:
+    with _Workers(task, n_batches) as workers:
         workers.run()
 
 
@@ -389,22 +396,25 @@ def _batch_bounds(n_realizations: int) -> list[tuple[int, int]]:
 
     More than one task, or more than SPLIT_SIZE realizations, is rounded up
     to a multiple of the worker count, so that every worker gets the same
-    number of tasks.
+    number of tasks.  The tasks share out blocks of a grain (a power of two,
+    at most 2^_TASK_LEVELS and the balanced width, that divides BATCH_SIZE)
+    as evenly as they go, so each holds whole nodes of a pairwise tree.
     """
     n_tasks = -(-n_realizations // BATCH_SIZE)
     if n_tasks > 1 or n_realizations > SPLIT_SIZE:
         workers = resolve_threads()
         n_tasks = -(-n_tasks // workers) * workers
-    width = -(-n_realizations // n_tasks)
-    return [
-        (lo, min(lo + width, n_realizations))
-        for lo in range(0, n_realizations, width)
-    ]
+    balanced = max(1, n_realizations // n_tasks)
+    grain = math.gcd(BATCH_SIZE, 1 << _TASK_LEVELS, 1 << balanced.bit_length() - 1)
+    blocks = -(-n_realizations // grain)
+    n_tasks = min(n_tasks, blocks)
+    cuts = [b * blocks // n_tasks * grain for b in range(n_tasks)] + [n_realizations]
+    return list(zip(cuts, cuts[1:]))
 
 
 def _block_steps(bounds: list[tuple[int, int]], m: int) -> int:
     """Steps per draw that keep each task's draw block within DRAW_BLOCK."""
-    width = bounds[0][1] - bounds[0][0]
+    width = max(hi - lo for lo, hi in bounds)
     return max(1, DRAW_BLOCK // (width * m))
 
 
@@ -422,10 +432,6 @@ def _steps_for(h: float, horizon: float) -> int:
 def _kicks(model: LangevinModel, dw: Array) -> Array:
     """Sigma dw[:, s, :] for every step s, step-major: shape (n_steps, R, d)."""
     return _noise_kick(model.noise, dw.transpose(1, 0, 2))
-
-
-def _chunk_lengths(total: int, chunk: int) -> list[int]:
-    return [min(chunk, total - start) for start in range(0, total, chunk)]
 
 
 class _BatchState:
@@ -475,7 +481,8 @@ def _advance_chunk(
 ) -> None:
     """Advance a task through one chunk of increments.
 
-    With psi_rows, psi_rows[j] after step s is written to out[s, j, realization].
+    With psi_rows, psi_rows[j] after step s is written to out[s, j], one
+    value per realization of the task.
     """
     step = _KERNELS[scheme](model, h)
     p, q = state.p, state.q
@@ -497,7 +504,7 @@ def _advance_chunk(
                 )
             if psi_rows is not None and out is not None:
                 for j, psi in enumerate(psi_rows):
-                    out[s, j, state.lo: state.hi] = psi(p, q)
+                    out[s, j] = psi(p, q)
     state.p, state.q = p, q
 
 
@@ -505,9 +512,7 @@ def _validate_run(
     model: LangevinModel, scheme: str, z0: PhaseState, n_realizations: int, plan: SeedPlan
 ) -> None:
     if scheme not in _KERNELS:
-        raise ArgumentError(
-            f"unknown scheme {scheme!r}; expected one of {sorted(_KERNELS)}"
-        )
+        raise ArgumentError(f"unknown scheme {scheme!r}; expected one of {sorted(_KERNELS)}")
     if z0.dim != model.dim:
         raise ArgumentError("initial state dimension does not match the model")
     if n_realizations < 2:
@@ -561,8 +566,8 @@ def _endpoint_values(
         }
         scaled = np.empty((hi - lo) * min(chunk, longest) * factor * m)
         failed: dict[int, EstimationError] = {}
-        done = 0
-        for length in _chunk_lengths(longest, chunk):
+        for done in range(0, longest, chunk):
+            length = min(chunk, longest - done)
             z = source.draw(length * factor, m, 1.0)
             for j, (h, n_steps) in enumerate(chains):
                 steps = min(length, n_steps - done)
@@ -581,7 +586,6 @@ def _endpoint_values(
                         raise
                     failed[j] = exc
                     del runs[j]
-            done += length
         for j, states in runs.items():
             for k, endpoint in enumerate(endpoints):
                 values[j, k, lo:hi] = endpoint(*states)
@@ -710,8 +714,9 @@ def mc_step_means(
 
     Returns (times, means) with times of shape (n_steps+1,) and means of
     shape (len(psis), n_steps+1); column 0 is the point mass at z0.  Memory
-    stays bounded: psi values are buffered per step chunk and tree-reduced
-    over realizations before the next chunk starts.
+    stays bounded: a task holds a few steps' psi values at a time and
+    reduces them to the first levels of each step's tree, the caller
+    joining those subtrees at the aligned task bounds.
     """
     _validate_run(model, "gf2", z0, n_realizations, plan)
     if n_steps < 0:
@@ -722,38 +727,33 @@ def mc_step_means(
         raise ArgumentError("need at least one test function")
     means = np.empty((k, n_steps + 1))
     for j, psi in enumerate(psis):
-        means[j, 0] = float(np.asarray(psi(z0.p[None, :], z0.q[None, :]))[0])
+        means[j, :1] = psi(z0.p[None, :], z0.q[None, :])
     bounds = _batch_bounds(n_realizations)
-    # At most 2M buffered values (16 MB), of which each process reduces only
-    # its share of the rows; the narrower tasks of several workers would
-    # otherwise take longer chunks and a larger buffer.
-    budget = 2_000_000 // max(1, k * n_realizations)
-    chunk = max(1, min(_block_steps(bounds, model.noise_dim), budget))
-    # One buffer for all chunks: a new one per chunk made peak memory vary by run.
-    whole = _shared_empty((min(chunk, n_steps), k, n_realizations))
-    reduced = _shared_empty((min(chunk, n_steps), k))
+    chunk = _block_steps(bounds, model.noise_dim)
+    # Every task bound is a multiple of the grain, so each task builds the
+    # tree's level-L nodes of its own realizations and the caller the rest.
+    grain = math.gcd(1 << _TASK_LEVELS, *(lo for lo, _ in bounds))
+    levels = grain.bit_length() - 1
+    nodes = _shared_empty((min(chunk, n_steps), k, -(-n_realizations // grain)))
     progress: dict[int, tuple[_BatchState, int]] = {}
 
     def advance(b: int) -> None:
         """Advance task b by one chunk; its state lives in the process that runs it."""
-        state, done = progress.get(b) or (_BatchState(z0, plan, *bounds[b]), 0)
+        lo, hi = bounds[b]
+        state, done = progress.get(b) or (_BatchState(z0, plan, lo, hi), 0)
         length = min(chunk, n_steps - done)
         dw = state.draw(length, model.noise_dim, h)
-        _advance_chunk(model, "gf2", state, h, dw, done, psis, whole)
+        staged = np.empty((_STAGE, k, hi - lo))
+        for s in range(0, length, _STAGE):
+            rows = dw[:, s: s + _STAGE]
+            _advance_chunk(model, "gf2", state, h, rows, done + s, psis, staged)
+            own = pairwise_sum(staged[: rows.shape[1]], axis=2, levels=levels)
+            nodes[s: s + rows.shape[1], :, lo // grain: -(-hi // grain)] = own
         progress[b] = state, done + length
 
-    def reduce(b: int) -> None:
-        """Reduce task b's share of the step rows of the chunk just advanced."""
-        length = (progress[b][1] - 1) % chunk + 1  # only the last chunk is short
-        rows = slice(b * length // len(bounds), (b + 1) * length // len(bounds))
-        reduced[rows] = pairwise_sum(whole[rows], axis=2) / n_realizations
-
-    done = 0
-    with _Workers([advance, reduce], len(bounds)) as workers:
-        for length in _chunk_lengths(n_steps, chunk):
-            workers.run(0)
-            workers.run(1)
-            means[:, done + 1: done + 1 + length] = reduced[:length].T
-            done += length
+    with _Workers(advance, len(bounds)) as workers:
+        for start in range(0, n_steps, chunk):
+            workers.run()
+            sums = pairwise_sum(nodes[: min(chunk, n_steps - start)], axis=2)
+            means[:, start + 1: start + 1 + len(sums)] = sums.T / n_realizations
     return h * np.arange(n_steps + 1), means
-

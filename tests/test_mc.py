@@ -173,6 +173,32 @@ def test_pairwise_sum_axis():
         pairwise_sum(np.empty((0,)))
 
 
+# Realization counts of the split-tree test: one task, a grain's edges, and
+# splits that leave a short last task or a partial last block.
+_SPLIT_SIZES = (1, 255, 256, 257, 2049, 4999, 5000, 7919, 16384)
+
+
+def test_task_subtrees_join_into_the_whole_tree(monkeypatch):
+    # Each task reduces the first L levels of the tree over its own
+    # realizations and the caller finishes the joined nodes.  That gives the
+    # whole tree's bits only because every task bound is a multiple of 2^L;
+    # values of widely spread magnitude make a misplaced bound show.
+    rng = np.random.default_rng(2024)
+    for workers in range(1, 8):
+        monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
+        for n in _SPLIT_SIZES:
+            values = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-8, 9, size=(3, n))
+            bounds = mc._batch_bounds(n)
+            levels = min(8, int(math.log2(n // len(bounds))))
+            nodes = np.concatenate(
+                [pairwise_sum(values[:, lo:hi], axis=1, levels=levels) for lo, hi in bounds],
+                axis=1,
+            )
+            assert nodes.shape == (3, math.ceil(n / 2**levels))
+            joined = pairwise_sum(nodes, axis=1)
+            assert joined.tobytes() == pairwise_sum(values, axis=1).tobytes()
+
+
 def test_mean_and_se_matches_numpy():
     rng = np.random.default_rng(19)
     vals = rng.normal(size=4097)
@@ -424,17 +450,20 @@ def test_failure_reported_across_worker_processes(monkeypatch):
     _assert_no_child_left()
 
 
-# (realizations, workers) -> task bounds.  The weak-order benchmark's 4096
-# realizations run as two tasks of 2048; 2500 fit one task but still split
-# over the workers.
+# (realizations, workers) -> task bounds.  Every cut is a multiple of 256,
+# the grain, placed at or below its balanced position on the 256-block grid.
+# The weak-order benchmark's 4096 realizations run as two tasks of 2048;
+# 2500 fit one task but still split over the workers.
 _BOUNDS = {
-    (5000, 1): [(0, 2500), (2500, 5000)],
-    (5000, 2): [(0, 2500), (2500, 5000)],
-    (5000, 3): [(0, 1667), (1667, 3334), (3334, 5000)],
+    (5000, 1): [(0, 2560), (2560, 5000)],
+    (5000, 2): [(0, 2560), (2560, 5000)],
+    (5000, 3): [(0, 1536), (1536, 3328), (3328, 5000)],
     (4096, 1): [(0, 2048), (2048, 4096)],
     (4096, 2): [(0, 2048), (2048, 4096)],
     (2500, 1): [(0, 2500)],
-    (2500, 2): [(0, 1250), (1250, 2500)],
+    (2500, 2): [(0, 1280), (1280, 2500)],
+    (2100, 7): [(0, 256), (256, 512), (512, 768), (768, 1280), (1280, 1536),
+                (1536, 1792), (1792, 2100)],
     (1024, 2): [(0, 1024)],
     (3, 3): [(0, 3)],
 }
@@ -447,23 +476,29 @@ def test_batch_bounds_are_balanced(monkeypatch):
     for (n, workers), expected in _BOUNDS.items():
         monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
         assert mc._batch_bounds(n) == expected
-    for workers in (1, 2, 3):
+    for workers in (1, 2, 3, 7):
         monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
         _assert_bounds_split(workers)
 
 
 def _assert_bounds_split(workers):
     sizes = (1, SPLIT_SIZE, SPLIT_SIZE + 1, BATCH_SIZE, BATCH_SIZE + 1, 2 * BATCH_SIZE + 1)
-    for n in (*sizes, 16384, 100_000):
+    for n in (*sizes, 2100, 16384, 100_000):
         bounds = mc._batch_bounds(n)
         assert bounds[0][0] == 0 and bounds[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-        widths = [hi - lo for lo, hi in bounds]
         n_tasks = math.ceil(n / BATCH_SIZE)
         if n_tasks > 1 or n > SPLIT_SIZE:
             n_tasks = math.ceil(n_tasks / workers) * workers
         assert len(bounds) == n_tasks
-        assert set(widths[:-1]) <= {widths[0]} and 0 < widths[-1] <= widths[0] <= BATCH_SIZE
+        # The grain is 2^L with L = min(8, floor(log2(n / n_tasks))); each
+        # width differs by less than a grain from the balanced share of the
+        # grain-sized blocks, so none is empty or wider than BATCH_SIZE.
+        grain = 2 ** min(8, int(math.log2(n // n_tasks)))
+        assert all(lo % grain == 0 for lo, _ in bounds)
+        balanced = math.ceil(n / grain) * grain / n_tasks
+        for lo, hi in bounds:
+            assert 0 < hi - lo <= BATCH_SIZE and abs(hi - lo - balanced) < grain
 
 
 def test_import_loads_no_process_pool_module():
@@ -509,10 +544,9 @@ def test_outputs_are_identical_on_one_and_two_workers(monkeypatch, name):
 
 
 # (kernel width, draw block, test functions, steps) of the runs below.  A
-# small draw block meets the workers every few steps.  With the large one the
-# 2M-value buffer budget sets the chunk for every width, and the steps run
-# one past it: the last chunk has one row, which one process reduces while
-# every other reduces none.  A width of 512 gives more tasks than workers.
+# small draw block meets the workers every few steps, fewer than a task
+# stages before it reduces them.  With the large one each run is one chunk
+# whose last stage is short.  A width of 512 gives more tasks than workers.
 _ROUNDS = [
     (1000, 2**12, PSIS[:1], 20),
     *(
@@ -522,14 +556,14 @@ _ROUNDS = [
     ),
 ]
 # sha256 of their step means, recorded when the caller reduced every chunk
-# alone, so it pins those bits.
+# alone over all realizations, so it pins those bits.
 _STEP_MEANS_DIGEST = "b3d33bd2deead0cf1be3f4c24fec81b28f692440f47d05e6ec77bbe26e689801"
 
 
 def test_step_means_are_identical_over_many_rounds(monkeypatch):
-    # Up to five workers, usually more than there are CPUs, write disjoint
-    # slots of one shared buffer and reduce disjoint step rows of it, which a
-    # lost or misplaced write or row would break.
+    # Up to five workers, usually more than there are CPUs, write their
+    # tasks' tree nodes into disjoint slots of one shared buffer, which a
+    # lost or misplaced write would break.
     build, p0, q0 = MODELS["double_well"]
     model, z0 = build(), PhaseState(p0, q0)
     outputs = []
@@ -595,7 +629,8 @@ def test_dead_worker_is_reported_with_its_exit_status(monkeypatch):
                 model, "gf2", cos_sum, z0, 0.125, 0.5, 5000, SeedPlan(1))),
             ("_advance_chunk", lambda: mc_step_means(
                 model, [cos_sum], z0, 0.125, 4, 5000, SeedPlan(1))),
-            # The worker advances its task, then dies in the reduce round.
+            # The worker dies in the tree routine it runs on its own
+            # realizations inside the advance round.
             ("pairwise_sum", lambda: mc_step_means(
                 model, [cos_sum], z0, 0.125, 4, 5000, SeedPlan(1))),
         ):
@@ -844,6 +879,41 @@ def test_mc_step_means_zero_steps():
     assert times.shape == (1,) and times[0] == 0.0
     assert_allclose(means[0, 0], math.cos(1.0))
 
+
+
+# sha256 of the step means of the indicator psi below, recorded before the
+# tasks reduced their own realizations.
+_INDICATOR_DIGEST = "b56c6e747a5968c25df839e696434719a299b754ea350f594847dd0449d81b08"
+
+
+def test_step_means_cast_and_broadcast_every_psi_output():
+    # Column 0 takes a psi's output as the later columns and the endpoint
+    # driver do; a scalar psi once raised IndexError there.
+    build, p0, q0 = MODELS["double_well"]
+    model, z0, plan = build(), PhaseState(p0, q0), SeedPlan(SEEDS[0])
+    one = lambda p, q: 1.0
+    _, means = mc_step_means(model, [one], z0, 0.125, 12, 5000, plan)
+    assert np.array_equal(means, np.ones((1, 13)))
+    assert mc_expectation(model, "gf2", one, z0, 0.125, 1.5, 5000, plan).mean == 1.0
+    _, means = mc_step_means(model, [lambda p, q: q[:, 0] > 0], z0, 0.125, 12, 5000, plan)
+    assert hashlib.sha256(means.astype("<f8").tobytes()).hexdigest() == _INDICATOR_DIGEST
+
+
+def test_step_means_share_tree_nodes_not_realizations(monkeypatch):
+    # Each task reduces its own realizations, so no buffer shared with the
+    # workers holds more than chunk x k x ceil(R / 2^L) values.
+    monkeypatch.setattr(mc, "resolve_threads", lambda: 2)
+    shared_empty, shapes = mc._shared_empty, []
+    monkeypatch.setattr(
+        mc, "_shared_empty", lambda shape: shapes.append(shape) or shared_empty(shape)
+    )
+    model, z0 = DoubleWell(v=4.0, beta=2.0).build(), PhaseState([0.0], [1.0])
+    bounds = mc._batch_bounds(5000)
+    chunk = mc._block_steps(bounds, model.noise_dim)
+    mc_step_means(model, PSIS, z0, 0.125, chunk + 5, 5000, SeedPlan(3))
+    assert shapes
+    assert max(math.prod(shape) for shape in shapes) <= chunk * 3 * math.ceil(5000 / 256)
+    _assert_no_child_left()
 
 
 def test_step_count_tolerance_is_relative_to_the_horizon():
