@@ -26,36 +26,28 @@ counts, kernel widths and draw block sizes for a fixed :class:`SeedPlan`:
   the same stream as a single draw (a NumPy generator guarantee the test
   suite pins down).
 
-Every model and dimension is stepped by the step kernels of
-:mod:`.integrators`, the ones ``gf2_step`` and ``em_step`` run with a single
-state: a task advances its realizations as (R, d) arrays, so a realization's
-trajectory equals, bit for bit, the single-state map iterated on its own
-increments, and both fail alike.  A failing run reports the earliest step
-at which a realization failed, then the lowest such realization, over all
-tasks, so for a single chain the report does not depend on the kernel width
-either.
+Every model and dimension is stepped by the (R, d) step kernels of
+:mod:`.integrators` that ``gf2_step`` and ``em_step`` run with one state, so
+a realization's trajectory equals, bit for bit, the single-state map on its
+own increments, and both fail alike.  A failing run reports the earliest
+failing step, then the lowest realization failing there, over all tasks.
 
-The three endpoint estimators (``mc_expectation``, ``weak_error_mc`` and
-``one_step_ms_gap``) are validation around one driver,
-:func:`_endpoint_values`, in which each process runs a whole task before
-its next one starts, so it holds only one task's state at a time.  One
-normal stream per realization feeds every step size of a call: a task seeds
-its generators once, draws each block of unscaled normals once, and
-advances one chain (or one coupled coarse/fine pair) per step size on it,
-each scaling its own increments, so every step size keeps the bits of a
-call with it alone.  Every test function is evaluated on the same
-endpoints.  ``mc_step_means`` keeps its own chunk-outer loop of one round
-per chunk: each task advances its realizations through the chunk and, a few
-steps at a time, builds the first levels of each step's pairwise tree over
-them; the caller finishes each tree.  Task bounds sit on the tree's grid,
-so the joined subtrees are the tree over every realization, bit for bit.
-Each process holds its tasks' states across chunks, which the endpoint
-driver must not do for 100 000-realization runs.
+The endpoint estimators (``mc_expectation``, ``weak_error_mc`` and
+``one_step_ms_gap``) are validation around :func:`_endpoint_values`, in
+which a process runs a whole task before its next, holding one task's state
+at a time.  A task seeds its generators once and draws each block of
+unscaled normals once; one chain (or coupled coarse/fine pair) per step size
+advances on it a coarse step (an uncoupled chain :data:`_SLICE` steps) at a
+time, scaling only that slice, so the block is the task's one large buffer
+and every step size keeps the bits of a call with it alone.
+``mc_step_means`` runs one round per chunk of steps: each task advances its
+realizations, which it holds across rounds, and builds the first levels of
+each step's pairwise tree over them; the caller finishes each tree.  Task
+bounds sit on the tree's grid, so the joined subtrees are the whole tree.
 
-Each task seeds its generators in one vectorised pass that reproduces
-``SeedSequence(derive_seed(plan, i))`` word for word.  The normal transform
-is pinned in exactly one place, :func:`generator_for`, so regression goldens
-survive refactors elsewhere.
+Seeding is one vectorised pass per task that reproduces
+``SeedSequence(derive_seed(plan, i))`` word for word; the normal transform
+is pinned in one place, :func:`generator_for`.
 """
 
 from __future__ import annotations
@@ -78,12 +70,15 @@ from .models import LangevinModel, PhaseState
 Array = np.ndarray
 
 # Most realizations one kernel task advances (the kernel width).
-BATCH_SIZE = 2560
+BATCH_SIZE = 4096
 # Realizations above which a call is split over the workers even as one task.
 SPLIT_SIZE = 2048
 # Most normals one task draws at a time, unless a single coarse step of a
-# coupled estimator needs more; bounds the per-task draw buffer.
-DRAW_BLOCK = 2**18
+# coupled estimator needs more; bounds the per-task draw buffer.  A
+# BATCH_SIZE-wide task fills it with 128 steps per generator call at m = 1.
+DRAW_BLOCK = 2**19
+# Steps per kernel call of an uncoupled endpoint chain.
+_SLICE = 16
 # Most levels of the pairwise tree a task builds over its own realizations.
 _TASK_LEVELS = 8
 # Steps whose psi values an mc_step_means task holds before reducing them.
@@ -412,10 +407,9 @@ def _batch_bounds(n_realizations: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _block_steps(bounds: list[tuple[int, int]], m: int) -> int:
-    """Steps per draw that keep each task's draw block within DRAW_BLOCK."""
-    width = max(hi - lo for lo, hi in bounds)
-    return max(1, DRAW_BLOCK // (width * m))
+def _block_steps(m: int) -> int:
+    """Steps per draw: DRAW_BLOCK normals in a BATCH_SIZE-wide task, whatever the width."""
+    return max(1, DRAW_BLOCK // (BATCH_SIZE * m))
 
 
 def _steps_for(h: float, horizon: float) -> int:
@@ -435,7 +429,7 @@ def _kicks(model: LangevinModel, dw: Array) -> Array:
 
 
 class _BatchState:
-    """Mutable per-batch ensemble state for the chunked drivers."""
+    """Per-batch ensemble state; ``step`` is the kernel its first advance builds."""
 
     def __init__(
         self,
@@ -451,6 +445,7 @@ class _BatchState:
             generators = [generator_for(_SeedWords(row)) for row in words]
         self.generators = generators
         self._buffer = np.empty(0)
+        self.step: Callable[[Array, Array, Array], tuple] | None = None
         self.p = np.tile(z0.p, (hi - lo, 1))
         self.q = np.tile(z0.q, (hi - lo, 1))
 
@@ -458,6 +453,7 @@ class _BatchState:
         """N(0, h) increments of shape (size, n_steps, m), filled in place.
 
         The result is a view of a buffer that the next call overwrites.
+        Unscaled normals (h = 1) skip the multiply, which would not change them.
         """
         size = (self.hi - self.lo) * n_steps * m
         if self._buffer.size < size:
@@ -465,7 +461,8 @@ class _BatchState:
         block = self._buffer[:size].reshape(self.hi - self.lo, n_steps, m)
         for row, gen in zip(block, self.generators):
             gen.standard_normal(out=row)
-        block *= math.sqrt(h)
+        if h != 1.0:
+            block *= math.sqrt(h)
         return block
 
 
@@ -479,13 +476,14 @@ def _advance_chunk(
     psi_rows: Sequence[Callable[[Array, Array], Array]] | None = None,
     out: Array | None = None,
 ) -> None:
-    """Advance a task through one chunk of increments.
+    """Advance a task through one chunk of increments, on the kernel of (scheme, h).
 
     With psi_rows, psi_rows[j] after step s is written to out[s, j], one
     value per realization of the task.
     """
-    step = _KERNELS[scheme](model, h)
-    p, q = state.p, state.q
+    if state.step is None:
+        state.step = _KERNELS[scheme](model, h)
+    step, p, q = state.step, state.p, state.q
     with np.errstate(all="ignore"):
         for s, kick in enumerate(_kicks(model, dw)):
             try:
@@ -552,7 +550,9 @@ def _endpoint_values(
     m = model.noise_dim
     factor = refine or 1
     bounds = _batch_bounds(n_realizations)
-    chunk = max(1, _block_steps(bounds, m) // factor)
+    chunk = max(1, _block_steps(m) // factor)
+    # Coarse steps per kernel call; a coupled pair interleaves at every one.
+    per_call = _SLICE if refine is None else 1
     longest = max(n_steps for _, n_steps in chains)
     values = _shared_empty((len(chains), len(endpoints), n_realizations))
 
@@ -564,28 +564,27 @@ def _endpoint_values(
             j: [_BatchState(z0, plan, lo, hi, source.generators) for _ in range(n_states)]
             for j in range(len(chains))
         }
-        scaled = np.empty((hi - lo) * min(chunk, longest) * factor * m)
         failed: dict[int, EstimationError] = {}
         for done in range(0, longest, chunk):
             length = min(chunk, longest - done)
             z = source.draw(length * factor, m, 1.0)
             for j, (h, n_steps) in enumerate(chains):
-                steps = min(length, n_steps - done)
-                if j not in runs or steps <= 0:
-                    continue
-                n_fine = steps * factor
-                dw = scaled[: (hi - lo) * n_fine * m].reshape(hi - lo, n_fine, m)
-                np.multiply(z[:, :n_fine], math.sqrt(h / factor), out=dw)
-                try:
-                    if refine is not None:
-                        _advance_chunk(model, scheme, runs[j][1], h / refine, dw, done * refine)
-                        dw = dw.reshape(hi - lo, steps, refine, m).sum(axis=2)
-                    _advance_chunk(model, scheme, runs[j][0], h, dw, done)
-                except EstimationError as exc:
-                    if exc.where is None:
-                        raise
-                    failed[j] = exc
-                    del runs[j]
+                for at in range(done, min(done + length, n_steps), per_call):
+                    if j not in runs:
+                        break
+                    steps = min(per_call, done + length - at, n_steps - at)
+                    first = (at - done) * factor
+                    dw = z[:, first: first + steps * factor] * math.sqrt(h / factor)
+                    try:
+                        if refine is not None:
+                            _advance_chunk(model, scheme, runs[j][1], h / refine, dw, at * refine)
+                            dw = dw.reshape(hi - lo, steps, refine, m).sum(axis=2)
+                        _advance_chunk(model, scheme, runs[j][0], h, dw, at)
+                    except EstimationError as exc:
+                        if exc.where is None:
+                            raise
+                        failed[j] = exc
+                        del runs[j]
         for j, states in runs.items():
             for k, endpoint in enumerate(endpoints):
                 values[j, k, lo:hi] = endpoint(*states)
@@ -729,7 +728,7 @@ def mc_step_means(
     for j, psi in enumerate(psis):
         means[j, :1] = psi(z0.p[None, :], z0.q[None, :])
     bounds = _batch_bounds(n_realizations)
-    chunk = _block_steps(bounds, model.noise_dim)
+    chunk = _block_steps(model.noise_dim)
     # Every task bound is a multiple of the grain, so each task builds the
     # tree's level-L nodes of its own realizations and the caller the rest.
     grain = math.gcd(1 << _TASK_LEVELS, *(lo for lo, _ in bounds))

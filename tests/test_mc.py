@@ -452,13 +452,14 @@ def test_failure_reported_across_worker_processes(monkeypatch):
 
 # (realizations, workers) -> task bounds.  Every cut is a multiple of 256,
 # the grain, placed at or below its balanced position on the 256-block grid.
-# The weak-order benchmark's 4096 realizations run as two tasks of 2048;
-# 2500 fit one task but still split over the workers.
+# The weak-order benchmark's 16384 realizations run as four tasks of 4096;
+# 4096 and 2500 fit one task but still split over the workers.
 _BOUNDS = {
     (5000, 1): [(0, 2560), (2560, 5000)],
     (5000, 2): [(0, 2560), (2560, 5000)],
     (5000, 3): [(0, 1536), (1536, 3328), (3328, 5000)],
-    (4096, 1): [(0, 2048), (2048, 4096)],
+    (16384, 2): [(0, 4096), (4096, 8192), (8192, 12288), (12288, 16384)],
+    (4096, 1): [(0, 4096)],
     (4096, 2): [(0, 2048), (2048, 4096)],
     (2500, 1): [(0, 2500)],
     (2500, 2): [(0, 1280), (1280, 2500)],
@@ -647,8 +648,16 @@ def test_dead_worker_is_reported_with_its_exit_status(monkeypatch):
 
 
 # (kernel width, draw block): the first pair is the old fixed layout, the
-# others give uneven task widths and several draws per chunk of steps.
+# others give uneven task widths and several draws per chunk of steps; at
+# (1000, 2^12) a block holds less than one coarse step of refine 16.
 _LAYOUTS = [(512, 2**20), (1000, 2**12), (2048, 2**12), (BATCH_SIZE, DRAW_BLOCK)]
+# sha256 of the refine-16 pass over three step sizes below, per input; the
+# earlier engine (2560-wide tasks, 2^18-normal blocks, each chain scaling
+# its whole block) gave the same bits.
+_COUPLED_DIGESTS = [
+    "cdc10a4584ace5b266bd7a6e93de8ff215382aa1f704495028fdf175202e5ec5",
+    "6a74ed58cbd1525c99ba8cd293ce12cd55b43bd36192f30ca6e97cb9c13e2bf8",
+]
 
 
 def test_estimates_are_width_and_block_invariant(monkeypatch):
@@ -658,7 +667,7 @@ def test_estimates_are_width_and_block_invariant(monkeypatch):
         (DoubleWell(v=4.0, beta=2.0).build(), PhaseState([0.0], [1.0])),
         (quadratic_d2(), PhaseState([1.0, 0.0], [0.0, 1.0])),
     ]
-    for model, z0 in inputs:
+    for (model, z0), pinned in zip(inputs, _COUPLED_DIGESTS):
         outputs = []
         for width, block in _LAYOUTS:
             monkeypatch.setattr(mc, "BATCH_SIZE", width)
@@ -666,12 +675,60 @@ def test_estimates_are_width_and_block_invariant(monkeypatch):
             plans = SeedPlan(41), SeedPlan(42), SeedPlan(43)
             expectation = mc_expectation(model, "gf2", cos_sum, z0, 0.125, 1.0, n_real, plans[0])
             weak = weak_error_mc(model, [cos_sum], z0, [0.25], 1.0, n_real, 4, plans[1])[0][0]
+            coupled = weak_error_mc(
+                model, PSIS[:2], z0, [0.25, 0.125, 0.0625], 1.0, n_real, 16, plans[1]
+            )
+            coupled = [(res.mean, res.std_error) for row in coupled for res in row]
             _, means = mc_step_means(model, [cos_sum, quartic], z0, 0.125, 12, n_real, plans[2])
             outputs.append(
                 (expectation.mean, expectation.std_error, weak.mean, weak.std_error,
-                 means.tobytes())
+                 means.tobytes(), np.array(coupled, dtype="<f8").tobytes())
             )
         assert all(out == outputs[0] for out in outputs[1:])
+        assert hashlib.sha256(outputs[0][-1]).hexdigest() == pinned
+
+
+def test_coupled_pass_draws_wide_and_holds_one_block(monkeypatch):
+    # One worker, so the recorders see every task.  Each generator call
+    # fills at least 128 normals but a task's last, and the normals block is
+    # the only array of its size a task makes: a chain scales and kicks one
+    # coarse step of it at a time.
+    monkeypatch.setattr(mc, "resolve_threads", lambda: 1)
+    draws, sizes = [], []
+
+    def record(array):
+        sizes.append(array.size)
+        return array
+
+    draw, advance, noise_kick, empty = (
+        mc._BatchState.draw, mc._advance_chunk, mc._noise_kick, np.empty
+    )
+
+    def recorded_draw(state, n_steps, m, h):
+        draws.append((state.lo, state.hi - state.lo, n_steps * m))
+        return draw(state, n_steps, m, h)
+
+    def recorded_advance(model, scheme, state, h, dw, *rest):
+        return advance(model, scheme, state, h, record(dw), *rest)
+
+    monkeypatch.setattr(mc._BatchState, "draw", recorded_draw)
+    monkeypatch.setattr(mc, "_advance_chunk", recorded_advance)
+    monkeypatch.setattr(mc, "_noise_kick", lambda noise, dw: record(noise_kick(noise, dw)))
+    monkeypatch.setattr(np, "empty", lambda *args, **kwargs: record(empty(*args, **kwargs)))
+    model = DoubleWell(v=4.0, beta=2.0).build()
+    steps = [0.25, 0.125, 0.0625]
+    weak_error_mc(model, PSIS[:2], PhaseState([-2.0], [-2.0]), steps, 1.0, 5000, 16, SeedPlan(6))
+    monkeypatch.undo()
+    tasks = {lo: [(width, normals) for start, width, normals in draws if start == lo]
+             for lo, _, _ in draws}
+    assert len(tasks) == 2
+    blocks = []
+    for calls in tasks.values():
+        assert len(calls) > 1 and all(normals >= 128 for _, normals in calls[:-1])
+        blocks.append(max(width * normals for width, normals in calls))
+    for m in (1, 2, 3):
+        assert mc._block_steps(m) * BATCH_SIZE * m <= DRAW_BLOCK
+    assert sorted(size for size in sizes if size >= min(blocks)) == sorted(blocks)
 
 
 def test_batch_draw_matches_fresh_generator_stream():
@@ -909,7 +966,7 @@ def test_step_means_share_tree_nodes_not_realizations(monkeypatch):
     )
     model, z0 = DoubleWell(v=4.0, beta=2.0).build(), PhaseState([0.0], [1.0])
     bounds = mc._batch_bounds(5000)
-    chunk = mc._block_steps(bounds, model.noise_dim)
+    chunk = mc._block_steps(model.noise_dim)
     mc_step_means(model, PSIS, z0, 0.125, chunk + 5, 5000, SeedPlan(3))
     assert shapes
     assert max(math.prod(shape) for shape in shapes) <= chunk * 3 * math.ceil(5000 / 256)
