@@ -826,7 +826,9 @@ def test_singular_step_matrix_fails_alike_for_every_kind():
         assert info.value.where == (0, 0, 0)
 
 
-@pytest.mark.parametrize("block", [DRAW_BLOCK, 2**12])
+# The default draw block, the earlier default of 2^18 normals, and a block of
+# one coarse step.
+@pytest.mark.parametrize("block", [DRAW_BLOCK, 2**18, 2**12])
 def test_weak_error_raises_the_first_failing_step_size(monkeypatch, block):
     # From (-2, -2), run one h at a time, h = 0.25 diverges at step 9 and
     # h = 0.375 already at step 7.  The error is the first failing h's, in
