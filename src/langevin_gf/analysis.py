@@ -221,19 +221,6 @@ def _law_means(
     return _gauss_means(psis, law.mean + offsets, weights)
 
 
-def gauss_expectation(
-    psi: Callable[[Array], Array],
-    law: GaussianLaw,
-    n_nodes: int = DEFAULT_HERMITE_NODES,
-) -> float:
-    """E psi(Z) for Z ~ law, by Gauss-Hermite quadrature after factoring cov.
-
-    psi receives an (N, k) block of sample points and returns (N,) values.
-    Exact (to rounding) for polynomials of total degree <= 2*n_nodes - 1.
-    """
-    return float(_law_means([psi], law, n_nodes)[0])
-
-
 def _phase_psi(psi: Callable[[Array, Array], Array]) -> Callable[[Array], Array]:
     """Adapt a (p, q) test function to flat (N, 2) phase points."""
     return lambda z: psi(z[..., :1], z[..., 1:])
@@ -383,7 +370,7 @@ def linear_ergodic_series(
     step's byte for byte copies that step's means instead of calling psi,
     which must therefore be a pure function of its points.  Every value is
     bit-identical to composing :func:`propagate_gaussian_chain` and
-    :func:`gauss_expectation` step by step.
+    :func:`_law_means` step by step.
 
     Returns (times, means) with means of shape
     (len(initials), len(psis), n_steps + 1).

@@ -304,7 +304,7 @@ def _write_csv(
     config: ExperimentConfig,
     columns: Sequence[str],
     rows: Sequence[Sequence[object]],
-) -> Path:
+) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
@@ -314,15 +314,13 @@ def _write_csv(
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return path
 
 
-def _out_path(config: ExperimentConfig, name: str) -> Path:
-    prefix = config.output["prefix"]
-    return Path(config.output["directory"]) / f"{prefix}{name}"
+# What a command writes: its file name, the column names and the rows.
+_Table = tuple[str, Sequence[str], Sequence[Sequence[object]]]
 
 
-def _run_weak_order(config: ExperimentConfig) -> list[Path]:
+def _run_weak_order(config: ExperimentConfig) -> _Table:
     spec = _model_spec(config)
     exp = config.experiment
     label, z0 = _initials(config)[0]
@@ -349,13 +347,7 @@ def _run_weak_order(config: ExperimentConfig) -> list[Path]:
         for pt in report.points:
             rows.append((pt.h, name, pt.error, pt.std_error, pt.pipeline))
         footers.append((name, report.slope, report.intercept))
-    path = _write_csv(
-        _out_path(config, "weak_order.csv"),
-        config,
-        ("h", "psi", "error", "std_error_or_0", "pipeline"),
-        rows + footers,
-    )
-    return [path]
+    return "weak_order.csv", ("h", "psi", "error", "std_error_or_0", "pipeline"), rows + footers
 
 
 def _checkpoint_indices(n_steps: int, checkpoints: int) -> list[int]:
@@ -363,7 +355,7 @@ def _checkpoint_indices(n_steps: int, checkpoints: int) -> list[int]:
     return sorted(marks)
 
 
-def _run_ergodic(config: ExperimentConfig) -> list[Path]:
+def _run_ergodic(config: ExperimentConfig) -> _Table:
     spec = _model_spec(config)
     exp = config.experiment
     h = float(exp["step_size"])
@@ -396,13 +388,7 @@ def _run_ergodic(config: ExperimentConfig) -> list[Path]:
             running = temporal_average(means[j])
             for k in marks:
                 rows.append((times[k], label, name, running[k], references[j]))
-    path = _write_csv(
-        _out_path(config, "ergodic.csv"),
-        config,
-        ("t", "initial_label", "psi", "running_average", "reference"),
-        rows,
-    )
-    return [path]
+    return "ergodic.csv", ("t", "initial_label", "psi", "running_average", "reference"), rows
 
 
 @dataclasses.dataclass(frozen=True)
@@ -499,7 +485,7 @@ def _structure_table(
         raise
 
 
-def _run_structure(config: ExperimentConfig) -> list[Path]:
+def _run_structure(config: ExperimentConfig) -> _Table:
     """Conformal defect, phase-volume error and genfun gap per trial.
 
     Each trial draws its inputs from its own generator.  The one-step map,
@@ -514,16 +500,14 @@ def _run_structure(config: ExperimentConfig) -> list[Path]:
         _draw_structure_trial(model, generator_for(derive_seed(plan, i)), exp["volume_steps"])
         for i in range(exp["trials"])
     ]
-    path = _write_csv(
-        _out_path(config, "structure.csv"),
-        config,
+    return (
+        "structure.csv",
         ("trial", "h", "conformal_defect", "volume_rel_error", "genfun_equiv_maxdiff"),
         _structure_table(model, trials, exp["volume_steps"]),
     )
-    return [path]
 
 
-def _run_simulate(config: ExperimentConfig) -> list[Path]:
+def _run_simulate(config: ExperimentConfig) -> _Table:
     spec = _model_spec(config)
     model = spec.build()
     exp = config.experiment
@@ -535,18 +519,13 @@ def _run_simulate(config: ExperimentConfig) -> list[Path]:
         noise = sample_increments(derive_seed(plan, 0), n_steps, model.noise_dim, h)
     else:
         noise = np.zeros((0, model.noise_dim))
-    path_obj = simulate(model, "gf2", z0, h, n_steps, noise)
+    times, p, q = simulate(model, z0, h, noise)
     d = model.dim
     columns = ["t"] + [f"p_{i+1}" for i in range(d)] + [f"q_{i+1}" for i in range(d)]
-    rows = [
-        (t, *state.p, *state.q)
-        for t, state in zip(path_obj.times, path_obj.states)
-    ]
-    path = _write_csv(_out_path(config, "trajectory.csv"), config, columns, rows)
-    return [path]
+    return "trajectory.csv", columns, np.column_stack((times, p, q))
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig], list[Path]]] = {
+_RUNNERS: dict[str, Callable[[ExperimentConfig], _Table]] = {
     "weak-order": _run_weak_order,
     "ergodic": _run_ergodic,
     "structure": _run_structure,
@@ -555,14 +534,25 @@ _RUNNERS: dict[str, Callable[[ExperimentConfig], list[Path]]] = {
 
 
 def run(config: ExperimentConfig, command: str) -> list[Path]:
-    """Execute one command, returning the paths of the written CSV files."""
+    """Execute one command, returning the paths of the written CSV files.
+
+    The table is written once the command has finished, to
+    ``<output.directory>/<output.prefix><file name>``; a path that cannot be
+    written is a ConfigError.
+    """
     if command not in _RUNNERS:
         raise ArgumentError(f"unknown command {command!r}; expected one of {COMMANDS}")
     if command != config.command:
         raise ArgumentError(
             f"config was validated for {config.command!r}, not {command!r}"
         )
-    return _RUNNERS[command](config)
+    name, columns, rows = _RUNNERS[command](config)
+    path = Path(config.output["directory"]) / f"{config.output['prefix']}{name}"
+    try:
+        _write_csv(path, config, columns, rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+    return [path]
 
 
 def _build_parser() -> argparse.ArgumentParser:

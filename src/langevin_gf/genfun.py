@@ -62,21 +62,6 @@ class AugmentedState:
         object.__setattr__(self, "Y", y)
 
 
-@dataclasses.dataclass(frozen=True)
-class MultiIndex:
-    """Index alpha = (j_1, ..., j_l) with l in {2, 3} and entries >= 0."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        entries = tuple(int(j) for j in self.entries)
-        if len(entries) not in (2, 3):
-            raise ArgumentError("multi-index length must be 2 or 3")
-        if any(j < 0 for j in entries):
-            raise ArgumentError("multi-index entries must be nonnegative")
-        object.__setattr__(self, "entries", entries)
-
-
 def _paper_noise(model: LangevinModel) -> Array:
     """Noise columns in the generating-function sign convention."""
     return -model.noise
@@ -133,7 +118,13 @@ def hamiltonians(model: LangevinModel, s: AugmentedState) -> tuple[float, Array]
 
 
 def _catalog_key(alpha: object, m: int) -> tuple[int, ...]:
-    entries = alpha.entries if isinstance(alpha, MultiIndex) else MultiIndex(tuple(alpha)).entries
+    """alpha = (j_1, ..., j_l) as a tuple of ints, refused unless l is 2 or 3
+    and every entry lies in [0, m]."""
+    entries = tuple(int(j) for j in alpha)
+    if len(entries) not in (2, 3):
+        raise ArgumentError("multi-index length must be 2 or 3")
+    if any(j < 0 for j in entries):
+        raise ArgumentError("multi-index entries must be nonnegative")
     if any(j > m for j in entries):
         raise ArgumentError(f"multi-index entries must not exceed noise_dim={m}")
     return entries

@@ -8,16 +8,17 @@ The central object is the weak second order conformal symplectic map
 
 with H = grad^2 F.  Its Jacobian with respect to (p, q) scales the canonical
 two-form by exactly e^{-vh}, hence the one-step phase-volume factor e^{-vhd}.
-An explicit Euler-Maruyama baseline, trajectory iteration, and the exact and
-per-step Gaussian laws of the linear oscillator complete the module.  Each
+An explicit Euler-Maruyama baseline, gf2 trajectory iteration, and the exact
+and per-step Gaussian laws of the linear oscillator complete the module.  Each
 map is written once, as a kernel over (R, d) arrays of states that the
 single-state steps, :func:`simulate`, the Monte Carlo engine and the CLI's
 structure command share; the gf2 kernel also takes one step size per state
 and gives the analytic Jacobians of the states it stepped, which
-:func:`gf2_jacobian` returns for R = 1.  :func:`simulate` builds one kernel
-per run and steps (1, d) rows of a preallocated trajectory.  On the linear
-oscillator the gf2 map is affine, and :func:`gf2_affine_map` reads its
-B, c and G off the same kernel rather than from a second copy of the update.
+:func:`gf2_jacobian` returns for R = 1.  :func:`simulate` builds one gf2
+kernel per run, steps (1, d) rows of preallocated (n + 1, d) arrays and
+returns them with the time grid.  On the linear oscillator the gf2 map is
+affine, and :func:`gf2_affine_map` reads its B, c and G off the same kernel
+rather than from a second copy of the update.
 The step loops here, in :mod:`.mc` and in the CLI's structure command share
 one blow-up screen, :func:`_nonfinite_row`.
 """
@@ -118,24 +119,6 @@ class AffineStepMap:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "G", G)
-
-
-@dataclasses.dataclass(frozen=True)
-class Trajectory:
-    """Time grid t_n = n h with the state after each step."""
-
-    times: Array
-    states: tuple[PhaseState, ...]
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float).reshape(-1)
-        states = tuple(self.states)
-        if times.shape[0] != len(states):
-            raise ArgumentError("times and states have different lengths")
-        if times.shape[0] >= 2 and not np.all(np.diff(times) > 0.0):
-            raise ArgumentError("times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
 
 
 def _check_step_matrix(step_matrix: Array, h: float | Array) -> None:
@@ -450,41 +433,32 @@ def em_step(model: LangevinModel, z: PhaseState, h: float, dW: object = None) ->
 
 
 def simulate(
-    model: LangevinModel,
-    scheme: str,
-    z0: PhaseState,
-    h: float,
-    n_steps: int,
-    noise: Array,
-) -> Trajectory:
-    """Iterate a one-step map over a supplied increment sequence.
+    model: LangevinModel, z0: PhaseState, h: float, noise: Array
+) -> tuple[Array, Array, Array]:
+    """Iterate the gf2 map over a supplied increment sequence.
 
     Parameters
     ----------
-    scheme : {"gf2", "em"}
-    noise : ndarray of shape (n_steps, m)
+    noise : ndarray of shape (n, m)
         Brownian increments; row k drives step k.
 
     Returns
     -------
-    Trajectory
-        n_steps + 1 states on the grid t_n = n h.
+    (times, p, q)
+        The grid t_k = k h of shape (n + 1,) and the states on it, of shape
+        (n + 1, d) each; row 0 is z0.
 
     Raises
     ------
     Error subclasses from the step, re-raised with the failing step index;
     other exceptions (e.g. from a custom force) propagate unchanged.
     """
-    if scheme not in _KERNELS:
-        raise ArgumentError(f"unknown scheme {scheme!r}; choose from {sorted(_KERNELS)}")
-    if n_steps < 0:
-        raise ArgumentError("n_steps must be nonnegative")
     values = np.asarray(noise, dtype=float)
-    if values.size != n_steps * model.noise_dim:
+    if values.ndim != 2 or values.shape[1] != model.noise_dim:
         raise ArgumentError(
-            f"noise must hold ({n_steps}, {model.noise_dim}) increments, got shape {values.shape}"
+            f"noise must have shape (n, {model.noise_dim}), got {values.shape}"
         )
-    values = values.reshape(n_steps, model.noise_dim)
+    n_steps = values.shape[0]
     finite_rows = np.all(np.isfinite(values), axis=1)
     n_ok = n_steps if finite_rows.all() else int(np.argmin(finite_rows))
     p = np.empty((n_steps + 1, model.dim))
@@ -494,19 +468,18 @@ def simulate(
         h = _step_inputs(model, z0, h, None)[0]
         p[0], q[0] = z0.p, z0.q
         kicks = _noise_kick(model.noise, values[:n_ok])
-        step = _KERNELS[scheme](model, h)
+        step = _Gf2Kernel(model, h)
         with np.errstate(all="ignore"):
             for k in range(n_ok):
                 p1, q1 = step(p[k: k + 1], q[k: k + 1], kicks[k: k + 1])
-                _check_stepped(scheme, h, p1, q1)
+                _check_stepped("gf2", h, p1, q1)
                 p[k + 1], q[k + 1] = p1[0], q1[0]
         if n_ok < n_steps:
             k = n_ok
             raise EvaluationError("increment contains non-finite entries")
     except Error as exc:
         raise type(exc)(f"step {k}: {exc}") from exc
-    states = (z0,) + tuple(PhaseState(p[i], q[i]) for i in range(1, n_steps + 1))
-    return Trajectory(times=h * np.arange(n_steps + 1), states=states)
+    return h * np.arange(n_steps + 1), p, q
 
 
 def _linear_params(model: object) -> tuple[float, float, float]:

@@ -423,11 +423,6 @@ def _steps_for(h: float, horizon: float) -> int:
     return n
 
 
-def _kicks(model: LangevinModel, dw: Array) -> Array:
-    """Sigma dw[:, s, :] for every step s, step-major: shape (n_steps, R, d)."""
-    return _noise_kick(model.noise, dw.transpose(1, 0, 2))
-
-
 class _BatchState:
     """Per-batch ensemble state; ``step`` is the kernel its first advance builds."""
 
@@ -485,7 +480,8 @@ def _advance_chunk(
         state.step = _KERNELS[scheme](model, h)
     step, p, q = state.step, state.p, state.q
     with np.errstate(all="ignore"):
-        for s, kick in enumerate(_kicks(model, dw)):
+        # Sigma dw[:, s, :] for every step s, step-major: shape (n_steps, R, d).
+        for s, kick in enumerate(_noise_kick(model.noise, dw.transpose(1, 0, 2))):
             try:
                 p, q = step(p, q, kick)
             except StepSizeError as exc:

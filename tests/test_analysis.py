@@ -10,10 +10,10 @@ from numpy.testing import assert_allclose
 from langevin_gf.analysis import (
     WeakOrderPoint,
     WeakOrderReport,
+    _law_means,
     conformal_defect,
     ergodic_reference,
     fit_order,
-    gauss_expectation,
     linear_ergodic_series,
     linear_weak_order,
     local_ms_error,
@@ -162,6 +162,16 @@ def test_ergodic_reference_degenerate_density():
         ergodic_reference(model, [cos_sum])
 
 
+def gauss_expectation(psi, law: GaussianLaw, n_nodes: int) -> float:
+    """E psi(Z) for Z ~ law on the package's Gauss-Hermite grid of n_nodes per axis.
+
+    psi receives an (N, k) block of points and returns (N,) values; the
+    result is exact, to rounding, for polynomials of total degree up to
+    2 n_nodes - 1.
+    """
+    return float(_law_means([psi], law, n_nodes)[0])
+
+
 def test_gauss_expectation_trivial_and_linear():
     law = GaussianLaw(np.array([0.5, -1.0]), np.array([[2.0, 0.7], [0.7, 1.5]]))
     assert_allclose(gauss_expectation(lambda z: np.ones(len(z)), law, 8), 1.0, rtol=1e-13)
@@ -287,11 +297,11 @@ def test_n_step_defect_regularity_guard():
     model = dataclasses.replace(built, force_third=None)
     h, n = 0.01, 32
     block = sample_increments(51, n, 1, h)
-    path = simulate(model, "gf2", PhaseState([0.5], [-1.0]), h, n, block)
+    _, p, q = simulate(model, PhaseState([0.5], [-1.0]), h, block)
     total = np.eye(2)
     worst_step = 0.0
     for k in range(n):
-        jac = gf2_jacobian(model, path.states[k], h, block[k])
+        jac = gf2_jacobian(model, PhaseState(p[k], q[k]), h, block[k])
         total = jac @ total
         worst_step = max(worst_step, conformal_defect(jac, model.friction, h))
     bound = n * worst_step * max(1.0, float(np.linalg.norm(total, 2))) ** 2

@@ -663,6 +663,38 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "model.kind" in err
 
 
+def test_output_prefix_starts_the_file_name(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    config_path = write_config(
+        tmp_path,
+        "sim.json",
+        {
+            "model": linear_section(),
+            "experiment": {"step_size": 0.25, "n_steps": 2, "initials": [[1.0, 0.0]]},
+            "output": {"directory": str(out_dir), "prefix": "run1_"},
+        },
+    )
+    assert main(["simulate", "--config", config_path]) == 0
+    assert capsys.readouterr().out == f"{out_dir / 'run1_trajectory.csv'}\n"
+    assert [path.name for path in out_dir.iterdir()] == ["run1_trajectory.csv"]
+
+
+def test_main_reports_an_unwritable_output_path(tmp_path, capsys):
+    # Below a file, the directory cannot be made; on a directory, the file
+    # cannot be opened.  Either way the command ran in full first.
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    (tmp_path / "structure.csv").mkdir()
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "structure_linear.json")
+    for out_dir in (blocker / "sub", tmp_path):
+        assert main(["structure", "--config", config, "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = f"error: cannot write output file {out_dir / 'structure.csv'}: "
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    assert blocker.read_text(encoding="utf-8") == ""
+
+
 def test_main_rejects_bad_realizations_override(tmp_path, capsys):
     config_path = write_config(
         tmp_path,
@@ -683,8 +715,8 @@ def test_main_rejects_bad_realizations_override(tmp_path, capsys):
 
 
 # The shipped configs whose committed results regenerate in seconds.
-# linear_ergodic is left out: its reference column depends on the BLAS stack
-# and its run takes about 40 s.
+# linear_ergodic is left out, although its run takes only about 5 s: its
+# reference column depends on the BLAS stack.
 _FAST_GOLDENS = [
     ("weak-order", "linear_weak_order", "weak_order.csv"),
     ("simulate", "simulate_double_well", "trajectory.csv"),

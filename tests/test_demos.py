@@ -92,25 +92,47 @@ def test_package_root_exports_exactly_all():
     assert public | {"__version__"} == set(langevin_gf.__all__)
 
 
-def test_benchmark_tracer_installs_on_the_package():
-    # bench/tracing.py wraps package functions by name and raises if one is
-    # gone, which would break `bench/run.py --trace 1`; leaving the block must
-    # put every original back.
+def _bench_tracing() -> ModuleType:
+    """bench/tracing.py, loaded from its file without touching bench/."""
     spec = importlib.util.spec_from_file_location("_bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    originals = {name: getattr(cli, name) for name in ("main", "load_config", "parse_config", "run")}
+    return tracing
+
+
+def _package_references() -> list[tuple[object, str, object]]:
+    """(owner, name, value) for every name of every langevin_gf module, of
+    every dict those modules hold, and of every class they define."""
+    found = []
+    for module_name, module in sorted(sys.modules.items()):
+        if module_name != "langevin_gf" and not module_name.startswith("langevin_gf."):
+            continue
+        for name, value in vars(module).items():
+            found.append((module_name, name, value))
+            if isinstance(value, dict) and not name.startswith("__"):
+                found += [((module_name, name), key, item) for key, item in value.items()]
+            if isinstance(value, type) and value.__module__ == module_name:
+                found += [(value, key, item) for key, item in vars(value).items()]
+    return found
+
+
+def test_benchmark_tracer_installs_on_the_package():
+    # bench/tracing.py wraps package functions by name and raises if one is
+    # gone; a reference it failed to put back would leak a wrapper into the
+    # package.  Either breaks `bench/run.py --trace 1`.
+    tracing = _bench_tracing()
+    parse_config, before = cli.parse_config, _package_references()
     with tracing.Tracer().installed():
-        assert cli.parse_config is not originals["parse_config"]
-    assert {name: getattr(cli, name) for name in originals} == originals
+        assert cli.parse_config is not parse_config
+    after = _package_references()
+    assert [entry[:2] for entry in after] == [entry[:2] for entry in before]
+    assert all(a[2] is b[2] for a, b in zip(after, before))
 
 
 def test_failing_structure_run_never_steps_a_single_state(tmp_path):
     # The structure command names a failure by rerunning its batch code on
     # one trial at a time; the single-state maps are not a second path.
-    spec = importlib.util.spec_from_file_location("_bench_tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _bench_tracing()
     config = str(ROOT / "configs" / "structure_double_well.json")
     argv = ["structure", "--config", config, "--seed", "1", "--out", str(tmp_path)]
     with tracing.Tracer().installed() as tracer:

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from langevin_gf.errors import ArgumentError, CapabilityError, RangeError
 from langevin_gf.genfun import (
     AugmentedState,
-    MultiIndex,
     from_augmented,
     g_alpha,
     gf2_step_augmented,
@@ -217,11 +216,18 @@ def test_g_alpha_catalog_errors():
 
 
 def test_multi_index_validation():
-    assert MultiIndex((0, 1)).entries == (0, 1)
-    with pytest.raises(ArgumentError):
-        MultiIndex((1,))
-    with pytest.raises(ArgumentError):
-        MultiIndex((0, -1))
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
+    x = np.array([1.0, 0.0])
+    y = np.array([1.0, 0.0])
+    assert g_alpha(model, [np.int64(0), 1.0], x, y) == g_alpha(model, (0, 1), x, y)
+    cases = [
+        ((1,), "multi-index length must be 2 or 3"),
+        ((0, -1), "multi-index entries must be nonnegative"),
+    ]
+    for alpha, message in cases:
+        with pytest.raises(ArgumentError) as info:
+            g_alpha(model, alpha, x, y)
+        assert str(info.value) == message
 
 
 def test_augmented_free_case():

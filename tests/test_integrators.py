@@ -21,7 +21,6 @@ from langevin_gf.errors import (
 from langevin_gf.integrators import (
     AffineStepMap,
     GaussianLaw,
-    Trajectory,
     _check_step_matrix,
     _Gf2Kernel,
     _noise_kick,
@@ -443,49 +442,44 @@ def test_em_step_overflow():
 def test_simulate_basics():
     model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     z0 = PhaseState([3.0], [1.0])
-    traj = simulate(model, "gf2", z0, h=0.1, n_steps=0, noise=np.zeros((0, 1)))
-    assert len(traj.states) == 1
-    assert traj.states[0] is z0
-    assert_allclose(traj.times, [0.0])
+    times, p, q = simulate(model, z0, h=0.1, noise=np.zeros((0, 1)))
+    assert times.tolist() == [0.0]
+    assert p.tolist() == [[3.0]] and q.tolist() == [[1.0]]
 
     rng = np.random.default_rng(8)
     incs = rng.normal(0.0, math.sqrt(0.1), size=(20, 1))
-    traj = simulate(model, "gf2", z0, h=0.1, n_steps=20, noise=incs)
+    times, p, q = simulate(model, z0, h=0.1, noise=incs)
+    assert times.shape == (21,) and p.shape == q.shape == (21, 1)
+    assert times.tobytes() == (0.1 * np.arange(21)).tobytes()
     z = z0
     for k in range(20):
         z = gf2_step(model, z, 0.1, incs[k])
-    assert_allclose(traj.states[-1].p, z.p, rtol=0)
-    assert_allclose(traj.states[-1].q, z.q, rtol=0)
+    assert_allclose(p[-1], z.p, rtol=0)
+    assert_allclose(q[-1], z.q, rtol=0)
 
-    repeat = simulate(model, "gf2", z0, h=0.1, n_steps=20, noise=incs)
-    for s1, s2 in zip(traj.states, repeat.states):
-        assert np.array_equal(s1.p, s2.p) and np.array_equal(s1.q, s2.q)
+    repeat = simulate(model, z0, h=0.1, noise=incs)
+    assert [a.tobytes() for a in repeat] == [a.tobytes() for a in (times, p, q)]
 
 
-def test_simulate_reports_failing_step():
+def test_simulate_refuses_noise_of_the_wrong_shape():
     model = DoubleWell(v=4.0, beta=2.0).build()
-    z0 = PhaseState([0.0], [30.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RangeError, match="step"):
-            simulate(model, "em", z0, h=1.0, n_steps=10, noise=np.zeros((10, 1)))
-    with pytest.raises(ArgumentError):
-        simulate(model, "rk4", z0, h=1.0, n_steps=1, noise=np.zeros((1, 1)))
-    with pytest.raises(ArgumentError) as info:
-        simulate(model, "gf2", z0, 0.1, 5, np.zeros((3, 1)))
-    assert str(info.value) == "noise must hold (5, 1) increments, got shape (3, 1)"
+    z0 = PhaseState([0.0], [1.0])
+    for noise, shape in ((np.zeros(3), "(3,)"), (np.zeros((3, 2)), "(3, 2)")):
+        with pytest.raises(ArgumentError) as info:
+            simulate(model, z0, 0.1, noise)
+        assert str(info.value) == f"noise must have shape (n, 1), got {shape}"
 
 
-def test_simulate_equals_iterated_single_steps_for_each_scheme():
+def test_simulate_equals_iterated_gf2_steps():
     model = DoubleWell(v=4.0, beta=2.0).build()
     z0 = PhaseState([0.5], [-1.0])
     incs = np.random.default_rng(4).normal(0.0, math.sqrt(0.05), size=(40, 1))
-    for scheme, step in (("gf2", gf2_step), ("em", em_step)):
-        traj = simulate(model, scheme, z0, h=0.05, n_steps=40, noise=incs)
-        z = z0
-        for k in range(40):
-            z = step(model, z, 0.05, incs[k])
-            assert traj.states[k + 1].p.tobytes() == z.p.tobytes()
-            assert traj.states[k + 1].q.tobytes() == z.q.tobytes()
+    _, p, q = simulate(model, z0, h=0.05, noise=incs)
+    z = z0
+    for k in range(40):
+        z = gf2_step(model, z, 0.05, incs[k])
+        assert p[k + 1].tobytes() == z.p.tobytes()
+        assert q[k + 1].tobytes() == z.q.tobytes()
 
 
 def test_simulate_names_the_failing_step():
@@ -493,30 +487,24 @@ def test_simulate_names_the_failing_step():
     nan_row = np.zeros((6, 1))
     nan_row[3, 0] = np.nan
     cases = [
-        ("gf2", [0.0, 30.0], 0.5, np.zeros((10, 1)), EvaluationError,
+        ([0.0, 30.0], 0.5, np.zeros((10, 1)), EvaluationError,
          "step 4: step produced a non-finite state at h=0.5"),
-        ("em", [0.0, 30.0], 1.0, np.zeros((10, 1)), RangeError,
-         "step 8: explicit step overflowed at h=1.0"),
-        ("gf2", [0.0, 1.0], 0.1, nan_row, EvaluationError,
+        ([0.0, 1.0], 0.1, nan_row, EvaluationError,
          "step 3: increment contains non-finite entries"),
-        ("em", [0.0, 1.0], 0.1, nan_row, EvaluationError,
-         "step 3: increment contains non-finite entries"),
-        ("gf2", [0.0, 0.0], math.sqrt(0.5), np.zeros((3, 1)), StepSizeError,
+        ([0.0, 0.0], math.sqrt(0.5), np.zeros((3, 1)), StepSizeError,
          "step 0: implicit step matrix has condition estimate 9.007e+15 "
          "at h=0.7071067811865476; reduce the step size"),
-        ("gf2", [0.0, 0.0], -1.0, np.zeros((3, 1)), ArgumentError,
+        ([0.0, 0.0], -1.0, np.zeros((3, 1)), ArgumentError,
          "step 0: step size must be positive and finite, got -1.0"),
         # An empty run validates its inputs as a one-step run does.
-        ("gf2", [[0.0, 0.0], [1.0, 1.0]], -1.0, np.zeros((0, 1)), ArgumentError,
+        ([[0.0, 0.0], [1.0, 1.0]], -1.0, np.zeros((0, 1)), ArgumentError,
          "step 0: state dimension does not match the model"),
-        ("em", [[0.0, 0.0], [1.0, 1.0]], math.nan, np.zeros((0, 1)), ArgumentError,
-         "step 0: state dimension does not match the model"),
-        ("gf2", [0.0, 1.0], math.nan, np.zeros((0, 1)), ArgumentError,
+        ([0.0, 1.0], math.nan, np.zeros((0, 1)), ArgumentError,
          "step 0: step size must be positive and finite, got nan"),
     ]
-    for scheme, (p0, q0), h, noise, error, message in cases:
+    for (p0, q0), h, noise, error, message in cases:
         with np.errstate(all="ignore"), pytest.raises(error) as info:
-            simulate(model, scheme, PhaseState(p0, q0), h, len(noise), noise)
+            simulate(model, PhaseState(p0, q0), h, noise)
         assert str(info.value) == message
 
 
@@ -542,7 +530,7 @@ def test_infinite_hessian_leaves_the_finite_numbers_on_every_path():
             step(model, z0, 0.1, [0.3])
         assert str(info.value) == message
     with pytest.raises(EvaluationError) as info:
-        simulate(model, "gf2", z0, 0.1, 1, [[0.3]])
+        simulate(model, z0, 0.1, [[0.3]])
     assert str(info.value) == f"step 0: {message}"
     cos_sum = get_test_function("cos_sum")
     blowup = "^realization 0 produced a non-finite state at step 0"
@@ -567,7 +555,7 @@ def test_simulate_propagates_foreign_exceptions_unchanged():
 
     model = dataclasses.replace(LinearOscillator(a=1.0, v=2.0, sigma=0.5).build(), force=force)
     with pytest.raises(_TwoArgumentError) as info:
-        simulate(model, "em", PhaseState([0.0], [1.0]), h=0.1, n_steps=5, noise=np.zeros((5, 1)))
+        simulate(model, PhaseState([0.0], [1.0]), h=0.1, noise=np.zeros((5, 1)))
     assert info.value.code == 7
     assert info.value.args == (7, "custom force refused")
 
@@ -783,11 +771,3 @@ def test_gaussian_law_validation():
         GaussianLaw(mean=[0.0, 0.0], cov=np.array([[1.0, 0.0], [0.0, -1.0]]))
     law = GaussianLaw(mean=[0.0, 0.0], cov=np.array([[1.0, 0.0], [0.0, -1e-13]]))
     assert law.cov[1, 1] == -1e-13
-
-
-def test_trajectory_validation():
-    z = PhaseState([0.0], [0.0])
-    with pytest.raises(ArgumentError):
-        Trajectory(times=[0.0, 0.1], states=(z,))
-    with pytest.raises(ArgumentError):
-        Trajectory(times=[0.0, 0.0], states=(z, z))

@@ -238,9 +238,8 @@ def test_mc_expectation_deterministic_dynamics():
     z0 = PhaseState([3.0], [1.0])
     h, n = 0.125, 8
     res = mc_expectation(model, "gf2", cos_sum, z0, h, 1.0, 128, SeedPlan(1))
-    path = simulate(model, "gf2", z0, h, n, np.zeros((n, 1)))
-    end = path.states[-1]
-    expected = float(cos_sum(end.p[None, :], end.q[None, :])[0])
+    _, p, q = simulate(model, z0, h, np.zeros((n, 1)))
+    expected = float(cos_sum(p[-1:], q[-1:])[0])
     assert res.std_error == 0.0
     assert_allclose(res.mean, expected, rtol=1e-12)
 
@@ -331,7 +330,7 @@ def test_chunk_kicks_equal_per_step_matmul(noise):
                 expected[s, b] = expected[s, b] + dw[b, s, j] * sigma[0, j]
     if model.noise_dim == 1:
         assert expected.tobytes() == np.stack([dw[:, s, :] @ sigma[0] for s in range(7)]).tobytes()
-    kicks = mc._kicks(model, dw)
+    kicks = mc._noise_kick(model.noise, dw.transpose(1, 0, 2))
     assert kicks.flags.c_contiguous
     assert kicks.tobytes() == expected.tobytes()
 
@@ -803,9 +802,9 @@ def test_fast_path_matches_per_state_path():
         for i in range(n_real):
             gen = generator_for(derive_seed(plan, i))
             incs = gen.standard_normal((n, model.noise_dim)) * math.sqrt(h)
-            end = simulate(model, "gf2", z0, h, n, incs).states[-1]
-            assert p_mc[i].tobytes() == end.p.tobytes()
-            assert q_mc[i].tobytes() == end.q.tobytes()
+            _, p, q = simulate(model, z0, h, incs)
+            assert p_mc[i].tobytes() == p[-1].tobytes()
+            assert q_mc[i].tobytes() == q[-1].tobytes()
 
 
 def test_singular_step_matrix_fails_alike_for_every_kind():
@@ -911,10 +910,8 @@ def test_mc_step_means_deterministic_dynamics():
     z0 = PhaseState([3.0], [1.0])
     h, n = 0.125, 10
     times, means = mc_step_means(model, [cos_sum], z0, h, n, 8, SeedPlan(6))
-    path = simulate(model, "gf2", z0, h, n, np.zeros((n, 1)))
-    expected = np.array(
-        [float(cos_sum(z.p[None, :], z.q[None, :])[0]) for z in path.states]
-    )
+    _, p, q = simulate(model, z0, h, np.zeros((n, 1)))
+    expected = cos_sum(p, q)
     assert_allclose(times, h * np.arange(n + 1))
     assert_allclose(means[0], expected, rtol=1e-12)
 
