@@ -13,7 +13,7 @@ from __future__ import annotations
 from langevin_gf import LinearOscillator, PhaseState, linear_weak_order
 from langevin_gf.observables import TEST_FUNCTIONS
 
-model = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
 z0 = PhaseState([3.0], [1.0])
 T = 1.0
 step_sizes = [2.0**-k for k in range(3, 8)]

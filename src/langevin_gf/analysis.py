@@ -41,7 +41,7 @@ from .integrators import (
     propagate_gaussian_chain,
 )
 from .mc import SeedPlan, _steps_for, one_step_ms_gap, weak_error_mc
-from .models import PhaseState, gibbs_density_fn
+from .models import LangevinModel, PhaseState, gibbs_density_fn
 
 Array = np.ndarray
 
@@ -109,7 +109,7 @@ def quad2d(
 
 
 def ergodic_reference(
-    model: object,
+    model: LangevinModel,
     psis: Sequence[Callable[[Array, Array], Array]],
     box: tuple[float, float] = DEFAULT_BOX,
     n_nodes: int = DEFAULT_LEGENDRE_NODES,
@@ -227,7 +227,7 @@ def _phase_psi(psi: Callable[[Array, Array], Array]) -> Callable[[Array], Array]
 
 
 def weak_error_linear(
-    model: object,
+    model: LangevinModel,
     psis: Sequence[Callable[[Array, Array], Array]],
     z0: PhaseState,
     h: float,
@@ -352,7 +352,7 @@ def weak_order_report(points: Sequence[WeakOrderPoint]) -> WeakOrderReport:
 
 
 def linear_ergodic_series(
-    model: object,
+    model: LangevinModel,
     psis: Sequence[Callable[[Array, Array], Array]],
     initials: Sequence[PhaseState],
     h: float,
@@ -420,7 +420,7 @@ def _order_report(
 
 
 def linear_weak_order(
-    model: object,
+    model: LangevinModel,
     psis: Sequence[Callable[[Array, Array], Array]],
     z0: PhaseState,
     T: float,
@@ -441,7 +441,7 @@ def linear_weak_order(
 
 
 def mc_weak_order(
-    model: object,
+    model: LangevinModel,
     psis: Sequence[Callable[[Array, Array], Array]],
     z0: PhaseState,
     T: float,
@@ -463,7 +463,7 @@ def mc_weak_order(
 
 
 def local_ms_error(
-    model: object,
+    model: LangevinModel,
     z0: PhaseState,
     step_sizes: Sequence[float],
     refine: int,

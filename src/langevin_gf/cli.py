@@ -271,14 +271,12 @@ def load_config(path: str | Path, command: str) -> ExperimentConfig:
     return parse_config(raw, command)
 
 
-def _model_spec(config: ExperimentConfig) -> LinearOscillator | DoubleWell:
-    section = config.model
+def _model(config: ExperimentConfig) -> LangevinModel:
+    """The one model that every pipeline of a run reads."""
+    builder = LinearOscillator if config.model["kind"] == "linear" else DoubleWell
+    params = {key: float(value) for key, value in config.model.items() if key != "kind"}
     try:
-        if section["kind"] == "linear":
-            return LinearOscillator(
-                a=float(section["a"]), v=float(section["v"]), sigma=float(section["sigma"])
-            )
-        return DoubleWell(v=float(section["v"]), beta=float(section["beta"]))
+        return builder(**params).build()
     except ArgumentError as exc:
         raise ConfigError(f"invalid configuration: model: {exc}") from exc
 
@@ -321,7 +319,7 @@ _Table = tuple[str, Sequence[str], Sequence[Sequence[object]]]
 
 
 def _run_weak_order(config: ExperimentConfig) -> _Table:
-    spec = _model_spec(config)
+    model = _model(config)
     exp = config.experiment
     label, z0 = _initials(config)[0]
     steps = [float(h) for h in exp["step_sizes"]]
@@ -329,10 +327,10 @@ def _run_weak_order(config: ExperimentConfig) -> _Table:
     names = list(exp["test_functions"])
     psis = [get_test_function(name) for name in names]
     if exp["pipeline"] == "deterministic":
-        reports = linear_weak_order(spec, psis, z0, float(exp["T"]), steps)
+        reports = linear_weak_order(model, psis, z0, float(exp["T"]), steps)
     else:
         reports = mc_weak_order(
-            spec.build(),
+            model,
             psis,
             z0,
             float(exp["T"]),
@@ -356,7 +354,7 @@ def _checkpoint_indices(n_steps: int, checkpoints: int) -> list[int]:
 
 
 def _run_ergodic(config: ExperimentConfig) -> _Table:
-    spec = _model_spec(config)
+    model = _model(config)
     exp = config.experiment
     h = float(exp["step_size"])
     T = float(exp["T"])
@@ -369,16 +367,16 @@ def _run_ergodic(config: ExperimentConfig) -> _Table:
     names = list(exp["test_functions"])
     psis = [get_test_function(name) for name in names]
     references = ergodic_reference(
-        spec, psis, tuple(config.quadrature["box"]), config.quadrature["nodes"]
+        model, psis, tuple(config.quadrature["box"]), config.quadrature["nodes"]
     )
     plan = SeedPlan(config.mc["master_seed"])
     marks = _checkpoint_indices(n_steps, exp["checkpoints"])
     initials = _initials(config)
     if exp["pipeline"] == "deterministic":
-        times, series = linear_ergodic_series(spec, psis, [z0 for _, z0 in initials], h, n_steps)
+        times, series = linear_ergodic_series(model, psis, [z0 for _, z0 in initials], h, n_steps)
     else:
         runs = [
-            mc_step_means(spec.build(), psis, z0, h, n_steps, config.mc["realizations"], plan)
+            mc_step_means(model, psis, z0, h, n_steps, config.mc["realizations"], plan)
             for _, z0 in initials
         ]
         times, series = runs[0][0], [means for _, means in runs]
@@ -492,8 +490,7 @@ def _run_structure(config: ExperimentConfig) -> _Table:
     its Jacobian and the volume chain then run once over all trials as a
     (trials, d) batch with one step size per row.
     """
-    spec = _model_spec(config)
-    model = spec.build()
+    model = _model(config)
     exp = config.experiment
     plan = SeedPlan(config.mc["master_seed"])
     trials = [
@@ -508,8 +505,7 @@ def _run_structure(config: ExperimentConfig) -> _Table:
 
 
 def _run_simulate(config: ExperimentConfig) -> _Table:
-    spec = _model_spec(config)
-    model = spec.build()
+    model = _model(config)
     exp = config.experiment
     h = float(exp["step_size"])
     n_steps = exp["n_steps"]

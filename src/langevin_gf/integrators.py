@@ -40,7 +40,7 @@ from .errors import (
     RangeError,
     StepSizeError,
 )
-from .models import LangevinModel, LinearOscillator, PhaseState, _matvec
+from .models import LangevinModel, PhaseState, _matvec
 
 Array = np.ndarray
 
@@ -482,22 +482,21 @@ def simulate(
     return h * np.arange(n_steps + 1), p, q
 
 
-def _linear_params(model: object) -> tuple[float, float, float]:
-    if isinstance(model, LinearOscillator):
-        return float(model.a), float(model.v), float(model.sigma)
-    if isinstance(model, LangevinModel) and model.kind == "linear":
-        p = model.params
-        return float(p["a"]), float(p["v"]), float(p["sigma"])
-    raise CapabilityError("this operation supports only the linear oscillator")
+def _linear_params(model: LangevinModel) -> tuple[float, float, float]:
+    if model.kind != "linear":
+        raise CapabilityError("this operation supports only the linear oscillator")
+    return model.params["a"], model.friction, model.params["sigma"]
 
 
-def linear_exact_moments(model: object, z0: PhaseState, t: float) -> GaussianLaw:
+def linear_exact_moments(model: LangevinModel, z0: PhaseState, t: float) -> GaussianLaw:
     """Exact Gaussian law of the linear oscillator at time t.
 
     mean = e^{At} z0 and cov = int_0^t e^{A(t-s)} N N^T e^{A^T(t-s)} ds with
     A = [[-v, -a], [a, 0]] and N = (sigma, 0)^T, both computed from one
     augmented matrix exponential (Van Loan block trick), accurate to
-    relative 1e-12.
+    relative 1e-12.  The block's e^{-A^T s} grows like e^{|A| s}, so when t |A|_1 > 4
+    it is taken at s = t / 2^k and doubled k times by cov(2s) = phi(s) cov(s)
+    phi(s)^T + cov(s), a sum of positive semidefinite terms: nothing cancels.
     """
     # Imported here: scipy.linalg adds about 28 MB and 0.3 s to every process
     # that imports the package, and only this function uses it.
@@ -515,14 +514,18 @@ def linear_exact_moments(model: object, z0: PhaseState, t: float) -> GaussianLaw
     block[:2, :2] = amat
     block[:2, 2:] = qmat
     block[2:, 2:] = -amat.T
-    expo = scipy.linalg.expm(block * t)
+    doublings = max(0, math.ceil(math.log2(t * np.linalg.norm(amat, 1) / 4.0)))
+    expo = scipy.linalg.expm(block * (t / 2**doublings))
     phi = expo[:2, :2]
     cov = expo[:2, 2:] @ phi.T
+    for _ in range(doublings):
+        cov = phi @ cov @ phi.T + cov
+        phi = phi @ phi
     cov = 0.5 * (cov + cov.T)
     return GaussianLaw(mean=phi @ z, cov=cov)
 
 
-def gf2_affine_map(model: object, h: float) -> AffineStepMap:
+def gf2_affine_map(model: LangevinModel, h: float) -> AffineStepMap:
     """Exact affine form of the one-step map on the linear oscillator.
 
     The map is Z_{n+1} = B Z_n + c + G dW, read off the gf2 kernel in one
@@ -531,21 +534,17 @@ def gf2_affine_map(model: object, h: float) -> AffineStepMap:
     noise kicks minus c are the columns of G.  c = 0 on this model, and
     det B = e^{-vhd} to rounding.
     """
-    a, v, sigma = _linear_params(model)
+    _linear_params(model)  # refuses every other kind
     _check_step_size(h)
-    linear = model
-    if isinstance(model, LinearOscillator):
-        # build() refuses v = 0, which the frictionless diagnostics use; the kernel does not.
-        linear = dataclasses.replace(LinearOscillator(a, 1.0, sigma).build(), friction=v)
-    d, m = linear.dim, linear.noise_dim
+    d, m = model.dim, model.noise_dim
     states = np.vstack([np.zeros((1 + m, 2 * d)), np.eye(2 * d)])
     dw = np.vstack([np.zeros((1, m)), np.eye(m), np.zeros((2 * d, m))])
-    kick = _noise_kick(linear.noise, dw)
-    p1, q1 = _Gf2Kernel(linear, h)(states[:, :d], states[:, d:], kick)
+    kick = _noise_kick(model.noise, dw)
+    p1, q1 = _Gf2Kernel(model, h)(states[:, :d], states[:, d:], kick)
     images = np.hstack([p1, q1])
     c = images[0]
     B, G = (images[1 + m:] - c).T, (images[1: 1 + m] - c).T
-    return AffineStepMap(B=B, c=c, G=G, friction=v, h=h)
+    return AffineStepMap(B=B, c=c, G=G, friction=model.friction, h=h)
 
 
 def propagate_gaussian_chain(

@@ -6,10 +6,12 @@ A model describes the damped-driven Hamiltonian system
 
 with force f = grad F, symmetric positive definite mass M, friction v > 0 and
 additive noise matrix Sigma of full row rank.  This module provides the model
-container, the two built-in test systems (a linear oscillator and a tilted
-double well), a d-dimensional quadratic model, single-point evaluation of
-(F, f, grad^2 F), and the closed-form Boltzmann-Gibbs densities of the
-built-ins.
+container, builders of the two built-in test systems (a linear oscillator and
+a tilted double well), a d-dimensional quadratic model, single-point
+evaluation of (F, f, grad^2 F), and the closed-form Boltzmann-Gibbs densities
+of the built-ins.  Everything that reads a model takes the built
+:class:`LangevinModel`; :class:`LinearOscillator` and :class:`DoubleWell`
+only validate their parameters and build one.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ class LangevinModel:
         (d, d) symmetric positive definite matrix M.
     friction : float
         Absorption coefficient v > 0 for the dissipative setting; v = 0 is
-        tolerated so diagnostics can exercise the frictionless limit.
+        tolerated so diagnostics can exercise the frictionless limit, as
+        ``dataclasses.replace(model, friction=0.0)`` of a built model.
     noise : ndarray
         (d, m) matrix Sigma with rank d.  Convention: the model SDE carries
         +Sigma dW.  An exactly zero matrix is accepted as the deterministic
@@ -122,7 +125,8 @@ class LangevinModel:
     kind : str
         Dispatch tag; "linear" and "double_well" enable closed-form densities.
     params : mapping
-        Scalar parameters of the built-in kinds.
+        Scalar parameters of the built-in kinds other than the friction,
+        which is read from ``friction`` alone.
     force_third : callable or None
         Optional q (..., d) -> (..., d, d, d) third derivative tensors of F,
         row by row like ``force``; the Jacobian of the structure command
@@ -175,11 +179,9 @@ class LangevinModel:
 
 @dataclasses.dataclass(frozen=True)
 class LinearOscillator:
-    """Parameters of the linear test system: f(q) = a q, M = a, Sigma = -sigma.
+    """Builder of the linear test system: f(q) = a q, M = a, Sigma = -sigma.
 
-    ``v = 0`` is tolerated on the parameter object so the closed-form moment
-    utilities can exercise the frictionless rotation; building a LangevinModel
-    still requires v > 0.
+    Its stationary law is N(0, sigma^2/(2v) I) whatever a is.
     """
 
     a: float
@@ -189,14 +191,12 @@ class LinearOscillator:
     def __post_init__(self) -> None:
         if not self.a > 0.0:
             raise ArgumentError("stiffness a must be positive")
-        if self.v < 0.0:
-            raise ArgumentError("friction v must be nonnegative")
+        if not self.v > 0.0:
+            raise ArgumentError("friction v must be positive")
         if self.sigma == 0.0:
             raise ArgumentError("noise amplitude sigma must be nonzero")
 
     def build(self) -> LangevinModel:
-        if not self.v > 0.0:
-            raise ArgumentError("building a model requires positive friction")
         a = float(self.a)
         return LangevinModel(
             dim=1,
@@ -208,14 +208,14 @@ class LinearOscillator:
             friction=self.v,
             noise=np.array([[-self.sigma]]),
             kind="linear",
-            params={"a": a, "v": float(self.v), "sigma": float(self.sigma)},
+            params={"a": a, "sigma": float(self.sigma)},
             force_third=lambda q: np.zeros((1, 1, 1)),
         )
 
 
 @dataclasses.dataclass(frozen=True)
 class DoubleWell:
-    """Parameters of the tilted double-well system.
+    """Builder of the tilted double-well system.
 
     f(q) = 4q^3 - 4q - 1/2, F(q) = (1 - q^2)^2 - q/2 (so F(0) = 1 and
     f = grad F exactly), M = 1, Sigma = +sqrt(2 v / beta).  The force is
@@ -242,7 +242,7 @@ class DoubleWell:
             friction=self.v,
             noise=np.array([[math.sqrt(2.0 * self.v / self.beta)]]),
             kind="double_well",
-            params={"v": float(self.v), "beta": float(self.beta)},
+            params={"beta": float(self.beta)},
             force_third=lambda q: (24.0 * np.asarray(q, dtype=float))[..., None, None],
         )
 
@@ -312,41 +312,28 @@ def eval_model(model: LangevinModel, q: object) -> tuple[float, Array, Array]:
     return pot, frc, hess
 
 
-def gibbs_density_fn(model: object) -> Callable[[Array, Array], Array]:
+def gibbs_density_fn(model: LangevinModel) -> Callable[[Array, Array], Array]:
     """Vectorized unnormalized stationary density of a built-in model.
 
     Returns a callable rho(p, q) operating elementwise on arrays.  Only the
     two built-in kinds carry a closed-form density.
     """
-    if isinstance(model, LinearOscillator):
-        a, v, sigma = model.a, model.v, model.sigma
-        kind = "linear"
-    elif isinstance(model, DoubleWell):
-        v, beta = model.v, model.beta
-        kind = "double_well"
-    elif isinstance(model, LangevinModel) and model.kind in ("linear", "double_well"):
-        kind = model.kind
-        if kind == "linear":
-            a, v, sigma = model.params["a"], model.params["v"], model.params["sigma"]
-        else:
-            v, beta = model.params["v"], model.params["beta"]
-    else:
-        raise CapabilityError(
-            "closed-form Gibbs densities exist only for the built-in kinds "
-            "'linear' and 'double_well'"
-        )
-    if kind == "linear":
-        rate = a * v / sigma**2
+    if model.kind == "linear":
+        rate = model.friction / model.params["sigma"] ** 2
 
         def rho(p: Array, q: Array) -> Array:
             return np.exp(-rate * (np.asarray(p) ** 2 + np.asarray(q) ** 2))
 
-    else:
-        b = beta
+    elif model.kind == "double_well":
+        b = model.params["beta"]
 
         def rho(p: Array, q: Array) -> Array:
             q = np.asarray(q)
             return np.exp(-b * (0.5 * np.asarray(p) ** 2 + (1.0 - q**2) ** 2 - 0.5 * q))
 
+    else:
+        raise CapabilityError(
+            "closed-form Gibbs densities exist only for the built-in kinds "
+            "'linear' and 'double_well'"
+        )
     return rho
-

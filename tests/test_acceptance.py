@@ -71,7 +71,7 @@ def quadratic_d2_model():
 def test_c01_linear_weak_order_deterministic_slope():
     start = time.perf_counter()
     z0 = PhaseState([3.0], [1.0])
-    reports = linear_weak_order(linear_spec(), PSIS, z0, 1.0, STEPS_COARSE)
+    reports = linear_weak_order(linear_spec().build(), PSIS, z0, 1.0, STEPS_COARSE)
     for name, report in zip(PSI_NAMES, reports):
         assert 1.8 <= report.slope <= 2.2, f"{name}: slope {report.slope}"
     assert time.perf_counter() - start < 60.0
@@ -148,12 +148,12 @@ def test_c04_augmented_route_matches_direct_map():
 
 
 def test_c05_linear_ergodic_averages_match_quadrature():
-    spec = linear_spec()
+    model = linear_spec().build()
     h = 2.0**-6
     n_steps = round(300.0 / h)
-    references = ergodic_reference(spec, PSIS)
+    references = ergodic_reference(model, PSIS)
     initials = [z0 for _, z0 in PAPER_INITIALS]
-    _, all_means = linear_ergodic_series(spec, PSIS, initials, h, n_steps)
+    _, all_means = linear_ergodic_series(model, PSIS, initials, h, n_steps)
     for (label, _), means in zip(PAPER_INITIALS, all_means):
         for name, series, ref in zip(PSI_NAMES, means, references):
             final = temporal_average(series)[-1]
@@ -211,11 +211,10 @@ def test_c08_moment_stability_over_long_horizon():
 
 @pytest.mark.slow
 def test_c09_double_well_ergodic_averages_agree():
-    spec = double_well_spec()
-    model = spec.build()
+    model = double_well_spec().build()
     h = 2.0**-6
     n_steps = round(500.0 / h)
-    references = ergodic_reference(spec, PSIS)
+    references = ergodic_reference(model, PSIS)
     finals = np.empty((len(PAPER_INITIALS), len(PSIS)))
     for i, (label, z0) in enumerate(PAPER_INITIALS):
         _, means = mc_step_means(

@@ -58,7 +58,7 @@ def linear_model_custom(a: float, v: float, sigma: float) -> LangevinModel:
         friction=v,
         noise=np.array([[-sigma]]),
         kind="linear",
-        params={"a": a, "v": v, "sigma": sigma},
+        params={"a": a, "sigma": sigma},
         force_third=lambda q: np.zeros((1, 1, 1)),
     )
 
@@ -107,14 +107,14 @@ def test_quad2d_stabilizes_under_refinement():
 
 
 def test_ergodic_reference_constant_is_exact():
-    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     ones = lambda p, q: np.ones(p.shape[:-1])
     assert ergodic_reference(model, [ones]) == [1.0]
 
 
 def test_ergodic_reference_linear_closed_forms():
     # Stationary marginals are N(0, c) per coordinate with c = sigma^2/(2v).
-    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     c = 0.0625
     neg, cos, sin = ergodic_reference(model, [exp_negsq, cos_sum, sin_sumsq])
     assert_allclose(neg, 1.0 / (1.0 + c), rtol=1e-10)
@@ -124,22 +124,22 @@ def test_ergodic_reference_linear_closed_forms():
 
 
 def test_ergodic_reference_pins_the_gibbs_closed_forms_to_ulps():
-    # Under the Gibbs law p and q are i.i.d. N(0, s^2) with s^2 = sigma^2/(2av)
-    # = 1/16, so p + q ~ N(0, 2s^2) and p^2 + q^2 is exponential with mean
-    # 2s^2: cos_sum, exp_negsq and sin_sumsq average to exp(-s^2), 1/(1+s^2)
-    # and 2s^2/(1+4s^4).
+    # Under the Gibbs law p and q are i.i.d. N(0, s^2) with s^2 = sigma^2/(2v)
+    # = 1/16 whatever a is, so p + q ~ N(0, 2s^2) and p^2 + q^2 is
+    # exponential with mean 2s^2: cos_sum, exp_negsq and sin_sumsq average to
+    # exp(-s^2), 1/(1+s^2) and 2s^2/(1+4s^4).
     exact = [math.exp(-1 / 16), 16 / 17, 8 / 65]
-    spec = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
-    for model in (spec, spec.build()):
+    for a in (0.5, 1.0, 2.0):
+        model = LinearOscillator(a=a, v=2.0, sigma=0.5).build()
         refs = ergodic_reference(model, [cos_sum, exp_negsq, sin_sumsq])
         ulps = [abs(int(np.float64(r).view(np.int64)) - int(np.float64(e).view(np.int64)))
                 for r, e in zip(refs, exact)]
-        assert max(ulps) <= 4, ulps
+        assert max(ulps) <= 4, (a, ulps)
 
 
 def test_ergodic_reference_equals_the_whole_grid_quotient():
     # One density and row-block evaluation give the bits of quad2d(psi rho) / quad2d(rho).
-    model = DoubleWell(v=4.0, beta=2.0)
+    model = DoubleWell(v=4.0, beta=2.0).build()
     psis = [cos_sum, exp_negsq, sin_sumsq]
     rho = gibbs_density_fn(model)
     norm = quad2d(rho)
@@ -151,13 +151,13 @@ def test_ergodic_reference_equals_the_whole_grid_quotient():
 
 
 def test_ergodic_reference_double_well_is_sane():
-    (ref,) = ergodic_reference(DoubleWell(v=4.0, beta=2.0), [cos_sum])
+    (ref,) = ergodic_reference(DoubleWell(v=4.0, beta=2.0).build(), [cos_sum])
     assert math.isfinite(ref)
     assert abs(ref) <= 1.0
 
 
 def test_ergodic_reference_degenerate_density():
-    model = LinearOscillator(a=1e150, v=2.0, sigma=0.5)
+    model = LinearOscillator(a=1.0, v=2.0, sigma=1e-100).build()
     with pytest.raises(DegenerateDensityError):
         ergodic_reference(model, [cos_sum])
 
@@ -224,20 +224,20 @@ def test_gauss_expectation_nonfinite_psi():
 
 
 def test_linear_ergodic_series_nonfinite_psi():
-    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     blows_up = lambda p, q: np.where(q[..., 0] > 0.5, np.inf, 0.0)
     with pytest.raises(EvaluationError, match=r"non-finite at quadrature point \[-?\d"):
         linear_ergodic_series(osc, [cos_sum, blows_up], [PhaseState([3.0], [1.0])], 0.125, 4)
 
 
 def test_weak_error_linear_zero_horizon():
-    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     z0 = PhaseState([3.0], [1.0])
     assert weak_error_linear(model, [cos_sum, sin_sumsq], z0, 0.125, 0.0).tolist() == [0.0, 0.0]
 
 
 def test_weak_error_linear_second_order_ratio():
-    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     z0 = PhaseState([3.0], [1.0])
     (coarse,) = weak_error_linear(model, [cos_sum], z0, 2.0**-3, 1.0)
     (fine,) = weak_error_linear(model, [cos_sum], z0, 2.0**-5, 1.0)
@@ -349,7 +349,7 @@ def test_weak_order_types_validate():
 
 
 def test_linear_weak_order_slope():
-    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     z0 = PhaseState([3.0], [1.0])
     steps = [2.0**-3, 2.0**-4, 2.0**-5]
     reports = linear_weak_order(model, [cos_sum, exp_negsq], z0, 1.0, steps)
@@ -407,7 +407,7 @@ def test_local_ms_gap_identical_chains():
 
 
 def test_linear_ergodic_series_matches_direct_composition():
-    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     z0 = PhaseState([3.0], [1.0])
     h, n = 0.125, 16
     times, means = linear_ergodic_series(osc, [cos_sum, exp_negsq], [z0], h, n, n_nodes=32)
@@ -441,7 +441,7 @@ def _gaussian_oracles(mean: np.ndarray, cov: np.ndarray) -> list[float]:
 
 
 def test_linear_ergodic_series_matches_gaussian_closed_forms():
-    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     h, n = 2.0**-6, 1600
     initials = [PhaseState([-10.0], [1.0]), PhaseState([3.0], [1.0])]
     _, means = linear_ergodic_series(osc, [cos_sum, exp_negsq, sin_sumsq], initials, h, n)
@@ -477,7 +477,7 @@ def _composed_series(model, psis, z0, h, n_steps, n_nodes):
 
 
 def test_linear_ergodic_series_reuse_is_bit_exact_past_the_freeze():
-    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     calls = []
 
     def counted(p, q):
@@ -497,7 +497,7 @@ def test_linear_ergodic_series_reuse_is_bit_exact_past_the_freeze():
 
 
 def test_linear_ergodic_series_initials_are_independent():
-    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     psis = [cos_sum, exp_negsq, sin_sumsq]
     times, together = linear_ergodic_series(
         osc, psis, FREEZE_INITIALS, FREEZE_H, FREEZE_STEPS, FREEZE_NODES
@@ -535,6 +535,6 @@ def test_linear_ergodic_series_refuses_a_negative_covariance(monkeypatch):
         return means, cov - np.eye(2)
 
     monkeypatch.setattr(analysis, "_chain_step", skewed)
-    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     with pytest.raises(ArgumentError, match="cov has a significantly negative eigenvalue"):
         linear_ergodic_series(osc, [cos_sum], [PhaseState([3.0], [1.0])], 0.125, 4)

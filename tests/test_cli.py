@@ -714,6 +714,65 @@ def test_main_rejects_bad_realizations_override(tmp_path, capsys):
     assert "mc.realizations" in capsys.readouterr().err
 
 
+_FRICTIONLESS_RUNS = {
+    "deterministic ergodic": ("ergodic", {
+        "T": 1.0, "step_size": 0.25, "test_functions": ["exp_negsq"],
+        "initials": [[1.0, 0.0]], "pipeline": "deterministic",
+    }),
+    "deterministic weak-order": ("weak-order", {
+        "T": 1.0, "step_sizes": [0.25, 0.125], "test_functions": ["cos_sum"],
+        "initials": [[1.0, 0.0]], "pipeline": "deterministic",
+    }),
+    "mc ergodic": ("ergodic", {
+        "T": 1.0, "step_size": 0.25, "test_functions": ["exp_negsq"],
+        "initials": [[1.0, 0.0]], "pipeline": "mc",
+    }),
+    "structure": ("structure", {"trials": 2, "volume_steps": 2}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FRICTIONLESS_RUNS))
+def test_every_pipeline_refuses_a_linear_model_without_friction(tmp_path, capsys, case):
+    command, experiment = _FRICTIONLESS_RUNS[case]
+    out_dir = tmp_path / "out"
+    config_path = write_config(
+        tmp_path,
+        "v0.json",
+        {
+            "model": {**linear_section(), "v": 0},
+            "experiment": experiment,
+            "mc": {"realizations": 16},
+            "output": {"directory": str(out_dir)},
+        },
+    )
+    assert main([command, "--config", config_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid configuration: model: friction v must be positive\n"
+    assert not out_dir.exists()
+
+
+def test_deterministic_weak_order_runs_on_a_long_horizon(tmp_path):
+    # At v = 4 and T = 20 the exact law's covariance once came out with a
+    # significantly negative eigenvalue.
+    config = parse_config(
+        {
+            "model": {**linear_section(), "v": 4.0},
+            "experiment": {
+                "T": 20.0,
+                "step_sizes": [0.25, 0.125],
+                "test_functions": ["cos_sum"],
+                "initials": [[3.0, 1.0]],
+            },
+            "output": {"directory": str(tmp_path)},
+        },
+        "weak-order",
+    )
+    (path,) = run(config, "weak-order")
+    _, _, rows = read_csv(path)
+    assert all(math.isfinite(float(row[2])) for row in rows[:-1])
+
+
 # The shipped configs whose committed results regenerate in seconds.
 # linear_ergodic is left out, although its run takes only about 5 s: its
 # reference column depends on the BLAS stack.

@@ -20,11 +20,12 @@ from langevin_gf import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# ergodic_averages takes about 6 s on 2 CPUs and stays out: its Monte Carlo
-# part runs 2000 realizations, one kernel task, so it never forks workers.
+# Every demo; ergodic_averages is the slowest, at about 4 s on 2 CPUs: 2.5 s
+# of linear Gaussian-law steps and 1 s of double-well Monte Carlo.
 _FAST_DEMOS = [
     "augmented_generating_function",
     "double_well_weak_order",
+    "ergodic_averages",
     "linear_weak_order",
     "one_step_map",
     "reproducible_parallel",
@@ -92,12 +93,13 @@ def test_package_root_exports_exactly_all():
     assert public | {"__version__"} == set(langevin_gf.__all__)
 
 
-def _bench_tracing() -> ModuleType:
-    """bench/tracing.py, loaded from its file without touching bench/."""
-    spec = importlib.util.spec_from_file_location("_bench_tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def _bench_module(name: str) -> ModuleType:
+    """bench/<name>.py, loaded from its file without touching bench/."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks a class's module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def _package_references() -> list[tuple[object, str, object]]:
@@ -120,7 +122,7 @@ def test_benchmark_tracer_installs_on_the_package():
     # bench/tracing.py wraps package functions by name and raises if one is
     # gone; a reference it failed to put back would leak a wrapper into the
     # package.  Either breaks `bench/run.py --trace 1`.
-    tracing = _bench_tracing()
+    tracing = _bench_module("tracing")
     parse_config, before = cli.parse_config, _package_references()
     with tracing.Tracer().installed():
         assert cli.parse_config is not parse_config
@@ -132,7 +134,7 @@ def test_benchmark_tracer_installs_on_the_package():
 def test_failing_structure_run_never_steps_a_single_state(tmp_path):
     # The structure command names a failure by rerunning its batch code on
     # one trial at a time; the single-state maps are not a second path.
-    tracing = _bench_tracing()
+    tracing = _bench_module("tracing")
     config = str(ROOT / "configs" / "structure_double_well.json")
     argv = ["structure", "--config", config, "--seed", "1", "--out", str(tmp_path)]
     with tracing.Tracer().installed() as tracer:
@@ -142,3 +144,12 @@ def test_failing_structure_run_never_steps_a_single_state(tmp_path):
     assert metrics["integrators.gf2_jacobian.calls"] == 0
     # Trials 0 to 18 pass alone before trial 19 fails, each with one genfun check.
     assert metrics["genfun.gf2_step_augmented.calls"] == 19
+
+
+@pytest.mark.parametrize("name", ["weak_order_dw", "ergodic_dw", "per_state"])
+def test_benchmark_workload_operations_pass_their_checks(tmp_path, name):
+    # The benchmark is not in this suite; a call shape it relies on that
+    # changes would otherwise show only as a refused benchmark run.
+    workload = _bench_module("workloads").WORKLOADS[name](ROOT, tmp_path, 1)
+    for op in workload.operations:
+        op.check(op.output(op.run(None)))

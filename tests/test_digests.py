@@ -130,7 +130,7 @@ def test_blowup_message_is_pinned():
     assert str(info.value) == "realization 13 produced a non-finite state at step 6"
 
 
-LINEAR = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+LINEAR = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
 STEP_SIZES = tuple(2.0**-k for k in range(3, 8))
 
 

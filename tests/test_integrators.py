@@ -305,9 +305,8 @@ def test_gf2_jacobian_identity_limit():
 
 
 def test_gf2_jacobian_matches_affine_map():
-    params = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
-    model = params.build()
-    amap = gf2_affine_map(params, h=0.125)
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
+    amap = gf2_affine_map(model, h=0.125)
     rng = np.random.default_rng(7)
     for _ in range(5):
         z = PhaseState(rng.uniform(-2, 2, 1), rng.uniform(-2, 2, 1))
@@ -561,27 +560,38 @@ def test_simulate_propagates_foreign_exceptions_unchanged():
 
 
 def test_linear_exact_moments_endpoints():
-    params = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     z0 = PhaseState([3.0], [1.0])
-    law0 = linear_exact_moments(params, z0, 0.0)
+    law0 = linear_exact_moments(model, z0, 0.0)
     assert_allclose(law0.mean, [3.0, 1.0])
     assert_allclose(law0.cov, np.zeros((2, 2)))
 
     with pytest.raises(ArgumentError):
-        linear_exact_moments(params, z0, -1.0)
+        linear_exact_moments(model, z0, -1.0)
 
     #
 
-    stationary = linear_exact_moments(params, z0, 20.0)
+    stationary = linear_exact_moments(model, z0, 20.0)
     assert_allclose(stationary.cov, 0.0625 * np.eye(2), atol=1e-8)
 
 
+@pytest.mark.parametrize("a, v, t", [(1.0, 4.0, 20.0), (1.0, 8.0, 10.0), (0.5, 2.0, 40.0)])
+def test_linear_exact_moments_long_horizon(a, v, t):
+    # cov(t) = sigma^2/(2v) (I - phi phi^T) with phi = e^{At}; a single Van
+    # Loan block at these t |A| leaves a covariance with a negative eigenvalue.
+    model = LinearOscillator(a=a, v=v, sigma=0.5).build()
+    law = linear_exact_moments(model, PhaseState([3.0], [1.0]), t)
+    phi = scipy_expm(np.array([[-v, -a], [a, 0.0]]) * t)
+    assert_allclose(law.mean, phi @ [3.0, 1.0], rtol=1e-12, atol=1e-300)
+    assert_allclose(law.cov, 0.25 / (2.0 * v) * (np.eye(2) - phi @ phi.T), rtol=0, atol=2e-15)
+
+
 def test_linear_exact_moments_rotation_at_zero_friction():
-    params = LinearOscillator(a=1.5, v=0.0, sigma=0.5)
+    model = dataclasses.replace(LinearOscillator(a=1.5, v=1.0, sigma=0.5).build(), friction=0.0)
     t = 0.7
     cols = []
     for basis in ([1.0, 0.0], [0.0, 1.0]):
-        law = linear_exact_moments(params, PhaseState([basis[0]], [basis[1]]), t)
+        law = linear_exact_moments(model, PhaseState([basis[0]], [basis[1]]), t)
         cols.append(law.mean)
     phi = np.stack(cols, axis=1)
     angle = 1.5 * t
@@ -592,9 +602,9 @@ def test_linear_exact_moments_rotation_at_zero_friction():
 
 
 def test_linear_exact_moments_against_quadrature():
-    params = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     t = 1.0
-    law = linear_exact_moments(params, PhaseState([3.0], [1.0]), t)
+    law = linear_exact_moments(model, PhaseState([3.0], [1.0]), t)
 
     amat = np.array([[-2.0, -1.0], [1.0, 0.0]])
     nmat = np.array([[0.25, 0.0], [0.0, 0.0]])
@@ -620,12 +630,12 @@ def scipy_expm(mat):
 
 
 def test_gf2_affine_map_structure():
-    params = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
-    amap = gf2_affine_map(params, h=0.125)
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
+    amap = gf2_affine_map(model, h=0.125)
     assert abs(np.linalg.det(amap.B) - math.exp(-0.25)) <= 1e-12
     assert_allclose(amap.c, np.zeros(2))
 
-    tiny = gf2_affine_map(params, h=1e-8)
+    tiny = gf2_affine_map(model, h=1e-8)
     assert_allclose(tiny.B, np.eye(2), atol=1e-6)
     assert_allclose(tiny.G, [[-0.5], [0.0]], atol=1e-7)
 
@@ -654,25 +664,24 @@ def closed_form_affine(a, v, sigma, h):
 def test_gf2_affine_map_matches_closed_form():
     grid = itertools.product((0.3, 1.0, 2.5, 4.0), (0.0, 0.1, 2.0, 5.0), (1e-6, 1e-3, 0.125, 0.5))
     for a, v, h in grid:
-        amap = gf2_affine_map(LinearOscillator(a=a, v=v, sigma=0.5), h)
+        model = dataclasses.replace(LinearOscillator(a=a, v=1.0, sigma=0.5).build(), friction=v)
+        amap = gf2_affine_map(model, h)
         for got, want in zip((amap.B, amap.G), closed_form_affine(a, v, 0.5, h)):
             assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want)), (a, v, h)
         assert amap.c.tobytes() == np.zeros(2).tobytes()
-    # Bit for bit at the shipped parameters, from the spec and the built model.
-    spec = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    # Bit for bit at the shipped parameters.
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     for k in range(3, 8):
         B, G = closed_form_affine(1.0, 2.0, 0.5, 2.0**-k)
-        for model in (spec, spec.build()):
-            amap = gf2_affine_map(model, 2.0**-k)
-            assert amap.B.tobytes() == B.tobytes() and amap.G.tobytes() == G.tobytes()
+        amap = gf2_affine_map(model, 2.0**-k)
+        assert amap.B.tobytes() == B.tobytes() and amap.G.tobytes() == G.tobytes()
     with pytest.raises(CapabilityError):
         gf2_affine_map(DoubleWell(v=2.0, beta=2.0).build(), 0.125)
 
 
 def test_affine_consistency_with_gf2_step():
-    params = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
-    model = params.build()
-    amap = gf2_affine_map(params, h=0.125)
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
+    amap = gf2_affine_map(model, h=0.125)
     rng = np.random.default_rng(10)
     for _ in range(20):
         z = PhaseState(rng.uniform(-3, 3, 1), rng.uniform(-3, 3, 1))
@@ -713,7 +722,7 @@ def test_propagate_gaussian_chain_basics():
 
     # The chain's bits do not depend on the memory layout B and G arrive in.
     h = 2.0**-6
-    amap = gf2_affine_map(LinearOscillator(a=1.0, v=2.0, sigma=0.5), h)
+    amap = gf2_affine_map(LinearOscillator(a=1.0, v=2.0, sigma=0.5).build(), h)
     fortran = dataclasses.replace(amap, B=np.asfortranarray(amap.B), G=np.asfortranarray(amap.G))
     start = GaussianLaw(mean=[-10.0, 1.0], cov=np.zeros((2, 2)))
     laws = [propagate_gaussian_chain(m, start, 160, h) for m in (amap, fortran)]
@@ -738,9 +747,9 @@ def test_affine_step_map_checks_conformal_determinant_in_every_dimension():
 
 
 def test_gaussian_chain_matches_monte_carlo():
-    params = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     h, n_steps, n_paths = 0.125, 8, 100_000
-    amap = gf2_affine_map(params, h)
+    amap = gf2_affine_map(model, h)
     init = GaussianLaw(mean=[3.0, 1.0], cov=np.zeros((2, 2)))
     chain = propagate_gaussian_chain(amap, init, n_steps, h)
 

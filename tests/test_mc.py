@@ -253,12 +253,11 @@ def test_mc_expectation_constant_psi():
 
 
 def test_mc_expectation_gaussian_chain_oracle():
-    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
-    model = osc.build()
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     z0 = PhaseState([3.0], [1.0])
     h, n = 2.0**-4, 16
     res = mc_expectation(model, "gf2", cos_sum, z0, h, 1.0, 32_768, SeedPlan(2718))
-    amap = gf2_affine_map(osc, h)
+    amap = gf2_affine_map(model, h)
     law = propagate_gaussian_chain(
         amap, GaussianLaw(np.array([3.0, 1.0]), np.zeros((2, 2))), n, h
     )
@@ -872,14 +871,13 @@ def test_weak_error_refine_validation():
 
 
 def test_weak_error_gaussian_chain_oracle():
-    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5)
-    model = osc.build()
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     z0 = PhaseState([3.0], [1.0])
     h, refine = 0.25, 4
     [[res]] = weak_error_mc(model, [cos_sum], z0, [h], 1.0, 32_768, refine, SeedPlan(314))
     init = GaussianLaw(np.array([3.0, 1.0]), np.zeros((2, 2)))
-    coarse = propagate_gaussian_chain(gf2_affine_map(osc, h), init, 4, h)
-    fine = propagate_gaussian_chain(gf2_affine_map(osc, h / refine), init, 16, h / refine)
+    coarse = propagate_gaussian_chain(gf2_affine_map(model, h), init, 4, h)
+    fine = propagate_gaussian_chain(gf2_affine_map(model, h / refine), init, 16, h / refine)
     exact = gaussian_cos_expectation(coarse.mean, coarse.cov) - gaussian_cos_expectation(
         fine.mean, fine.cov
     )

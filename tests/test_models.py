@@ -112,10 +112,10 @@ def test_builtin_parameter_validation():
         DoubleWell(v=0.0, beta=1.0)
     with pytest.raises(ArgumentError):
         DoubleWell(v=1.0, beta=0.0)
-    # v = 0 is allowed on the parameter object but not for a built model.
-    params = LinearOscillator(a=1.0, v=0.0, sigma=0.5)
-    with pytest.raises(ArgumentError):
-        params.build()
+    # Both builders refuse v = 0 on construction; a frictionless diagnostic
+    # model is dataclasses.replace(model, friction=0.0) of a built one.
+    with pytest.raises(ArgumentError, match="friction v must be positive"):
+        LinearOscillator(a=1.0, v=0.0, sigma=0.5)
 
 
 def test_model_matrix_validation():
