@@ -42,7 +42,7 @@ from .analysis import (
 )
 from .errors import ArgumentError, ConfigError, Error
 from .genfun import AugmentedState, from_augmented, gf2_step_augmented, to_augmented
-from .integrators import _check_stepped, _Gf2Kernel, _noise_kick, simulate
+from .integrators import _Gf2Kernel, _noise_kick, simulate
 from .mc import SeedPlan, _steps_for, derive_seed, generator_for, mc_step_means
 from .mc import sample_increments
 from .models import DoubleWell, LangevinModel, LinearOscillator, PhaseState
@@ -200,9 +200,10 @@ def _labels(experiment: dict) -> list[str]:
     return given if given is not None else [f"p{p:g}_q{q:g}" for p, q in experiment["initials"]]
 
 
-def _linked_problems(model: dict, experiment: dict) -> list[str]:
+def _linked_problems(model: dict, experiment: dict, command: str) -> list[str]:
     """The checks that read two keys: model parameters per kind, labels per
-    initial, and the pipeline per kind."""
+    initial, the pipeline per kind, and the horizon per step size that the
+    command reads."""
     out = []
     kind = model.get("kind")
     if kind in list(_MODEL_PARAM_KEYS):
@@ -220,6 +221,14 @@ def _linked_problems(model: dict, experiment: dict) -> list[str]:
                 f"experiment.initial_labels: one distinct comma-free string per initial, "
                 f"got {labels}"
             )
+    key = {"weak-order": "step_sizes", "ergodic": "step_size"}.get(command)
+    T, hs = experiment.get("T"), experiment.get(key)
+    if key and _positive(T) and _RULES["experiment"][key].check(hs):
+        for h in hs if isinstance(hs, list) else [hs]:
+            try:
+                _steps_for(float(h), float(T))
+            except ArgumentError:
+                out.append(f"experiment.T: must be an integer multiple of {key}, got h={h}")
     return out
 
 
@@ -243,7 +252,7 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
             section = {}
         problems += _section_problems(name, section, command)
         sections[name] = {key: value for key, value in section.items() if key in rules}
-    problems += _linked_problems(sections["model"], sections["experiment"])
+    problems += _linked_problems(sections["model"], sections["experiment"], command)
     _refuse(problems)
 
     for name, rules in _RULES.items():
@@ -357,13 +366,7 @@ def _run_ergodic(config: ExperimentConfig) -> _Table:
     model = _model(config)
     exp = config.experiment
     h = float(exp["step_size"])
-    T = float(exp["T"])
-    try:
-        n_steps = _steps_for(h, T)
-    except ArgumentError:
-        raise ConfigError(
-            "invalid configuration: experiment.T: must be an integer multiple of step_size"
-        ) from None
+    n_steps = _steps_for(h, float(exp["T"]))
     names = list(exp["test_functions"])
     psis = [get_test_function(name) for name in names]
     references = ergodic_reference(
@@ -444,11 +447,9 @@ def _structure_rows(
     try:
         with np.errstate(all="ignore"):
             hess, step_matrix, p1, q1 = kernel.update(p, q, one_step_kicks)
-            _check_stepped("gf2", h, p1, q1)
             jac = kernel.jacobian(q, hess, step_matrix, p1)
             for k in range(volume_steps):
                 hess, step_matrix, p_next, q_next = kernel.update(p, q, volume_kicks[:, k])
-                _check_stepped("gf2", h, p_next, q_next)
                 logdet += np.linalg.slogdet(kernel.jacobian(q, hess, step_matrix, p_next))[1]
                 p, q = p_next, q_next
         k = 0
@@ -460,7 +461,7 @@ def _structure_rows(
             equiv = _genfun_gap(model, trial, p1[i], q1[i])
             rows.append((i, trial.h, defect, volume_rel, equiv))
     except Error as exc:
-        exc.args = (f"step {k}: {exc}",)  # in place, so a StepSizeError keeps its row
+        exc.args = (f"step {k}: {exc}",)  # in place, so the kernel's row survives
         raise
     return rows
 

@@ -4,7 +4,16 @@ from __future__ import annotations
 
 
 class Error(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``row`` is the first state of a batch that a step kernel refused, its
+    index in the (R, d) states the kernel stepped; it is None for every
+    other error.
+    """
+
+    def __init__(self, message: str = "", row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class ArgumentError(Error):
@@ -16,15 +25,7 @@ class EvaluationError(Error):
 
 
 class StepSizeError(Error):
-    """The implicit step matrix is too ill-conditioned for the requested h.
-
-    ``row`` is the index of the first offending state when a batch of
-    states was stepped at once.
-    """
-
-    def __init__(self, message: str = "", row: int = 0) -> None:
-        super().__init__(message)
-        self.row = row
+    """The implicit step matrix is too ill-conditioned for the requested h."""
 
 
 class CapabilityError(Error):
@@ -40,7 +41,8 @@ class EstimationError(Error):
 
     ``where`` locates a trajectory failure as (step, 0 for a refused step or
     1 for a non-finite state after it, realization), which orders failures;
-    it is None for other failures.
+    the realization is the task's first plus the step kernel's ``row``.  It
+    is None for other failures.
     """
 
     def __init__(self, message: str = "", where: tuple[int, int, int] | None = None) -> None:

@@ -18,9 +18,9 @@ and gives the analytic Jacobians of the states it stepped, which
 kernel per run, steps (1, d) rows of preallocated (n + 1, d) arrays and
 returns them with the time grid.  On the linear oscillator the gf2 map is
 affine, and :func:`gf2_affine_map` reads its B, c and G off the same kernel
-rather than from a second copy of the update.
-The step loops here, in :mod:`.mc` and in the CLI's structure command share
-one blow-up screen, :func:`_nonfinite_row`.
+rather than from a second copy of the update.  Each kernel refuses a
+singular step matrix or a non-finite result itself, naming the first refused
+state as the error's ``row``; the loops that step states add the location.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def _check_step_matrix(step_matrix: Array, h: float | Array) -> None:
     cond(S) <= (2 / |det S|) (|S|_F / sqrt(d))^d screens, and the SVD runs
     only on the rows whose bound passes half the limit (headroom for the
     rounding of det near singularity).  Non-finite matrices are left to the
-    callers' state checks.
+    kernel's state screen.
     """
     d = step_matrix.shape[-1]
     if d == 1:
@@ -165,6 +165,23 @@ def _check_step_matrix(step_matrix: Array, h: float | Array) -> None:
 def _check_step_size(h: object) -> None:
     if not (isinstance(h, numbers.Real) and h > 0 and math.isfinite(h)):
         raise ArgumentError(f"step size must be positive and finite, got {h}")
+
+
+def _refuse_nonfinite(
+    error: type[Error], what: str, h: float | Array, p1: Array, q1: Array
+) -> None:
+    """Raise ``error(f"{what} at h=...")`` with the first row of the (R, d)
+    states (p1, q1) that has a non-finite entry; ``h`` is a float or one step
+    size per row.  Any non-finite entry makes p1 . q1 non-finite, so one dot
+    product screens.
+    """
+    if math.isfinite(np.vdot(p1, q1)):
+        return
+    bad = ~np.all(np.isfinite(p1) & np.isfinite(q1), axis=1)
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        at = h if np.ndim(h) == 0 else np.ravel(h)[row]
+        raise error(f"{what} at h={at}", row=row)
 
 
 def _noise_kick(noise: Array, dw: Array) -> Array:
@@ -230,7 +247,8 @@ class _Gf2Kernel:
         self.hess_times_mass = _mass_map(model.mass.T)
 
     def update(self, p: Array, q: Array, kick: Array) -> tuple[Array, Array, Array, Array]:
-        """(grad^2 F(q), step matrix, P1, Q1); StepSizeError if the matrix is near singular."""
+        """(grad^2 F(q), step matrix, P1, Q1); a near-singular step matrix raises
+        StepSizeError and a non-finite state EvaluationError, with its ``row``."""
         model = self.model
         frc = np.asarray(model.force(q), dtype=float)
         hess = np.asarray(model.force_jacobian(q), dtype=float)
@@ -255,6 +273,7 @@ class _Gf2Kernel:
         q1 += q
         q1 += self.hh * self.times_mass(frc)
         q1 -= self.kick_q * self.times_mass(kick)
+        _refuse_nonfinite(EvaluationError, "step produced a non-finite state", self.h, p1, q1)
         return hess, step_matrix, p1, q1
 
     def __call__(self, p: Array, q: Array, kick: Array) -> tuple[Array, Array]:
@@ -291,12 +310,15 @@ class _Gf2Kernel:
 
 
 def _em_kernel(model: LangevinModel, h: float) -> Callable[[Array, Array, Array], tuple]:
-    """The Euler-Maruyama step (see :func:`em_step`) at fixed (model, h) on (R, d) states."""
+    """The Euler-Maruyama step (see :func:`em_step`) at fixed (model, h) on (R, d)
+    states; a non-finite state raises RangeError with its ``row``."""
     v, force, times_mass = model.friction, model.force, _mass_map(model.mass)
 
     def step(p: Array, q: Array, kick: Array) -> tuple[Array, Array]:
         p1 = p - (np.asarray(force(q), dtype=float) + v * p) * h + kick
-        return p1, q + h * times_mass(p)
+        q1 = q + h * times_mass(p)
+        _refuse_nonfinite(RangeError, "explicit step overflowed", h, p1, q1)
+        return p1, q1
 
     return step
 
@@ -320,40 +342,12 @@ def _step_inputs(model: LangevinModel, z: PhaseState, h: float, dW: object) -> t
     return float(h), dw, _noise_kick(model.noise, dw[None])
 
 
-# The error each scheme raises when a step leaves the finite numbers.
-_BLOWUPS = {
-    "gf2": (EvaluationError, "step produced a non-finite state"),
-    "em": (RangeError, "explicit step overflowed"),
-}
-
-
-def _nonfinite_row(p: Array, q: Array) -> int | None:
-    """The first row of the (R, d) states (p, q) with a non-finite entry, or None.
-
-    Any non-finite entry makes p . q non-finite, so one dot product screens.
-    """
-    if math.isfinite(np.vdot(p, q)):
-        return None
-    bad = ~np.all(np.isfinite(p) & np.isfinite(q), axis=1)
-    return int(np.argmax(bad)) if np.any(bad) else None
-
-
-def _check_stepped(scheme: str, h: float | Array, p1: Array, q1: Array) -> None:
-    """Refuse a non-finite state; ``h`` is a float or one step size per row."""
-    row = _nonfinite_row(p1, q1)
-    if row is not None:
-        error, what = _BLOWUPS[scheme]
-        at = h if np.ndim(h) == 0 else np.ravel(h)[row]
-        raise error(f"{what} at h={at}")
-
-
 def _single_step(
     model: LangevinModel, scheme: str, z: PhaseState, h: float, dW: object
 ) -> PhaseState:
     h, _, kick = _step_inputs(model, z, h, dW)
     with np.errstate(all="ignore"):
         p1, q1 = _KERNELS[scheme](model, h)(z.p[None], z.q[None], kick)
-    _check_stepped(scheme, h, p1, q1)
     return PhaseState(p1[0], q1[0])
 
 
@@ -405,8 +399,7 @@ def gf2_jacobian(
     kernel = _Gf2Kernel(model, h)
     q = z.q[None]
     with np.errstate(all="ignore"):
-        hess, step_matrix, p1, q1 = kernel.update(z.p[None], q, kick)
-    _check_stepped("gf2", h, p1, q1)
+        hess, step_matrix, p1, _ = kernel.update(z.p[None], q, kick)
     return kernel.jacobian(q, hess, step_matrix, p1)[0]
 
 
@@ -472,7 +465,6 @@ def simulate(
         with np.errstate(all="ignore"):
             for k in range(n_ok):
                 p1, q1 = step(p[k: k + 1], q[k: k + 1], kicks[k: k + 1])
-                _check_stepped("gf2", h, p1, q1)
                 p[k + 1], q[k + 1] = p1[0], q1[0]
         if n_ok < n_steps:
             k = n_ok

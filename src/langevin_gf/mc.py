@@ -29,17 +29,18 @@ counts, kernel widths and draw block sizes for a fixed :class:`SeedPlan`:
 Every model and dimension is stepped by the (R, d) step kernels of
 :mod:`.integrators` that ``gf2_step`` and ``em_step`` run with one state, so
 a realization's trajectory equals, bit for bit, the single-state map on its
-own increments, and both fail alike.  A failing run reports the earliest
-failing step, then the lowest realization failing there, over all tasks.
+own increments, and both fail alike: the kernel's reason is prefixed with
+the realization and the step.  A failing run reports the earliest failing
+step, then the lowest realization failing there, over all tasks.
 
 The endpoint estimators (``mc_expectation``, ``weak_error_mc`` and
 ``one_step_ms_gap``) are validation around :func:`_endpoint_values`, in
 which a process runs a whole task before its next, holding one task's state
 at a time.  A task seeds its generators once and draws each block of
 unscaled normals once; one chain (or coupled coarse/fine pair) per step size
-advances on it a coarse step (an uncoupled chain :data:`_SLICE` steps) at a
-time, scaling only that slice, so the block is the task's one large buffer
-and every step size keeps the bits of a call with it alone.
+advances on it one coarse step at a time, scaling only that step's slice, so
+the block is the task's one large buffer and every step size keeps the bits
+of a call with it alone.
 ``mc_step_means`` runs one round per chunk of steps: each task advances its
 realizations, which it holds across rounds, and builds the first levels of
 each step's pairwise tree over them; the caller finishes each tree.  Task
@@ -63,8 +64,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ArgumentError, EstimationError, StepSizeError
-from .integrators import _KERNELS, _check_step_size, _noise_kick, _nonfinite_row
+from .errors import ArgumentError, Error, EstimationError, StepSizeError
+from .integrators import _KERNELS, _check_step_size, _noise_kick
 from .models import LangevinModel, PhaseState
 
 Array = np.ndarray
@@ -77,8 +78,6 @@ SPLIT_SIZE = 2048
 # coupled estimator needs more; bounds the per-task draw buffer.  A
 # BATCH_SIZE-wide task fills it with 128 steps per generator call at m = 1.
 DRAW_BLOCK = 2**19
-# Steps per kernel call of an uncoupled endpoint chain.
-_SLICE = 16
 # Most levels of the pairwise tree a task builds over its own realizations.
 _TASK_LEVELS = 8
 # Steps whose psi values an mc_step_means task holds before reducing them.
@@ -474,7 +473,8 @@ def _advance_chunk(
     """Advance a task through one chunk of increments, on the kernel of (scheme, h).
 
     With psi_rows, psi_rows[j] after step s is written to out[s, j], one
-    value per realization of the task.
+    value per realization of the task.  A state the kernel refuses raises
+    ``realization i, step k: <reason>``; an error without a ``row`` propagates.
     """
     if state.step is None:
         state.step = _KERNELS[scheme](model, h)
@@ -484,18 +484,14 @@ def _advance_chunk(
         for s, kick in enumerate(_noise_kick(model.noise, dw.transpose(1, 0, 2))):
             try:
                 p, q = step(p, q, kick)
-            except StepSizeError as exc:
+            except Error as exc:
+                if exc.row is None:
+                    raise
                 index, at = state.lo + exc.row, first_step + s
+                kind = 0 if isinstance(exc, StepSizeError) else 1
                 raise EstimationError(
-                    f"realization {index} failed at step {at}: {exc}", where=(at, 0, index)
+                    f"realization {index}, step {at}: {exc}", where=(at, kind, index)
                 ) from exc
-            row = _nonfinite_row(p, q)
-            if row is not None:
-                index, at = state.lo + row, first_step + s
-                raise EstimationError(
-                    f"realization {index} produced a non-finite state at step {at}",
-                    where=(at, 1, index),
-                )
             if psi_rows is not None and out is not None:
                 for j, psi in enumerate(psi_rows):
                     out[s, j] = psi(p, q)
@@ -547,8 +543,6 @@ def _endpoint_values(
     factor = refine or 1
     bounds = _batch_bounds(n_realizations)
     chunk = max(1, _block_steps(m) // factor)
-    # Coarse steps per kernel call; a coupled pair interleaves at every one.
-    per_call = _SLICE if refine is None else 1
     longest = max(n_steps for _, n_steps in chains)
     values = _shared_empty((len(chains), len(endpoints), n_realizations))
 
@@ -565,16 +559,15 @@ def _endpoint_values(
             length = min(chunk, longest - done)
             z = source.draw(length * factor, m, 1.0)
             for j, (h, n_steps) in enumerate(chains):
-                for at in range(done, min(done + length, n_steps), per_call):
+                for at in range(done, min(done + length, n_steps)):
                     if j not in runs:
                         break
-                    steps = min(per_call, done + length - at, n_steps - at)
                     first = (at - done) * factor
-                    dw = z[:, first: first + steps * factor] * math.sqrt(h / factor)
+                    dw = z[:, first: first + factor] * math.sqrt(h / factor)
                     try:
                         if refine is not None:
                             _advance_chunk(model, scheme, runs[j][1], h / refine, dw, at * refine)
-                            dw = dw.reshape(hi - lo, steps, refine, m).sum(axis=2)
+                            dw = dw.reshape(hi - lo, 1, refine, m).sum(axis=2)
                         _advance_chunk(model, scheme, runs[j][0], h, dw, at)
                     except EstimationError as exc:
                         if exc.where is None:
@@ -629,7 +622,7 @@ def mc_expectation(
 
     The result is bit-identical across runs and kernel widths; see the module
     docstring for the contract.  A trajectory leaving the numeric domain
-    raises EstimationError naming the realization index and step.
+    raises EstimationError naming the realization index, the step and h.
     """
     _validate_run(model, scheme, z0, n_realizations, plan)
     chains = [(h, _steps_for(h, T))]

@@ -316,8 +316,10 @@ def gibbs_density_fn(model: LangevinModel) -> Callable[[Array, Array], Array]:
     """Vectorized unnormalized stationary density of a built-in model.
 
     Returns a callable rho(p, q) operating elementwise on arrays.  Only the
-    two built-in kinds carry a closed-form density.
+    two built-in kinds with friction carry a closed-form density.
     """
+    if not model.friction > 0:
+        raise CapabilityError("a model without friction has no stationary law")
     if model.kind == "linear":
         rate = model.friction / model.params["sigma"] ** 2
 

@@ -25,6 +25,7 @@ from langevin_gf.analysis import (
 )
 from langevin_gf.errors import (
     ArgumentError,
+    CapabilityError,
     DegenerateDensityError,
     EvaluationError,
 )
@@ -154,6 +155,21 @@ def test_ergodic_reference_double_well_is_sane():
     (ref,) = ergodic_reference(DoubleWell(v=4.0, beta=2.0).build(), [cos_sum])
     assert math.isfinite(ref)
     assert abs(ref) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "spec", [LinearOscillator(a=1.0, v=2.0, sigma=0.5), DoubleWell(v=4.0, beta=2.0)]
+)
+def test_a_frictionless_model_has_no_ergodic_reference(spec):
+    # Both builders refuse v = 0; a diagnostic copy without friction has no
+    # stationary law, where the density read as flat (linear) or as the
+    # frictional model's (double well).
+    model = dataclasses.replace(spec.build(), friction=0.0)
+    reason = "^a model without friction has no stationary law$"
+    with pytest.raises(CapabilityError, match=reason):
+        gibbs_density_fn(model)
+    with pytest.raises(CapabilityError, match=reason):
+        ergodic_reference(model, [exp_negsq])
 
 
 def test_ergodic_reference_degenerate_density():

@@ -360,21 +360,61 @@ def test_ergodic_deterministic_csv(tmp_path):
 
 
 def test_ergodic_requires_commensurate_horizon(tmp_path):
-    config = parse_config(
-        {
-            "model": linear_section(),
-            "experiment": {
-                "T": 1.0,
-                "step_size": 0.3,
-                "test_functions": ["cos_sum"],
-                "initials": [[1.0, 1.0]],
-            },
-            "output": {"directory": str(tmp_path)},
+    raw = {
+        "model": linear_section(),
+        "experiment": {
+            "T": 1.0,
+            "step_size": 0.3,
+            "test_functions": ["cos_sum"],
+            "initials": [[1.0, 1.0]],
         },
-        "ergodic",
+        "output": {"directory": str(tmp_path)},
+    }
+    with pytest.raises(ConfigError) as info:
+        parse_config(raw, "ergodic")
+    assert str(info.value) == (
+        "invalid configuration: experiment.T: must be an integer multiple of step_size, got h=0.3"
     )
-    with pytest.raises(ConfigError, match="multiple"):
-        run(config, "ergodic")
+
+
+@pytest.mark.parametrize("pipeline", ["deterministic", "mc"])
+def test_weak_order_refuses_a_horizon_off_a_step_grid_when_parsed(pipeline):
+    # Each pipeline would refuse T = 1 at h = 0.3 only once it ran.
+    raw = {
+        "model": linear_section(),
+        "experiment": {
+            "T": 1.0,
+            "step_sizes": [0.3, 0.25],
+            "test_functions": ["cos_sum"],
+            "initials": [[1.0, 1.0]],
+            "pipeline": pipeline,
+        },
+    }
+    with pytest.raises(ConfigError) as info:
+        parse_config(raw, "weak-order")
+    assert str(info.value) == (
+        "invalid configuration: experiment.T: must be an integer multiple of step_sizes, "
+        "got h=0.3"
+    )
+
+
+def test_ergodic_reports_the_horizon_with_the_other_problems():
+    raw = {
+        "model": linear_section(),
+        "experiment": {
+            "T": 1.0,
+            "step_size": 0.3,
+            "checkpoints": 0,
+            "test_functions": ["cos_sum"],
+            "initials": [[1.0, 1.0]],
+        },
+    }
+    with pytest.raises(ConfigError) as info:
+        parse_config(raw, "ergodic")
+    assert str(info.value) == (
+        "invalid configuration: experiment.checkpoints: must be an integer >= 1; "
+        "experiment.T: must be an integer multiple of step_size, got h=0.3"
+    )
 
 
 def test_ergodic_refuses_a_horizon_below_one_off_the_step_grid(tmp_path, capsys):

@@ -13,10 +13,14 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
 import pytest
 
 import langevin_gf
-from langevin_gf import cli
+from langevin_gf import cli, mc
+from langevin_gf.mc import SeedPlan
+from langevin_gf.models import DoubleWell, PhaseState
+from langevin_gf.observables import get_test_function
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -129,6 +133,40 @@ def test_benchmark_tracer_installs_on_the_package():
     after = _package_references()
     assert [entry[:2] for entry in after] == [entry[:2] for entry in before]
     assert all(a[2] is b[2] for a, b in zip(after, before))
+
+
+def _result_bits(results) -> bytes:
+    flat = np.ravel(results)
+    return np.array([(r.mean, r.std_error) for r in flat], dtype="<f8").tobytes()
+
+
+def test_benchmark_tracer_counts_monte_carlo_work_exactly(monkeypatch):
+    # The tracer counts realization-steps from the increments each
+    # _advance_chunk call receives and normals from each draw.  On one worker
+    # every task runs in this process, so the counts are the exact work and
+    # the traced results keep every bit.
+    tracing = _bench_module("tracing")
+    monkeypatch.setattr(mc, "resolve_threads", lambda: 1)
+    model = DoubleWell(v=4.0, beta=2.0).build()
+    z0, plan, n_real, refine = PhaseState([0.0], [1.0]), SeedPlan(3), 64, 4
+    cos_sum = get_test_function("cos_sum")
+    calls = [
+        # One chain of 8 steps: R n steps and normals.
+        (lambda: mc.mc_expectation(model, "gf2", cos_sum, z0, 0.125, 1.0, n_real, plan),
+         n_real * 8, n_real * 8),
+        # Coupled chains of 4 and 8 coarse steps: R sum(n) (refine + 1) steps
+        # on R max(n) refine normals.
+        (lambda: mc.weak_error_mc(model, [cos_sum], z0, [0.25, 0.125], 1.0, n_real, refine, plan),
+         n_real * 12 * (refine + 1), n_real * 8 * refine),
+    ]
+    for call, realization_steps, normals in calls:
+        plain = call()
+        with tracing.Tracer().installed() as tracer:
+            traced = call()
+        assert _result_bits(traced) == _result_bits(plain)
+        metrics = tracer.layer_metrics()
+        assert metrics["mc.realization_steps"] == realization_steps
+        assert metrics["mc.normals_drawn"] == normals
 
 
 def test_failing_structure_run_never_steps_a_single_state(tmp_path):

@@ -127,7 +127,9 @@ def test_blowup_message_is_pinned():
         mc_expectation(
             model, "gf2", cos_sum, PhaseState([0.0], [1.5]), h, 20 * h, 5000, SeedPlan(8)
         )
-    assert str(info.value) == "realization 13 produced a non-finite state at step 6"
+    assert str(info.value) == (
+        "realization 13, step 6: step produced a non-finite state at h=0.55"
+    )
 
 
 LINEAR = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()

@@ -532,9 +532,9 @@ def test_infinite_hessian_leaves_the_finite_numbers_on_every_path():
         simulate(model, z0, 0.1, [[0.3]])
     assert str(info.value) == f"step 0: {message}"
     cos_sum = get_test_function("cos_sum")
-    blowup = "^realization 0 produced a non-finite state at step 0"
-    with pytest.raises(EstimationError, match=blowup):
+    with pytest.raises(EstimationError) as info:
         mc_expectation(model, "gf2", cos_sum, z0, 0.1, 0.1, 2, SeedPlan(0))
+    assert str(info.value) == f"realization 0, step 0: {message}"
 
 
 class _TwoArgumentError(Exception):

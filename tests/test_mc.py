@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from langevin_gf import mc
-from langevin_gf.errors import ArgumentError, EstimationError, StepSizeError
+from langevin_gf.errors import ArgumentError, EstimationError, EvaluationError, StepSizeError
 from langevin_gf.integrators import (
     GaussianLaw,
     gf2_affine_map,
@@ -268,8 +268,12 @@ def test_mc_expectation_gaussian_chain_oracle():
 
 def test_mc_expectation_blowup_reports_location():
     model = DoubleWell(v=4.0, beta=2.0).build()
-    with pytest.raises(EstimationError, match=r"realization \d+ .*step \d+"):
+    with pytest.raises(EstimationError) as info:
         mc_expectation(model, "gf2", cos_sum, PhaseState([0.0], [30.0]), 0.25, 2.0, 4, SeedPlan(8))
+    assert str(info.value) == (
+        "realization 0, step 5: step produced a non-finite state at h=0.25"
+    )
+    assert info.value.where == (5, 1, 0)
 
 
 def test_mc_expectation_worker_invariance():
@@ -341,7 +345,7 @@ def test_blowup_mid_chunk_names_first_realization_and_step(monkeypatch):
     model = DoubleWell(v=4.0, beta=2.0).build()
     z0 = PhaseState([0.0], [1.5])
     h, plan = 0.55, SeedPlan(8)
-    expected = r"^realization 13 produced a non-finite state at step 6$"
+    expected = r"^realization 13, step 6: step produced a non-finite state at h=0\.55$"
     for workers in (1, 2):
         monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
         with pytest.raises(EstimationError, match=expected) as info:
@@ -362,8 +366,49 @@ def test_blowup_report_does_not_depend_on_the_task_width(monkeypatch):
         monkeypatch.setattr(mc, "BATCH_SIZE", width)
         with pytest.raises(EstimationError) as info:
             mc_expectation(model, "gf2", cos_sum, z0, h, 20 * h, 5000, SeedPlan(8))
-        assert str(info.value) == "realization 13 produced a non-finite state at step 6"
+        assert str(info.value) == (
+            "realization 13, step 6: step produced a non-finite state at h=0.55"
+        )
         assert info.value.where == (6, 1, 13)
+
+
+def test_blowup_in_a_worker_share_reports_as_on_one_worker(monkeypatch):
+    # From q = 1.5 at h = 0.28 under seed 5, realization 4253 is the first to
+    # leave the finite numbers, at step 10, while realizations below 2560 stay
+    # finite through step 10.  On two workers the failure therefore arises in
+    # the forked worker's task alone and reaches the caller pickled.
+    model = DoubleWell(v=4.0, beta=2.0).build()
+    z0, h, plan = PhaseState([0.0], [1.5]), 0.28, SeedPlan(5)
+    for workers in (1, 2):
+        monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
+        assert mc._batch_bounds(5000) == [(0, 2560), (2560, 5000)]
+        with pytest.raises(EstimationError) as info:
+            mc_expectation(model, "gf2", cos_sum, z0, h, 11 * h, 5000, plan)
+        assert str(info.value) == (
+            "realization 4253, step 10: step produced a non-finite state at h=0.28"
+        )
+        assert info.value.where == (10, 1, 4253)
+        _assert_no_child_left()
+    res = mc_expectation(model, "gf2", cos_sum, z0, h, 11 * h, 2560, plan)
+    assert math.isfinite(res.mean)
+
+
+def test_a_package_error_without_a_row_propagates_unchanged(monkeypatch):
+    # A force that itself raises EvaluationError is not a refused state: the
+    # engine adds no location and keeps its class, on either worker count.
+    def force(q):
+        raise EvaluationError("custom force refused")
+
+    model = dataclasses.replace(DoubleWell(v=4.0, beta=2.0).build(), force=force)
+    z0 = PhaseState([0.0], [1.0])
+    for workers in (1, 2):
+        monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
+        with pytest.raises(EvaluationError) as info:
+            mc_expectation(model, "gf2", cos_sum, z0, 0.25, 1.0, 5000, SeedPlan(1))
+        assert type(info.value) is EvaluationError
+        assert str(info.value) == "custom force refused"
+        assert info.value.row is None
+        _assert_no_child_left()
 
 
 # (step, 0 refused / 1 non-finite, realization): a refused step s comes
@@ -818,7 +863,7 @@ def test_singular_step_matrix_fails_alike_for_every_kind():
     with pytest.raises(StepSizeError, match="^" + reason):
         gf2_step(built, z0, h, [0.0])
     for model in (built, dataclasses.replace(built, kind="custom")):
-        expected = r"^realization 0 failed at step 0: " + reason
+        expected = r"^realization 0, step 0: " + reason
         with pytest.raises(EstimationError, match=expected) as info:
             mc_expectation(model, "gf2", cos_sum, z0, h, h, 8, SeedPlan(1))
         assert info.value.where == (0, 0, 0)
@@ -841,7 +886,9 @@ def test_weak_error_raises_the_first_failing_step_size(monkeypatch, block):
         monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
         with pytest.raises(EstimationError) as info:
             weak_error_mc(model, [cos_sum], z0, steps, 3.0, 3000, 4, SeedPlan(8))
-        assert str(info.value) == "realization 0 produced a non-finite state at step 9"
+        assert str(info.value) == (
+            "realization 0, step 9: step produced a non-finite state at h=0.25"
+        )
         assert info.value.where == (9, 1, 0)
         _assert_no_child_left()
 
