@@ -17,7 +17,7 @@ and gives the analytic Jacobians of the states it stepped, which
 :func:`gf2_jacobian` returns for R = 1.  :func:`simulate` builds one gf2
 kernel per run, steps (1, d) rows of preallocated (n + 1, d) arrays and
 returns them with the time grid.  On the linear oscillator the gf2 map is
-affine, and :func:`gf2_affine_map` reads its B, c and G off the same kernel
+affine, and :func:`gf2_affine_map` reads its B and G off the same kernel
 rather than from a second copy of the update.  Each kernel refuses a
 singular step matrix or a non-finite result itself, naming the first refused
 state as the error's ``row``; the loops that step states add the location.
@@ -86,38 +86,32 @@ class GaussianLaw:
 
 @dataclasses.dataclass(frozen=True)
 class AffineStepMap:
-    """One-step affine map Z_{n+1} = B Z_n + c + G dW with dW ~ N(0, h I_m).
+    """One-step linear map Z_{n+1} = B Z_n + G dW with dW ~ N(0, h I_m).
 
-    B acts on (p, q) in R^d x R^d.  ``friction`` and ``h`` are carried so the
-    conformal determinant identity det B = e^{-vhd} can be checked at
-    construction, to a relative 1e-12.  B and G are stored C-ordered: the
-    BLAS products of :func:`propagate_gaussian_chain` round differently for
-    another memory layout.
+    The linear oscillator's force vanishes at the origin, so the map has no
+    offset.  B acts on (p, q) in R^d x R^d.  ``friction`` and ``h`` are
+    carried so the conformal determinant identity det B = e^{-vhd} can be
+    checked at construction, to a relative 1e-12.  B and G are stored
+    C-ordered: the BLAS products of :func:`propagate_gaussian_chain` round
+    differently for another memory layout.
     """
 
     B: Array
-    c: Array
     G: Array
     friction: float
     h: float
 
     def __post_init__(self) -> None:
         B = np.ascontiguousarray(self.B, dtype=float)
-        c = np.asarray(self.c, dtype=float).reshape(-1)
         G = np.ascontiguousarray(self.G, dtype=float)
-        if B.ndim != 2 or B.shape[0] != B.shape[1]:
-            raise ArgumentError("B must be square")
-        if c.shape[0] != B.shape[0] or G.shape[0] != B.shape[0]:
-            raise ArgumentError("c and G must match the state dimension of B")
-        if B.shape[0] % 2:
-            raise ArgumentError("B must act on (p, q) pairs, a 2d x 2d matrix")
+        if (B.ndim, G.ndim) != (2, 2) or B.shape != (len(G),) * 2 or len(G) % 2:
+            raise ArgumentError(f"B must be 2d x 2d and G 2d x m, got {B.shape} and {G.shape}")
         expected = math.exp(-self.friction * self.h * (B.shape[0] // 2))
         if not abs(float(np.linalg.det(B)) - expected) <= _DET_RTOL * expected:
             raise ArgumentError(
                 "det(B) deviates from the conformal factor exp(-vhd)"
             )
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "c", c)
         object.__setattr__(self, "G", G)
 
 
@@ -477,7 +471,7 @@ def simulate(
 def _linear_params(model: LangevinModel) -> tuple[float, float, float]:
     if model.kind != "linear":
         raise CapabilityError("this operation supports only the linear oscillator")
-    return model.params["a"], model.friction, model.params["sigma"]
+    return model.mass[0, 0], model.friction, -model.noise[0, 0]
 
 
 def linear_exact_moments(model: LangevinModel, z0: PhaseState, t: float) -> GaussianLaw:
@@ -520,23 +514,19 @@ def linear_exact_moments(model: LangevinModel, z0: PhaseState, t: float) -> Gaus
 def gf2_affine_map(model: LangevinModel, h: float) -> AffineStepMap:
     """Exact affine form of the one-step map on the linear oscillator.
 
-    The map is Z_{n+1} = B Z_n + c + G dW, read off the gf2 kernel in one
-    batch: the image of the origin is c, the images of the 2d unit states
-    minus c are the columns of B, and those of the origin under the m unit
-    noise kicks minus c are the columns of G.  c = 0 on this model, and
+    The map is Z_{n+1} = B Z_n + G dW, read off the gf2 kernel in one
+    batch: the images of the 2d unit states are the columns of B, and those
+    of the origin under the m unit noise kicks are the columns of G.  The
+    force vanishes at the origin, so the map has no offset, and
     det B = e^{-vhd} to rounding.
     """
     _linear_params(model)  # refuses every other kind
     _check_step_size(h)
     d, m = model.dim, model.noise_dim
-    states = np.vstack([np.zeros((1 + m, 2 * d)), np.eye(2 * d)])
-    dw = np.vstack([np.zeros((1, m)), np.eye(m), np.zeros((2 * d, m))])
-    kick = _noise_kick(model.noise, dw)
-    p1, q1 = _Gf2Kernel(model, h)(states[:, :d], states[:, d:], kick)
-    images = np.hstack([p1, q1])
-    c = images[0]
-    B, G = (images[1 + m:] - c).T, (images[1: 1 + m] - c).T
-    return AffineStepMap(B=B, c=c, G=G, friction=model.friction, h=h)
+    states = np.vstack([np.zeros((m, 2 * d)), np.eye(2 * d)])
+    kick = _noise_kick(model.noise, np.eye(m + 2 * d, m))
+    images = np.hstack(_Gf2Kernel(model, h)(states[:, :d], states[:, d:], kick))
+    return AffineStepMap(B=images[m:].T, G=images[:m].T, friction=model.friction, h=h)
 
 
 def propagate_gaussian_chain(
@@ -544,7 +534,7 @@ def propagate_gaussian_chain(
 ) -> GaussianLaw:
     """Push a Gaussian law through n steps of an affine map.
 
-    mean_{k+1} = B mean_k + c and cov_{k+1} = B cov_k B^T + h G G^T.
+    mean_{k+1} = B mean_k and cov_{k+1} = B cov_k B^T + h G G^T.
     """
     if n < 0:
         raise ArgumentError("step count must be nonnegative")
@@ -562,9 +552,9 @@ def _chain_step(
 ) -> tuple[list[Array], Array]:
     """One step of Gaussian laws that share a covariance.
 
-    Returns B m + c for each mean m and the symmetrised B cov B^T + noise_cov.
+    Returns B m for each mean m and the symmetrised B cov B^T + noise_cov.
     Each mean is its own matrix-vector product, so the bits of a law do not
     depend on how many others are stepped with it.
     """
     cov = amap.B @ cov @ amap.B.T + noise_cov
-    return [amap.B @ mean + amap.c for mean in means], 0.5 * (cov + cov.T)
+    return [amap.B @ mean for mean in means], 0.5 * (cov + cov.T)

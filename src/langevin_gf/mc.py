@@ -64,7 +64,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ArgumentError, Error, EstimationError, StepSizeError
+from .errors import ArgumentError, Error, EstimationError, EvaluationError, StepSizeError
 from .integrators import _KERNELS, _check_step_size, _noise_kick
 from .models import LangevinModel, PhaseState
 
@@ -95,10 +95,11 @@ class SeedPlan:
     master_seed: int
 
     def __post_init__(self) -> None:
-        seed = int(self.master_seed)
-        if not 0 <= seed <= _MASK64:
+        seed = self.master_seed
+        integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+        if not (integer and 0 <= seed <= _MASK64):
             raise ArgumentError("master_seed must be an unsigned 64-bit integer")
-        object.__setattr__(self, "master_seed", seed)
+        object.__setattr__(self, "master_seed", int(seed))
 
 
 def _mix64(value: int) -> int:
@@ -585,6 +586,9 @@ def _endpoint_values(
         _map_batches(task, len(bounds))
     except _ChainFailure as exc:
         raise EstimationError(str(exc), where=exc.where[1:]) from None
+    if not np.isfinite(values).all():
+        j, k, i = np.argwhere(~np.isfinite(values))[0]
+        raise EvaluationError(f"psi {k} is non-finite at realization {i}, h={chains[j][0]}")
     return [[mean_and_se(row) for row in rows] for rows in values]
 
 
@@ -744,4 +748,7 @@ def mc_step_means(
             workers.run()
             sums = pairwise_sum(nodes[: min(chunk, n_steps - start)], axis=2)
             means[:, start + 1: start + 1 + len(sums)] = sums.T / n_realizations
+    if not np.isfinite(means).all():
+        s, j = np.argwhere(~np.isfinite(means.T))[0]
+        raise EvaluationError(f"the mean of psi {j} is non-finite at step {s}")
     return h * np.arange(n_steps + 1), means

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -92,12 +92,12 @@ class PhaseState:
 class LangevinModel:
     """Container for one Langevin system.
 
+    ``dim`` (d) and ``noise_dim`` (m) are read off ``noise``, and the closed
+    forms of the built-in kinds read their numbers off ``mass``, ``friction``
+    and ``noise``: no number is stored twice.
+
     Parameters
     ----------
-    dim : int
-        State dimension d per component.
-    noise_dim : int
-        Number of driving Wiener processes, m >= d.
     force : callable
         q (..., d) -> f(q) (..., d).  Every step, single or Monte Carlo,
         passes a batch of R positions of shape (R, d), so the callable must
@@ -119,14 +119,11 @@ class LangevinModel:
         tolerated so diagnostics can exercise the frictionless limit, as
         ``dataclasses.replace(model, friction=0.0)`` of a built model.
     noise : ndarray
-        (d, m) matrix Sigma with rank d.  Convention: the model SDE carries
-        +Sigma dW.  An exactly zero matrix is accepted as the deterministic
-        limit used by diagnostics; any nonzero matrix must have full row rank.
+        (d, m) matrix Sigma, 1 <= d <= m, of rank d; the model SDE carries
+        +Sigma dW.  An exactly zero matrix is the deterministic limit used by
+        diagnostics; any nonzero matrix must have full row rank.
     kind : str
         Dispatch tag; "linear" and "double_well" enable closed-form densities.
-    params : mapping
-        Scalar parameters of the built-in kinds other than the friction,
-        which is read from ``friction`` alone.
     force_third : callable or None
         Optional q (..., d) -> (..., d, d, d) third derivative tensors of F,
         row by row like ``force``; the Jacobian of the structure command
@@ -136,8 +133,6 @@ class LangevinModel:
         differences.
     """
 
-    dim: int
-    noise_dim: int
     force: Callable[[Array], Array]
     potential: Callable[[Array], float]
     force_jacobian: Callable[[Array], Array]
@@ -145,16 +140,19 @@ class LangevinModel:
     friction: float
     noise: Array
     kind: str = "custom"
-    params: Mapping[str, float] = dataclasses.field(default_factory=dict)
     force_third: Callable[[Array], Array] | None = None
+    dim: int = dataclasses.field(init=False)
+    noise_dim: int = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ArgumentError("dim must be a positive integer")
-        if self.noise_dim < self.dim:
-            raise ArgumentError("noise_dim must be at least dim")
-        mass = np.asarray(self.mass, dtype=float).reshape(self.dim, self.dim)
-        noise = np.asarray(self.noise, dtype=float).reshape(self.dim, self.noise_dim)
+        mass = np.asarray(self.mass, dtype=float)
+        noise = np.asarray(self.noise, dtype=float)
+        d, m = noise.shape if noise.ndim == 2 else (0, 0)
+        if mass.shape != (d, d) or not 1 <= d <= m:
+            raise ArgumentError(
+                "mass must be (d, d) and noise (d, m) with 1 <= d <= m, "
+                f"got {mass.shape} and {noise.shape}"
+            )
         if not np.all(np.isfinite(mass)):
             raise ArgumentError("mass contains non-finite entries")
         if not np.all(np.isfinite(noise)):
@@ -175,6 +173,8 @@ class LangevinModel:
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "friction", float(self.friction))
+        object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "noise_dim", m)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -199,8 +199,6 @@ class LinearOscillator:
     def build(self) -> LangevinModel:
         a = float(self.a)
         return LangevinModel(
-            dim=1,
-            noise_dim=1,
             force=lambda q: a * q,
             potential=lambda q: 0.5 * a * q**2,
             force_jacobian=lambda q: np.full(np.shape(q) + (1,), a),
@@ -208,7 +206,6 @@ class LinearOscillator:
             friction=self.v,
             noise=np.array([[-self.sigma]]),
             kind="linear",
-            params={"a": a, "sigma": float(self.sigma)},
             force_third=lambda q: np.zeros((1, 1, 1)),
         )
 
@@ -233,8 +230,6 @@ class DoubleWell:
 
     def build(self) -> LangevinModel:
         return LangevinModel(
-            dim=1,
-            noise_dim=1,
             force=lambda q: q * (4.0 * q * q - 4.0) - 0.5,
             potential=lambda q: (1.0 - q**2) ** 2 - 0.5 * q,
             force_jacobian=lambda q: (12.0 * q**2 - 4.0)[..., None],
@@ -242,7 +237,6 @@ class DoubleWell:
             friction=self.v,
             noise=np.array([[math.sqrt(2.0 * self.v / self.beta)]]),
             kind="double_well",
-            params={"beta": float(self.beta)},
             force_third=lambda q: (24.0 * np.asarray(q, dtype=float))[..., None, None],
         )
 
@@ -263,18 +257,14 @@ def make_quadratic_model(
     if float(np.max(np.abs(kmat - kmat.T))) > 1e-12 * max(1.0, float(np.max(np.abs(kmat)))):
         raise ArgumentError("stiffness must be symmetric")
     d = kmat.shape[0]
-    noise_arr = np.asarray(noise, dtype=float)
     return LangevinModel(
-        dim=d,
-        noise_dim=noise_arr.shape[1],
         force=lambda q: _matvec(kmat, q),
         potential=lambda q: 0.5 * float(q @ kmat @ q),
         force_jacobian=lambda q: np.broadcast_to(kmat, np.shape(q) + (d,)),
-        mass=np.asarray(mass, dtype=float),
+        mass=mass,
         friction=friction,
-        noise=noise_arr,
+        noise=noise,
         kind="quadratic",
-        params={},
         force_third=lambda q: np.zeros((d, d, d)),
     )
 
@@ -316,18 +306,22 @@ def gibbs_density_fn(model: LangevinModel) -> Callable[[Array, Array], Array]:
     """Vectorized unnormalized stationary density of a built-in model.
 
     Returns a callable rho(p, q) operating elementwise on arrays.  Only the
-    two built-in kinds with friction carry a closed-form density.
+    two built-in kinds with friction and noise carry a closed-form density:
+    exp(-v (p^2 + q^2) / sigma^2), and exp(-beta H) with beta = 2 v / sigma^2
+    (fluctuation-dissipation), where sigma = Sigma[0, 0].
     """
     if not model.friction > 0:
         raise CapabilityError("a model without friction has no stationary law")
+    if not np.any(model.noise):
+        raise CapabilityError("a model without noise has no stationary density")
     if model.kind == "linear":
-        rate = model.friction / model.params["sigma"] ** 2
+        rate = model.friction / model.noise[0, 0] ** 2
 
         def rho(p: Array, q: Array) -> Array:
             return np.exp(-rate * (np.asarray(p) ** 2 + np.asarray(q) ** 2))
 
     elif model.kind == "double_well":
-        b = model.params["beta"]
+        b = 2.0 * model.friction / model.noise[0, 0] ** 2
 
         def rho(p: Array, q: Array) -> Array:
             q = np.asarray(q)

@@ -50,8 +50,6 @@ from langevin_gf.observables import cos_sum, exp_negsq, sin_sumsq
 def linear_model_custom(a: float, v: float, sigma: float) -> LangevinModel:
     """Linear dynamics with explicit params; admits sigma = 0."""
     return LangevinModel(
-        dim=1,
-        noise_dim=1,
         force=lambda q: a * q,
         potential=lambda q: 0.5 * a * float(np.sum(q * q)),
         force_jacobian=lambda q: np.full_like(q, a),
@@ -59,7 +57,6 @@ def linear_model_custom(a: float, v: float, sigma: float) -> LangevinModel:
         friction=v,
         noise=np.array([[-sigma]]),
         kind="linear",
-        params={"a": a, "sigma": sigma},
         force_third=lambda q: np.zeros((1, 1, 1)),
     )
 
@@ -136,6 +133,24 @@ def test_ergodic_reference_pins_the_gibbs_closed_forms_to_ulps():
         ulps = [abs(int(np.float64(r).view(np.int64)) - int(np.float64(e).view(np.int64)))
                 for r, e in zip(refs, exact)]
         assert max(ulps) <= 4, (a, ulps)
+
+
+def test_linear_gibbs_rate_follows_a_replaced_noise():
+    # sigma = 1 and v = 2 give s^2 = 1/4, so exp_negsq averages to 1/(1+s^2) = 0.8;
+    # a stored sigma = 0.5 would give the 16/17 of the built model.
+    model = dataclasses.replace(LinearOscillator(a=1.0, v=2.0, sigma=0.5).build(), noise=[[-1.0]])
+    (ref,) = ergodic_reference(model, [exp_negsq])
+    assert abs(ref - 0.8) <= 1e-15
+
+
+def test_double_well_beta_follows_a_replaced_friction():
+    # Sigma = sqrt(2 v / beta) = 2 with v = 2 is the stationary law of beta = 1,
+    # which DoubleWell(v=2, beta=1) builds with the same Sigma.
+    psis = [cos_sum, exp_negsq, sin_sumsq]
+    model = dataclasses.replace(DoubleWell(v=4.0, beta=2.0).build(), friction=2.0)
+    built = DoubleWell(v=2.0, beta=1.0).build()
+    assert ergodic_reference(model, psis) == ergodic_reference(built, psis)
+    assert ergodic_reference(model, [exp_negsq]) == [0.4778988725040331]
 
 
 def test_ergodic_reference_equals_the_whole_grid_quotient():

@@ -530,8 +530,6 @@ def test_structure_refused_step_is_replayed_to_the_failing_trial():
     # h = 0.125 singular; the batch refuses it, and the replay names it.
     c = -2.0 / 0.125**2
     model = LangevinModel(
-        dim=1,
-        noise_dim=1,
         force=lambda q: c * q,
         potential=lambda q: 0.5 * c * float(q[0]) ** 2,
         force_jacobian=lambda q: np.full_like(q, c),

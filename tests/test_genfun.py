@@ -37,8 +37,6 @@ def conformal_defect(jac: np.ndarray, friction: float, h: float) -> float:
 
 def zero_noise_model(friction: float = 1.5) -> LangevinModel:
     return LangevinModel(
-        dim=1,
-        noise_dim=1,
         force=lambda q: 2.0 * q,
         potential=lambda q: float(q[0]) ** 2,
         force_jacobian=lambda q: np.full_like(q, 2.0),
@@ -232,8 +230,6 @@ def test_multi_index_validation():
 
 def test_augmented_free_case():
     model = LangevinModel(
-        dim=1,
-        noise_dim=1,
         force=lambda q: np.zeros_like(q),
         potential=lambda q: 0.0,
         force_jacobian=lambda q: np.zeros_like(q),

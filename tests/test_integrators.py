@@ -48,8 +48,6 @@ OMEGA_1D = np.array([[0.0, 1.0], [-1.0, 0.0]])
 def free_model(mass: np.ndarray) -> LangevinModel:
     d = mass.shape[0]
     return LangevinModel(
-        dim=d,
-        noise_dim=d,
         force=lambda q: np.zeros(d),
         potential=lambda q: 0.0,
         force_jacobian=lambda q: np.zeros((d, d)),
@@ -106,8 +104,6 @@ def test_gf2_linear_golden_value():
 def test_gf2_zero_noise_ignores_increment():
     mass = np.eye(1)
     model = LangevinModel(
-        dim=1,
-        noise_dim=1,
         force=lambda q: 1.5 * q,
         potential=lambda q: 0.75 * q**2,
         force_jacobian=lambda q: np.full_like(q, 1.5),
@@ -125,8 +121,6 @@ def test_gf2_zero_noise_ignores_increment():
 def test_gf2_step_size_guard_scalar():
     # grad^2 F * M = -2/h^2 makes the 1x1 step matrix exactly singular.
     model = LangevinModel(
-        dim=1,
-        noise_dim=1,
         force=lambda q: -2.0 * q,
         potential=lambda q: -(q**2),
         force_jacobian=lambda q: np.full_like(q, -2.0),
@@ -285,6 +279,22 @@ def test_batched_jacobian_equals_gf2_jacobian_row_by_row(name):
         else:
             # Term-by-term sums instead of BLAS: agreement to the last ulp.
             assert np.max(np.abs(jac[i] - reference)) <= 1e-15 * np.max(np.abs(reference))
+
+
+def test_d1_derivatives_of_q_shape_give_the_full_shape_bits():
+    # For d = 1 the Hessian and third derivative may return q's shape; the
+    # double well's builder returns the full (..., 1, 1) and (..., 1, 1, 1).
+    full = DoubleWell(v=2.0, beta=2.0).build()
+    short = dataclasses.replace(
+        full,
+        force_jacobian=lambda q: 12.0 * q**2 - 4.0,
+        force_third=lambda q: 24.0 * np.asarray(q, dtype=float),
+    )
+    assert short.force_third(np.zeros((3, 1))).shape == (3, 1)
+    cases = [(PhaseState([0.7], [-1.1]), 0.125, [0.3]), (PhaseState([-0.2], [0.4]), 0.5, None)]
+    for z, h, dw in cases:
+        want = gf2_jacobian(full, z, h, dw)
+        assert gf2_jacobian(short, z, h, dw).tobytes() == want.tobytes()
 
 
 def test_gf2_jacobian_determinant():
@@ -512,8 +522,6 @@ def test_infinite_hessian_leaves_the_finite_numbers_on_every_path():
     # matrix I + (h^2/2) inf would solve to P1 = 0 without the kernel's screen.
     with np.errstate(all="ignore"):
         model = LangevinModel(
-            dim=1,
-            noise_dim=1,
             force=lambda q: 1.5 * np.sign(q) * np.sqrt(np.abs(q)),
             potential=lambda q: float(np.abs(q[0]) ** 1.5),
             force_jacobian=lambda q: 0.75 / np.sqrt(np.abs(q)),
@@ -633,7 +641,6 @@ def test_gf2_affine_map_structure():
     model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     amap = gf2_affine_map(model, h=0.125)
     assert abs(np.linalg.det(amap.B) - math.exp(-0.25)) <= 1e-12
-    assert_allclose(amap.c, np.zeros(2))
 
     tiny = gf2_affine_map(model, h=1e-8)
     assert_allclose(tiny.B, np.eye(2), atol=1e-6)
@@ -668,7 +675,6 @@ def test_gf2_affine_map_matches_closed_form():
         amap = gf2_affine_map(model, h)
         for got, want in zip((amap.B, amap.G), closed_form_affine(a, v, 0.5, h)):
             assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want)), (a, v, h)
-        assert amap.c.tobytes() == np.zeros(2).tobytes()
     # Bit for bit at the shipped parameters.
     model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     for k in range(3, 8):
@@ -694,7 +700,7 @@ def test_affine_consistency_with_gf2_step():
 def test_propagate_gaussian_chain_basics():
     init = GaussianLaw(mean=[1.0, 2.0], cov=np.diag([0.1, 0.2]))
     identity = AffineStepMap(
-        B=np.eye(2), c=np.zeros(2), G=np.zeros((2, 1)), friction=0.0, h=0.1
+        B=np.eye(2), G=np.zeros((2, 1)), friction=0.0, h=0.1
     )
     out = propagate_gaussian_chain(identity, init, 0, 0.1)
     assert_allclose(out.mean, init.mean)
@@ -707,7 +713,6 @@ def test_propagate_gaussian_chain_basics():
     s = math.exp(-0.15)
     contraction = AffineStepMap(
         B=s * np.eye(4),
-        c=np.zeros(4),
         G=np.eye(4)[:, :1],
         friction=1.0,
         h=0.3,
@@ -735,15 +740,15 @@ def test_affine_step_map_checks_conformal_determinant_in_every_dimension():
     s = math.exp(-v * h / 2.0)
     rotation = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
                          [0.0, 0.0, 1.0, 0.5], [0.0, 0.0, 0.0, 1.0]])
-    AffineStepMap(B=s * rotation, c=np.zeros(4), G=np.eye(4)[:, :2], friction=v, h=h)
+    AffineStepMap(B=s * rotation, G=np.eye(4)[:, :2], friction=v, h=h)
     off = s * rotation
     off[2, 2] *= 1.0 + 1e-9
     # Off in the ninth digit, singular, and the d = 1 factor e^{-vh}.
     for bad in (off, np.zeros((4, 4)), math.exp(-v * h / 4.0) * np.eye(4)):
         with pytest.raises(ArgumentError, match=r"exp\(-vhd\)"):
-            AffineStepMap(B=bad, c=np.zeros(4), G=np.eye(4)[:, :2], friction=v, h=h)
+            AffineStepMap(B=bad, G=np.eye(4)[:, :2], friction=v, h=h)
     with pytest.raises(ArgumentError, match="2d x 2d"):
-        AffineStepMap(B=np.eye(3), c=np.zeros(3), G=np.eye(3)[:, :1], friction=0.0, h=h)
+        AffineStepMap(B=np.eye(3), G=np.eye(3)[:, :1], friction=0.0, h=h)
 
 
 def test_gaussian_chain_matches_monte_carlo():

@@ -77,8 +77,6 @@ def quadratic_d2() -> LangevinModel:
 def deterministic_linear(a: float = 1.0, v: float = 2.0) -> LangevinModel:
     """Zero-noise linear model routed through the batched engine path."""
     return LangevinModel(
-        dim=1,
-        noise_dim=1,
         force=lambda q: a * q,
         potential=lambda q: 0.5 * a * float(np.sum(q * q)),
         force_jacobian=lambda q: np.full_like(q, a),
@@ -124,6 +122,12 @@ def test_seed_plan_validation():
         SeedPlan(master_seed=-1)
     with pytest.raises(ArgumentError):
         SeedPlan(master_seed=2**64)
+    # Only integers, as the CLI's master_seed key: no truncation, no parsing.
+    for seed in (1.5, 1.2, 1.0, "7", True, np.float64(1.0), None):
+        with pytest.raises(ArgumentError, match="^master_seed must be an unsigned 64-bit integer$"):
+            SeedPlan(master_seed=seed)
+    assert SeedPlan(np.uint64(2**64 - 1)).master_seed == 2**64 - 1
+    assert type(SeedPlan(np.int32(7)).master_seed) is int
 
 
 def test_sample_increments_moments():
@@ -321,7 +325,7 @@ def test_batch_generators_equal_generator_for_derive_seed(master):
 @pytest.mark.parametrize("noise", [[[0.7]], [[0.7, -0.3]]])
 def test_chunk_kicks_equal_per_step_matmul(noise):
     sigma = np.array(noise)
-    model = dataclasses.replace(deterministic_linear(), noise=sigma, noise_dim=sigma.shape[1])
+    model = dataclasses.replace(deterministic_linear(), noise=sigma)
     dw = np.random.default_rng(3).standard_normal((50, 7, model.noise_dim))
     dw[4, 2] = -0.0
     # Each kick is a sum onto +0.0, one product per noise dimension, in the
@@ -444,6 +448,44 @@ def test_failure_reported_is_the_earliest_over_all_tasks(monkeypatch):
 
     with pytest.raises(EstimationError, match="^not a trajectory failure$"):
         mc._map_batches(other, 3)
+
+
+def _nan_right_of_zero(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return np.where(q[..., 0] > 0.0, np.nan, 1.0)
+
+
+def _one(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return np.ones(p.shape[0])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_nonfinite_test_function_value_is_refused(monkeypatch, workers):
+    # As the deterministic path refuses it: the endpoint estimators name the
+    # test function and the first realization, mc_step_means the first step.
+    monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
+    model = DoubleWell(v=4.0, beta=2.0).build()
+    z0, plan = PhaseState([0.0], [-1.0]), SeedPlan(3)
+    calls = [
+        (
+            lambda: mc_expectation(model, "gf2", _nan_right_of_zero, z0, 0.125, 1.0, 4096, plan),
+            "psi 0 is non-finite at realization 867, h=0.125",
+        ),
+        (
+            lambda: weak_error_mc(
+                model, [_one, _nan_right_of_zero], z0, [0.25, 0.125], 1.0, 4096, 2, plan
+            ),
+            "psi 1 is non-finite at realization 867, h=0.25",
+        ),
+        (
+            lambda: mc_step_means(model, [_one, _nan_right_of_zero], z0, 0.125, 8, 4096, plan),
+            "the mean of psi 1 is non-finite at step 7",
+        ),
+    ]
+    for call, message in calls:
+        with pytest.raises(EvaluationError) as info:
+            call()
+        assert str(info.value) == message
+    _assert_no_child_left()
 
 
 def test_failure_reported_across_worker_processes(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -92,6 +93,16 @@ def test_gibbs_density_rejects_unsupported_models():
         gibbs_density_fn(quad)
 
 
+@pytest.mark.parametrize(
+    "spec", [LinearOscillator(a=1.0, v=2.0, sigma=0.5), DoubleWell(v=4.0, beta=2.0)]
+)
+def test_gibbs_density_refuses_a_noiseless_model(spec):
+    # The rate is read off Sigma, so a copy without noise would divide by zero.
+    model = dataclasses.replace(spec.build(), noise=[[0.0]])
+    with pytest.raises(CapabilityError, match="^a model without noise has no stationary density$"):
+        gibbs_density_fn(model)
+
+
 def test_phase_state_validation():
     with pytest.raises(ArgumentError):
         PhaseState([np.nan], [0.0])
@@ -120,8 +131,6 @@ def test_builtin_parameter_validation():
 
 def test_model_matrix_validation():
     base = dict(
-        dim=2,
-        noise_dim=2,
         force=lambda q: q,
         potential=lambda q: 0.5 * float(q @ q),
         force_jacobian=lambda q: np.eye(2),
@@ -135,6 +144,24 @@ def test_model_matrix_validation():
         LangevinModel(
             mass=np.eye(2), noise=np.array([[1.0, 0.0], [1.0, 0.0]]), **base
         )
+    # The dimensions are read off the arrays; any other shape is refused,
+    # naming both, never reshaped.
+    shapes = "mass must be (d, d) and noise (d, m) with 1 <= d <= m, got {} and {}"
+    cases = [
+        (np.eye(2), [[0.3, 0.7, 0.1, 0.9]], (2, 2), (1, 4)),
+        (np.eye(2), [0.5, 0.5], (2, 2), (2,)),
+        (np.eye(3), np.eye(2), (3, 3), (2, 2)),
+        (np.eye(2), np.ones((2, 1)), (2, 2), (2, 1)),
+        (np.eye(2), 1.0, (2, 2), ()),
+    ]
+    for mass, noise, mass_shape, noise_shape in cases:
+        with pytest.raises(ArgumentError) as info:
+            LangevinModel(mass=mass, noise=noise, **base)
+        assert str(info.value) == shapes.format(mass_shape, noise_shape)
+    for mass, noise_shape in ((np.eye(2), (2,)), (np.eye(3), (2,))):
+        with pytest.raises(ArgumentError) as info:
+            make_quadratic_model(np.eye(2), mass, 1.0, np.array([0.5, 0.5]))
+        assert str(info.value) == shapes.format(mass.shape, noise_shape)
     # The exactly-zero noise matrix is the documented deterministic limit.
     model = LangevinModel(mass=np.eye(2), noise=np.zeros((2, 2)), **base)
-    assert model.noise_dim == 2
+    assert (model.dim, model.noise_dim) == (2, 2)
