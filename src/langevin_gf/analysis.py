@@ -116,12 +116,14 @@ def ergodic_reference(
 ) -> list[float]:
     """Spatial average of each psi under the model's Gibbs density.
 
-    Computes quad2d(psi * rho) / quad2d(rho); the normalization is computed,
-    never assumed.  rho is evaluated and normalised once for all psis.  psi
-    follows the test-function convention (momentum and position blocks with
-    a trailing coordinate axis, values per point); it and rho are evaluated
-    on blocks of grid rows, which keeps every bit and the memory small.
+    Computes quad2d(psi * rho) / quad2d(rho) over the (p, q) plane, so d
+    must be 1; the normalization is computed, never assumed, once for all
+    psis.  psi and rho take (momentum, position) blocks with a trailing
+    coordinate axis and are evaluated on blocks of grid rows, which keeps
+    every bit and the memory small.
     """
+    if model.dim != 1:
+        raise ArgumentError(f"the Gibbs quadrature is two-dimensional, got d = {model.dim}")
     rho = _by_row_blocks(gibbs_density_fn(model), *_legendre_grid(box, n_nodes)[:2])
     # quad2d integrates on the same grid, so its integrands reuse rho as is.
     norm = quad2d(lambda p, q: rho, box, n_nodes)
@@ -131,7 +133,7 @@ def ergodic_reference(
         )
 
     def weighted(p: Array, q: Array, psi: Callable[[Array, Array], Array]) -> Array:
-        values = _by_row_blocks(lambda pb, qb: psi(pb[..., None], qb[..., None]), p, q)
+        values = _by_row_blocks(psi, p, q)
         values *= rho
         return values
 
@@ -141,14 +143,14 @@ def ergodic_reference(
 
 
 def _by_row_blocks(fn: Callable[[Array, Array], Array], p: Array, q: Array) -> Array:
-    """fn(p, q) for an elementwise fn, evaluated on blocks of grid rows.
+    """fn on the (p, q) grid points, given as (..., 1) blocks, per block of grid rows.
 
     The values are those of one call on the whole grid, but fn's temporaries
     stay the size of a block rather than of the grid.
     """
     out = np.empty(p.shape)
     for lo in range(0, p.shape[0], _ROW_BLOCK):
-        out[lo: lo + _ROW_BLOCK] = fn(p[lo: lo + _ROW_BLOCK], q[lo: lo + _ROW_BLOCK])
+        out[lo: lo + _ROW_BLOCK] = fn(*(x[lo: lo + _ROW_BLOCK, :, None] for x in (p, q)))
     return out
 
 
@@ -241,7 +243,7 @@ def weak_error_linear(
     and both expectations from Gauss-Hermite quadrature.  Each law is
     computed, and its grid built, once for all psis.
     """
-    if z0.dim != 1:
+    if model.dim != 1 or z0.dim != 1:
         raise ArgumentError("the deterministic weak-error pipeline is one-dimensional")
     n_steps = _steps_for(h, T)
     exact = linear_exact_moments(model, z0, T)
@@ -359,7 +361,7 @@ def linear_ergodic_series(
     n_steps: int,
     n_nodes: int = DEFAULT_HERMITE_NODES,
 ) -> tuple[Array, Array]:
-    """Deterministic per-step expectations E psi(Z_n) on the linear model.
+    """Deterministic per-step expectations E psi(Z_n) on a d = 1 quadratic model.
 
     Propagates the exact Gaussian law of the scheme from each initial point
     step by step and applies Gauss-Hermite quadrature for every test
@@ -377,7 +379,7 @@ def linear_ergodic_series(
     """
     if n_steps < 0:
         raise ArgumentError("step count must be nonnegative")
-    if any(z0.dim != 1 for z0 in initials):
+    if model.dim != 1 or any(z0.dim != 1 for z0 in initials):
         raise ArgumentError("the deterministic ergodic pipeline is one-dimensional")
     amap = gf2_affine_map(model, h)
     noise_cov = h * (amap.G @ amap.G.T)
@@ -427,7 +429,7 @@ def linear_weak_order(
     step_sizes: Sequence[float],
     n_nodes: int = DEFAULT_HERMITE_NODES,
 ) -> list[WeakOrderReport]:
-    """Weak-order curve of each psi on the linear model, fully deterministic pipeline.
+    """Weak-order curve of each psi on a d = 1 quadratic model, fully deterministic.
 
     The laws of each step size are computed once for all psis.
     """

@@ -9,14 +9,14 @@ The central object is the weak second order conformal symplectic map
 with H = grad^2 F.  Its Jacobian with respect to (p, q) scales the canonical
 two-form by exactly e^{-vh}, hence the one-step phase-volume factor e^{-vhd}.
 An explicit Euler-Maruyama baseline, gf2 trajectory iteration, and the exact
-and per-step Gaussian laws of the linear oscillator complete the module.  Each
+and per-step Gaussian laws of a quadratic model complete the module.  Each
 map is written once, as a kernel over (R, d) arrays of states that the
 single-state steps, :func:`simulate`, the Monte Carlo engine and the CLI's
 structure command share; the gf2 kernel also takes one step size per state
 and gives the analytic Jacobians of the states it stepped, which
 :func:`gf2_jacobian` returns for R = 1.  :func:`simulate` builds one gf2
 kernel per run, steps (1, d) rows of preallocated (n + 1, d) arrays and
-returns them with the time grid.  On the linear oscillator the gf2 map is
+returns them with the time grid.  On a quadratic model the gf2 map is
 affine, and :func:`gf2_affine_map` reads its B and G off the same kernel
 rather than from a second copy of the update.  Each kernel refuses a
 singular step matrix or a non-finite result itself, naming the first refused
@@ -88,7 +88,7 @@ class GaussianLaw:
 class AffineStepMap:
     """One-step linear map Z_{n+1} = B Z_n + G dW with dW ~ N(0, h I_m).
 
-    The linear oscillator's force vanishes at the origin, so the map has no
+    A quadratic model's force vanishes at the origin, so the map has no
     offset.  B acts on (p, q) in R^d x R^d.  ``friction`` and ``h`` are
     carried so the conformal determinant identity det B = e^{-vhd} can be
     checked at construction, to a relative 1e-12.  B and G are stored
@@ -468,17 +468,23 @@ def simulate(
     return h * np.arange(n_steps + 1), p, q
 
 
-def _linear_params(model: LangevinModel) -> tuple[float, float, float]:
-    if model.kind != "linear":
-        raise CapabilityError("this operation supports only the linear oscillator")
-    return model.mass[0, 0], model.friction, -model.noise[0, 0]
+def _stiffness(model: LangevinModel) -> Array:
+    """K of a quadratic model: the force at the unit vectors, once the Hessian at 0 equals it."""
+    d = model.dim
+    kmat = np.asarray(model.force(np.eye(d)), dtype=float).T
+    if not np.array_equal(np.ravel(model.force_jacobian(np.zeros((1, d)))), kmat.ravel()):
+        raise CapabilityError(
+            "this operation needs a quadratic model: its force at the unit vectors "
+            "and its Hessian at the origin differ"
+        )
+    return kmat
 
 
 def linear_exact_moments(model: LangevinModel, z0: PhaseState, t: float) -> GaussianLaw:
-    """Exact Gaussian law of the linear oscillator at time t.
+    """Exact Gaussian law of a quadratic model at time t.
 
     mean = e^{At} z0 and cov = int_0^t e^{A(t-s)} N N^T e^{A^T(t-s)} ds with
-    A = [[-v, -a], [a, 0]] and N = (sigma, 0)^T, both computed from one
+    A = [[-v I, -K], [M, 0]] and N = [Sigma; 0], both computed from one
     augmented matrix exponential (Van Loan block trick), accurate to
     relative 1e-12.  The block's e^{-A^T s} grows like e^{|A| s}, so when t |A|_1 > 4
     it is taken at s = t / 2^k and doubled k times by cov(2s) = phi(s) cov(s)
@@ -488,22 +494,23 @@ def linear_exact_moments(model: LangevinModel, z0: PhaseState, t: float) -> Gaus
     # that imports the package, and only this function uses it.
     import scipy.linalg
 
-    a, v, sigma = _linear_params(model)
+    kmat, d, n = _stiffness(model), model.dim, 2 * model.dim
+    if z0.dim != d:
+        raise ArgumentError("state dimension does not match the model")
     if t < 0:
         raise ArgumentError("time must be nonnegative")
-    z = np.array([z0.p[0], z0.q[0]])
+    z = np.concatenate([z0.p, z0.q])
     if t == 0.0:
-        return GaussianLaw(mean=z, cov=np.zeros((2, 2)))
-    amat = np.array([[-v, -a], [a, 0.0]])
-    qmat = np.array([[sigma * sigma, 0.0], [0.0, 0.0]])
-    block = np.zeros((4, 4))
-    block[:2, :2] = amat
-    block[:2, 2:] = qmat
-    block[2:, 2:] = -amat.T
+        return GaussianLaw(mean=z, cov=np.zeros((n, n)))
+    amat = np.block([[-model.friction * np.eye(d), -kmat], [model.mass, np.zeros((d, d))]])
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = amat
+    block[:d, n: n + d] = model.noise @ model.noise.T
+    block[n:, n:] = -amat.T
     doublings = max(0, math.ceil(math.log2(t * np.linalg.norm(amat, 1) / 4.0)))
     expo = scipy.linalg.expm(block * (t / 2**doublings))
-    phi = expo[:2, :2]
-    cov = expo[:2, 2:] @ phi.T
+    phi = expo[:n, :n]
+    cov = expo[:n, n:] @ phi.T
     for _ in range(doublings):
         cov = phi @ cov @ phi.T + cov
         phi = phi @ phi
@@ -512,7 +519,7 @@ def linear_exact_moments(model: LangevinModel, z0: PhaseState, t: float) -> Gaus
 
 
 def gf2_affine_map(model: LangevinModel, h: float) -> AffineStepMap:
-    """Exact affine form of the one-step map on the linear oscillator.
+    """Exact affine form of the one-step map on a quadratic model.
 
     The map is Z_{n+1} = B Z_n + G dW, read off the gf2 kernel in one
     batch: the images of the 2d unit states are the columns of B, and those
@@ -520,7 +527,7 @@ def gf2_affine_map(model: LangevinModel, h: float) -> AffineStepMap:
     force vanishes at the origin, so the map has no offset, and
     det B = e^{-vhd} to rounding.
     """
-    _linear_params(model)  # refuses every other kind
+    _stiffness(model)  # refuses every other model
     _check_step_size(h)
     d, m = model.dim, model.noise_dim
     states = np.vstack([np.zeros((m, 2 * d)), np.eye(2 * d)])

@@ -8,8 +8,8 @@ with force f = grad F, symmetric positive definite mass M, friction v > 0 and
 additive noise matrix Sigma of full row rank.  This module provides the model
 container, builders of the two built-in test systems (a linear oscillator and
 a tilted double well), a d-dimensional quadratic model, single-point
-evaluation of (F, f, grad^2 F), and the closed-form Boltzmann-Gibbs densities
-of the built-ins.  Everything that reads a model takes the built
+evaluation of (F, f, grad^2 F), and the Boltzmann-Gibbs density of any model
+under fluctuation-dissipation.  Everything that reads a model takes the built
 :class:`LangevinModel`; :class:`LinearOscillator` and :class:`DoubleWell`
 only validate their parameters and build one.
 """
@@ -93,8 +93,8 @@ class LangevinModel:
     """Container for one Langevin system.
 
     ``dim`` (d) and ``noise_dim`` (m) are read off ``noise``, and the closed
-    forms of the built-in kinds read their numbers off ``mass``, ``friction``
-    and ``noise``: no number is stored twice.
+    forms read their numbers off ``mass``, ``friction``, ``noise`` and the
+    callables: no number is stored twice.
 
     Parameters
     ----------
@@ -107,7 +107,7 @@ class LangevinModel:
         differently with another R; :func:`make_quadratic_model` sums term
         by term, so Monte Carlo bits do not depend on the kernel width.
     potential : callable
-        q (d,) -> scalar F(q) with f = grad F.
+        q (..., d) -> F(q) (...) with f = grad F, row by row like ``force``.
     force_jacobian : callable
         q (..., d) -> (..., d, d) symmetric matrices grad^2 F(q).  A
         constant (d, d) matrix broadcasts; for d = 1 a result of q's shape
@@ -122,8 +122,6 @@ class LangevinModel:
         (d, m) matrix Sigma, 1 <= d <= m, of rank d; the model SDE carries
         +Sigma dW.  An exactly zero matrix is the deterministic limit used by
         diagnostics; any nonzero matrix must have full row rank.
-    kind : str
-        Dispatch tag; "linear" and "double_well" enable closed-form densities.
     force_third : callable or None
         Optional q (..., d) -> (..., d, d, d) third derivative tensors of F,
         row by row like ``force``; the Jacobian of the structure command
@@ -139,7 +137,6 @@ class LangevinModel:
     mass: Array
     friction: float
     noise: Array
-    kind: str = "custom"
     force_third: Callable[[Array], Array] | None = None
     dim: int = dataclasses.field(init=False)
     noise_dim: int = dataclasses.field(init=False)
@@ -197,17 +194,7 @@ class LinearOscillator:
             raise ArgumentError("noise amplitude sigma must be nonzero")
 
     def build(self) -> LangevinModel:
-        a = float(self.a)
-        return LangevinModel(
-            force=lambda q: a * q,
-            potential=lambda q: 0.5 * a * q**2,
-            force_jacobian=lambda q: np.full(np.shape(q) + (1,), a),
-            mass=np.array([[a]]),
-            friction=self.v,
-            noise=np.array([[-self.sigma]]),
-            kind="linear",
-            force_third=lambda q: np.zeros((1, 1, 1)),
-        )
+        return make_quadratic_model([[self.a]], [[self.a]], self.v, [[-self.sigma]])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -231,12 +218,11 @@ class DoubleWell:
     def build(self) -> LangevinModel:
         return LangevinModel(
             force=lambda q: q * (4.0 * q * q - 4.0) - 0.5,
-            potential=lambda q: (1.0 - q**2) ** 2 - 0.5 * q,
+            potential=lambda q: ((1.0 - q**2) ** 2 - 0.5 * q)[..., 0],
             force_jacobian=lambda q: (12.0 * q**2 - 4.0)[..., None],
             mass=np.array([[1.0]]),
             friction=self.v,
             noise=np.array([[math.sqrt(2.0 * self.v / self.beta)]]),
-            kind="double_well",
             force_third=lambda q: (24.0 * np.asarray(q, dtype=float))[..., None, None],
         )
 
@@ -249,24 +235,26 @@ def make_quadratic_model(
 ) -> LangevinModel:
     """Build a d-dimensional quadratic model F(q) = q^T K q / 2, f(q) = K q.
 
-    Used by tests and demos that need an exactly quadratic potential in d > 1.
+    The force, its derivatives and the potential are all derived from one
+    copy of K, which must be a finite symmetric (d, d) matrix for the d of
+    the mass; the force and the potential sum term by term, row by row.
     """
-    kmat = np.asarray(stiffness, dtype=float)
-    if kmat.ndim != 2 or kmat.shape[0] != kmat.shape[1]:
-        raise ArgumentError("stiffness must be a square matrix")
-    if float(np.max(np.abs(kmat - kmat.T))) > 1e-12 * max(1.0, float(np.max(np.abs(kmat)))):
-        raise ArgumentError("stiffness must be symmetric")
-    d = kmat.shape[0]
-    return LangevinModel(
+    kmat = np.array(stiffness, dtype=float)
+    model = LangevinModel(
         force=lambda q: _matvec(kmat, q),
-        potential=lambda q: 0.5 * float(q @ kmat @ q),
+        potential=lambda q: 0.5 * np.sum(q * _matvec(kmat, q), axis=-1),
         force_jacobian=lambda q: np.broadcast_to(kmat, np.shape(q) + (d,)),
         mass=mass,
         friction=friction,
         noise=noise,
-        kind="quadratic",
         force_third=lambda q: np.zeros((d, d, d)),
     )
+    d = model.dim  # read by the closures above, which run only after this check
+    if kmat.shape != (d, d) or not np.all(np.isfinite(kmat)):
+        raise ArgumentError(f"stiffness must be a finite {(d, d)} matrix, got {kmat.shape}")
+    if float(np.max(np.abs(kmat - kmat.T))) > 1e-12 * max(1.0, float(np.max(np.abs(kmat)))):
+        raise ArgumentError("stiffness must be symmetric")
+    return model
 
 
 def eval_model(model: LangevinModel, q: object) -> tuple[float, Array, Array]:
@@ -303,33 +291,32 @@ def eval_model(model: LangevinModel, q: object) -> tuple[float, Array, Array]:
 
 
 def gibbs_density_fn(model: LangevinModel) -> Callable[[Array, Array], Array]:
-    """Vectorized unnormalized stationary density of a built-in model.
+    """Unnormalized Boltzmann-Gibbs density exp(-beta H), H = p^T M p / 2 + F(q).
 
-    Returns a callable rho(p, q) operating elementwise on arrays.  Only the
-    two built-in kinds with friction and noise carry a closed-form density:
-    exp(-v (p^2 + q^2) / sigma^2), and exp(-beta H) with beta = 2 v / sigma^2
-    (fluctuation-dissipation), where sigma = Sigma[0, 0].
+    Returns a callable rho(p, q) on (..., d) momentum and position blocks,
+    with values (...).  exp(-beta H) is stationary exactly under
+    fluctuation-dissipation, Sigma Sigma^T M = (2 v / beta) I; beta is read
+    as 2 v / c with c = (Sigma Sigma^T M)[0, 0], and any model whose
+    Sigma Sigma^T M differs from c I by more than 1e-12 |c| is refused.
     """
     if not model.friction > 0:
         raise CapabilityError("a model without friction has no stationary law")
     if not np.any(model.noise):
         raise CapabilityError("a model without noise has no stationary density")
-    if model.kind == "linear":
-        rate = model.friction / model.noise[0, 0] ** 2
+    balance = model.noise @ model.noise.T @ model.mass
+    c = balance[0, 0]
+    if float(np.max(np.abs(balance - c * np.eye(model.dim)))) > 1e-12 * abs(c):
+        raise CapabilityError("fluctuation-dissipation fails: Sigma Sigma^T M is not c I")
+    beta = 2.0 * model.friction / c
 
-        def rho(p: Array, q: Array) -> Array:
-            return np.exp(-rate * (np.asarray(p) ** 2 + np.asarray(q) ** 2))
+    def rho(p: Array, q: Array) -> Array:
+        potential = model.potential(q)
+        if np.shape(potential) != np.shape(q)[:-1]:
+            raise EvaluationError(
+                f"potential returned shape {np.shape(potential)} on points of shape "
+                f"{np.shape(q)}; it must map (..., d) rows to (...)"
+            )
+        kinetic = 0.5 * np.sum(p * _matvec(model.mass, p), axis=-1)
+        return np.exp(-beta * (kinetic + potential))
 
-    elif model.kind == "double_well":
-        b = 2.0 * model.friction / model.noise[0, 0] ** 2
-
-        def rho(p: Array, q: Array) -> Array:
-            q = np.asarray(q)
-            return np.exp(-b * (0.5 * np.asarray(p) ** 2 + (1.0 - q**2) ** 2 - 0.5 * q))
-
-    else:
-        raise CapabilityError(
-            "closed-form Gibbs densities exist only for the built-in kinds "
-            "'linear' and 'double_well'"
-        )
     return rho

@@ -97,7 +97,12 @@ def test_c02_conformal_symplecticity_random_states():
 def test_c03_phase_volume_contraction_rate_up_to_1024_steps():
     h = 0.01
     rng = np.random.default_rng(31)
-    for model in (linear_spec().build(), double_well_spec().build(), quadratic_d2_model()):
+    models = {
+        "linear": linear_spec().build(),
+        "double_well": double_well_spec().build(),
+        "quadratic_d2": quadratic_d2_model(),
+    }
+    for name, model in models.items():
         d, m = model.dim, model.noise_dim
         z = PhaseState(rng.uniform(-1.0, 1.0, d), rng.uniform(-1.0, 1.0, d))
         product = np.eye(2 * d)
@@ -109,7 +114,7 @@ def test_c03_phase_volume_contraction_rate_up_to_1024_steps():
             if n in checkpoints:
                 target = math.exp(-model.friction * n * h * d)
                 rel = abs(float(np.linalg.det(product)) - target) / target
-                assert rel <= 1e-6, f"kind={model.kind} n={n}: rel det error {rel}"
+                assert rel <= 1e-6, f"{name} n={n}: rel det error {rel}"
 
 
 def test_c04_augmented_route_matches_direct_map():

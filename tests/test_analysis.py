@@ -43,22 +43,14 @@ from langevin_gf.models import (
     LinearOscillator,
     PhaseState,
     gibbs_density_fn,
+    make_quadratic_model,
 )
 from langevin_gf.observables import cos_sum, exp_negsq, sin_sumsq
 
 
 def linear_model_custom(a: float, v: float, sigma: float) -> LangevinModel:
-    """Linear dynamics with explicit params; admits sigma = 0."""
-    return LangevinModel(
-        force=lambda q: a * q,
-        potential=lambda q: 0.5 * a * float(np.sum(q * q)),
-        force_jacobian=lambda q: np.full_like(q, a),
-        mass=np.array([[a]]),
-        friction=v,
-        noise=np.array([[-sigma]]),
-        kind="linear",
-        force_third=lambda q: np.zeros((1, 1, 1)),
-    )
+    """The linear oscillator's dynamics, built directly so that it admits sigma = 0."""
+    return make_quadratic_model([[a]], [[a]], v, [[-sigma]])
 
 
 def test_quad2d_constant_unit_box():
@@ -150,7 +142,7 @@ def test_double_well_beta_follows_a_replaced_friction():
     model = dataclasses.replace(DoubleWell(v=4.0, beta=2.0).build(), friction=2.0)
     built = DoubleWell(v=2.0, beta=1.0).build()
     assert ergodic_reference(model, psis) == ergodic_reference(built, psis)
-    assert ergodic_reference(model, [exp_negsq]) == [0.4778988725040331]
+    assert ergodic_reference(model, [exp_negsq]) == [0.47789887250403307]
 
 
 def test_ergodic_reference_equals_the_whole_grid_quotient():
@@ -158,9 +150,10 @@ def test_ergodic_reference_equals_the_whole_grid_quotient():
     model = DoubleWell(v=4.0, beta=2.0).build()
     psis = [cos_sum, exp_negsq, sin_sumsq]
     rho = gibbs_density_fn(model)
-    norm = quad2d(rho)
+    norm = quad2d(lambda p, q: rho(p[..., None], q[..., None]))
     direct = [
-        quad2d(lambda p, q: np.asarray(psi(p[..., None], q[..., None]), float) * rho(p, q)) / norm
+        quad2d(lambda p, q: np.asarray(psi(p[..., None], q[..., None]), float)
+               * rho(p[..., None], q[..., None])) / norm
         for psi in psis
     ]
     assert ergodic_reference(model, psis) == direct
@@ -184,6 +177,45 @@ def test_a_frictionless_model_has_no_ergodic_reference(spec):
     with pytest.raises(CapabilityError, match=reason):
         gibbs_density_fn(model)
     with pytest.raises(CapabilityError, match=reason):
+        ergodic_reference(model, [exp_negsq])
+
+
+def test_ergodic_reference_refuses_a_model_beyond_the_phase_plane():
+    # The d = 2 model has a Gibbs density, but the quadrature covers (p, q) in R^2.
+    model = make_quadratic_model([[2.0, 0.5], [0.5, 1.0]], np.eye(2), 1.0, 0.7 * np.eye(2))
+    assert gibbs_density_fn(model)(np.zeros(2), np.zeros(2)) == 1.0
+    with pytest.raises(ArgumentError, match="^the Gibbs quadrature is two-dimensional, got d = 2$"):
+        ergodic_reference(model, [cos_sum])
+
+
+def test_the_deterministic_pipelines_refuse_a_model_beyond_the_phase_plane():
+    # A d = 2 model fails the gate with a d = 1 point as with a d = 2 one.
+    model = make_quadratic_model([[2.0, 0.5], [0.5, 1.0]], np.eye(2), 1.0, 0.7 * np.eye(2))
+    for z0 in (PhaseState([1.0], [0.0]), PhaseState([1.0, 0.0], [0.0, 1.0])):
+        with pytest.raises(ArgumentError, match="^the deterministic weak-error pipeline is one-dimensional$"):
+            weak_error_linear(model, [cos_sum], z0, 0.125, 1.0)
+        with pytest.raises(ArgumentError, match="^the deterministic ergodic pipeline is one-dimensional$"):
+            linear_ergodic_series(model, [cos_sum], [z0], 0.125, 4)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        # Written to the single-point contract: one float for the whole block.
+        dataclasses.replace(
+            LinearOscillator(a=1.0, v=2.0, sigma=0.5).build(),
+            potential=lambda q: 0.5 * float(np.sum(q * q)),
+        ),
+        # Elementwise, so the values keep the trailing coordinate axis.
+        dataclasses.replace(
+            DoubleWell(v=4.0, beta=2.0).build(), potential=lambda q: (1.0 - q**2) ** 2 - 0.5 * q
+        ),
+    ],
+    ids=["scalar", "point_shaped"],
+)
+def test_ergodic_reference_refuses_a_potential_off_the_row_contract(model):
+    reason = r"^potential returned shape \(.*\) on points of shape \(25, 200, 1\); it must map"
+    with pytest.raises(EvaluationError, match=reason):
         ergodic_reference(model, [exp_negsq])
 
 

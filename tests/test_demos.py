@@ -8,10 +8,12 @@ import importlib
 import importlib.util
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
+from unittest.mock import MagicMock
 
 import numpy as np
 import pytest
@@ -72,6 +74,36 @@ def _import_sources() -> dict[str, str]:
     assert blocks, "README has no python block"
     sources.update({f"README.md block {i}": block for i, block in enumerate(blocks)})
     return sources
+
+
+def test_plot_script_runs_on_the_committed_tables_with_matplotlib_stubbed(
+    monkeypatch, tmp_path, capsys
+):
+    # matplotlib is optional and not installed for the tests: stubs stand in
+    # for it, so the script's reading and plotting logic runs in full.
+    figures = []
+
+    def subplots(*args, squeeze=True, **kwargs):
+        figures.append(MagicMock())
+        axes = MagicMock() if squeeze else [[MagicMock() for _ in range(args[1])]]
+        return figures[-1], axes
+
+    pyplot = MagicMock(subplots=MagicMock(side_effect=subplots))
+    monkeypatch.setitem(sys.modules, "matplotlib", MagicMock(pyplot=pyplot))
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    spec = importlib.util.spec_from_file_location("_plot_results", ROOT / "docs" / "plot_results.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    results = sorted((path, path.stat().st_mtime_ns) for path in (ROOT / "results").rglob("*"))
+    for table in ("linear_weak_order/weak_order.csv", "linear_ergodic/ergodic.csv"):
+        path = tmp_path / Path(table).name
+        shutil.copyfile(ROOT / "results" / table, path)
+        figures.clear()
+        assert script.main(["plot_results.py", str(path)]) == 0
+        assert capsys.readouterr().out == f"{path.with_suffix('.png')}\n"
+        (figure,) = figures
+        figure.savefig.assert_called_once_with(path.with_suffix(".png"), dpi=150)
+    assert sorted((p, p.stat().st_mtime_ns) for p in (ROOT / "results").rglob("*")) == results
 
 
 def test_demo_docs_and_readme_imports_resolve():

@@ -697,6 +697,80 @@ def test_affine_consistency_with_gf2_step():
         assert_allclose(np.array([stepped.p[0], stepped.q[0]]), vec, atol=1e-13)
 
 
+def test_affine_map_of_a_d2_quadratic_model_equals_gf2_step():
+    model = _KERNEL_MODELS["quadratic_d2"]
+    h = 0.1
+    amap = gf2_affine_map(model, h)
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        p, q = rng.uniform(-3.0, 3.0, (2, 2))
+        dw = rng.normal(0.0, math.sqrt(h), 2)
+        stepped = gf2_step(model, PhaseState(p, q), h, dw)
+        vec = amap.B @ np.concatenate([p, q]) + amap.G @ dw
+        assert_allclose(np.concatenate([stepped.p, stepped.q]), vec, rtol=0, atol=1e-14)
+
+
+def test_linear_exact_moments_of_a_d2_model_reach_the_lyapunov_covariance():
+    # A = [[-v I, -K], [M, 0]] and N = [Sigma; 0]: at t = 40 the covariance
+    # has settled, to rounding, on the solution of A C + C A^T + N N^T = 0.
+    import scipy.linalg
+
+    model = _KERNEL_MODELS["quadratic_d2"]
+    z0 = PhaseState([1.0, -0.5], [0.3, 2.0])
+    kmat = np.array([[2.0, 0.5], [0.5, 1.0]])
+    amat = np.block([[-model.friction * np.eye(2), -kmat], [model.mass, np.zeros((2, 2))]])
+    nmat = np.vstack([model.noise, np.zeros((2, 2))])
+    stationary = scipy.linalg.solve_continuous_lyapunov(amat, -nmat @ nmat.T)
+    law = linear_exact_moments(model, z0, 40.0)
+    assert np.max(np.abs(law.cov - stationary)) <= 1e-12
+    z = np.concatenate([z0.p, z0.q])
+    assert_allclose(law.mean, scipy_expm(40.0 * amat) @ z, rtol=1e-9, atol=1e-20)
+    short = linear_exact_moments(model, z0, 0.5)
+    assert_allclose(short.mean, scipy_expm(0.5 * amat) @ z, rtol=1e-12)
+
+
+def test_linear_closed_forms_read_the_stiffness_off_the_force():
+    z0 = PhaseState([1.0], [0.5])
+    # A hand-written linear model gets the closed forms of its own slope 2
+    # and unit mass, not of a model whose mass equals its slope.
+    slope2 = LangevinModel(
+        force=lambda q: 2.0 * q,
+        potential=lambda q: q[..., 0] ** 2,
+        force_jacobian=lambda q: np.full(np.shape(q) + (1,), 2.0),
+        mass=np.eye(1),
+        friction=2.0,
+        noise=np.zeros((1, 1)),
+    )
+    amat = np.array([[-2.0, -2.0], [1.0, 0.0]])
+    law = linear_exact_moments(slope2, z0, 1.0)
+    assert_allclose(law.mean, scipy_expm(amat) @ np.array([1.0, 0.5]), rtol=1e-12)
+    assert not np.any(law.cov)
+    amap = gf2_affine_map(slope2, 0.125)
+    for p, q in ((1.0, 0.5), (-0.3, 2.0)):
+        stepped = gf2_step(slope2, PhaseState([p], [q]), 0.125, [0.0])
+        assert_allclose(amap.B @ [p, q], [stepped.p[0], stepped.q[0]], rtol=0, atol=1e-15)
+    # A force whose Hessian at the origin differs from its values at the unit
+    # vectors, compared exactly, is no quadratic model.
+    built = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
+    refused = (
+        DoubleWell(v=2.0, beta=2.0).build(),
+        dataclasses.replace(built, force=lambda q: 2.0 * q),
+        dataclasses.replace(built, force=lambda q: np.nextafter(1.0, 2.0) * q),
+        dataclasses.replace(built, force=lambda q: q + 0.5),
+        dataclasses.replace(built, force_jacobian=lambda q: np.full(np.shape(q) + (1,), 2.0)),
+    )
+    for model in refused:
+        for call in (lambda: gf2_affine_map(model, 0.125), lambda: linear_exact_moments(model, z0, 1.0)):
+            with pytest.raises(CapabilityError, match="^this operation needs a quadratic model: "):
+                call()
+    # A copy whose callables give the same values, as a tracing wrapper's
+    # do, keeps its bits.
+    wrapped = dataclasses.replace(
+        built, force=lambda q: built.force(q), force_jacobian=lambda q: built.force_jacobian(q)
+    )
+    assert gf2_affine_map(wrapped, 0.125).B.tobytes() == gf2_affine_map(built, 0.125).B.tobytes()
+
+
 def test_propagate_gaussian_chain_basics():
     init = GaussianLaw(mean=[1.0, 2.0], cov=np.diag([0.1, 0.2]))
     identity = AffineStepMap(

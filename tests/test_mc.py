@@ -59,8 +59,8 @@ def cos_sum(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def gaussian_cos_expectation(mean: np.ndarray, cov: np.ndarray) -> float:
-    """E cos(P + Q) under N(mean, cov), closed form for u = (1, 1)."""
-    u = np.ones(2)
+    """E cos(u^T Z) under Z ~ N(mean, cov), closed form for u = (1, ..., 1)."""
+    u = np.ones(len(mean))
     return math.cos(float(u @ mean)) * math.exp(-0.5 * float(u @ cov @ u))
 
 
@@ -83,7 +83,6 @@ def deterministic_linear(a: float = 1.0, v: float = 2.0) -> LangevinModel:
         mass=np.array([[1.0]]),
         friction=v,
         noise=np.array([[0.0]]),
-        kind="linear",
         force_third=lambda q: np.zeros((1, 1, 1)),
     )
 
@@ -268,6 +267,20 @@ def test_mc_expectation_gaussian_chain_oracle():
     exact = gaussian_cos_expectation(law.mean, law.cov)
     assert res.std_error > 0
     assert abs(res.mean - exact) <= 4.0 * res.std_error
+
+
+def test_d2_mc_expectation_agrees_with_the_exact_scheme_law():
+    # On a quadratic model the gf2 chain is Gaussian, with the law that the
+    # affine map propagates; the band of 5 standard errors is fixed in advance.
+    model = quadratic_d2()
+    z0 = PhaseState([1.0, 0.0], [0.0, 1.0])
+    h, n = 2.0**-4, 16
+    res = mc_expectation(model, "gf2", cos_sum, z0, h, 1.0, 1024, SeedPlan(1))
+    start = GaussianLaw(np.concatenate([z0.p, z0.q]), np.zeros((4, 4)))
+    law = propagate_gaussian_chain(gf2_affine_map(model, h), start, n, h)
+    exact = gaussian_cos_expectation(law.mean, law.cov)
+    assert res.std_error > 0
+    assert abs(res.mean - exact) <= 5.0 * res.std_error
 
 
 def test_mc_expectation_blowup_reports_location():
@@ -603,6 +616,41 @@ def test_import_loads_no_process_pool_module():
     assert proc.stdout.strip() == "[]"
 
 
+_FORK_AFTER_BLAS = """
+import os
+import numpy as np
+from langevin_gf import mc
+from langevin_gf.models import DoubleWell, PhaseState
+from langevin_gf.observables import cos_sum
+
+a = np.random.default_rng(0).standard_normal((1024, 1024))
+a @ a
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(os.getpid()) or fork()
+model, z0 = DoubleWell(v=4.0, beta=2.0).build(), PhaseState([2.0], [0.0])
+means = []
+for workers in (2, 1):
+    mc.resolve_threads = lambda: workers
+    means.append(mc.mc_step_means(model, [cos_sum], z0, 0.125, 16, 4200, mc.SeedPlan(5))[1])
+print(len(forks), means[0].tobytes() == means[1].tobytes())
+"""
+
+
+def test_a_fork_after_a_blas_call_in_the_caller_keeps_the_bits():
+    # The CLI's ergodic command runs the Gibbs quadrature, whose products go
+    # through BLAS and may start its threads, in the caller just before the
+    # engine forks; _Workers counts only Python threads.  4200 realizations
+    # are two tasks, so the two-worker run forks once.  A separate process
+    # and a timeout keep a deadlocked fork from hanging the suite.
+    src = os.path.dirname(os.path.dirname(mc.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORK_AFTER_BLAS],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 True"
+
+
 def _assert_no_child_left():
     # Every worker process was reaped: the caller has no child at all.
     with pytest.raises(ChildProcessError):
@@ -868,7 +916,8 @@ def test_mc_expectation_argument_errors():
 def test_fast_path_matches_per_state_path():
     # Each realization's endpoint in the batched engine equals, bit for bit,
     # gf2_step iterated from one state on that realization's own increments.
-    custom = dataclasses.replace(DoubleWell(v=4.0, beta=2.0).build(), kind="custom")
+    # A custom copy without the analytic third derivative steps alike.
+    custom = dataclasses.replace(DoubleWell(v=4.0, beta=2.0).build(), force_third=None)
     inputs = [
         (custom, PhaseState([-2.0], [-2.0])),
         (quadratic_d2(), PhaseState([1.0, 0.0], [0.0, 1.0])),
@@ -904,7 +953,7 @@ def test_singular_step_matrix_fails_alike_for_every_kind():
     )
     with pytest.raises(StepSizeError, match="^" + reason):
         gf2_step(built, z0, h, [0.0])
-    for model in (built, dataclasses.replace(built, kind="custom")):
+    for model in (built, dataclasses.replace(built, force_third=None)):
         expected = r"^realization 0, step 0: " + reason
         with pytest.raises(EstimationError, match=expected) as info:
             mc_expectation(model, "gf2", cos_sum, z0, h, h, 8, SeedPlan(1))

@@ -79,18 +79,36 @@ def test_quadratic_model_gradient_consistency():
 
 
 def test_gibbs_density_values():
+    zero, one = np.zeros(1), np.ones(1)
     dw = gibbs_density_fn(DoubleWell(v=4.0, beta=2.0).build())
-    assert_allclose(dw(0.0, 0.0), math.exp(-2.0), rtol=1e-15)
+    assert_allclose(dw(zero, zero), math.exp(-2.0), rtol=1e-15)
 
     lin = gibbs_density_fn(LinearOscillator(a=1.0, v=2.0, sigma=0.5).build())
-    assert_allclose(lin(0.0, 0.0), 1.0, rtol=0)
-    assert_allclose(lin(1.0, 0.0), math.exp(-8.0), rtol=1e-15)
+    assert_allclose(lin(zero, zero), 1.0, rtol=0)
+    assert_allclose(lin(one, zero), math.exp(-8.0), rtol=1e-15)
 
 
 def test_gibbs_density_rejects_unsupported_models():
-    quad = make_quadratic_model(np.eye(2), np.eye(2), friction=1.0, noise=np.eye(2))
-    with pytest.raises(CapabilityError):
+    # Sigma Sigma^T M = diag(1, 2) is no multiple of I: exp(-beta H) is not
+    # stationary for any beta.
+    kmat = np.array([[2.0, 0.5], [0.5, 1.0]])
+    quad = make_quadratic_model(kmat, np.diag([1.0, 2.0]), friction=1.0, noise=np.eye(2))
+    reason = r"^fluctuation-dissipation fails: Sigma Sigma\^T M is not c I$"
+    with pytest.raises(CapabilityError, match=reason):
         gibbs_density_fn(quad)
+
+
+def test_gibbs_density_of_a_d2_model_under_fluctuation_dissipation():
+    # Sigma Sigma^T M = 0.49 I, so beta = 2 v / 0.49.
+    kmat = np.array([[2.0, 0.5], [0.5, 1.0]])
+    rho = gibbs_density_fn(make_quadratic_model(kmat, np.eye(2), 1.0, 0.7 * np.eye(2)))
+    rng = np.random.default_rng(5)
+    p, q = rng.normal(size=(2, 3, 4, 2))
+    energy = 0.5 * np.einsum("...i,...i->...", p, p) + 0.5 * np.einsum("...i,ij,...j->...", q, kmat, q)
+    assert rho(p, q).shape == (3, 4)
+    # exp(-x) turns an absolute error in x into a relative one, and x reaches
+    # about 20 here.
+    assert_allclose(rho(p, q), np.exp(-2.0 / 0.49 * energy), rtol=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -162,6 +180,14 @@ def test_model_matrix_validation():
         with pytest.raises(ArgumentError) as info:
             make_quadratic_model(np.eye(2), mass, 1.0, np.array([0.5, 0.5]))
         assert str(info.value) == shapes.format(mass.shape, noise_shape)
+    # The stiffness is checked against d at construction, not at the first step.
+    stiffness = "stiffness must be a finite (2, 2) matrix, got {}"
+    for kmat in (np.eye(3), np.ones(2), np.array([[1.0, 0.0], [0.0, np.inf]])):
+        with pytest.raises(ArgumentError) as info:
+            make_quadratic_model(kmat, np.eye(2), 1.0, np.eye(2))
+        assert str(info.value) == stiffness.format(kmat.shape)
+    with pytest.raises(ArgumentError, match="^stiffness must be symmetric$"):
+        make_quadratic_model([[1.0, 0.5], [0.0, 1.0]], np.eye(2), 1.0, np.eye(2))
     # The exactly-zero noise matrix is the documented deterministic limit.
     model = LangevinModel(mass=np.eye(2), noise=np.zeros((2, 2)), **base)
     assert (model.dim, model.noise_dim) == (2, 2)
