@@ -41,7 +41,7 @@ from .integrators import (
     propagate_gaussian_chain,
 )
 from .mc import SeedPlan, _steps_for, one_step_ms_gap, weak_error_mc
-from .models import LangevinModel, PhaseState, gibbs_density_fn
+from .models import LangevinModel, PhaseState, _on_rows, gibbs_density_fn
 
 Array = np.ndarray
 
@@ -124,7 +124,7 @@ def ergodic_reference(
     """
     if model.dim != 1:
         raise ArgumentError(f"the Gibbs quadrature is two-dimensional, got d = {model.dim}")
-    rho = _by_row_blocks(gibbs_density_fn(model), *_legendre_grid(box, n_nodes)[:2])
+    rho = _by_row_blocks(gibbs_density_fn(model), *_legendre_grid(box, n_nodes)[:2], "rho")
     # quad2d integrates on the same grid, so its integrands reuse rho as is.
     norm = quad2d(lambda p, q: rho, box, n_nodes)
     if not norm > 1e-300:
@@ -133,7 +133,7 @@ def ergodic_reference(
         )
 
     def weighted(p: Array, q: Array, psi: Callable[[Array, Array], Array]) -> Array:
-        values = _by_row_blocks(psi, p, q)
+        values = _by_row_blocks(psi, p, q, "psi")
         values *= rho
         return values
 
@@ -142,7 +142,7 @@ def ergodic_reference(
     ]
 
 
-def _by_row_blocks(fn: Callable[[Array, Array], Array], p: Array, q: Array) -> Array:
+def _by_row_blocks(fn: Callable[[Array, Array], Array], p: Array, q: Array, what: str) -> Array:
     """fn on the (p, q) grid points, given as (..., 1) blocks, per block of grid rows.
 
     The values are those of one call on the whole grid, but fn's temporaries
@@ -150,7 +150,8 @@ def _by_row_blocks(fn: Callable[[Array, Array], Array], p: Array, q: Array) -> A
     """
     out = np.empty(p.shape)
     for lo in range(0, p.shape[0], _ROW_BLOCK):
-        out[lo: lo + _ROW_BLOCK] = fn(*(x[lo: lo + _ROW_BLOCK, :, None] for x in (p, q)))
+        block = [x[lo: lo + _ROW_BLOCK, :, None] for x in (p, q)]
+        out[lo: lo + _ROW_BLOCK] = _on_rows(fn(*block), block[0], (), what)
     return out
 
 
@@ -207,7 +208,7 @@ def _gauss_means(
     """weights @ psi(points) for each psi; a non-finite psi value names its point."""
     means = np.empty(len(psis))
     for j, psi in enumerate(psis):
-        values = np.asarray(psi(points), dtype=float).reshape(weights.shape)
+        values = _on_rows(psi(points), points, (), "psi")
         if not np.all(np.isfinite(values)):
             bad = int(np.argmax(~np.isfinite(values)))
             raise EvaluationError(f"psi is non-finite at quadrature point {points[bad]}")

@@ -40,14 +40,12 @@ from .errors import (
     RangeError,
     StepSizeError,
 )
-from .models import LangevinModel, PhaseState, _matvec
+from .models import LangevinModel, PhaseState, _matvec, _on_rows
 
 Array = np.ndarray
 
 # Condition-estimate ceiling for the implicit step matrix.
 _COND_LIMIT = 1e12
-# Central-difference step for the Jacobian fallback.
-_FD_STEP = 1e-6
 # Relative tolerance of the conformal determinant identity of AffineStepMap.
 _DET_RTOL = 1e-12
 # Relative tolerance of a covariance's symmetry and of its negative eigenvalues.
@@ -243,11 +241,9 @@ class _Gf2Kernel:
     def update(self, p: Array, q: Array, kick: Array) -> tuple[Array, Array, Array, Array]:
         """(grad^2 F(q), step matrix, P1, Q1); a near-singular step matrix raises
         StepSizeError and a non-finite state EvaluationError, with its ``row``."""
-        model = self.model
-        frc = np.asarray(model.force(q), dtype=float)
-        hess = np.asarray(model.force_jacobian(q), dtype=float)
-        if model.dim == 1 and hess.ndim == q.ndim:
-            hess = hess[..., None]
+        model, d = self.model, self.model.dim
+        frc = _on_rows(model.force(q), q, (d,), "force")
+        hess = _on_rows(model.force_jacobian(q), q, (d, d), "force_jacobian")
         # In-place sums round as the map's left-to-right order does; they
         # only spare the per-step temporaries.
         step_matrix = self.hh_matrix * self.hess_times_mass(hess)
@@ -256,7 +252,7 @@ class _Gf2Kernel:
         p1 = self.evm * p
         p1 -= self.drift_p * frc
         p1 += self.kick_p * kick
-        if model.dim == 1:
+        if d == 1:
             p1 /= step_matrix[..., 0]
         else:
             p1 = np.linalg.solve(step_matrix, p1[..., None])[..., 0]
@@ -277,13 +273,13 @@ class _Gf2Kernel:
         """(R, 2d, 2d) Jacobians in (p, q) blocks of the step from q that :meth:`update` took.
 
         Takes the update's Hessian, step matrix and P1, and the model's
-        ``force_third``; each column is formed as the derivative of the update
-        along one coordinate, with term-by-term products.
+        ``force_third``, refused when absent; each column is formed as the
+        derivative of the update along one coordinate, term by term.
         """
         model, d = self.model, self.model.dim
-        third = np.asarray(model.force_third(q), dtype=float)
-        if d == 1 and third.ndim == q.ndim:
-            third = third[..., None, None]
+        if model.force_third is None:
+            raise CapabilityError("the Jacobian of the gf2 map needs the model's force_third")
+        third = _on_rows(model.force_third(q), q, (d, d, d), "force_third")
         dmat = np.linalg.inv(step_matrix)
         jac = np.empty(q.shape[:-1] + (2 * d, 2 * d))
         for j in range(d):
@@ -309,7 +305,7 @@ def _em_kernel(model: LangevinModel, h: float) -> Callable[[Array, Array, Array]
     v, force, times_mass = model.friction, model.force, _mass_map(model.mass)
 
     def step(p: Array, q: Array, kick: Array) -> tuple[Array, Array]:
-        p1 = p - (np.asarray(force(q), dtype=float) + v * p) * h + kick
+        p1 = p - (_on_rows(force(q), q, (model.dim,), "force") + v * p) * h + kick
         q1 = q + h * times_mass(p)
         _refuse_nonfinite(RangeError, "explicit step overflowed", h, p1, q1)
         return p1, q1
@@ -322,7 +318,7 @@ _KERNELS = {"gf2": _Gf2Kernel, "em": _em_kernel}
 
 
 def _step_inputs(model: LangevinModel, z: PhaseState, h: float, dW: object) -> tuple:
-    """Validated (h, dW, Sigma dW) of one step from a single state."""
+    """Validated (h, Sigma dW) of one step from a single state."""
     if z.dim != model.dim:
         raise ArgumentError("state dimension does not match the model")
     _check_step_size(h)
@@ -333,13 +329,13 @@ def _step_inputs(model: LangevinModel, z: PhaseState, h: float, dW: object) -> t
         )
     if not np.all(np.isfinite(dw)):
         raise EvaluationError("increment contains non-finite entries")
-    return float(h), dw, _noise_kick(model.noise, dw[None])
+    return float(h), _noise_kick(model.noise, dw[None])
 
 
 def _single_step(
     model: LangevinModel, scheme: str, z: PhaseState, h: float, dW: object
 ) -> PhaseState:
-    h, _, kick = _step_inputs(model, z, h, dW)
+    h, kick = _step_inputs(model, z, h, dW)
     with np.errstate(all="ignore"):
         p1, q1 = _KERNELS[scheme](model, h)(z.p[None], z.q[None], kick)
     return PhaseState(p1[0], q1[0])
@@ -377,38 +373,21 @@ def gf2_step(model: LangevinModel, z: PhaseState, h: float, dW: object = None) -
 def gf2_jacobian(
     model: LangevinModel, z: PhaseState, h: float, dW: object = None
 ) -> Array:
-    """Jacobian of the one-step map with respect to (p, q).
+    """Analytic Jacobian of the one-step map with respect to (p, q).
 
-    Analytic when the model supplies ``force_third``; otherwise central finite
-    differences of :func:`gf2_step` with step 1e-6 are used, which degrades
-    the conformal-defect guarantee from 1e-8 to about 1e-5.
+    It reads the model's ``force_third``; a model without one is refused
+    with CapabilityError.
 
     Returns
     -------
     (2d, 2d) ndarray in (p, q) block ordering.
     """
-    h, dw, kick = _step_inputs(model, z, h, dW)
-    if model.force_third is None:
-        return _fd_jacobian(model, z, h, dw)
+    h, kick = _step_inputs(model, z, h, dW)
     kernel = _Gf2Kernel(model, h)
     q = z.q[None]
     with np.errstate(all="ignore"):
         hess, step_matrix, p1, _ = kernel.update(z.p[None], q, kick)
     return kernel.jacobian(q, hess, step_matrix, p1)[0]
-
-
-def _fd_jacobian(model: LangevinModel, z: PhaseState, h: float, dw: Array) -> Array:
-    d = model.dim
-    jac = np.empty((2 * d, 2 * d))
-    for j in range(2 * d):
-        dp = np.zeros(d)
-        dq = np.zeros(d)
-        (dp if j < d else dq)[j % d] = _FD_STEP
-        plus = gf2_step(model, PhaseState(z.p + dp, z.q + dq), h, dw)
-        minus = gf2_step(model, PhaseState(z.p - dp, z.q - dq), h, dw)
-        jac[:d, j] = (plus.p - minus.p) / (2.0 * _FD_STEP)
-        jac[d:, j] = (plus.q - minus.q) / (2.0 * _FD_STEP)
-    return jac
 
 
 def em_step(model: LangevinModel, z: PhaseState, h: float, dW: object = None) -> PhaseState:
@@ -471,8 +450,10 @@ def simulate(
 def _stiffness(model: LangevinModel) -> Array:
     """K of a quadratic model: the force at the unit vectors, once the Hessian at 0 equals it."""
     d = model.dim
-    kmat = np.asarray(model.force(np.eye(d)), dtype=float).T
-    if not np.array_equal(np.ravel(model.force_jacobian(np.zeros((1, d)))), kmat.ravel()):
+    eye, origin = np.eye(d), np.zeros((1, d))
+    kmat = _on_rows(model.force(eye), eye, (d,), "force").T
+    hess = _on_rows(model.force_jacobian(origin), origin, (d, d), "force_jacobian")
+    if not np.array_equal(hess[0], kmat):
         raise CapabilityError(
             "this operation needs a quadratic model: its force at the unit vectors "
             "and its Hessian at the origin differ"
@@ -497,8 +478,8 @@ def linear_exact_moments(model: LangevinModel, z0: PhaseState, t: float) -> Gaus
     kmat, d, n = _stiffness(model), model.dim, 2 * model.dim
     if z0.dim != d:
         raise ArgumentError("state dimension does not match the model")
-    if t < 0:
-        raise ArgumentError("time must be nonnegative")
+    if not (t >= 0 and math.isfinite(t)):
+        raise ArgumentError(f"time must be nonnegative and finite, got {t}")
     z = np.concatenate([z0.p, z0.q])
     if t == 0.0:
         return GaussianLaw(mean=z, cov=np.zeros((n, n)))
@@ -541,10 +522,12 @@ def propagate_gaussian_chain(
 ) -> GaussianLaw:
     """Push a Gaussian law through n steps of an affine map.
 
-    mean_{k+1} = B mean_k and cov_{k+1} = B cov_k B^T + h G G^T.
+    mean_{k+1} = B mean_k and cov_{k+1} = B cov_k B^T + h G G^T; h must equal amap.h.
     """
     if n < 0:
         raise ArgumentError("step count must be nonnegative")
+    if h != amap.h:
+        raise ArgumentError(f"step size {h} differs from the map's h={amap.h}")
     if amap.B.shape[0] != init.mean.shape[0]:
         raise ArgumentError("map and law dimensions disagree")
     means, cov = [init.mean.copy()], init.cov.copy()

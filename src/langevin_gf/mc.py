@@ -66,7 +66,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ArgumentError, Error, EstimationError, EvaluationError, StepSizeError
 from .integrators import _KERNELS, _check_step_size, _noise_kick
-from .models import LangevinModel, PhaseState
+from .models import LangevinModel, PhaseState, _on_rows
 
 Array = np.ndarray
 
@@ -495,7 +495,7 @@ def _advance_chunk(
                 ) from exc
             if psi_rows is not None and out is not None:
                 for j, psi in enumerate(psi_rows):
-                    out[s, j] = psi(p, q)
+                    out[s, j] = _on_rows(psi(p, q), p, (), "psi")
     state.p, state.q = p, q
 
 
@@ -577,7 +577,7 @@ def _endpoint_values(
                         del runs[j]
         for j, states in runs.items():
             for k, endpoint in enumerate(endpoints):
-                values[j, k, lo:hi] = endpoint(*states)
+                values[j, k, lo:hi] = _on_rows(endpoint(*states), states[0].p, (), "psi")
         if failed:
             j = min(failed)
             raise _ChainFailure(str(failed[j]), where=(j, *failed[j].where))
@@ -719,7 +719,7 @@ def mc_step_means(
         raise ArgumentError("need at least one test function")
     means = np.empty((k, n_steps + 1))
     for j, psi in enumerate(psis):
-        means[j, :1] = psi(z0.p[None, :], z0.q[None, :])
+        means[j, :1] = _on_rows(psi(z0.p[None], z0.q[None]), z0.p[None], (), "psi")
     bounds = _batch_bounds(n_realizations)
     chunk = _block_steps(model.noise_dim)
     # Every task bound is a multiple of the grain, so each task builds the

@@ -57,11 +57,16 @@ def _matvec(matrix: Array, x: Array) -> Array:
     return out
 
 
-def _scalar(value: object, what: str) -> float:
-    arr = np.asarray(value, dtype=float)
-    if arr.size != 1:
-        raise EvaluationError(f"{what} returned {arr.size} values, expected a scalar")
-    return float(arr.reshape(-1)[0])
+def _on_rows(values: object, x: Array, trailing: tuple[int, ...], what: str) -> Array:
+    """``values`` as floats, refused unless their shape is x's rows then ``trailing``:
+    the one row contract of every model callable and test function."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != x.shape[:-1] + trailing:
+        raise EvaluationError(
+            f"{what} returned shape {arr.shape} on points of shape {x.shape}; "
+            f"it must map (..., d) rows to (...{', d' * len(trailing)})"
+        )
+    return arr
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,6 +101,10 @@ class LangevinModel:
     forms read their numbers off ``mass``, ``friction``, ``noise`` and the
     callables: no number is stored twice.
 
+    Each callable maps a block of positions q (..., d) row by row to the one
+    result shape named below; any other shape, a constant that would
+    broadcast included, is refused with EvaluationError wherever it is read.
+
     Parameters
     ----------
     force : callable
@@ -107,11 +116,9 @@ class LangevinModel:
         differently with another R; :func:`make_quadratic_model` sums term
         by term, so Monte Carlo bits do not depend on the kernel width.
     potential : callable
-        q (..., d) -> F(q) (...) with f = grad F, row by row like ``force``.
+        q (..., d) -> F(q) (...) with f = grad F.
     force_jacobian : callable
-        q (..., d) -> (..., d, d) symmetric matrices grad^2 F(q).  A
-        constant (d, d) matrix broadcasts; for d = 1 a result of q's shape
-        is also accepted.
+        q (..., d) -> (..., d, d) symmetric matrices grad^2 F(q).
     mass : ndarray
         (d, d) symmetric positive definite matrix M.
     friction : float
@@ -123,16 +130,14 @@ class LangevinModel:
         +Sigma dW.  An exactly zero matrix is the deterministic limit used by
         diagnostics; any nonzero matrix must have full row rank.
     force_third : callable or None
-        Optional q (..., d) -> (..., d, d, d) third derivative tensors of F,
-        row by row like ``force``; the Jacobian of the structure command
-        passes all trials' positions at once.  A constant (d, d, d) tensor
-        broadcasts, and for d = 1 a result of q's shape is also accepted.
-        When absent, Jacobians of the implicit scheme fall back to finite
-        differences.
+        Optional q (..., d) -> (..., d, d, d) third derivative tensors of F;
+        the Jacobian of the structure command passes all trials' positions
+        at once.  Only Jacobians of the implicit scheme read it, and they
+        refuse a model without it.
     """
 
     force: Callable[[Array], Array]
-    potential: Callable[[Array], float]
+    potential: Callable[[Array], Array]
     force_jacobian: Callable[[Array], Array]
     mass: Array
     friction: float
@@ -247,7 +252,7 @@ def make_quadratic_model(
         mass=mass,
         friction=friction,
         noise=noise,
-        force_third=lambda q: np.zeros((d, d, d)),
+        force_third=lambda q: np.zeros(np.shape(q) + (d, d)),
     )
     d = model.dim  # read by the closures above, which run only after this check
     if kmat.shape != (d, d) or not np.all(np.isfinite(kmat)):
@@ -273,14 +278,12 @@ def eval_model(model: LangevinModel, q: object) -> tuple[float, Array, Array]:
     Raises
     ------
     EvaluationError
-        If any output is non-finite or has the wrong size.
+        If any output is non-finite or off its row contract.
     """
-    point = _as_point(q, model.dim)
-    pot = _scalar(model.potential(point), "potential")
-    frc = np.asarray(model.force(point), dtype=float).reshape(model.dim)
-    hess = np.asarray(model.force_jacobian(point), dtype=float).reshape(
-        model.dim, model.dim
-    )
+    point, d = _as_point(q, model.dim), model.dim
+    pot = float(_on_rows(model.potential(point), point, (), "potential"))
+    frc = _on_rows(model.force(point), point, (d,), "force")
+    hess = _on_rows(model.force_jacobian(point), point, (d, d), "force_jacobian")
     if not (
         math.isfinite(pot)
         and np.all(np.isfinite(frc))
@@ -310,12 +313,7 @@ def gibbs_density_fn(model: LangevinModel) -> Callable[[Array, Array], Array]:
     beta = 2.0 * model.friction / c
 
     def rho(p: Array, q: Array) -> Array:
-        potential = model.potential(q)
-        if np.shape(potential) != np.shape(q)[:-1]:
-            raise EvaluationError(
-                f"potential returned shape {np.shape(potential)} on points of shape "
-                f"{np.shape(q)}; it must map (..., d) rows to (...)"
-            )
+        potential = _on_rows(model.potential(q), q, (), "potential")
         kinetic = 0.5 * np.sum(p * _matvec(model.mass, p), axis=-1)
         return np.exp(-beta * (kinetic + potential))
 

@@ -2,8 +2,10 @@
 
 Every function maps momentum and position blocks of shape (..., d) to values
 of shape (...); the batch axes are whatever the caller needs (realizations,
-quadrature grids).  The catalog is closed so configuration files and CSV
-columns always refer to a known, spelled-out observable.
+quadrature grids).  Every test function, catalog or not, keeps that contract;
+a scalar or a (..., 1) column is refused wherever it is read.  The catalog is
+closed so configuration files and CSV columns always refer to a known,
+spelled-out observable.
 """
 
 from __future__ import annotations

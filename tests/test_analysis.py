@@ -36,7 +36,14 @@ from langevin_gf.integrators import (
     propagate_gaussian_chain,
     simulate,
 )
-from langevin_gf.mc import SeedPlan, _endpoint_values, sample_increments
+from langevin_gf.mc import (
+    SeedPlan,
+    _endpoint_values,
+    mc_expectation,
+    mc_step_means,
+    sample_increments,
+    weak_error_mc,
+)
 from langevin_gf.models import (
     DoubleWell,
     LangevinModel,
@@ -219,6 +226,36 @@ def test_ergodic_reference_refuses_a_potential_off_the_row_contract(model):
         ergodic_reference(model, [exp_negsq])
 
 
+@pytest.mark.parametrize(
+    "psi, shape",
+    [
+        # One float for the whole block, which numpy would broadcast.
+        (lambda p, q: float(np.mean(np.cos(p[..., 0] + q[..., 0]))), r"\(\)"),
+        # Elementwise, so the values keep the trailing coordinate axis.
+        (lambda p, q: np.cos(p + q), r"\(\d+(, \d+)?, 1\)"),
+    ],
+    ids=["scalar", "column"],
+)
+def test_psi_off_the_row_contract_is_refused_on_every_path(psi, shape):
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
+    z0, h, plan = PhaseState([1.0], [0.0]), 0.125, SeedPlan(1)
+    reason = (
+        rf"^psi returned shape {shape} on points of shape \(.*\); "
+        r"it must map \(\.\.\., d\) rows to \(\.\.\.\)$"
+    )
+    calls = [
+        lambda: mc_expectation(model, "gf2", psi, z0, h, 1.0, 512, plan),
+        lambda: weak_error_mc(model, [psi], z0, [h], 1.0, 512, 2, plan),
+        lambda: mc_step_means(model, [psi], z0, h, 8, 512, plan),
+        lambda: ergodic_reference(model, [psi]),
+        lambda: linear_ergodic_series(model, [psi], [z0], h, 8),
+        lambda: weak_error_linear(model, [psi], z0, h, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(EvaluationError, match=reason):
+            call()
+
+
 def test_ergodic_reference_degenerate_density():
     model = LinearOscillator(a=1.0, v=2.0, sigma=1e-100).build()
     with pytest.raises(DegenerateDensityError):
@@ -356,8 +393,7 @@ def test_conformal_defect_of_scheme_jacobian():
 
 
 def test_n_step_defect_regularity_guard():
-    built = DoubleWell(v=4.0, beta=2.0).build()
-    model = dataclasses.replace(built, force_third=None)
+    model = DoubleWell(v=4.0, beta=2.0).build()
     h, n = 0.01, 32
     block = sample_increments(51, n, 1, h)
     _, p, q = simulate(model, PhaseState([0.5], [-1.0]), h, block)

@@ -531,12 +531,12 @@ def test_structure_refused_step_is_replayed_to_the_failing_trial():
     c = -2.0 / 0.125**2
     model = LangevinModel(
         force=lambda q: c * q,
-        potential=lambda q: 0.5 * c * float(q[0]) ** 2,
-        force_jacobian=lambda q: np.full_like(q, c),
+        potential=lambda q: 0.5 * c * q[..., 0] ** 2,
+        force_jacobian=lambda q: np.full(np.shape(q) + (1,), c),
         mass=np.eye(1),
         friction=1.0,
         noise=np.eye(1),
-        force_third=lambda q: np.zeros((1, 1, 1)),
+        force_third=lambda q: np.zeros(np.shape(q) + (1, 1)),
     )
     trials = [
         _StructureTrial(PhaseState([0.1 * i], [0.2]), h, 0.5, np.zeros(1), np.zeros((4, 1)))

@@ -38,12 +38,12 @@ def conformal_defect(jac: np.ndarray, friction: float, h: float) -> float:
 def zero_noise_model(friction: float = 1.5) -> LangevinModel:
     return LangevinModel(
         force=lambda q: 2.0 * q,
-        potential=lambda q: float(q[0]) ** 2,
-        force_jacobian=lambda q: np.full_like(q, 2.0),
+        potential=lambda q: q[..., 0] ** 2,
+        force_jacobian=lambda q: np.full(np.shape(q) + (1,), 2.0),
         mass=np.array([[1.0]]),
         friction=friction,
         noise=np.array([[0.0]]),
-        force_third=lambda q: np.zeros((1, 1, 1)),
+        force_third=lambda q: np.zeros(np.shape(q) + (1, 1)),
     )
 
 
@@ -231,12 +231,12 @@ def test_multi_index_validation():
 def test_augmented_free_case():
     model = LangevinModel(
         force=lambda q: np.zeros_like(q),
-        potential=lambda q: 0.0,
-        force_jacobian=lambda q: np.zeros_like(q),
+        potential=lambda q: np.zeros(np.shape(q)[:-1]),
+        force_jacobian=lambda q: np.zeros(np.shape(q) + (1,)),
         mass=np.array([[2.0]]),
         friction=0.0,
         noise=np.array([[0.0]]),
-        force_third=lambda q: np.zeros((1, 1, 1)),
+        force_third=lambda q: np.zeros(np.shape(q) + (1, 1)),
     )
     xg, yg = gf2_step_augmented(model, [3.0, 4.0], [1.0, 0.25], 0.5, [0.9])
     assert_allclose(xg, [3.0, 4.0], rtol=0, atol=0)

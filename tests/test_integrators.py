@@ -32,12 +32,14 @@ from langevin_gf.integrators import (
     propagate_gaussian_chain,
     simulate,
 )
-from langevin_gf.mc import SeedPlan, mc_expectation
+from langevin_gf.cli import _structure_rows, _StructureTrial
+from langevin_gf.mc import SeedPlan, mc_expectation, mc_step_means
 from langevin_gf.models import (
     DoubleWell,
     LangevinModel,
     LinearOscillator,
     PhaseState,
+    eval_model,
     make_quadratic_model,
 )
 from langevin_gf.observables import get_test_function
@@ -48,13 +50,13 @@ OMEGA_1D = np.array([[0.0, 1.0], [-1.0, 0.0]])
 def free_model(mass: np.ndarray) -> LangevinModel:
     d = mass.shape[0]
     return LangevinModel(
-        force=lambda q: np.zeros(d),
-        potential=lambda q: 0.0,
-        force_jacobian=lambda q: np.zeros((d, d)),
+        force=lambda q: np.zeros_like(q),
+        potential=lambda q: np.zeros(np.shape(q)[:-1]),
+        force_jacobian=lambda q: np.zeros(np.shape(q) + (d,)),
         mass=mass,
         friction=0.0,
         noise=np.zeros((d, d)),
-        force_third=lambda q: np.zeros((d, d, d)),
+        force_third=lambda q: np.zeros(np.shape(q) + (d, d)),
     )
 
 
@@ -105,8 +107,8 @@ def test_gf2_zero_noise_ignores_increment():
     mass = np.eye(1)
     model = LangevinModel(
         force=lambda q: 1.5 * q,
-        potential=lambda q: 0.75 * q**2,
-        force_jacobian=lambda q: np.full_like(q, 1.5),
+        potential=lambda q: 0.75 * q[..., 0] ** 2,
+        force_jacobian=lambda q: np.full(np.shape(q) + (1,), 1.5),
         mass=mass,
         friction=1.0,
         noise=np.zeros((1, 1)),
@@ -122,8 +124,8 @@ def test_gf2_step_size_guard_scalar():
     # grad^2 F * M = -2/h^2 makes the 1x1 step matrix exactly singular.
     model = LangevinModel(
         force=lambda q: -2.0 * q,
-        potential=lambda q: -(q**2),
-        force_jacobian=lambda q: np.full_like(q, -2.0),
+        potential=lambda q: -(q[..., 0] ** 2),
+        force_jacobian=lambda q: np.full(np.shape(q) + (1,), -2.0),
         mass=np.eye(1),
         friction=1.0,
         noise=np.eye(1),
@@ -235,8 +237,7 @@ def test_per_row_step_sizes_equal_the_scalar_kernel(name):
     for i, h in enumerate(hs):
         single = _Gf2Kernel(model, float(h)).update(p[i: i + 1], q[i: i + 1], kick[i: i + 1])
         for got, want in zip(batch, single):
-            got = np.broadcast_to(got, (9,) + got.shape[-2:]) if got.ndim == 3 else got
-            assert got[i].tobytes() == want.reshape(got[i].shape).tobytes()
+            assert got[i].tobytes() == want[0].tobytes()
 
 
 def reference_jacobian(model, z, h, dw):
@@ -281,20 +282,48 @@ def test_batched_jacobian_equals_gf2_jacobian_row_by_row(name):
             assert np.max(np.abs(jac[i] - reference)) <= 1e-15 * np.max(np.abs(reference))
 
 
-def test_d1_derivatives_of_q_shape_give_the_full_shape_bits():
-    # For d = 1 the Hessian and third derivative may return q's shape; the
-    # double well's builder returns the full (..., 1, 1) and (..., 1, 1, 1).
-    full = DoubleWell(v=2.0, beta=2.0).build()
-    short = dataclasses.replace(
-        full,
-        force_jacobian=lambda q: 12.0 * q**2 - 4.0,
-        force_third=lambda q: 24.0 * np.asarray(q, dtype=float),
+# The double well's callables, each with a result off the row contract (the
+# force of shape (R,), the derivatives of q's shape (R, 1)), and the contract.
+_OFF_CONTRACT = {
+    "force": (lambda q: (q * (4.0 * q * q - 4.0) - 0.5)[..., 0], "(..., d)"),
+    "force_jacobian": (lambda q: 12.0 * q**2 - 4.0, "(..., d, d)"),
+    "force_third": (lambda q: 24.0 * q, "(..., d, d, d)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OFF_CONTRACT))
+def test_off_contract_model_callables_are_refused_alike_on_every_path(name):
+    callable_, contract = _OFF_CONTRACT[name]
+    model = dataclasses.replace(DoubleWell(v=2.0, beta=2.0).build(), **{name: callable_})
+    z0, h = PhaseState([0.7], [-1.1]), 0.125
+    shape = "(1,)" if name == "force" else "(1, 1)"
+    message = (
+        f"{name} returned shape {shape} on points of shape (1, 1); "
+        f"it must map (..., d) rows to {contract}"
     )
-    assert short.force_third(np.zeros((3, 1))).shape == (3, 1)
-    cases = [(PhaseState([0.7], [-1.1]), 0.125, [0.3]), (PhaseState([-0.2], [0.4]), 0.5, None)]
-    for z, h, dw in cases:
-        want = gf2_jacobian(full, z, h, dw)
-        assert gf2_jacobian(short, z, h, dw).tobytes() == want.tobytes()
+    with pytest.raises(EvaluationError) as info:
+        gf2_jacobian(model, z0, h, [0.3])
+    assert str(info.value) == message
+    if name == "force_third":
+        return  # nothing else reads the third derivative
+    with pytest.raises(EvaluationError) as info:
+        gf2_step(model, z0, h, [0.3])
+    assert str(info.value) == message
+    reason = f"^{name} returned shape "
+    with pytest.raises(EvaluationError, match=reason):
+        eval_model(model, [0.4])
+    with pytest.raises(EvaluationError, match="^step 0: " + name + " returned shape "):
+        simulate(model, z0, h, np.zeros((4, 1)))
+    cos_sum = get_test_function("cos_sum")
+    with pytest.raises(EvaluationError, match=reason):
+        mc_expectation(model, "gf2", cos_sum, z0, h, 4 * h, 64, SeedPlan(1))
+    with pytest.raises(EvaluationError, match=reason):
+        mc_step_means(model, [cos_sum], z0, h, 4, 64, SeedPlan(1))
+    if name == "force":
+        with pytest.raises(EvaluationError, match=reason):
+            em_step(model, z0, h, [0.3])
+        with pytest.raises(EvaluationError, match=reason):
+            mc_expectation(model, "em", cos_sum, z0, h, 4 * h, 64, SeedPlan(1))
 
 
 def test_gf2_jacobian_determinant():
@@ -353,18 +382,22 @@ def test_gf2_jacobian_matches_finite_differences():
             assert_allclose(jac, fd, rtol=0, atol=1e-5)
 
 
-def test_gf2_jacobian_fd_fallback():
-    analytic_model = DoubleWell(v=4.0, beta=2.0).build()
-    fd_model = dataclasses.replace(analytic_model, force_third=None)
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        z = PhaseState(rng.uniform(-2, 2, 1), rng.uniform(-2, 2, 1))
-        h = rng.uniform(0.01, 0.25)
-        dw = rng.normal(0.0, math.sqrt(h), size=1)
-        jac_fd = gf2_jacobian(fd_model, z, h, dw)
-        jac_an = gf2_jacobian(analytic_model, z, h, dw)
-        assert_allclose(jac_fd, jac_an, rtol=0, atol=1e-5)
-        assert symplectic_defect(jac_fd, 4.0, h) <= 1e-5
+def test_gf2_jacobian_refuses_a_model_without_force_third():
+    built = DoubleWell(v=4.0, beta=2.0).build()
+    model = dataclasses.replace(built, force_third=None)
+    reason = "the Jacobian of the gf2 map needs the model's force_third"
+    z = PhaseState([0.3], [-0.5])
+    with pytest.raises(CapabilityError) as info:
+        gf2_jacobian(model, z, 0.1, [0.2])
+    assert str(info.value) == reason
+    # The structure command's batched Jacobian refuses it alike.
+    trials = [_StructureTrial(z, h, 0.5, np.zeros(1), np.zeros((4, 1))) for h in (0.1, 0.2)]
+    with pytest.raises(CapabilityError) as info:
+        _structure_rows(model, trials, 4)
+    assert str(info.value) == f"step 0: {reason}"
+    # The step itself never reads the third derivative.
+    got, want = gf2_step(model, z, 0.1, [0.2]), gf2_step(built, z, 0.1, [0.2])
+    assert (got.p.tobytes(), got.q.tobytes()) == (want.p.tobytes(), want.q.tobytes())
 
 
 def test_conformal_symplecticity_analytic_models():
@@ -523,12 +556,12 @@ def test_infinite_hessian_leaves_the_finite_numbers_on_every_path():
     with np.errstate(all="ignore"):
         model = LangevinModel(
             force=lambda q: 1.5 * np.sign(q) * np.sqrt(np.abs(q)),
-            potential=lambda q: float(np.abs(q[0]) ** 1.5),
-            force_jacobian=lambda q: 0.75 / np.sqrt(np.abs(q)),
+            potential=lambda q: np.abs(q[..., 0]) ** 1.5,
+            force_jacobian=lambda q: (0.75 / np.sqrt(np.abs(q)))[..., None],
             mass=np.eye(1),
             friction=1.0,
             noise=np.eye(1),
-            force_third=lambda q: -0.375 * np.sign(q) / np.abs(q) ** 1.5,
+            force_third=lambda q: (-0.375 * np.sign(q) / np.abs(q) ** 1.5)[..., None, None],
         )
     z0 = PhaseState([1.0], [0.0])
     message = "step produced a non-finite state at h=0.1"
@@ -574,8 +607,10 @@ def test_linear_exact_moments_endpoints():
     assert_allclose(law0.mean, [3.0, 1.0])
     assert_allclose(law0.cov, np.zeros((2, 2)))
 
-    with pytest.raises(ArgumentError):
-        linear_exact_moments(model, z0, -1.0)
+    for t in (-1.0, math.inf, math.nan):
+        with pytest.raises(ArgumentError) as info:
+            linear_exact_moments(model, z0, t)
+        assert str(info.value) == f"time must be nonnegative and finite, got {t}"
 
     #
 
@@ -782,6 +817,10 @@ def test_propagate_gaussian_chain_basics():
     out = propagate_gaussian_chain(identity, init, 5, 0.1)
     assert_allclose(out.mean, init.mean)
     assert_allclose(out.cov, init.cov)
+    # The map carries its step size; another h is refused, not used.
+    with pytest.raises(ArgumentError) as info:
+        propagate_gaussian_chain(identity, init, 5, 0.2)
+    assert str(info.value) == "step size 0.2 differs from the map's h=0.1"
 
     # A uniform contraction s I_4 with det s^4 = e^{-vhd} for d = 2.
     s = math.exp(-0.15)

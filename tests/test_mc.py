@@ -78,12 +78,12 @@ def deterministic_linear(a: float = 1.0, v: float = 2.0) -> LangevinModel:
     """Zero-noise linear model routed through the batched engine path."""
     return LangevinModel(
         force=lambda q: a * q,
-        potential=lambda q: 0.5 * a * float(np.sum(q * q)),
-        force_jacobian=lambda q: np.full_like(q, a),
+        potential=lambda q: 0.5 * a * np.sum(q * q, axis=-1),
+        force_jacobian=lambda q: np.full(np.shape(q) + (1,), a),
         mass=np.array([[1.0]]),
         friction=v,
         noise=np.array([[0.0]]),
-        force_third=lambda q: np.zeros((1, 1, 1)),
+        force_third=lambda q: np.zeros(np.shape(q) + (1, 1)),
     )
 
 
@@ -944,19 +944,38 @@ def test_fast_path_matches_per_state_path():
 
 def test_singular_step_matrix_fails_alike_for_every_kind():
     # At h = sqrt(1/2) from q = 0 the double well's step matrix is
-    # 1 + (h^2/2)(-4) = -2.2e-16.
+    # 1 + (h^2/2)(-4) = -2.2e-16.  At h = sqrt(2) the d = 2 model's is
+    # about diag(1, 1e-13).
     built = DoubleWell(v=4.0, beta=2.0).build()
-    z0, h = PhaseState([0.0], [0.0]), math.sqrt(0.5)
-    reason = (
-        r"implicit step matrix has condition estimate 9\.007e\+15 at h=0\.7071067811865476; "
-        r"reduce the step size$"
-    )
-    with pytest.raises(StepSizeError, match="^" + reason):
-        gf2_step(built, z0, h, [0.0])
-    for model in (built, dataclasses.replace(built, force_third=None)):
-        expected = r"^realization 0, step 0: " + reason
-        with pytest.raises(EstimationError, match=expected) as info:
+    d1_start, d1_h = PhaseState([0.0], [0.0]), math.sqrt(0.5)
+    cases = [
+        (built, d1_start, d1_h, "9.007e+15"),
+        (dataclasses.replace(built, force_third=None), d1_start, d1_h, "9.007e+15"),
+        (
+            make_quadratic_model(np.diag([0.0, -1.0 + 1e-13]), np.eye(2), 1.0, np.eye(2)),
+            PhaseState([1.0, 0.0], [0.0, 1.0]),
+            math.sqrt(2.0),
+            "1.002e+13",
+        ),
+    ]
+    for model, z0, h, estimate in cases:
+        reason = (
+            f"implicit step matrix has condition estimate {estimate} at h={h}; "
+            "reduce the step size"
+        )
+        with pytest.raises(StepSizeError) as info:
+            gf2_step(model, z0, h)
+        assert str(info.value) == reason
+        with pytest.raises(StepSizeError) as info:
+            simulate(model, z0, h, np.zeros((1, model.noise_dim)))
+        assert str(info.value) == f"step 0: {reason}"
+        with pytest.raises(EstimationError) as info:
             mc_expectation(model, "gf2", cos_sum, z0, h, h, 8, SeedPlan(1))
+        assert str(info.value) == f"realization 0, step 0: {reason}"
+        assert info.value.where == (0, 0, 0)
+        with pytest.raises(EstimationError) as info:
+            mc_step_means(model, [cos_sum], z0, h, 1, 8, SeedPlan(1))
+        assert str(info.value) == f"realization 0, step 0: {reason}"
         assert info.value.where == (0, 0, 0)
 
 
@@ -1078,12 +1097,14 @@ def test_mc_step_means_zero_steps():
 _INDICATOR_DIGEST = "b56c6e747a5968c25df839e696434719a299b754ea350f594847dd0449d81b08"
 
 
-def test_step_means_cast_and_broadcast_every_psi_output():
+def test_step_means_cast_every_psi_output():
     # Column 0 takes a psi's output as the later columns and the endpoint
-    # driver do; a scalar psi once raised IndexError there.
+    # driver do: integer and boolean values are cast to floats.  A scalar psi,
+    # which once raised IndexError there, is refused on every path
+    # (test_analysis.py::test_psi_off_the_row_contract_is_refused_on_every_path).
     build, p0, q0 = MODELS["double_well"]
     model, z0, plan = build(), PhaseState(p0, q0), SeedPlan(SEEDS[0])
-    one = lambda p, q: 1.0
+    one = lambda p, q: np.ones(p.shape[:-1], dtype=int)
     _, means = mc_step_means(model, [one], z0, 0.125, 12, 5000, plan)
     assert np.array_equal(means, np.ones((1, 13)))
     assert mc_expectation(model, "gf2", one, z0, 0.125, 1.5, 5000, plan).mean == 1.0
