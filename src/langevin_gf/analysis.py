@@ -41,7 +41,7 @@ from .integrators import (
     propagate_gaussian_chain,
 )
 from .mc import SeedPlan, _steps_for, one_step_ms_gap, weak_error_mc
-from .models import LangevinModel, PhaseState, _on_rows, gibbs_density_fn
+from .models import LangevinModel, PhaseState, _count, _on_rows, gibbs_density_fn
 
 Array = np.ndarray
 
@@ -73,8 +73,7 @@ def _legendre_grid(
     lo, hi = float(box[0]), float(box[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ArgumentError(f"box must satisfy lo < hi, got ({lo}, {hi})")
-    if n_nodes < 2:
-        raise ArgumentError("need at least 2 quadrature nodes per axis")
+    n_nodes = _count(n_nodes, 2, "need at least 2 quadrature nodes per axis")
     ref_nodes, weights = _gauss_rule(np.polynomial.legendre.leggauss, n_nodes)
     nodes = 0.5 * (hi - lo) * ref_nodes + 0.5 * (hi + lo)
     # Read-only broadcast views: a full copy of each grid would add 2 n^2 floats.
@@ -188,8 +187,7 @@ def _gauss_grid(cov: Array, n_nodes: int) -> tuple[Array, Array]:
     zero variance collapse to point masses, so degenerate laws cost nothing
     extra and stay exact.  A significantly negative eigenvalue is refused.
     """
-    if n_nodes < 1:
-        raise ArgumentError("need at least 1 quadrature node per axis")
+    n_nodes = _count(n_nodes, 1, "need at least 1 quadrature node per axis")
     eigvals, eigvecs = np.linalg.eigh(cov)
     _check_spectrum(eigvals, cov)
     top = max(float(eigvals[-1]), 0.0)
@@ -378,8 +376,7 @@ def linear_ergodic_series(
     Returns (times, means) with means of shape
     (len(initials), len(psis), n_steps + 1).
     """
-    if n_steps < 0:
-        raise ArgumentError("step count must be nonnegative")
+    n_steps = _count(n_steps, 0, "step count must be nonnegative")
     if model.dim != 1 or any(z0.dim != 1 for z0 in initials):
         raise ArgumentError("the deterministic ergodic pipeline is one-dimensional")
     amap = gf2_affine_map(model, h)

@@ -33,6 +33,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    DEFAULT_BOX,
+    DEFAULT_LEGENDRE_NODES,
     conformal_defect,
     ergodic_reference,
     linear_ergodic_series,
@@ -42,10 +44,10 @@ from .analysis import (
 )
 from .errors import ArgumentError, ConfigError, Error
 from .genfun import AugmentedState, from_augmented, gf2_step_augmented, to_augmented
-from .integrators import _Gf2Kernel, _noise_kick, simulate
+from .integrators import _Gf2Kernel, simulate
 from .mc import SeedPlan, _steps_for, derive_seed, generator_for, mc_step_means
 from .mc import sample_increments
-from .models import DoubleWell, LangevinModel, LinearOscillator, PhaseState
+from .models import DoubleWell, LangevinModel, LinearOscillator, PhaseState, _is_integer, _matvec
 from .observables import TEST_FUNCTIONS, get_test_function
 
 COMMANDS = ("weak-order", "ergodic", "structure", "simulate")
@@ -70,7 +72,8 @@ class ExperimentConfig:
             "mc": self.mc,
             "quadrature": self.quadrature,
         }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        # default=int: a numpy integer hashes as the Python integer it equals.
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=int)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -86,7 +89,7 @@ def _positive(value: object) -> bool:
 
 
 def _integer(minimum: int, bound: float = math.inf) -> Callable[[object], bool]:
-    return lambda n: isinstance(n, int) and not isinstance(n, bool) and minimum <= n < bound
+    return lambda n: _is_integer(n) and minimum <= n < bound
 
 
 def _pairs(value: object) -> bool:
@@ -111,7 +114,8 @@ class _Key(NamedTuple):
     one_for: tuple[str, ...] = ()
 
 
-_MODEL_PARAM_KEYS = {"linear": {"a", "v", "sigma"}, "double_well": {"v", "beta"}}
+# The builder of each model kind; its fields are the kind's parameters.
+_MODELS = {"linear": LinearOscillator, "double_well": DoubleWell}
 _ESTIMATES = ("weak-order", "ergodic")
 _POSITIVE = "must be a positive finite number"
 
@@ -120,11 +124,12 @@ _POSITIVE = "must be a positive finite number"
 _RULES: dict[str, dict[str, _Key]] = {
     "model": {
         "kind": _Key(
-            lambda kind: kind in list(_MODEL_PARAM_KEYS),
-            f"expected one of {sorted(_MODEL_PARAM_KEYS)}",
+            lambda kind: kind in list(_MODELS),
+            f"expected one of {sorted(_MODELS)}",
             COMMANDS,
         ),
-        **dict.fromkeys(("a", "v", "sigma", "beta"), _Key(_is_number, "must be a finite number")),
+        **{field.name: _Key(_is_number, "must be a finite number")
+           for builder in _MODELS.values() for field in dataclasses.fields(builder)},
     },
     "experiment": {
         "T": _Key(_positive, _POSITIVE, _ESTIMATES),
@@ -166,9 +171,9 @@ _RULES: dict[str, dict[str, _Key]] = {
             lambda box: isinstance(box, list) and len(box) == 2 and all(map(_is_number, box))
             and box[0] < box[1],
             "must be [lo, hi] of finite numbers with lo < hi",
-            default=[-10.0, 10.0],
+            default=list(DEFAULT_BOX),
         ),
-        "nodes": _Key(_integer(2), "must be an integer >= 2", default=200),
+        "nodes": _Key(_integer(2), "must be an integer >= 2", default=DEFAULT_LEGENDRE_NODES),
     },
     "output": {
         "directory": _Key(lambda s: isinstance(s, str), "must be a string", default="."),
@@ -206,8 +211,8 @@ def _linked_problems(model: dict, experiment: dict, command: str) -> list[str]:
     command reads."""
     out = []
     kind = model.get("kind")
-    if kind in list(_MODEL_PARAM_KEYS):
-        wanted, keys = _MODEL_PARAM_KEYS[kind], set(model) - {"kind"}
+    if kind in list(_MODELS):
+        wanted, keys = {f.name for f in dataclasses.fields(_MODELS[kind])}, set(model) - {"kind"}
         out += [f"model.{key}: required for kind {kind!r}" for key in sorted(wanted - keys)]
         out += [f"model.{key}: not a parameter of kind {kind!r}" for key in sorted(keys - wanted)]
         if kind != "linear" and experiment.get("pipeline") == "deterministic":
@@ -282,10 +287,9 @@ def load_config(path: str | Path, command: str) -> ExperimentConfig:
 
 def _model(config: ExperimentConfig) -> LangevinModel:
     """The one model that every pipeline of a run reads."""
-    builder = LinearOscillator if config.model["kind"] == "linear" else DoubleWell
     params = {key: float(value) for key, value in config.model.items() if key != "kind"}
     try:
-        return builder(**params).build()
+        return _MODELS[config.model["kind"]](**params).build()
     except ArgumentError as exc:
         raise ConfigError(f"invalid configuration: model: {exc}") from exc
 
@@ -440,8 +444,8 @@ def _structure_rows(
     kernel = _Gf2Kernel(model, h)
     p = np.stack([trial.z.p for trial in trials])
     q = np.stack([trial.z.q for trial in trials])
-    one_step_kicks = _noise_kick(model.noise, np.stack([trial.dw for trial in trials]))
-    volume_kicks = _noise_kick(model.noise, np.stack([trial.block for trial in trials]))
+    one_step_kicks = _matvec(model.noise, np.stack([trial.dw for trial in trials]))
+    volume_kicks = _matvec(model.noise, np.stack([trial.block for trial in trials]))
     logdet = np.zeros(len(trials))
     k = 0
     try:

@@ -40,7 +40,7 @@ from .errors import (
     RangeError,
     StepSizeError,
 )
-from .models import LangevinModel, PhaseState, _matvec, _on_rows
+from .models import LangevinModel, PhaseState, _check_symmetric, _count, _matvec, _on_rows
 
 Array = np.ndarray
 
@@ -48,17 +48,13 @@ Array = np.ndarray
 _COND_LIMIT = 1e12
 # Relative tolerance of the conformal determinant identity of AffineStepMap.
 _DET_RTOL = 1e-12
-# Relative tolerance of a covariance's symmetry and of its negative eigenvalues.
+# Relative tolerance of a covariance's negative eigenvalues.
 _COV_RTOL = 1e-12
-
-
-def _cov_scale(cov: Array) -> float:
-    return max(1.0, float(np.max(np.abs(cov))))
 
 
 def _check_spectrum(eigvals: Array, cov: Array) -> None:
     """Refuse a covariance whose smallest eigenvalue is significantly negative."""
-    if float(np.min(eigvals)) < -_COV_RTOL * _cov_scale(cov):
+    if float(np.min(eigvals)) < -_COV_RTOL * max(1.0, float(np.max(np.abs(cov)))):
         raise ArgumentError("cov has a significantly negative eigenvalue")
 
 
@@ -75,8 +71,7 @@ class GaussianLaw:
         n = mean.shape[0]
         if cov.shape != (n, n):
             raise ArgumentError(f"cov shape {cov.shape} does not match mean length {n}")
-        if float(np.max(np.abs(cov - cov.T))) > _COV_RTOL * _cov_scale(cov):
-            raise ArgumentError("cov is not symmetric")
+        _check_symmetric(cov, "cov is not symmetric")
         _check_spectrum(np.linalg.eigvalsh(cov), cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -155,7 +150,7 @@ def _check_step_matrix(step_matrix: Array, h: float | Array) -> None:
 
 
 def _check_step_size(h: object) -> None:
-    if not (isinstance(h, numbers.Real) and h > 0 and math.isfinite(h)):
+    if isinstance(h, bool) or not (isinstance(h, numbers.Real) and h > 0 and math.isfinite(h)):
         raise ArgumentError(f"step size must be positive and finite, got {h}")
 
 
@@ -174,20 +169,6 @@ def _refuse_nonfinite(
         row = int(np.argmax(bad))
         at = h if np.ndim(h) == 0 else np.ravel(h)[row]
         raise error(f"{what} at h={at}", row=row)
-
-
-def _noise_kick(noise: Array, dw: Array) -> Array:
-    """Sigma dW along the last axis of dw, summed term by term, C-ordered.
-
-    The sum starts from +0.0, as a matmul's does, which keeps its signs of
-    zeros; no BLAS call is involved, so each row's bits depend on that row
-    alone.
-    """
-    kick = np.multiply(dw[..., :1], noise[:, 0], order="C")
-    kick += 0.0
-    for j in range(1, noise.shape[1]):
-        kick += dw[..., j: j + 1] * noise[:, j]
-    return kick
 
 
 def _mass_map(mass: Array) -> Callable[[Array], Array]:
@@ -329,7 +310,7 @@ def _step_inputs(model: LangevinModel, z: PhaseState, h: float, dW: object) -> t
         )
     if not np.all(np.isfinite(dw)):
         raise EvaluationError("increment contains non-finite entries")
-    return float(h), _noise_kick(model.noise, dw[None])
+    return float(h), _matvec(model.noise, dw[None])
 
 
 def _single_step(
@@ -433,7 +414,7 @@ def simulate(
     try:
         h = _step_inputs(model, z0, h, None)[0]
         p[0], q[0] = z0.p, z0.q
-        kicks = _noise_kick(model.noise, values[:n_ok])
+        kicks = _matvec(model.noise, values[:n_ok])
         step = _Gf2Kernel(model, h)
         with np.errstate(all="ignore"):
             for k in range(n_ok):
@@ -512,7 +493,7 @@ def gf2_affine_map(model: LangevinModel, h: float) -> AffineStepMap:
     _check_step_size(h)
     d, m = model.dim, model.noise_dim
     states = np.vstack([np.zeros((m, 2 * d)), np.eye(2 * d)])
-    kick = _noise_kick(model.noise, np.eye(m + 2 * d, m))
+    kick = _matvec(model.noise, np.eye(m + 2 * d, m))
     images = np.hstack(_Gf2Kernel(model, h)(states[:, :d], states[:, d:], kick))
     return AffineStepMap(B=images[m:].T, G=images[:m].T, friction=model.friction, h=h)
 
@@ -524,8 +505,7 @@ def propagate_gaussian_chain(
 
     mean_{k+1} = B mean_k and cov_{k+1} = B cov_k B^T + h G G^T; h must equal amap.h.
     """
-    if n < 0:
-        raise ArgumentError("step count must be nonnegative")
+    n = _count(n, 0, "step count must be nonnegative")
     if h != amap.h:
         raise ArgumentError(f"step size {h} differs from the map's h={amap.h}")
     if amap.B.shape[0] != init.mean.shape[0]:

@@ -31,7 +31,8 @@ Every model and dimension is stepped by the (R, d) step kernels of
 a realization's trajectory equals, bit for bit, the single-state map on its
 own increments, and both fail alike: the kernel's reason is prefixed with
 the realization and the step.  A failing run reports the earliest failing
-step, then the lowest realization failing there, over all tasks.
+step, then the lowest realization failing there, over all tasks (a coupled
+run ranks first by chain, then by coarse step, fine before coarse).
 
 The endpoint estimators (``mc_expectation``, ``weak_error_mc`` and
 ``one_step_ms_gap``) are validation around :func:`_endpoint_values`, in
@@ -65,8 +66,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ArgumentError, Error, EstimationError, EvaluationError, StepSizeError
-from .integrators import _KERNELS, _check_step_size, _noise_kick
-from .models import LangevinModel, PhaseState, _on_rows
+from .integrators import _KERNELS, _check_step_size
+from .models import LangevinModel, PhaseState, _count, _is_integer, _matvec, _on_rows
 
 Array = np.ndarray
 
@@ -96,8 +97,7 @@ class SeedPlan:
 
     def __post_init__(self) -> None:
         seed = self.master_seed
-        integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-        if not (integer and 0 <= seed <= _MASK64):
+        if not (_is_integer(seed) and 0 <= seed <= _MASK64):
             raise ArgumentError("master_seed must be an unsigned 64-bit integer")
         object.__setattr__(self, "master_seed", int(seed))
 
@@ -116,8 +116,7 @@ def derive_seed(plan: SeedPlan, index: int) -> int:
     Deterministic, platform-independent, and collision-free over the tested
     index range.
     """
-    if index < 0:
-        raise ArgumentError("realization index must be nonnegative")
+    index = _count(index, 0, "realization index must be nonnegative")
     return _mix64((plan.master_seed + (index + 1) * _GAMMA) & _MASK64)
 
 
@@ -174,8 +173,7 @@ class _SeedWords(ISeedSequence):
 
 def sample_increments(seed: int, n: int, m: int, h: float) -> Array:
     """Draw an (n, m) array of N(0, h) increments from the seeded generator."""
-    if n < 1 or m < 1:
-        raise ArgumentError("step count and noise dimension must be at least 1")
+    n, m = (_count(x, 1, "step count and noise dimension must be at least 1") for x in (n, m))
     _check_step_size(h)
     return generator_for(seed).standard_normal((n, m)) * math.sqrt(h)
 
@@ -482,7 +480,7 @@ def _advance_chunk(
     step, p, q = state.step, state.p, state.q
     with np.errstate(all="ignore"):
         # Sigma dw[:, s, :] for every step s, step-major: shape (n_steps, R, d).
-        for s, kick in enumerate(_noise_kick(model.noise, dw.transpose(1, 0, 2))):
+        for s, kick in enumerate(_matvec(model.noise, dw.transpose(1, 0, 2))):
             try:
                 p, q = step(p, q, kick)
             except Error as exc:
@@ -500,20 +498,33 @@ def _advance_chunk(
 
 
 def _validate_run(
-    model: LangevinModel, scheme: str, z0: PhaseState, n_realizations: int, plan: SeedPlan
-) -> None:
+    model: LangevinModel, scheme: str, z0: PhaseState, step_sizes: Sequence[float],
+    T: float | None, n_realizations: int, plan: SeedPlan, refine: int | None = None,
+) -> tuple[list[tuple[float, int]], int]:
+    """The (h, n_steps) chains, each to time T or one step if T is None, and the
+    realization count of a call; every argument is checked once, before any fork."""
     if scheme not in _KERNELS:
         raise ArgumentError(f"unknown scheme {scheme!r}; expected one of {sorted(_KERNELS)}")
     if z0.dim != model.dim:
         raise ArgumentError("initial state dimension does not match the model")
-    if n_realizations < 2:
-        raise ArgumentError("need at least 2 realizations")
+    n_realizations = _count(n_realizations, 2, "need at least 2 realizations")
     if not isinstance(plan, SeedPlan):
         raise ArgumentError("plan must be a SeedPlan")
+    if refine is not None:
+        _count(refine, 2, "refinement factor must be at least 2")
+    if not step_sizes:
+        raise ArgumentError("need at least one step size")
+    chains = []
+    for h in step_sizes:
+        if T is None:
+            _check_step_size(h)
+        chains.append((float(h), 1 if T is None else _steps_for(h, T)))
+    return chains, n_realizations
 
 
 class _ChainFailure(EstimationError):
-    """A task's first failing chain: ``where`` is (chain, step, kind, realization)."""
+    """A task's first failing chain: ``where`` is (chain, coarse step, 0 for the
+    fine chain or 1 for the coarse, step, kind, realization)."""
 
 
 def _endpoint_values(
@@ -537,8 +548,9 @@ def _endpoint_values(
 
     A failing realization stops only its own chain in its task.  The error
     raised is the first failing chain's, in ``chains`` order, at its earliest
-    (step, realization) over all tasks, as if the chains had run one after
-    another.  Returns results indexed [chain][endpoint].
+    coarse step over all tasks (fine steps before the coarse one), then at its
+    earliest (step, realization): the order one task runs them in, so the
+    kernel width does not pick the error.  Returns results indexed [chain][endpoint].
     """
     m = model.noise_dim
     factor = refine or 1
@@ -565,51 +577,32 @@ def _endpoint_values(
                         break
                     first = (at - done) * factor
                     dw = z[:, first: first + factor] * math.sqrt(h / factor)
+                    coarse = refine is None
                     try:
-                        if refine is not None:
+                        if not coarse:
                             _advance_chunk(model, scheme, runs[j][1], h / refine, dw, at * refine)
                             dw = dw.reshape(hi - lo, 1, refine, m).sum(axis=2)
+                            coarse = True
                         _advance_chunk(model, scheme, runs[j][0], h, dw, at)
                     except EstimationError as exc:
                         if exc.where is None:
                             raise
-                        failed[j] = exc
+                        failed[j] = _ChainFailure(str(exc), where=(j, at, int(coarse), *exc.where))
                         del runs[j]
         for j, states in runs.items():
             for k, endpoint in enumerate(endpoints):
                 values[j, k, lo:hi] = _on_rows(endpoint(*states), states[0].p, (), "psi")
         if failed:
-            j = min(failed)
-            raise _ChainFailure(str(failed[j]), where=(j, *failed[j].where))
+            raise failed[min(failed)]
 
     try:
         _map_batches(task, len(bounds))
     except _ChainFailure as exc:
-        raise EstimationError(str(exc), where=exc.where[1:]) from None
+        raise EstimationError(str(exc), where=exc.where[3:]) from None
     if not np.isfinite(values).all():
         j, k, i = np.argwhere(~np.isfinite(values))[0]
         raise EvaluationError(f"psi {k} is non-finite at realization {i}, h={chains[j][0]}")
     return [[mean_and_se(row) for row in rows] for rows in values]
-
-
-def _validate_chains(
-    model: LangevinModel,
-    z0: PhaseState,
-    step_sizes: Sequence[float],
-    n_realizations: int,
-    refine: int,
-    plan: SeedPlan,
-) -> list[float]:
-    """Validated inputs of the coupled estimators, with the step sizes as floats."""
-    _validate_run(model, "gf2", z0, n_realizations, plan)
-    if refine < 2:
-        raise ArgumentError("refinement factor must be at least 2")
-    hs = [float(h) for h in step_sizes]
-    if not hs:
-        raise ArgumentError("need at least one step size")
-    for h in hs:
-        _check_step_size(h)
-    return hs
 
 
 def mc_expectation(
@@ -628,8 +621,7 @@ def mc_expectation(
     docstring for the contract.  A trajectory leaving the numeric domain
     raises EstimationError naming the realization index, the step and h.
     """
-    _validate_run(model, scheme, z0, n_realizations, plan)
-    chains = [(h, _steps_for(h, T))]
+    chains, n_realizations = _validate_run(model, scheme, z0, [h], T, n_realizations, plan)
 
     def endpoint(state: _BatchState) -> Array:
         return psi(state.p, state.q)
@@ -657,10 +649,11 @@ def weak_error_mc(
     fine increments (common random numbers).  Every psi is evaluated on the
     same endpoints.  Returns results indexed [h][psi].
     """
-    hs = _validate_chains(model, z0, step_sizes, n_realizations, refine, plan)
+    chains, n_realizations = _validate_run(
+        model, "gf2", z0, step_sizes, T, n_realizations, plan, refine
+    )
     if not psis:
         raise ArgumentError("need at least one test function")
-    chains = [(h, _steps_for(h, T)) for h in hs]
 
     def gap(psi: Callable[[Array, Array], Array]) -> Callable[..., Array]:
         return lambda coarse, fine: np.subtract(
@@ -668,7 +661,7 @@ def weak_error_mc(
         )
 
     endpoints = [gap(psi) for psi in psis]
-    return _endpoint_values(model, "gf2", z0, chains, n_realizations, plan, refine, endpoints)
+    return _endpoint_values(model, "gf2", z0, chains, n_realizations, plan, int(refine), endpoints)
 
 
 def one_step_ms_gap(
@@ -683,13 +676,14 @@ def one_step_ms_gap(
 
     The local mean-square probe behind third-order step-error measurements.
     """
-    hs = _validate_chains(model, z0, step_sizes, n_realizations, refine, plan)
+    chains, n_realizations = _validate_run(
+        model, "gf2", z0, step_sizes, None, n_realizations, plan, refine
+    )
 
     def gap(coarse: _BatchState, fine: _BatchState) -> Array:
         return np.sum((coarse.p - fine.p) ** 2 + (coarse.q - fine.q) ** 2, axis=1)
 
-    chains = [(h, 1) for h in hs]
-    results = _endpoint_values(model, "gf2", z0, chains, n_realizations, plan, refine, [gap])
+    results = _endpoint_values(model, "gf2", z0, chains, n_realizations, plan, int(refine), [gap])
     return [row[0] for row in results]
 
 
@@ -710,10 +704,8 @@ def mc_step_means(
     reduces them to the first levels of each step's tree, the caller
     joining those subtrees at the aligned task bounds.
     """
-    _validate_run(model, "gf2", z0, n_realizations, plan)
-    if n_steps < 0:
-        raise ArgumentError("step count must be nonnegative")
-    _check_step_size(h)
+    [(h, _)], n_realizations = _validate_run(model, "gf2", z0, [h], None, n_realizations, plan)
+    n_steps = _count(n_steps, 0, "step count must be nonnegative")
     k = len(psis)
     if k == 0:
         raise ArgumentError("need at least one test function")

@@ -28,8 +28,6 @@ Array = np.ndarray
 
 # Relative floor for the smallest singular value of the noise matrix.
 _NOISE_RANK_TOL = 1e-12
-# Absolute tolerance for symmetry of the mass matrix.
-_MASS_SYM_TOL = 1e-12
 
 
 def _as_point(q: object, dim: int) -> Array:
@@ -44,16 +42,40 @@ def _as_point(q: object, dim: int) -> Array:
     return arr
 
 
-def _matvec(matrix: Array, x: Array) -> Array:
-    """matrix @ x along the last axis of x, summed term by term.
+def _is_integer(value: object) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
-    ``matrix`` is one (d, d) matrix or a stack (..., d, d) matching x's rows.
-    No BLAS call is involved, so each row's bits depend on that row alone,
-    never on how many rows are stacked with it.
+
+def _count(value: object, minimum: int, message: str) -> int:
+    """``value`` as an int; ArgumentError(message) unless it is an integer >= ``minimum``."""
+    if not _is_integer(value):
+        raise ArgumentError(f"{message}; got {value!r}, not an integer")
+    if value < minimum:
+        raise ArgumentError(message)
+    return int(value)
+
+
+def _check_symmetric(matrix: Array, message: str) -> None:
+    """ArgumentError(message) unless max|A - A^T| <= 1e-12 max(1, max|A|)."""
+    scale = max(1.0, float(np.max(np.abs(matrix))))
+    if float(np.max(np.abs(matrix - matrix.T))) > 1e-12 * scale:
+        raise ArgumentError(message)
+
+
+def _matvec(matrix: Array, x: Array) -> Array:
+    """matrix @ x along the last axis of x, summed term by term, C-ordered.
+
+    ``matrix`` is one (d, k) matrix, such as Sigma for Sigma dW, or a stack
+    (..., d, k) matching x's rows.  The sum starts from +0.0, as a matmul's
+    does, which keeps its signs of zeros.  No BLAS call is involved, so each
+    row's bits depend on that row alone, never on how many rows are stacked
+    with it.
     """
-    out = x[..., :1] * matrix[..., :, 0]
+    out = np.multiply(x[..., :1], matrix[..., :, 0], order="C")
+    out += 0.0
     for j in range(1, matrix.shape[-1]):
-        out = out + x[..., j: j + 1] * matrix[..., :, j]
+        out += x[..., j: j + 1] * matrix[..., :, j]
     return out
 
 
@@ -159,9 +181,7 @@ class LangevinModel:
             raise ArgumentError("mass contains non-finite entries")
         if not np.all(np.isfinite(noise)):
             raise ArgumentError("noise contains non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(mass))))
-        if float(np.max(np.abs(mass - mass.T))) > _MASS_SYM_TOL * scale:
-            raise ArgumentError("mass matrix is not symmetric")
+        _check_symmetric(mass, "mass matrix is not symmetric")
         if float(np.min(np.linalg.eigvalsh(mass))) <= 0.0:
             raise ArgumentError("mass matrix is not positive definite")
         if not (self.friction >= 0.0 and math.isfinite(self.friction)):
@@ -257,8 +277,7 @@ def make_quadratic_model(
     d = model.dim  # read by the closures above, which run only after this check
     if kmat.shape != (d, d) or not np.all(np.isfinite(kmat)):
         raise ArgumentError(f"stiffness must be a finite {(d, d)} matrix, got {kmat.shape}")
-    if float(np.max(np.abs(kmat - kmat.T))) > 1e-12 * max(1.0, float(np.max(np.abs(kmat)))):
-        raise ArgumentError("stiffness must be symmetric")
+    _check_symmetric(kmat, "stiffness must be symmetric")
     return model
 
 

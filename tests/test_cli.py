@@ -258,6 +258,22 @@ def test_config_hash_ignores_output_location():
     assert shifted.config_hash() != one.config_hash()
 
 
+def test_numpy_integer_keys_are_the_python_integers_they_equal():
+    base = {
+        "model": linear_section(),
+        "experiment": {"T": 1.0, "step_size": 0.25, "test_functions": ["cos_sum"],
+                       "initials": [[3.0, 1.0]]},
+    }
+    ints = {"master_seed": 7, "realizations": 64, "refine": 4}
+    numpy_ints = {"master_seed": np.uint64(7), "realizations": np.int64(64), "refine": np.int32(4)}
+    one = parse_config({**base, "mc": ints}, "ergodic")
+    two = parse_config({**base, "mc": numpy_ints}, "ergodic")
+    assert one.config_hash() == two.config_hash()
+    for bad in (True, 64.0):
+        with pytest.raises(ConfigError, match="mc.realizations: must be an integer >= 2"):
+            parse_config({**base, "mc": {"realizations": bad}}, "ergodic")
+
+
 def test_checkpoint_indices_cover_endpoints():
     marks = _checkpoint_indices(8, 4)
     assert marks == [0, 2, 4, 6, 8]

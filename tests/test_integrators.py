@@ -23,7 +23,6 @@ from langevin_gf.integrators import (
     GaussianLaw,
     _check_step_matrix,
     _Gf2Kernel,
-    _noise_kick,
     em_step,
     gf2_affine_map,
     gf2_jacobian,
@@ -39,6 +38,7 @@ from langevin_gf.models import (
     LangevinModel,
     LinearOscillator,
     PhaseState,
+    _matvec,
     eval_model,
     make_quadratic_model,
 )
@@ -214,7 +214,7 @@ def _kernel_inputs(model, rows: int, seed: int):
     q = rng.uniform(-2.0, 2.0, (rows, d))
     hs = rng.uniform(1e-3, 0.25, rows)
     dw = rng.normal(0.0, 0.3, (rows, model.noise_dim))
-    return p, q, hs, dw, _noise_kick(model.noise, dw)
+    return p, q, hs, dw, _matvec(model.noise, dw)
 
 
 _KERNEL_MODELS = {

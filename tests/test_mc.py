@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from langevin_gf import mc
 from langevin_gf.errors import ArgumentError, EstimationError, EvaluationError, StepSizeError
+from langevin_gf.analysis import ergodic_reference, linear_ergodic_series, weak_error_linear
 from langevin_gf.integrators import (
     GaussianLaw,
     gf2_affine_map,
@@ -350,9 +351,28 @@ def test_chunk_kicks_equal_per_step_matmul(noise):
                 expected[s, b] = expected[s, b] + dw[b, s, j] * sigma[0, j]
     if model.noise_dim == 1:
         assert expected.tobytes() == np.stack([dw[:, s, :] @ sigma[0] for s in range(7)]).tobytes()
-    kicks = mc._noise_kick(model.noise, dw.transpose(1, 0, 2))
+    kicks = mc._matvec(model.noise, dw.transpose(1, 0, 2))
     assert kicks.flags.c_contiguous
     assert kicks.tobytes() == expected.tobytes()
+    # The same sum for a stack of (R, 2, 2) matrices, as the Jacobian passes
+    # them, and for one (2, 2) K on (R, 2) rows, where row 3's products are all
+    # -0.0: a sum onto +0.0 gives +0.0.
+    rng = np.random.default_rng(11)
+    rows, stack = rng.standard_normal((40, 2)), rng.standard_normal((40, 2, 2))
+    kmat = np.array([[2.0, 0.5], [0.5, 1.0]])
+    rows[3] = -0.0
+    for matrices, result in (
+        (stack, mc._matvec(stack, rows)),
+        (np.broadcast_to(kmat, stack.shape), mc._matvec(kmat, rows)),
+    ):
+        expected = np.zeros(rows.shape)
+        for r in range(40):
+            for i in range(2):
+                for j in range(2):
+                    expected[r, i] = expected[r, i] + rows[r, j] * matrices[r, i, j]
+        assert result.flags.c_contiguous
+        assert result.tobytes() == expected.tobytes()
+    assert not np.signbit(expected[3]).any()
 
 
 def test_blowup_mid_chunk_names_first_realization_and_step(monkeypatch):
@@ -387,6 +407,27 @@ def test_blowup_report_does_not_depend_on_the_task_width(monkeypatch):
             "realization 13, step 6: step produced a non-finite state at h=0.55"
         )
         assert info.value.where == (6, 1, 13)
+
+
+@pytest.mark.parametrize("width", [BATCH_SIZE, 2])
+def test_coupled_failure_does_not_depend_on_the_task_width(monkeypatch, width):
+    # Realization 4's fine chain fails at fine step 25, within coarse step 3;
+    # realization 30's coarse chain fails at coarse step 4.  In step units of
+    # their own chains 4 < 25, but the fine steps of coarse step 3 run first.
+    base = DoubleWell(v=1.0, beta=0.5).build()
+    model = dataclasses.replace(
+        base, force=lambda q: np.where(np.abs(q) > 1.6, np.nan, base.force(q))
+    )
+    monkeypatch.setattr(mc, "resolve_threads", lambda: 1)
+    monkeypatch.setattr(mc, "BATCH_SIZE", width)
+    with pytest.raises(EstimationError) as info:
+        weak_error_mc(
+            model, [cos_sum], PhaseState([2.0], [-1.0]), [0.25], 2.0, 64, 8, SeedPlan(0)
+        )
+    assert str(info.value) == (
+        "realization 4, step 25: step produced a non-finite state at h=0.03125"
+    )
+    assert info.value.where == (25, 1, 4)
 
 
 def test_blowup_in_a_worker_share_reports_as_on_one_worker(monkeypatch):
@@ -833,8 +874,8 @@ def test_coupled_pass_draws_wide_and_holds_one_block(monkeypatch):
         sizes.append(array.size)
         return array
 
-    draw, advance, noise_kick, empty = (
-        mc._BatchState.draw, mc._advance_chunk, mc._noise_kick, np.empty
+    draw, advance, matvec, empty = (
+        mc._BatchState.draw, mc._advance_chunk, mc._matvec, np.empty
     )
 
     def recorded_draw(state, n_steps, m, h):
@@ -846,7 +887,7 @@ def test_coupled_pass_draws_wide_and_holds_one_block(monkeypatch):
 
     monkeypatch.setattr(mc._BatchState, "draw", recorded_draw)
     monkeypatch.setattr(mc, "_advance_chunk", recorded_advance)
-    monkeypatch.setattr(mc, "_noise_kick", lambda noise, dw: record(noise_kick(noise, dw)))
+    monkeypatch.setattr(mc, "_matvec", lambda noise, dw: record(matvec(noise, dw)))
     monkeypatch.setattr(np, "empty", lambda *args, **kwargs: record(empty(*args, **kwargs)))
     model = DoubleWell(v=4.0, beta=2.0).build()
     steps = [0.25, 0.125, 0.0625]
@@ -911,6 +952,58 @@ def test_mc_expectation_argument_errors():
         mc_expectation(model, "rk4", cos_sum, z0, 0.25, 1.0, 16, SeedPlan(1))
     with pytest.raises(ArgumentError):
         mc_expectation(model, "gf2", cos_sum, PhaseState([0.0, 0.0], [1.0, 1.0]), 0.25, 1.0, 16, SeedPlan(1))
+
+
+_LINEAR = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
+_Z0 = PhaseState([0.0], [1.0])
+# Counts that are not integers, and bools as an index or a step size.
+_WRONG_TYPES = {
+    "realizations_float": lambda: mc_expectation(
+        _LINEAR, "gf2", cos_sum, _Z0, 0.25, 1.0, 100.0, SeedPlan(1)
+    ),
+    "refine_float": lambda: weak_error_mc(
+        _LINEAR, [cos_sum], _Z0, [0.25], 1.0, 16, 2.5, SeedPlan(1)
+    ),
+    "step_means_n_steps_float": lambda: mc_step_means(
+        _LINEAR, [cos_sum], _Z0, 0.25, 4.0, 16, SeedPlan(1)
+    ),
+    "increments_n_float": lambda: sample_increments(1, 4.0, 1, 0.1),
+    "ergodic_series_n_steps_float": lambda: linear_ergodic_series(
+        _LINEAR, [cos_sum], [_Z0], 0.25, 4.0
+    ),
+    "chain_n_float": lambda: propagate_gaussian_chain(
+        gf2_affine_map(_LINEAR, 0.25), GaussianLaw(np.zeros(2), np.zeros((2, 2))), 2.0, 0.25
+    ),
+    "ergodic_reference_nodes_float": lambda: ergodic_reference(_LINEAR, [cos_sum], n_nodes=50.0),
+    "weak_error_linear_nodes_float": lambda: weak_error_linear(
+        _LINEAR, [cos_sum], _Z0, 0.25, 1.0, n_nodes=8.0
+    ),
+    "seed_index_bool": lambda: derive_seed(SeedPlan(1), True),
+    "step_size_bool": lambda: simulate(_LINEAR, _Z0, True, np.zeros((2, 1))),
+    "coupled_step_size_bool": lambda: weak_error_mc(
+        _LINEAR, [cos_sum], _Z0, [True], 1.0, 16, 2, SeedPlan(1)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRONG_TYPES))
+def test_counts_and_step_sizes_of_the_wrong_type_are_refused(name):
+    with pytest.raises(ArgumentError):
+        _WRONG_TYPES[name]()
+
+
+def test_numpy_integer_counts_give_the_bits_of_python_integers():
+    assert derive_seed(SeedPlan(7), np.int64(3)) == derive_seed(SeedPlan(7), 3)
+    results = [
+        mc_expectation(_LINEAR, "gf2", cos_sum, _Z0, 0.25, 1.0, n, SeedPlan(2))
+        for n in (64, np.int64(64))
+    ]
+    assert results[0] == results[1]
+    assert type(results[1].n_samples) is int
+    means = [
+        mc_step_means(_LINEAR, [cos_sum], _Z0, 0.25, n, 64, SeedPlan(2)) for n in (4, np.int32(4))
+    ]
+    assert all(np.array_equal(a, b) for a, b in zip(*means))
 
 
 def test_fast_path_matches_per_state_path():
