@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import operator
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -53,8 +52,6 @@ _PIPELINES = ("deterministic", "mc", "mc-censored")
 # Grid rows per block when a test function or density is evaluated on the
 # Gauss-Legendre grid.
 _ROW_BLOCK = 25
-
-_mean_se = operator.attrgetter("mean", "std_error")
 
 
 @functools.lru_cache(maxsize=64)
@@ -410,13 +407,18 @@ def linear_ergodic_series(
     return h * np.arange(n_steps + 1), means
 
 
-def _order_report(
-    step_sizes: Sequence[float], pipeline: str, estimate: Callable[[float], tuple[float, float]]
-) -> WeakOrderReport:
-    """Fit the order of (error, std_error) = estimate(h) over the step sizes."""
-    return weak_order_report(
-        [WeakOrderPoint(float(h), *estimate(float(h)), pipeline) for h in step_sizes]
-    )
+def _reports(
+    step_sizes: Sequence[float], pipeline: str, table: Sequence[Sequence[tuple[float, float]]]
+) -> list[WeakOrderReport]:
+    """One order fit per test function j, of table[i][j] = (error, std_error)
+    at step_sizes[i].  No step sizes give one empty curve, which is refused."""
+    columns = zip(*table) if len(table) else [()]
+    return [
+        weak_order_report(
+            [WeakOrderPoint(float(h), *cell, pipeline) for h, cell in zip(step_sizes, column)]
+        )
+        for column in columns
+    ]
 
 
 def linear_weak_order(
@@ -431,13 +433,11 @@ def linear_weak_order(
 
     The laws of each step size are computed once for all psis.
     """
-    errors = {
-        float(h): weak_error_linear(model, psis, z0, float(h), T, n_nodes) for h in step_sizes
-    }
-    return [
-        _order_report(step_sizes, "deterministic", lambda h, j=j: (float(errors[h][j]), 0.0))
-        for j in range(len(psis))
+    table = [
+        [(float(e), 0.0) for e in weak_error_linear(model, psis, z0, float(h), T, n_nodes)]
+        for h in step_sizes
     ]
+    return _reports(step_sizes, "deterministic", table)
 
 
 def mc_weak_order(
@@ -455,11 +455,8 @@ def mc_weak_order(
     One coupled Monte Carlo pass serves every step size and every psi.
     """
     results = weak_error_mc(model, psis, z0, step_sizes, T, n_realizations, refine, plan)
-    errors = {float(h): row for h, row in zip(step_sizes, results)}
-    return [
-        _order_report(step_sizes, "mc", lambda h, j=j: _mean_se(errors[h][j]))
-        for j in range(len(psis))
-    ]
+    table = [[(est.mean, est.std_error) for est in row] for row in results]
+    return _reports(step_sizes, "mc", table)
 
 
 def local_ms_error(
@@ -472,5 +469,4 @@ def local_ms_error(
 ) -> WeakOrderReport:
     """Order fit of the one-step mean-square gap E ||Z(h) - Z_1||^2."""
     results = one_step_ms_gap(model, z0, step_sizes, refine, n_realizations, plan)
-    gaps = {float(h): result for h, result in zip(step_sizes, results)}
-    return _order_report(step_sizes, "mc", lambda h: _mean_se(gaps[h]))
+    return _reports(step_sizes, "mc", [[(gap.mean, gap.std_error)] for gap in results])[0]

@@ -65,13 +65,8 @@ class ExperimentConfig:
     output: dict
 
     def config_hash(self) -> str:
-        payload = {
-            "command": self.command,
-            "model": self.model,
-            "experiment": self.experiment,
-            "mc": self.mc,
-            "quadrature": self.quadrature,
-        }
+        payload = dataclasses.asdict(self)
+        del payload["output"]
         # default=int: a numpy integer hashes as the Python integer it equals.
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=int)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]

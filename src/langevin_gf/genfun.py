@@ -22,8 +22,8 @@ import math
 import numpy as np
 
 from .errors import ArgumentError, CapabilityError, EvaluationError, RangeError
-from .integrators import _check_step_matrix, _check_step_size
-from .models import LangevinModel, PhaseState, eval_model
+from .integrators import _check_step_matrix, _check_step_size, _increment
+from .models import LangevinModel, PhaseState, _count, eval_model
 
 Array = np.ndarray
 
@@ -91,12 +91,18 @@ def to_augmented(z: PhaseState, t: float, model: LangevinModel) -> AugmentedStat
     return AugmentedState(X=x, Y=y)
 
 
+def _augmented(model: LangevinModel, s: AugmentedState) -> tuple[Array, Array, float]:
+    """(X, Y, t) of an augmented state, refused unless it has dimension d + 1."""
+    if len(s.X) != model.dim + 1:
+        raise ArgumentError(f"augmented state has dimension {len(s.X)}, expected {model.dim + 1}")
+    return s.X, s.Y, float(s.Y[-1])
+
+
 def from_augmented(s: AugmentedState, model: LangevinModel) -> tuple[PhaseState, float]:
     """Invert the lift: t = Y_{d+1}, p_i = e^{-vt} X_i, q_i = Y_i."""
-    d = model.dim
-    t = float(s.Y[d])
+    x, y, t = _augmented(model, s)
     scale = math.exp(-model.friction * t)
-    return PhaseState(scale * s.X[:d], s.Y[:d].copy()), t
+    return PhaseState(scale * x[:-1], y[:-1].copy()), t
 
 
 def hamiltonians(model: LangevinModel, s: AugmentedState) -> tuple[float, Array]:
@@ -105,55 +111,48 @@ def hamiltonians(model: LangevinModel, s: AugmentedState) -> tuple[float, Array]
     H_0 = e^{v y_{d+1}} F(y) + e^{-v y_{d+1}} X^T M X / 2 + X_{d+1} and
     H_r = e^{v y_{d+1}} sum_i sigma_r^i y_i.
     """
-    d = model.dim
-    t = float(s.Y[d])
+    x, y, t = _augmented(model, s)
     c1 = _exp_vt(model.friction, t)
     c2 = math.exp(-model.friction * t)
-    pot, _, _ = eval_model(model, s.Y[:d])
-    xpos = s.X[:d]
-    h0 = c1 * pot + 0.5 * c2 * float(xpos @ model.mass @ xpos) + float(s.X[d])
+    pot, _, _ = eval_model(model, y[:-1])
+    xpos = x[:-1]
+    h0 = c1 * pot + 0.5 * c2 * float(xpos @ model.mass @ xpos) + float(x[-1])
     sig = _paper_noise(model)
-    hr = c1 * (sig.T @ s.Y[:d])
+    hr = c1 * (sig.T @ y[:-1])
     return h0, hr
 
 
-def _catalog_key(alpha: object, m: int) -> tuple[int, ...]:
-    """alpha = (j_1, ..., j_l) as a tuple of ints, refused unless l is 2 or 3
-    and every entry lies in [0, m]."""
-    entries = tuple(int(j) for j in alpha)
-    if len(entries) not in (2, 3):
-        raise ArgumentError("multi-index length must be 2 or 3")
-    if any(j < 0 for j in entries):
-        raise ArgumentError("multi-index entries must be nonnegative")
-    if any(j > m for j in entries):
-        raise ArgumentError(f"multi-index entries must not exceed noise_dim={m}")
-    return entries
+# Sign patterns (entry > 0) of the multi-indices in the closed-form catalog:
+# those whose G_alpha is identically zero, (r, 0), (r1, r2), (r1, r2, r3),
+# (r1, r2, 0) and (r1, 0, r2), and those with a nonzero closed form, (0, 0),
+# (0, r) and (0, r1, r2).
+_ZERO_PATTERNS = {
+    (True, False), (True, True), (True, True, True), (True, True, False), (True, False, True)
+}
+_CLOSED_PATTERNS = {(False, False), (False, True), (False, True, True)}
 
 
 def g_alpha(model: LangevinModel, alpha: object, X: Array, y: Array) -> float:
     """Closed-form generating-function coefficient G_alpha at (X, y).
 
-    The catalog covers exactly the index patterns with printed closed forms;
-    any other pattern raises CapabilityError.  Patterns whose closed form is
-    identically zero return exactly 0.0.
+    alpha = (j_1, ..., j_l) needs l = 2 or 3 and integer entries in [0, m],
+    and (X, y) must be an :class:`AugmentedState` of dimension d + 1; else
+    ArgumentError.  A pattern outside the catalog raises CapabilityError;
+    one whose closed form is identically zero returns exactly 0.0.
     """
     d = model.dim
-    entries = _catalog_key(alpha, model.noise_dim)
-    x = np.asarray(X, dtype=float).reshape(d + 1)
-    yv = np.asarray(y, dtype=float).reshape(d + 1)
+    entries = tuple(_count(j, 0, "multi-index entries must be nonnegative") for j in alpha)
+    if len(entries) not in (2, 3):
+        raise ArgumentError("multi-index length must be 2 or 3")
+    if max(entries) > model.noise_dim:
+        raise ArgumentError(f"multi-index entries must not exceed noise_dim={model.noise_dim}")
+    x, yv, t = _augmented(model, AugmentedState(X=X, Y=y))
     pattern = tuple(j > 0 for j in entries)
+    if pattern in _ZERO_PATTERNS:
+        return 0.0
+    if pattern not in _CLOSED_PATTERNS:
+        raise CapabilityError(f"multi-index {entries} is outside the closed-form catalog")
 
-    if len(entries) == 2 and pattern in ((True, False), (True, True)):
-        return 0.0  # (r, 0) and (r1, r2)
-    if len(entries) == 3:
-        if pattern in ((True, True, True), (True, True, False), (True, False, True)):
-            return 0.0  # (r1, r2, r3), (r1, r2, 0) and (r1, 0, r2)
-        if pattern != (False, True, True):
-            raise CapabilityError(
-                f"multi-index {entries} is outside the closed-form catalog"
-            )
-
-    t = float(yv[d])
     c1 = _exp_vt(model.friction, t)
     sig = _paper_noise(model)
 
@@ -166,16 +165,11 @@ def g_alpha(model: LangevinModel, alpha: object, X: Array, y: Array) -> float:
             + model.friction * c1 * pot
             - 0.5 * model.friction * c2 * float(xpos @ model.mass @ xpos)
         )
-    if len(entries) == 2 and entries[0] == 0:
-        r = entries[1]
-        col = sig[:, r - 1]
+    if len(entries) == 2:
+        col = sig[:, entries[1] - 1]
         return float(col @ model.mass @ x[:d]) + model.friction * c1 * float(col @ yv[:d])
-    if len(entries) == 3 and entries[0] == 0 and entries[1] > 0 and entries[2] > 0:
-        r1, r2 = entries[1], entries[2]
-        return c1 * float(sig[:, r1 - 1] @ model.mass @ sig[:, r2 - 1])
-    raise CapabilityError(
-        f"multi-index {entries} is outside the closed-form catalog"
-    )
+    r1, r2 = entries[1], entries[2]
+    return c1 * float(sig[:, r1 - 1] @ model.mass @ sig[:, r2 - 1])
 
 
 def gf2_step_augmented(
@@ -186,21 +180,14 @@ def gf2_step_augmented(
     The only implicit coupling is the (h^2/2) (grad^2 F) M X^G term in the
     first d components; the clock advances exactly, Y^G_{d+1} = t_n + h, and
     the auxiliary coordinate X^G_{d+1} is carried but never read downstream.
-
-    Returns
-    -------
-    (XG, YG) : pair of (d+1,) ndarrays
+    (x, y) must form an :class:`AugmentedState` of dimension d + 1, and h and
+    dW pass :func:`langevin_gf.integrators.gf2_step`'s checks, with its
+    messages.  Returns (XG, YG), each of shape (d + 1,).
     """
     d = model.dim
-    xv = np.asarray(x, dtype=float).reshape(d + 1)
-    yv = np.asarray(y, dtype=float).reshape(d + 1)
-    t = float(yv[d])
-    if t < 0:
-        raise ArgumentError("the clock coordinate must be nonnegative")
+    xv, yv, t = _augmented(model, AugmentedState(X=x, Y=y))
     _check_step_size(h)
-    dw = np.zeros(model.noise_dim) if dW is None else np.asarray(dW, dtype=float).reshape(-1)
-    if dw.shape[0] != model.noise_dim:
-        raise ArgumentError("increment dimension does not match the model")
+    dw = _increment(model, dW)
 
     v = model.friction
     _exp_vt(v, t + h)  # the step's end clock must stay within range too

@@ -298,19 +298,22 @@ def _em_kernel(model: LangevinModel, h: float) -> Callable[[Array, Array, Array]
 _KERNELS = {"gf2": _Gf2Kernel, "em": _em_kernel}
 
 
+def _increment(model: LangevinModel, dW: object) -> Array:
+    """The (m,) increment of one step, zeros if omitted; refused unless finite and of size m."""
+    dw = np.zeros(model.noise_dim) if dW is None else np.asarray(dW, dtype=float).reshape(-1)
+    if dw.shape[0] != model.noise_dim:
+        raise ArgumentError(f"increment has dimension {dw.shape[0]}, expected {model.noise_dim}")
+    if not np.all(np.isfinite(dw)):
+        raise EvaluationError("increment contains non-finite entries")
+    return dw
+
+
 def _step_inputs(model: LangevinModel, z: PhaseState, h: float, dW: object) -> tuple:
     """Validated (h, Sigma dW) of one step from a single state."""
     if z.dim != model.dim:
         raise ArgumentError("state dimension does not match the model")
     _check_step_size(h)
-    dw = np.zeros(model.noise_dim) if dW is None else np.asarray(dW, dtype=float).reshape(-1)
-    if dw.shape[0] != model.noise_dim:
-        raise ArgumentError(
-            f"increment has dimension {dw.shape[0]}, expected {model.noise_dim}"
-        )
-    if not np.all(np.isfinite(dw)):
-        raise EvaluationError("increment contains non-finite entries")
-    return float(h), _matvec(model.noise, dw[None])
+    return float(h), _matvec(model.noise, _increment(model, dW)[None])
 
 
 def _single_step(

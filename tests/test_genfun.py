@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from langevin_gf.errors import ArgumentError, CapabilityError, RangeError
+from langevin_gf.errors import ArgumentError, CapabilityError, EvaluationError, RangeError
 from langevin_gf.genfun import (
     AugmentedState,
     from_augmented,
@@ -217,15 +217,53 @@ def test_multi_index_validation():
     model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     x = np.array([1.0, 0.0])
     y = np.array([1.0, 0.0])
-    assert g_alpha(model, [np.int64(0), 1.0], x, y) == g_alpha(model, (0, 1), x, y)
+    for alpha in [(0, 0), (0, 1), (0, 1, 1), (1, 0)]:
+        wide = [np.int64(j) for j in alpha]
+        assert g_alpha(model, wide, x, y).hex() == g_alpha(model, alpha, x, y).hex()
     cases = [
         ((1,), "multi-index length must be 2 or 3"),
         ((0, -1), "multi-index entries must be nonnegative"),
+    ] + [
+        ((0, entry), f"multi-index entries must be nonnegative; got {entry!r}, not an integer")
+        for entry in (1.5, 0.9, True, 1.0)
     ]
     for alpha, message in cases:
         with pytest.raises(ArgumentError) as info:
             g_alpha(model, alpha, x, y)
         assert str(info.value) == message
+
+
+def test_augmented_state_of_the_wrong_dimension_is_refused():
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
+    s = AugmentedState(X=[1.0, 2.0, 3.0], Y=[0.5, 0.25, 0.1])
+    calls = [
+        lambda: from_augmented(s, model),
+        lambda: hamiltonians(model, s),
+        lambda: g_alpha(model, (0, 1), s.X, s.Y),
+        lambda: gf2_step_augmented(model, s.X, s.Y, 0.1, [0.2]),
+    ]
+    for call in calls:
+        with pytest.raises(ArgumentError) as info:
+            call()
+        assert str(info.value) == "augmented state has dimension 3, expected 2"
+
+
+def test_augmented_step_refuses_increments_as_gf2_step_does():
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
+    z = PhaseState([1.0], [0.3])
+    s = to_augmented(z, 0.2, model)
+    cases = [
+        ([0.1, 0.2], ArgumentError, "increment has dimension 2, expected 1"),
+        ([np.nan], EvaluationError, "increment contains non-finite entries"),
+    ]
+    for dw, error, message in cases:
+        for step in (
+            lambda: gf2_step(model, z, 0.1, dw),
+            lambda: gf2_step_augmented(model, s.X, s.Y, 0.1, dw),
+        ):
+            with pytest.raises(error) as info:
+                step()
+            assert str(info.value) == message
 
 
 def test_augmented_free_case():
