@@ -34,13 +34,13 @@ from .integrators import (
     GaussianLaw,
     _chain_step,
     _check_spectrum,
-    _check_step_size,
     gf2_affine_map,
     linear_exact_moments,
     propagate_gaussian_chain,
 )
 from .mc import SeedPlan, _steps_for, one_step_ms_gap, weak_error_mc
 from .models import LangevinModel, PhaseState, _count, _on_rows, gibbs_density_fn
+from .models import _check_state, _step_size, _test_functions, _time
 
 Array = np.ndarray
 
@@ -120,6 +120,7 @@ def ergodic_reference(
     """
     if model.dim != 1:
         raise ArgumentError(f"the Gibbs quadrature is two-dimensional, got d = {model.dim}")
+    psis = _test_functions(psis)
     rho = _by_row_blocks(gibbs_density_fn(model), *_legendre_grid(box, n_nodes)[:2], "rho")
     # quad2d integrates on the same grid, so its integrands reuse rho as is.
     norm = quad2d(lambda p, q: rho, box, n_nodes)
@@ -239,8 +240,11 @@ def weak_error_linear(
     and both expectations from Gauss-Hermite quadrature.  Each law is
     computed, and its grid built, once for all psis.
     """
-    if model.dim != 1 or z0.dim != 1:
+    if model.dim != 1:
         raise ArgumentError("the deterministic weak-error pipeline is one-dimensional")
+    _check_state(model, z0)
+    psis = _test_functions(psis)
+    h, T = _step_size(h), _time(T)
     n_steps = _steps_for(h, T)
     exact = linear_exact_moments(model, z0, T)
     start = GaussianLaw(np.array([z0.p[0], z0.q[0]]), np.zeros((2, 2)))
@@ -249,17 +253,21 @@ def weak_error_linear(
     return np.abs(_law_means(fns, exact, n_nodes) - _law_means(fns, numeric, n_nodes))
 
 
-def fit_order(points: Iterable[tuple[float, float]]) -> tuple[float, float]:
-    """Least-squares slope and intercept of log(error) against log(h)."""
-    pts = [(float(h), float(err)) for h, err in points]
-    if len(pts) < 2:
-        raise ArgumentError("need at least 2 points to fit an order")
-    hs = [h for h, _ in pts]
-    errs = [err for _, err in pts]
-    if any(not (h > 0 and math.isfinite(h)) for h in hs):
-        raise ArgumentError("step sizes must be positive and finite")
+def _distinct_step_sizes(step_sizes: Iterable[float]) -> list[float]:
+    """The step sizes of an order curve as floats, refused if one repeats."""
+    hs = [_step_size(h) for h in step_sizes]
     if len(set(hs)) != len(hs):
         raise ArgumentError("step sizes must be distinct")
+    return hs
+
+
+def fit_order(points: Iterable[tuple[float, float]]) -> tuple[float, float]:
+    """Least-squares slope and intercept of log(error) against log(h)."""
+    pts = list(points)
+    if len(pts) < 2:
+        raise ArgumentError("need at least 2 points to fit an order")
+    hs = _distinct_step_sizes(h for h, _ in pts)
+    errs = [float(err) for _, err in pts]
     if any(not (err > 0 and math.isfinite(err)) for err in errs):
         raise ArgumentError(
             "errors must be positive and finite; floor values at the noise level first"
@@ -269,7 +277,9 @@ def fit_order(points: Iterable[tuple[float, float]]) -> tuple[float, float]:
 
 
 def conformal_defect(jac: Array, friction: float, h: float) -> float:
-    """Max-norm defect of J^T Omega J = e^(-vh) Omega on the 2d phase space."""
+    """Max-norm defect of J^T Omega J = e^(-vh) Omega on the 2d phase space,
+    for the map J over a time h >= 0."""
+    h = _time(h)
     mat = np.asarray(jac, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 != 0:
         raise ArgumentError(f"need a square even-dimensional matrix, got {mat.shape}")
@@ -298,7 +308,7 @@ class WeakOrderPoint:
     pipeline: str
 
     def __post_init__(self) -> None:
-        _check_step_size(self.h)
+        object.__setattr__(self, "h", _step_size(self.h))
         if not self.std_error >= 0:
             raise ArgumentError("std_error must be nonnegative")
         if self.pipeline not in _PIPELINES:
@@ -318,9 +328,7 @@ class WeakOrderReport:
     def __post_init__(self) -> None:
         if len(self.points) < 2:
             raise ArgumentError("a weak-order report needs at least 2 points")
-        hs = [pt.h for pt in self.points]
-        if len(set(hs)) != len(hs):
-            raise ArgumentError("step sizes must be distinct")
+        _distinct_step_sizes(pt.h for pt in self.points)
         if not math.isfinite(self.slope):
             raise ArgumentError("fitted slope must be finite")
 
@@ -373,9 +381,13 @@ def linear_ergodic_series(
     Returns (times, means) with means of shape
     (len(initials), len(psis), n_steps + 1).
     """
-    n_steps = _count(n_steps, 0, "step count must be nonnegative")
-    if model.dim != 1 or any(z0.dim != 1 for z0 in initials):
+    if model.dim != 1:
         raise ArgumentError("the deterministic ergodic pipeline is one-dimensional")
+    for z0 in initials:
+        _check_state(model, z0)
+    psis = _test_functions(psis)
+    h = _step_size(h)
+    n_steps = _count(n_steps, 0, "step count must be nonnegative")
     amap = gf2_affine_map(model, h)
     noise_cov = h * (amap.G @ amap.G.T)
     centres = [np.array([z0.p[0], z0.q[0]]) for z0 in initials]
@@ -411,11 +423,12 @@ def _reports(
     step_sizes: Sequence[float], pipeline: str, table: Sequence[Sequence[tuple[float, float]]]
 ) -> list[WeakOrderReport]:
     """One order fit per test function j, of table[i][j] = (error, std_error)
-    at step_sizes[i].  No step sizes give one empty curve, which is refused."""
+    at step_sizes[i], floats that have passed :func:`_distinct_step_sizes`.
+    No step sizes give one empty curve, which is refused."""
     columns = zip(*table) if len(table) else [()]
     return [
         weak_order_report(
-            [WeakOrderPoint(float(h), *cell, pipeline) for h, cell in zip(step_sizes, column)]
+            [WeakOrderPoint(h, *cell, pipeline) for h, cell in zip(step_sizes, column)]
         )
         for column in columns
     ]
@@ -433,11 +446,12 @@ def linear_weak_order(
 
     The laws of each step size are computed once for all psis.
     """
+    hs, psis = _distinct_step_sizes(step_sizes), _test_functions(psis)
     table = [
-        [(float(e), 0.0) for e in weak_error_linear(model, psis, z0, float(h), T, n_nodes)]
-        for h in step_sizes
+        [(float(e), 0.0) for e in weak_error_linear(model, psis, z0, h, T, n_nodes)]
+        for h in hs
     ]
-    return _reports(step_sizes, "deterministic", table)
+    return _reports(hs, "deterministic", table)
 
 
 def mc_weak_order(
@@ -454,9 +468,10 @@ def mc_weak_order(
 
     One coupled Monte Carlo pass serves every step size and every psi.
     """
-    results = weak_error_mc(model, psis, z0, step_sizes, T, n_realizations, refine, plan)
+    hs = _distinct_step_sizes(step_sizes)
+    results = weak_error_mc(model, psis, z0, hs, T, n_realizations, refine, plan)
     table = [[(est.mean, est.std_error) for est in row] for row in results]
-    return _reports(step_sizes, "mc", table)
+    return _reports(hs, "mc", table)
 
 
 def local_ms_error(
@@ -468,5 +483,6 @@ def local_ms_error(
     plan: SeedPlan,
 ) -> WeakOrderReport:
     """Order fit of the one-step mean-square gap E ||Z(h) - Z_1||^2."""
-    results = one_step_ms_gap(model, z0, step_sizes, refine, n_realizations, plan)
-    return _reports(step_sizes, "mc", [[(gap.mean, gap.std_error)] for gap in results])[0]
+    hs = _distinct_step_sizes(step_sizes)
+    results = one_step_ms_gap(model, z0, hs, refine, n_realizations, plan)
+    return _reports(hs, "mc", [[(gap.mean, gap.std_error)] for gap in results])[0]

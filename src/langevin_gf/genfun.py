@@ -22,8 +22,9 @@ import math
 import numpy as np
 
 from .errors import ArgumentError, CapabilityError, EvaluationError, RangeError
-from .integrators import _check_step_matrix, _check_step_size, _increment
+from .integrators import _check_step_matrix, _increment
 from .models import LangevinModel, PhaseState, _count, eval_model
+from .models import _check_state, _step_size, _time
 
 Array = np.ndarray
 
@@ -75,10 +76,8 @@ def to_augmented(z: PhaseState, t: float, model: LangevinModel) -> AugmentedStat
     X_{d+1} = F(q) + p^T M p / 2 + sum_{r,i} sigma_r^i q_i; downstream maps
     carry it but never read it back.
     """
-    if t < 0:
-        raise ArgumentError("time must be nonnegative")
-    if z.dim != model.dim:
-        raise ArgumentError("state dimension does not match the model")
+    _check_state(model, z)
+    t = _time(t)
     scale = _exp_vt(model.friction, t)
     pot, _, _ = eval_model(model, z.q)
     sig = _paper_noise(model)
@@ -186,7 +185,7 @@ def gf2_step_augmented(
     """
     d = model.dim
     xv, yv, t = _augmented(model, AugmentedState(X=x, Y=y))
-    _check_step_size(h)
+    h = _step_size(h)
     dw = _increment(model, dW)
 
     v = model.friction

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from typing import Callable
 
 import numpy as np
@@ -41,6 +40,7 @@ from .errors import (
     StepSizeError,
 )
 from .models import LangevinModel, PhaseState, _check_symmetric, _count, _matvec, _on_rows
+from .models import _check_state, _step_size, _time
 
 Array = np.ndarray
 
@@ -97,15 +97,17 @@ class AffineStepMap:
     def __post_init__(self) -> None:
         B = np.ascontiguousarray(self.B, dtype=float)
         G = np.ascontiguousarray(self.G, dtype=float)
+        h = _step_size(self.h)
         if (B.ndim, G.ndim) != (2, 2) or B.shape != (len(G),) * 2 or len(G) % 2:
             raise ArgumentError(f"B must be 2d x 2d and G 2d x m, got {B.shape} and {G.shape}")
-        expected = math.exp(-self.friction * self.h * (B.shape[0] // 2))
+        expected = math.exp(-self.friction * h * (B.shape[0] // 2))
         if not abs(float(np.linalg.det(B)) - expected) <= _DET_RTOL * expected:
             raise ArgumentError(
                 "det(B) deviates from the conformal factor exp(-vhd)"
             )
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "G", G)
+        object.__setattr__(self, "h", h)
 
 
 def _check_step_matrix(step_matrix: Array, h: float | Array) -> None:
@@ -147,11 +149,6 @@ def _check_step_matrix(step_matrix: Array, h: float | Array) -> None:
             "reduce the step size",
             row=row,
         )
-
-
-def _check_step_size(h: object) -> None:
-    if isinstance(h, bool) or not (isinstance(h, numbers.Real) and h > 0 and math.isfinite(h)):
-        raise ArgumentError(f"step size must be positive and finite, got {h}")
 
 
 def _refuse_nonfinite(
@@ -310,10 +307,8 @@ def _increment(model: LangevinModel, dW: object) -> Array:
 
 def _step_inputs(model: LangevinModel, z: PhaseState, h: float, dW: object) -> tuple:
     """Validated (h, Sigma dW) of one step from a single state."""
-    if z.dim != model.dim:
-        raise ArgumentError("state dimension does not match the model")
-    _check_step_size(h)
-    return float(h), _matvec(model.noise, _increment(model, dW)[None])
+    _check_state(model, z)
+    return _step_size(h), _matvec(model.noise, _increment(model, dW)[None])
 
 
 def _single_step(
@@ -400,9 +395,16 @@ def simulate(
 
     Raises
     ------
-    Error subclasses from the step, re-raised with the failing step index;
-    other exceptions (e.g. from a custom force) propagate unchanged.
+    ArgumentError
+        Before any step, for a state, step size or noise array that its rule
+        refuses; the message names no step.
+    Error subclasses from step k
+        The step's own exception, its message prefixed in place with
+        ``step k: ``, so its type and ``row`` survive; other exceptions
+        (e.g. from a custom force) propagate unchanged.
     """
+    _check_state(model, z0)
+    h = _step_size(h)
     values = np.asarray(noise, dtype=float)
     if values.ndim != 2 or values.shape[1] != model.noise_dim:
         raise ArgumentError(
@@ -413,10 +415,9 @@ def simulate(
     n_ok = n_steps if finite_rows.all() else int(np.argmin(finite_rows))
     p = np.empty((n_steps + 1, model.dim))
     q = np.empty((n_steps + 1, model.dim))
+    p[0], q[0] = z0.p, z0.q
     k = 0
     try:
-        h = _step_inputs(model, z0, h, None)[0]
-        p[0], q[0] = z0.p, z0.q
         kicks = _matvec(model.noise, values[:n_ok])
         step = _Gf2Kernel(model, h)
         with np.errstate(all="ignore"):
@@ -427,7 +428,8 @@ def simulate(
             k = n_ok
             raise EvaluationError("increment contains non-finite entries")
     except Error as exc:
-        raise type(exc)(f"step {k}: {exc}") from exc
+        exc.args = (f"step {k}: {exc}",)  # in place, so the kernel's row survives
+        raise
     return h * np.arange(n_steps + 1), p, q
 
 
@@ -459,11 +461,9 @@ def linear_exact_moments(model: LangevinModel, z0: PhaseState, t: float) -> Gaus
     # that imports the package, and only this function uses it.
     import scipy.linalg
 
+    _check_state(model, z0)
+    t = _time(t)
     kmat, d, n = _stiffness(model), model.dim, 2 * model.dim
-    if z0.dim != d:
-        raise ArgumentError("state dimension does not match the model")
-    if not (t >= 0 and math.isfinite(t)):
-        raise ArgumentError(f"time must be nonnegative and finite, got {t}")
     z = np.concatenate([z0.p, z0.q])
     if t == 0.0:
         return GaussianLaw(mean=z, cov=np.zeros((n, n)))
@@ -492,8 +492,8 @@ def gf2_affine_map(model: LangevinModel, h: float) -> AffineStepMap:
     force vanishes at the origin, so the map has no offset, and
     det B = e^{-vhd} to rounding.
     """
+    h = _step_size(h)
     _stiffness(model)  # refuses every other model
-    _check_step_size(h)
     d, m = model.dim, model.noise_dim
     states = np.vstack([np.zeros((m, 2 * d)), np.eye(2 * d)])
     kick = _matvec(model.noise, np.eye(m + 2 * d, m))
@@ -509,6 +509,7 @@ def propagate_gaussian_chain(
     mean_{k+1} = B mean_k and cov_{k+1} = B cov_k B^T + h G G^T; h must equal amap.h.
     """
     n = _count(n, 0, "step count must be nonnegative")
+    h = _step_size(h)
     if h != amap.h:
         raise ArgumentError(f"step size {h} differs from the map's h={amap.h}")
     if amap.B.shape[0] != init.mean.shape[0]:

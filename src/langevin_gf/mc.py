@@ -66,8 +66,9 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ArgumentError, Error, EstimationError, EvaluationError, StepSizeError
-from .integrators import _KERNELS, _check_step_size
+from .integrators import _KERNELS
 from .models import LangevinModel, PhaseState, _count, _is_integer, _matvec, _on_rows
+from .models import _check_state, _step_size, _test_functions, _time
 
 Array = np.ndarray
 
@@ -174,7 +175,7 @@ class _SeedWords(ISeedSequence):
 def sample_increments(seed: int, n: int, m: int, h: float) -> Array:
     """Draw an (n, m) array of N(0, h) increments from the seeded generator."""
     n, m = (_count(x, 1, "step count and noise dimension must be at least 1") for x in (n, m))
-    _check_step_size(h)
+    h = _step_size(h)
     return generator_for(seed).standard_normal((n, m)) * math.sqrt(h)
 
 
@@ -411,10 +412,8 @@ def _block_steps(m: int) -> int:
 
 
 def _steps_for(h: float, horizon: float) -> int:
-    """Step count n with n * h equal to the horizon, to a relative 1e-9."""
-    _check_step_size(h)
-    if horizon < 0 or not math.isfinite(horizon):
-        raise ArgumentError(f"time horizon must be nonnegative and finite, got {horizon}")
+    """Step count n with n * h equal to the horizon, to a relative 1e-9, for a
+    step size and a horizon that have passed their rules."""
     n = round(horizon / h)
     if abs(n * h - horizon) > 1e-9 * abs(horizon):
         raise ArgumentError(f"horizon {horizon} is not an integer multiple of h={h}")
@@ -501,25 +500,21 @@ def _validate_run(
     model: LangevinModel, scheme: str, z0: PhaseState, step_sizes: Sequence[float],
     T: float | None, n_realizations: int, plan: SeedPlan, refine: int | None = None,
 ) -> tuple[list[tuple[float, int]], int]:
-    """The (h, n_steps) chains, each to time T or one step if T is None, and the
-    realization count of a call; every argument is checked once, before any fork."""
+    """The (h, n_steps) chains, each to the horizon T or one step if T is None, and
+    the realization count of a call; every argument is checked once, before any
+    fork.  The callers that take a horizon pass it through :func:`_time`."""
     if scheme not in _KERNELS:
         raise ArgumentError(f"unknown scheme {scheme!r}; expected one of {sorted(_KERNELS)}")
-    if z0.dim != model.dim:
-        raise ArgumentError("initial state dimension does not match the model")
+    _check_state(model, z0)
     n_realizations = _count(n_realizations, 2, "need at least 2 realizations")
     if not isinstance(plan, SeedPlan):
         raise ArgumentError("plan must be a SeedPlan")
     if refine is not None:
         _count(refine, 2, "refinement factor must be at least 2")
-    if not step_sizes:
+    hs = [_step_size(h) for h in step_sizes]
+    if not hs:
         raise ArgumentError("need at least one step size")
-    chains = []
-    for h in step_sizes:
-        if T is None:
-            _check_step_size(h)
-        chains.append((float(h), 1 if T is None else _steps_for(h, T)))
-    return chains, n_realizations
+    return [(h, 1 if T is None else _steps_for(h, T)) for h in hs], n_realizations
 
 
 class _ChainFailure(EstimationError):
@@ -621,7 +616,7 @@ def mc_expectation(
     docstring for the contract.  A trajectory leaving the numeric domain
     raises EstimationError naming the realization index, the step and h.
     """
-    chains, n_realizations = _validate_run(model, scheme, z0, [h], T, n_realizations, plan)
+    chains, n_realizations = _validate_run(model, scheme, z0, [h], _time(T), n_realizations, plan)
 
     def endpoint(state: _BatchState) -> Array:
         return psi(state.p, state.q)
@@ -649,11 +644,10 @@ def weak_error_mc(
     fine increments (common random numbers).  Every psi is evaluated on the
     same endpoints.  Returns results indexed [h][psi].
     """
+    psis = _test_functions(psis)
     chains, n_realizations = _validate_run(
-        model, "gf2", z0, step_sizes, T, n_realizations, plan, refine
+        model, "gf2", z0, step_sizes, _time(T), n_realizations, plan, refine
     )
-    if not psis:
-        raise ArgumentError("need at least one test function")
 
     def gap(psi: Callable[[Array, Array], Array]) -> Callable[..., Array]:
         return lambda coarse, fine: np.subtract(
@@ -704,11 +698,10 @@ def mc_step_means(
     reduces them to the first levels of each step's tree, the caller
     joining those subtrees at the aligned task bounds.
     """
+    psis = _test_functions(psis)
     [(h, _)], n_realizations = _validate_run(model, "gf2", z0, [h], None, n_realizations, plan)
     n_steps = _count(n_steps, 0, "step count must be nonnegative")
     k = len(psis)
-    if k == 0:
-        raise ArgumentError("need at least one test function")
     means = np.empty((k, n_steps + 1))
     for j, psi in enumerate(psis):
         means[j, :1] = _on_rows(psi(z0.p[None], z0.q[None]), z0.p[None], (), "psi")

@@ -12,13 +12,22 @@ evaluation of (F, f, grad^2 F), and the Boltzmann-Gibbs density of any model
 under fluctuation-dissipation.  Everything that reads a model takes the built
 :class:`LangevinModel`; :class:`LinearOscillator` and :class:`DoubleWell`
 only validate their parameters and build one.
+
+It also owns the argument rules that every public entry point of the package
+applies first, before any model call, draw or fork, each with its one
+message: a count (:func:`_count`), a step size (:func:`_step_size`, a finite
+real > 0), a time or horizon (:func:`_time`, a finite real >= 0), a phase
+state of the model's dimension (:func:`_check_state`) and a non-empty list of
+test functions (:func:`_test_functions`).  A bool is refused as a count, a
+step size or a time; a step size or a time is returned as a float.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable
+import numbers
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -54,6 +63,44 @@ def _count(value: object, minimum: int, message: str) -> int:
     if value < minimum:
         raise ArgumentError(message)
     return int(value)
+
+
+def _finite_real(value: object) -> bool:
+    """A real number, not a bool, that a float holds finitely."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _step_size(h: object) -> float:
+    """``h`` as a float; ArgumentError unless it is a finite real > 0."""
+    if not (_finite_real(h) and h > 0):
+        raise ArgumentError(f"step size must be positive and finite, got {h!r}")
+    return float(h)
+
+
+def _time(t: object) -> float:
+    """``t`` as a float; ArgumentError unless it is a finite real >= 0."""
+    if not (_finite_real(t) and t >= 0):
+        raise ArgumentError(f"time must be nonnegative and finite, got {t!r}")
+    return float(t)
+
+
+def _check_state(model: LangevinModel, z: PhaseState) -> None:
+    """ArgumentError unless the phase state z has the model's dimension."""
+    if z.dim != model.dim:
+        raise ArgumentError("state dimension does not match the model")
+
+
+def _test_functions(psis: Iterable[Callable]) -> list[Callable]:
+    """psis as a list; ArgumentError unless it holds at least one test function."""
+    psis = list(psis)
+    if not psis:
+        raise ArgumentError("need at least one test function")
+    return psis
 
 
 def _check_symmetric(matrix: Array, message: str) -> None:

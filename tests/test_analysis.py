@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from langevin_gf import analysis, mc
 from langevin_gf.analysis import (
     WeakOrderPoint,
     WeakOrderReport,
@@ -470,6 +471,35 @@ def test_mc_weak_order_smoke():
     assert math.isfinite(report.slope)
     assert all(pt.pipeline == "mc" for pt in report.points)
     assert 1.0 <= report.slope <= 3.2
+
+
+def test_order_curves_refuse_repeated_step_sizes_before_any_work(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("the run started before its step sizes were checked")
+
+    monkeypatch.setattr(mc, "_endpoint_values", reached)
+    monkeypatch.setattr(analysis, "weak_error_linear", reached)
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
+    z0, steps, plan = PhaseState([1.0], [0.0]), [0.125, 0.125, 0.0625], SeedPlan(0)
+    curves = [
+        lambda: linear_weak_order(model, [cos_sum], z0, 1.0, steps),
+        lambda: mc_weak_order(model, [cos_sum], z0, 1.0, steps, 20_000, 4, plan),
+        lambda: local_ms_error(model, z0, steps, 4, 20_000, plan),
+    ]
+    for curve in curves:
+        with pytest.raises(ArgumentError, match="^step sizes must be distinct$"):
+            curve()
+
+
+def test_an_integer_step_size_is_used_as_the_float_it_equals():
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
+    assert type(gf2_affine_map(model, 1).h) is float
+    runs = [
+        linear_ergodic_series(model, [cos_sum], [PhaseState([1.0], [0.0])], h, 3)
+        for h in (1, 1.0)
+    ]
+    assert runs[0][0].dtype == np.float64
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(*runs))
 
 
 def test_local_ms_error_third_order():

@@ -536,18 +536,21 @@ def test_simulate_names_the_failing_step():
         ([0.0, 0.0], math.sqrt(0.5), np.zeros((3, 1)), StepSizeError,
          "step 0: implicit step matrix has condition estimate 9.007e+15 "
          "at h=0.7071067811865476; reduce the step size"),
+        # Arguments are checked before any step, so they carry no step index;
+        # an empty run validates its inputs as a one-step run does.
         ([0.0, 0.0], -1.0, np.zeros((3, 1)), ArgumentError,
-         "step 0: step size must be positive and finite, got -1.0"),
-        # An empty run validates its inputs as a one-step run does.
+         "step size must be positive and finite, got -1.0"),
         ([[0.0, 0.0], [1.0, 1.0]], -1.0, np.zeros((0, 1)), ArgumentError,
-         "step 0: state dimension does not match the model"),
+         "state dimension does not match the model"),
         ([0.0, 1.0], math.nan, np.zeros((0, 1)), ArgumentError,
-         "step 0: step size must be positive and finite, got nan"),
+         "step size must be positive and finite, got nan"),
     ]
     for (p0, q0), h, noise, error, message in cases:
         with np.errstate(all="ignore"), pytest.raises(error) as info:
             simulate(model, PhaseState(p0, q0), h, noise)
         assert str(info.value) == message
+        if message.startswith("step 4:"):
+            assert info.value.row == 0  # the kernel's row survives the prefix
 
 
 def test_infinite_hessian_leaves_the_finite_numbers_on_every_path():
@@ -598,6 +601,30 @@ def test_simulate_propagates_foreign_exceptions_unchanged():
         simulate(model, PhaseState([0.0], [1.0]), h=0.1, noise=np.zeros((5, 1)))
     assert info.value.code == 7
     assert info.value.args == (7, "custom force refused")
+
+
+class _Refused(EvaluationError):
+    """A package error whose constructor takes other arguments than a message."""
+
+    def __init__(self, code: int, detail: str) -> None:
+        super().__init__(f"{detail} (code {code})", row=0)
+        self.code = code
+
+
+def test_simulate_prefixes_a_package_error_subclass_in_place():
+    calls = []
+
+    def force(q):
+        calls.append(q)
+        if len(calls) > 2:
+            raise _Refused(7, "custom force refused")
+        return q
+
+    model = dataclasses.replace(LinearOscillator(a=1.0, v=2.0, sigma=0.5).build(), force=force)
+    with pytest.raises(_Refused) as info:
+        simulate(model, PhaseState([0.0], [1.0]), h=0.1, noise=np.zeros((5, 1)))
+    assert str(info.value) == "step 2: custom force refused (code 7)"
+    assert (info.value.code, info.value.row) == (7, 0)
 
 
 def test_linear_exact_moments_endpoints():

@@ -2,7 +2,8 @@
 
 No linter ships with the test environment, so two of its checks live here:
 a module-level private name that nothing in ``src/`` loads is dead code, and
-an import that its module never uses is left over from a deletion.
+an import that its module never uses is left over from a deletion.  A third
+keeps each argument rule in one place: its message is written once.
 """
 
 from __future__ import annotations
@@ -11,6 +12,14 @@ import ast
 import pathlib
 
 SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "langevin_gf").glob("*.py"))
+
+# The message of each argument rule that every entry point applies.
+RULE_MESSAGES = (
+    "step size must be positive and finite",
+    "time must be nonnegative and finite",
+    "state dimension does not match the model",
+    "need at least one test function",
+)
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -71,3 +80,11 @@ def test_every_import_is_used_in_its_module():
                     if bound not in loaded:
                         unused.append(f"{module}: {alias.name}")
     assert unused == []
+
+
+def test_each_argument_rule_is_written_once():
+    copies = {
+        message: [path.name for path in SOURCES for _ in range(path.read_text().count(message))]
+        for message in RULE_MESSAGES
+    }
+    assert copies == {message: ["models.py"] for message in RULE_MESSAGES}

@@ -14,11 +14,22 @@ from numpy.testing import assert_allclose
 
 from langevin_gf import mc
 from langevin_gf.errors import ArgumentError, EstimationError, EvaluationError, StepSizeError
-from langevin_gf.analysis import ergodic_reference, linear_ergodic_series, weak_error_linear
+from langevin_gf.analysis import (
+    conformal_defect,
+    ergodic_reference,
+    fit_order,
+    linear_ergodic_series,
+    linear_weak_order,
+    mc_weak_order,
+    weak_error_linear,
+)
+from langevin_gf.genfun import to_augmented
 from langevin_gf.integrators import (
+    AffineStepMap,
     GaussianLaw,
     gf2_affine_map,
     gf2_step,
+    linear_exact_moments,
     propagate_gaussian_chain,
     simulate,
 )
@@ -33,6 +44,7 @@ from langevin_gf.mc import (
     mc_expectation,
     mc_step_means,
     mean_and_se,
+    one_step_ms_gap,
     pairwise_sum,
     sample_increments,
     weak_error_mc,
@@ -957,39 +969,163 @@ def test_mc_expectation_argument_errors():
 _LINEAR = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
 _Z0 = PhaseState([0.0], [1.0])
 # Counts that are not integers, and bools as an index or a step size.
+_STEP = "step size must be positive and finite, got "
+_TIME = "time must be nonnegative and finite, got "
+_STATE = "state dimension does not match the model"
+_NO_PSI = "need at least one test function"
+_Z0_D2 = PhaseState([0.0, 0.0], [1.0, 1.0])
+_LAW = GaussianLaw(np.zeros(2), np.zeros((2, 2)))
+
+# name -> (whole message, call): each argument kind has one rule and one
+# message, raised before any work on every entry point that takes it.
 _WRONG_TYPES = {
-    "realizations_float": lambda: mc_expectation(
-        _LINEAR, "gf2", cos_sum, _Z0, 0.25, 1.0, 100.0, SeedPlan(1)
+    "realizations_float": (
+        "need at least 2 realizations; got 100.0, not an integer",
+        lambda: mc_expectation(_LINEAR, "gf2", cos_sum, _Z0, 0.25, 1.0, 100.0, SeedPlan(1)),
     ),
-    "refine_float": lambda: weak_error_mc(
-        _LINEAR, [cos_sum], _Z0, [0.25], 1.0, 16, 2.5, SeedPlan(1)
+    "refine_float": (
+        "refinement factor must be at least 2; got 2.5, not an integer",
+        lambda: weak_error_mc(_LINEAR, [cos_sum], _Z0, [0.25], 1.0, 16, 2.5, SeedPlan(1)),
     ),
-    "step_means_n_steps_float": lambda: mc_step_means(
-        _LINEAR, [cos_sum], _Z0, 0.25, 4.0, 16, SeedPlan(1)
+    "step_means_n_steps_float": (
+        "step count must be nonnegative; got 4.0, not an integer",
+        lambda: mc_step_means(_LINEAR, [cos_sum], _Z0, 0.25, 4.0, 16, SeedPlan(1)),
     ),
-    "increments_n_float": lambda: sample_increments(1, 4.0, 1, 0.1),
-    "ergodic_series_n_steps_float": lambda: linear_ergodic_series(
-        _LINEAR, [cos_sum], [_Z0], 0.25, 4.0
+    "increments_n_float": (
+        "step count and noise dimension must be at least 1; got 4.0, not an integer",
+        lambda: sample_increments(1, 4.0, 1, 0.1),
     ),
-    "chain_n_float": lambda: propagate_gaussian_chain(
-        gf2_affine_map(_LINEAR, 0.25), GaussianLaw(np.zeros(2), np.zeros((2, 2))), 2.0, 0.25
+    "ergodic_series_n_steps_float": (
+        "step count must be nonnegative; got 4.0, not an integer",
+        lambda: linear_ergodic_series(_LINEAR, [cos_sum], [_Z0], 0.25, 4.0),
     ),
-    "ergodic_reference_nodes_float": lambda: ergodic_reference(_LINEAR, [cos_sum], n_nodes=50.0),
-    "weak_error_linear_nodes_float": lambda: weak_error_linear(
-        _LINEAR, [cos_sum], _Z0, 0.25, 1.0, n_nodes=8.0
+    "chain_n_float": (
+        "step count must be nonnegative; got 2.0, not an integer",
+        lambda: propagate_gaussian_chain(gf2_affine_map(_LINEAR, 0.25), _LAW, 2.0, 0.25),
     ),
-    "seed_index_bool": lambda: derive_seed(SeedPlan(1), True),
-    "step_size_bool": lambda: simulate(_LINEAR, _Z0, True, np.zeros((2, 1))),
-    "coupled_step_size_bool": lambda: weak_error_mc(
-        _LINEAR, [cos_sum], _Z0, [True], 1.0, 16, 2, SeedPlan(1)
+    "ergodic_reference_nodes_float": (
+        "need at least 2 quadrature nodes per axis; got 50.0, not an integer",
+        lambda: ergodic_reference(_LINEAR, [cos_sum], n_nodes=50.0),
+    ),
+    "weak_error_linear_nodes_float": (
+        "need at least 1 quadrature node per axis; got 8.0, not an integer",
+        lambda: weak_error_linear(_LINEAR, [cos_sum], _Z0, 0.25, 1.0, n_nodes=8.0),
+    ),
+    "seed_index_bool": (
+        "realization index must be nonnegative; got True, not an integer",
+        lambda: derive_seed(SeedPlan(1), True),
+    ),
+    "step_size_bool": (_STEP + "True", lambda: simulate(_LINEAR, _Z0, True, np.zeros((2, 1)))),
+    "coupled_step_size_bool": (
+        _STEP + "True",
+        lambda: weak_error_mc(_LINEAR, [cos_sum], _Z0, [True], 1.0, 16, 2, SeedPlan(1)),
+    ),
+    # Step sizes.
+    "step_size_huge_int": (_STEP + str(10**400), lambda: gf2_step(_LINEAR, _Z0, 10**400)),
+    "step_size_none": (
+        _STEP + "None",
+        lambda: mc_expectation(_LINEAR, "gf2", cos_sum, _Z0, None, 1.0, 16, SeedPlan(1)),
+    ),
+    "coupled_step_size_array": (
+        _STEP + "array([0.125])",
+        lambda: weak_error_mc(
+            _LINEAR, [cos_sum], _Z0, [np.array([0.125])], 1.0, 16, 2, SeedPlan(1)
+        ),
+    ),
+    "chain_step_size_bool": (
+        _STEP + "True",
+        lambda: propagate_gaussian_chain(gf2_affine_map(_LINEAR, 1.0), _LAW, 2, True),
+    ),
+    "affine_map_step_size_str": (
+        _STEP + "'0.1'",
+        lambda: AffineStepMap(np.eye(2), np.ones((2, 1)), friction=0.0, h="0.1"),
+    ),
+    "linear_weak_order_step_size_str": (
+        _STEP + "'0.1'",
+        lambda: linear_weak_order(_LINEAR, [cos_sum], _Z0, 1.0, ["0.1", 0.25]),
+    ),
+    "mc_weak_order_step_size_none": (
+        _STEP + "None",
+        lambda: mc_weak_order(_LINEAR, [cos_sum], _Z0, 1.0, [None, 0.25], 16, 2, SeedPlan(1)),
+    ),
+    "fit_order_step_size_bool": (_STEP + "True", lambda: fit_order([(True, 1.0), (0.5, 2.0)])),
+    # Times and horizons.
+    "horizon_none": (
+        _TIME + "None",
+        lambda: mc_expectation(_LINEAR, "gf2", cos_sum, _Z0, 0.25, None, 16, SeedPlan(1)),
+    ),
+    "horizon_bool": (
+        _TIME + "True",
+        lambda: mc_expectation(_LINEAR, "gf2", cos_sum, _Z0, 0.25, True, 16, SeedPlan(1)),
+    ),
+    "coupled_horizon_none": (
+        _TIME + "None",
+        lambda: weak_error_mc(_LINEAR, [cos_sum], _Z0, [0.25], None, 16, 2, SeedPlan(1)),
+    ),
+    "coupled_horizon_str": (
+        _TIME + "'1'",
+        lambda: weak_error_mc(_LINEAR, [cos_sum], _Z0, [0.25], "1", 16, 2, SeedPlan(1)),
+    ),
+    "weak_error_linear_horizon_array": (
+        _TIME + "array([1.])",
+        lambda: weak_error_linear(_LINEAR, [cos_sum], _Z0, 0.25, np.array([1.0])),
+    ),
+    "linear_weak_order_horizon_none": (
+        _TIME + "None",
+        lambda: linear_weak_order(_LINEAR, [cos_sum], _Z0, None, [0.5, 0.25]),
+    ),
+    "mc_weak_order_horizon_str": (
+        _TIME + "'1'",
+        lambda: mc_weak_order(_LINEAR, [cos_sum], _Z0, "1", [0.5, 0.25], 16, 2, SeedPlan(1)),
+    ),
+    "exact_moments_time_bool": (_TIME + "True", lambda: linear_exact_moments(_LINEAR, _Z0, True)),
+    "to_augmented_time_none": (_TIME + "None", lambda: to_augmented(_Z0, None, _LINEAR)),
+    "conformal_defect_time_str": (_TIME + "'1'", lambda: conformal_defect(np.eye(2), 2.0, "1")),
+    # Lists of test functions.
+    "weak_error_linear_no_psi": (
+        _NO_PSI, lambda: weak_error_linear(_LINEAR, [], _Z0, 0.25, 1.0)
+    ),
+    "linear_weak_order_no_psi": (
+        _NO_PSI, lambda: linear_weak_order(_LINEAR, [], _Z0, 1.0, [0.5, 0.25])
+    ),
+    "ergodic_series_no_psi": (
+        _NO_PSI, lambda: linear_ergodic_series(_LINEAR, [], [_Z0], 0.25, 2)
+    ),
+    "ergodic_reference_no_psi": (_NO_PSI, lambda: ergodic_reference(_LINEAR, [], n_nodes=20)),
+    # States of another dimension than the model's.
+    "simulate_state_d2": (_STATE, lambda: simulate(_LINEAR, _Z0_D2, 0.1, np.zeros((2, 1)))),
+    "expectation_state_d2": (
+        _STATE,
+        lambda: mc_expectation(_LINEAR, "gf2", cos_sum, _Z0_D2, 0.25, 1.0, 16, SeedPlan(1)),
+    ),
+    "coupled_state_d2": (
+        _STATE,
+        lambda: weak_error_mc(_LINEAR, [cos_sum], _Z0_D2, [0.25], 1.0, 16, 2, SeedPlan(1)),
+    ),
+    "ms_gap_state_d2": (
+        _STATE, lambda: one_step_ms_gap(_LINEAR, _Z0_D2, [0.25], 2, 16, SeedPlan(1))
+    ),
+    "step_means_state_d2": (
+        _STATE, lambda: mc_step_means(_LINEAR, [cos_sum], _Z0_D2, 0.25, 2, 16, SeedPlan(1))
+    ),
+    "weak_error_linear_state_d2": (
+        _STATE, lambda: weak_error_linear(_LINEAR, [cos_sum], _Z0_D2, 0.25, 1.0)
+    ),
+    "linear_weak_order_state_d2": (
+        _STATE, lambda: linear_weak_order(_LINEAR, [cos_sum], _Z0_D2, 1.0, [0.5, 0.25])
+    ),
+    "ergodic_series_state_d2": (
+        _STATE, lambda: linear_ergodic_series(_LINEAR, [cos_sum], [_Z0, _Z0_D2], 0.25, 2)
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_WRONG_TYPES))
 def test_counts_and_step_sizes_of_the_wrong_type_are_refused(name):
-    with pytest.raises(ArgumentError):
-        _WRONG_TYPES[name]()
+    message, call = _WRONG_TYPES[name]
+    with pytest.raises(ArgumentError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_numpy_integer_counts_give_the_bits_of_python_integers():
