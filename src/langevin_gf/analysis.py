@@ -383,6 +383,8 @@ def linear_ergodic_series(
     """
     if model.dim != 1:
         raise ArgumentError("the deterministic ergodic pipeline is one-dimensional")
+    if not initials:
+        raise ArgumentError("need at least one initial state")
     for z0 in initials:
         _check_state(model, z0)
     psis = _test_functions(psis)

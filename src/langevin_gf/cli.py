@@ -469,8 +469,9 @@ def _structure_table(
     model: LangevinModel, trials: Sequence[_StructureTrial], volume_steps: int
 ) -> list[tuple]:
     """The rows of all trials from one batch; if it fails, the first failing
-    trial run alone, raised as ``trial i, step k: <reason>``.  A row's bits
-    do not depend on the batch, so this is what a trial-by-trial run raises.
+    trial run alone, raised as ``trial i, step k: <reason>`` with its ``row``,
+    when set, made i.  A row's bits do not depend on the batch, so this is
+    what a trial-by-trial run raises.
     """
     try:
         return _structure_rows(model, trials, volume_steps)
@@ -479,7 +480,9 @@ def _structure_table(
             try:
                 _structure_rows(model, [trial], volume_steps)
             except Error as exc:
-                raise type(exc)(f"trial {i}, {exc}") from exc
+                exc.args = (f"trial {i}, {exc}",)  # in place, so the type survives
+                exc.row = None if exc.row is None else i
+                raise
         raise
 
 

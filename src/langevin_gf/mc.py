@@ -15,7 +15,8 @@ counts, kernel widths and draw block sizes for a fixed :class:`SeedPlan`:
   each realization alone;
 * the tasks run on :func:`resolve_threads` processes (the CPUs this process
   may use): the caller forks the other workers once per estimator call and
-  runs the first share of the tasks itself.  A task writes only its own slots
+  runs the first share of the tasks itself; each worker runs its share once
+  and exits.  A task writes only its own slots
   of a buffer shared with the workers, and failures come back to the caller,
   which raises the one a run in task order would raise, so the worker count
   changes neither a value nor an error.  One task, one CPU or another live
@@ -42,10 +43,11 @@ unscaled normals once; one chain (or coupled coarse/fine pair) per step size
 advances on it one coarse step at a time, scaling only that step's slice, so
 the block is the task's one large buffer and every step size keeps the bits
 of a call with it alone.
-``mc_step_means`` runs one round per chunk of steps: each task advances its
-realizations, which it holds across rounds, and builds the first levels of
-each step's pairwise tree over them; the caller finishes each tree.  Task
-bounds sit on the tree's grid, so the joined subtrees are the whole tree.
+``mc_step_means`` runs each task once through every step, drawing chunk by
+chunk: the task reduces each step's values over its own realizations to the
+level-L nodes (L <= 8) of that step's pairwise tree, and the caller finishes
+each tree after the tasks end.  Task bounds sit on the tree's grid, so the
+joined subtrees are the whole tree.
 
 Seeding is one vectorised pass per task that reproduces
 ``SeedSequence(derive_seed(plan, i))`` word for word; the normal transform
@@ -60,7 +62,7 @@ import math
 import os
 import pickle
 import threading
-from typing import Callable, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -244,32 +246,34 @@ def _is_trajectory_failure(exc: BaseException) -> bool:
 
 
 class _Workers:
-    """Forked processes that run one call's kernel tasks, round by round.
+    """Forked processes that run one call's kernel tasks, once each.
 
-    A round runs ``task(b)`` once for every task b.  Task b always runs in
-    the same process: the caller runs the first contiguous share of the task
-    indices and each worker, forked at the first round, one later share, so
-    whatever a task keeps between rounds stays in the process that made it.
-    Tasks write their values into memory mapped before the fork
-    (:func:`_shared_empty`); a worker starts a round when the caller writes
-    one byte to its control pipe and ends it by sending back its pickled
-    (task, exception) failures.  The round then raises what running the
-    tasks in index order would raise.  One task, one CPU or another live
-    thread (which a fork would not copy) keeps every task on the caller.
+    The caller runs the first contiguous share of the task indices itself;
+    each worker, forked on entry, runs one later share, sends back its
+    pickled (task, exception) failures and exits.  Tasks write their values
+    into memory mapped before the fork (:func:`_shared_empty`).  :meth:`run`
+    raises what running the tasks in index order would raise.  One task,
+    one CPU or another live thread (which a fork would not copy) keeps every
+    task on the caller.
     """
 
     def __init__(self, task: Callable[[int], None], n_tasks: int) -> None:
         self.task = task
         n = 1 if threading.active_count() > 1 else min(resolve_threads(), n_tasks)
         self.shares = [range(w * n_tasks // n, (w + 1) * n_tasks // n) for w in range(n)]
-        self.children: dict[int, tuple] = {}  # live pid -> (control pipe, results pipe)
+        self.children: dict[int, BinaryIO] = {}  # live pid -> results pipe
 
     def __enter__(self) -> "_Workers":
+        try:
+            for share in self.shares[1:]:
+                self._fork(share)
+        except BaseException:
+            self.__exit__(OSError)
+            raise
         return self
 
     def __exit__(self, exc_type: object, *_: object) -> None:
-        for pid, (control, results) in self.children.items():
-            control.close()  # an idle worker reads the end of input and exits
+        for pid, results in self.children.items():
             results.close()
             if exc_type is not None:
                 import signal  # only a failed call kills its workers
@@ -279,32 +283,26 @@ class _Workers:
         self.children.clear()
 
     def _fork(self, share: range) -> None:
-        control_r, control_w = os.pipe()
         results_r, results_w = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            for fd in (control_r, control_w, results_r, results_w):
-                os.close(fd)
+            os.close(results_r)
+            os.close(results_w)
             raise
         if pid == 0:
             status = 1
             try:
-                os.close(control_w)
                 os.close(results_r)
-                for control, results in self.children.values():
-                    control.close()
+                for results in self.children.values():
                     results.close()
-                with open(control_r, "rb", buffering=0) as go, open(results_w, "wb") as out:
-                    while go.read(1):
-                        pickle.dump([(b, _portable(e)) for b, e in self._run(share)], out)
-                        out.flush()
+                with open(results_w, "wb") as out:
+                    pickle.dump([(b, _portable(e)) for b, e in self._run(share)], out)
                 status = 0
             finally:
                 os._exit(status)
-        os.close(control_r)
         os.close(results_w)
-        self.children[pid] = open(control_w, "wb", buffering=0), open(results_r, "rb")
+        self.children[pid] = open(results_r, "rb")
 
     def _run(self, share: range) -> list[tuple[int, Exception]]:
         """Failures of the tasks in share, in order up to the first non-trajectory one."""
@@ -319,12 +317,11 @@ class _Workers:
         return failures
 
     def _receive(self, pid: int) -> list[tuple[int, Exception]]:
-        control, results = self.children[pid]
+        results = self.children[pid]
         try:
             return pickle.load(results)
         except (EOFError, pickle.UnpicklingError):
             del self.children[pid]
-            control.close()
             results.close()
             _, status = os.waitpid(pid, 0)
             raise EstimationError(
@@ -338,14 +335,6 @@ class _Workers:
         That is the lowest task's non-trajectory failure if there is one,
         otherwise the earliest trajectory failure over all tasks.
         """
-        if not self.children:
-            for share in self.shares[1:]:
-                self._fork(share)
-        for control, _ in self.children.values():
-            try:
-                control.write(b"\0")
-            except BrokenPipeError:
-                pass  # the worker is gone; _receive reports how it ended
         failures = self._run(self.shares[0])
         for pid in list(self.children):
             failures += self._receive(pid)
@@ -693,10 +682,12 @@ def mc_step_means(
     """Ensemble mean of each test function after every step.
 
     Returns (times, means) with times of shape (n_steps+1,) and means of
-    shape (len(psis), n_steps+1); column 0 is the point mass at z0.  Memory
-    stays bounded: a task holds a few steps' psi values at a time and
-    reduces them to the first levels of each step's tree, the caller
-    joining those subtrees at the aligned task bounds.
+    shape (len(psis), n_steps+1); column 0 is the point mass at z0.  A task
+    holds _STAGE steps' psi values at a time and reduces them to the level-L
+    nodes of each step's tree, which it writes to one buffer shared with the
+    workers: 8 k n_steps ceil(R / 2^L) bytes for k test functions and R
+    realizations, L <= 8.  The caller joins those subtrees at the aligned
+    task bounds.
     """
     psis = _test_functions(psis)
     [(h, _)], n_realizations = _validate_run(model, "gf2", z0, [h], None, n_realizations, plan)
@@ -711,28 +702,24 @@ def mc_step_means(
     # tree's level-L nodes of its own realizations and the caller the rest.
     grain = math.gcd(1 << _TASK_LEVELS, *(lo for lo, _ in bounds))
     levels = grain.bit_length() - 1
-    nodes = _shared_empty((min(chunk, n_steps), k, -(-n_realizations // grain)))
-    progress: dict[int, tuple[_BatchState, int]] = {}
+    nodes = _shared_empty((n_steps, k, -(-n_realizations // grain)))
 
-    def advance(b: int) -> None:
-        """Advance task b by one chunk; its state lives in the process that runs it."""
+    def task(b: int) -> None:
         lo, hi = bounds[b]
-        state, done = progress.get(b) or (_BatchState(z0, plan, lo, hi), 0)
-        length = min(chunk, n_steps - done)
-        dw = state.draw(length, model.noise_dim, h)
+        state = _BatchState(z0, plan, lo, hi)
         staged = np.empty((_STAGE, k, hi - lo))
-        for s in range(0, length, _STAGE):
-            rows = dw[:, s: s + _STAGE]
-            _advance_chunk(model, "gf2", state, h, rows, done + s, psis, staged)
-            own = pairwise_sum(staged[: rows.shape[1]], axis=2, levels=levels)
-            nodes[s: s + rows.shape[1], :, lo // grain: -(-hi // grain)] = own
-        progress[b] = state, done + length
+        for done in range(0, n_steps, chunk):
+            dw = state.draw(min(chunk, n_steps - done), model.noise_dim, h)
+            for s in range(done, done + dw.shape[1], _STAGE):
+                rows = dw[:, s - done: s - done + _STAGE]
+                _advance_chunk(model, "gf2", state, h, rows, s, psis, staged)
+                own = pairwise_sum(staged[: rows.shape[1]], axis=2, levels=levels)
+                nodes[s: s + rows.shape[1], :, lo // grain: -(-hi // grain)] = own
 
-    with _Workers(advance, len(bounds)) as workers:
-        for start in range(0, n_steps, chunk):
-            workers.run()
-            sums = pairwise_sum(nodes[: min(chunk, n_steps - start)], axis=2)
-            means[:, start + 1: start + 1 + len(sums)] = sums.T / n_realizations
+    _map_batches(task, len(bounds))
+    for start in range(0, n_steps, chunk):
+        sums = pairwise_sum(nodes[start: start + chunk], axis=2)
+        means[:, start + 1: start + 1 + len(sums)] = sums.T / n_realizations
     if not np.isfinite(means).all():
         s, j = np.argwhere(~np.isfinite(means.T))[0]
         raise EvaluationError(f"the mean of psi {j} is non-finite at step {s}")

@@ -331,6 +331,14 @@ def test_linear_ergodic_series_nonfinite_psi():
         linear_ergodic_series(osc, [cos_sum, blows_up], [PhaseState([3.0], [1.0])], 0.125, 4)
 
 
+def test_linear_ergodic_series_refuses_an_empty_list_of_initials():
+    # An empty request once returned means of shape (0, k, n + 1).
+    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
+    with pytest.raises(ArgumentError) as info:
+        linear_ergodic_series(osc, [cos_sum], [], 0.25, 2)
+    assert str(info.value) == "need at least one initial state"
+
+
 def test_weak_error_linear_zero_horizon():
     model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     z0 = PhaseState([3.0], [1.0])

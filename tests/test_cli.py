@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -26,7 +27,8 @@ from langevin_gf.cli import (
 from langevin_gf.errors import ConfigError, Error, EvaluationError, StepSizeError
 from langevin_gf.integrators import gf2_jacobian, gf2_step
 from langevin_gf.mc import SeedPlan, derive_seed, generator_for
-from langevin_gf.models import DoubleWell, LangevinModel, PhaseState
+from langevin_gf.models import DoubleWell, LangevinModel, LinearOscillator, PhaseState
+from test_integrators import _Refused
 
 
 def linear_section() -> dict:
@@ -564,6 +566,39 @@ def test_structure_refused_step_is_replayed_to_the_failing_trial():
     reason = r"^trial 2, step 0: implicit step matrix .* at h=0\.125; "
     with pytest.raises(StepSizeError, match=reason):
         _structure_table(model, trials, 4)
+
+
+def test_structure_replay_prefixes_the_failing_trial_in_place():
+    # The replay adds ``trial i, `` to the error the trial raised alone,
+    # keeping its class and attributes, where rebuilding it from the message
+    # once gave a TypeError for _Refused's constructor.  A refusal's row, 0
+    # in the one-trial replay, becomes the trial's index in the batch.
+    trials = [
+        _StructureTrial(PhaseState([0.0], [0.1 * i]), h, 0.5, np.zeros(1), np.zeros((4, 1)))
+        for i, h in enumerate([0.1, 0.2, 0.125, 0.15])
+    ]
+    # Without noise the oscillator never leaves |q| <= 0.2 from q <= 0.2, so
+    # only trial 3, started at q = 0.3, meets the refusing force.
+    linear = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
+
+    def force(q):
+        if np.any(q[..., 0] > 0.25):
+            raise _Refused(7, "custom force refused")
+        return linear.force(q)
+
+    model = dataclasses.replace(linear, force=force)
+    with pytest.raises(_Refused) as info:
+        _structure_table(model, trials, 4)
+    assert str(info.value) == "trial 3, step 0: custom force refused (code 7)"
+    assert (info.value.code, info.value.row) == (7, 3)
+
+    model = dataclasses.replace(
+        linear, force=lambda q: np.where(q > 0.25, np.nan, linear.force(q))
+    )
+    with pytest.raises(EvaluationError) as info:
+        _structure_table(model, trials, 4)
+    assert str(info.value) == "trial 3, step 0: step produced a non-finite state at h=0.15"
+    assert info.value.row == 3
 
 
 def _trial_by_trial_failure(model, trials) -> tuple[type, str] | None:

@@ -463,6 +463,57 @@ def test_blowup_in_a_worker_share_reports_as_on_one_worker(monkeypatch):
     assert math.isfinite(res.mean)
 
 
+def test_step_means_failure_is_the_earliest_across_processes_and_chunks(monkeypatch):
+    # The run above through mc_step_means with one step per draw chunk: the
+    # second task fails at step 10 while the first runs on through later
+    # chunks, so the report must not depend on which process or chunk a
+    # task has reached when another fails.
+    model = DoubleWell(v=4.0, beta=2.0).build()
+    z0, h, plan = PhaseState([0.0], [1.5]), 0.28, SeedPlan(5)
+    monkeypatch.setattr(mc, "DRAW_BLOCK", 2**12)
+    assert mc._block_steps(model.noise_dim) == 1
+    for workers in (1, 2):
+        monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
+        with pytest.raises(EstimationError) as info:
+            mc_step_means(model, [cos_sum], z0, h, 40, 5000, plan)
+        assert str(info.value) == (
+            "realization 4253, step 10: step produced a non-finite state at h=0.28"
+        )
+        assert info.value.where == (10, 1, 4253)
+        _assert_no_child_left()
+
+
+def test_every_estimator_call_reaches_the_pool_through_one_map_batches(monkeypatch):
+    # _map_batches is the one door to the workers, which the benchmark
+    # tracer wraps: every estimator call opens the pool once, through it.
+    monkeypatch.setattr(mc, "resolve_threads", lambda: 2)
+    entries, pools = [], []
+    map_batches, workers = mc._map_batches, mc._Workers
+
+    def counted_map(task, n_batches):
+        entries.append(n_batches)
+        return map_batches(task, n_batches)
+
+    def counted_workers(task, n_tasks):
+        pools.append(n_tasks)
+        return workers(task, n_tasks)
+
+    monkeypatch.setattr(mc, "_map_batches", counted_map)
+    monkeypatch.setattr(mc, "_Workers", counted_workers)
+    model, z0, plan = DoubleWell(v=4.0, beta=2.0).build(), PhaseState([0.0], [1.0]), SeedPlan(1)
+    for call in (
+        lambda: mc_expectation(model, "gf2", cos_sum, z0, 0.125, 0.5, 5000, plan),
+        lambda: weak_error_mc(model, [cos_sum], z0, [0.25, 0.125], 0.5, 5000, 2, plan),
+        lambda: one_step_ms_gap(model, z0, [0.25, 0.125], 4, 5000, plan),
+        lambda: mc_step_means(model, [cos_sum], z0, 0.125, 4, 5000, plan),
+    ):
+        entries.clear()
+        pools.clear()
+        call()
+        assert entries == pools == [2]
+    _assert_no_child_left()
+
+
 def test_a_package_error_without_a_row_propagates_unchanged(monkeypatch):
     # A force that itself raises EvaluationError is not a refused state: the
     # engine adds no location and keeps its class, on either worker count.
@@ -731,8 +782,8 @@ def test_outputs_are_identical_on_one_and_two_workers(monkeypatch, name):
 
 
 # (kernel width, draw block, test functions, steps) of the runs below.  A
-# small draw block meets the workers every few steps, fewer than a task
-# stages before it reduces them.  With the large one each run is one chunk
+# small draw block ends a chunk every few steps, fewer than a task stages
+# before it reduces them.  With the large one each run is one chunk
 # whose last stage is short.  A width of 512 gives more tasks than workers.
 _ROUNDS = [
     (1000, 2**12, PSIS[:1], 20),
@@ -817,7 +868,7 @@ def test_dead_worker_is_reported_with_its_exit_status(monkeypatch):
             ("_advance_chunk", lambda: mc_step_means(
                 model, [cos_sum], z0, 0.125, 4, 5000, SeedPlan(1))),
             # The worker dies in the tree routine it runs on its own
-            # realizations inside the advance round.
+            # realizations inside its task.
             ("pairwise_sum", lambda: mc_step_means(
                 model, [cos_sum], z0, 0.125, 4, 5000, SeedPlan(1))),
         ):
@@ -1343,7 +1394,7 @@ def test_step_means_cast_every_psi_output():
 
 def test_step_means_share_tree_nodes_not_realizations(monkeypatch):
     # Each task reduces its own realizations, so no buffer shared with the
-    # workers holds more than chunk x k x ceil(R / 2^L) values.
+    # workers holds more than n_steps x k x ceil(R / 2^L) values.
     monkeypatch.setattr(mc, "resolve_threads", lambda: 2)
     shared_empty, shapes = mc._shared_empty, []
     monkeypatch.setattr(
@@ -1351,10 +1402,10 @@ def test_step_means_share_tree_nodes_not_realizations(monkeypatch):
     )
     model, z0 = DoubleWell(v=4.0, beta=2.0).build(), PhaseState([0.0], [1.0])
     bounds = mc._batch_bounds(5000)
-    chunk = mc._block_steps(model.noise_dim)
-    mc_step_means(model, PSIS, z0, 0.125, chunk + 5, 5000, SeedPlan(3))
+    n_steps = mc._block_steps(model.noise_dim) + 5  # more than one draw chunk
+    mc_step_means(model, PSIS, z0, 0.125, n_steps, 5000, SeedPlan(3))
     assert shapes
-    assert max(math.prod(shape) for shape in shapes) <= chunk * 3 * math.ceil(5000 / 256)
+    assert max(math.prod(shape) for shape in shapes) <= n_steps * 3 * math.ceil(5000 / 256)
     _assert_no_child_left()
 
 
