@@ -8,13 +8,13 @@ structure    per-trial structure metrics (conformal defect, phase volume,
              augmented/direct equivalence)
 simulate     one trajectory table
 
-Configs are JSON with exactly five sections: model, experiment, mc,
-quadrature, output.  Unknown keys are hard errors and every violation is
-reported at once, so a typo cannot silently change an experiment.  All
-floating-point output uses 17 significant digits, '.' decimal separator,
-comma field separator and LF line endings; re-running a command with the
-same config and seed reproduces each file byte for byte regardless of the
-kernel width.
+Configs are UTF-8 JSON with exactly five sections: model, experiment, mc,
+quadrature, output.  Unknown and repeated keys are hard errors and every
+violation is reported at once, so a typo cannot silently change an
+experiment.  All floating-point output uses 17 significant digits, '.'
+decimal separator, comma field separator and LF line endings; re-running a
+command with the same config and seed reproduces each file byte for byte
+regardless of the kernel width.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .analysis import (
 )
 from .errors import ArgumentError, ConfigError, Error
 from .genfun import AugmentedState, from_augmented, gf2_step_augmented, to_augmented
-from .integrators import _Gf2Kernel, simulate
+from .integrators import _Gf2Kernel, _iterate, simulate
 from .mc import SeedPlan, _steps_for, derive_seed, generator_for, mc_step_means
 from .mc import sample_increments
 from .models import DoubleWell, LangevinModel, LinearOscillator, PhaseState, _is_integer, _matvec
@@ -268,13 +268,20 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
 
 
 def load_config(path: str | Path, command: str) -> ExperimentConfig:
-    """Read and validate a JSON config file."""
+    """Read and validate a JSON config file; a key repeated in one object is refused."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        repeated = [key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i])]
+        if repeated:
+            raise ConfigError(f"config file {path} repeats the key {repeated[0]!r} in one object")
+        return dict(pairs)
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return parse_config(raw, command)
@@ -440,18 +447,17 @@ def _structure_rows(
     p = np.stack([trial.z.p for trial in trials])
     q = np.stack([trial.z.q for trial in trials])
     one_step_kicks = _matvec(model.noise, np.stack([trial.dw for trial in trials]))
-    volume_kicks = _matvec(model.noise, np.stack([trial.block for trial in trials]))
+    volume_kicks = _matvec(model.noise, np.stack([trial.block for trial in trials], axis=1))
     logdet = np.zeros(len(trials))
-    k = 0
+
+    def step(p: np.ndarray, q: np.ndarray, kick: np.ndarray) -> tuple:
+        hess, step_matrix, p1, q1 = kernel.update(p, q, kick)
+        return kernel.jacobian(q, hess, step_matrix, p1), p1, q1
+
     try:
-        with np.errstate(all="ignore"):
-            hess, step_matrix, p1, q1 = kernel.update(p, q, one_step_kicks)
-            jac = kernel.jacobian(q, hess, step_matrix, p1)
-            for k in range(volume_steps):
-                hess, step_matrix, p_next, q_next = kernel.update(p, q, volume_kicks[:, k])
-                logdet += np.linalg.slogdet(kernel.jacobian(q, hess, step_matrix, p_next))[1]
-                p, q = p_next, q_next
-        k = 0
+        [(jac, p1, q1)] = _iterate(step, p, q, one_step_kicks[None])  # as step 0
+        for volume_jac, _, _ in _iterate(step, p, q, volume_kicks):
+            logdet += np.linalg.slogdet(volume_jac)[1]
         rows = []
         for i, trial in enumerate(trials):
             defect = conformal_defect(jac[i], model.friction, trial.h)
@@ -460,7 +466,8 @@ def _structure_rows(
             equiv = _genfun_gap(model, trial, p1[i], q1[i])
             rows.append((i, trial.h, defect, volume_rel, equiv))
     except Error as exc:
-        exc.args = (f"step {k}: {exc}",)  # in place, so the kernel's row survives
+        if exc.step is None:  # the checks of the rows count as step 0
+            exc.args = (f"step 0: {exc}",)  # in place, so the kernel's row survives
         raise
     return rows
 

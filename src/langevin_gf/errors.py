@@ -6,14 +6,15 @@ from __future__ import annotations
 class Error(Exception):
     """Base class for all errors raised by this package.
 
-    ``row`` is the first state of a batch that a step kernel refused, its
-    index in the (R, d) states the kernel stepped; it is None for every
-    other error.
+    ``row`` is the first state of a batch that a step kernel refused, its index
+    in the (R, d) states the kernel stepped, and ``step`` the step k that the
+    stepping loop ``integrators._iterate`` named ``step k: ``; else each is None.
     """
 
     def __init__(self, message: str = "", row: int | None = None) -> None:
         super().__init__(message)
         self.row = row
+        self.step: int | None = None
 
 
 class ArgumentError(Error):

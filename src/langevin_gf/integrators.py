@@ -20,14 +20,14 @@ returns them with the time grid.  On a quadratic model the gf2 map is
 affine, and :func:`gf2_affine_map` reads its B and G off the same kernel
 rather than from a second copy of the update.  Each kernel refuses a
 singular step matrix or a non-finite result itself, naming the first refused
-state as the error's ``row``; the loops that step states add the location.
+state as the error's ``row``; :func:`_iterate`, the one stepping loop, adds the step.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -295,6 +295,22 @@ def _em_kernel(model: LangevinModel, h: float) -> Callable[[Array, Array, Array]
 _KERNELS = {"gf2": _Gf2Kernel, "em": _em_kernel}
 
 
+def _iterate(step: Callable, p: Array, q: Array, kicks: Array, first: int = 0) -> Iterator:
+    """Yield ``step(p, q, kick)`` for each (R, d) kick, going on from each result's
+    last two entries.  A package Error from step k (counted from ``first``) is
+    prefixed ``step k: `` in place and records k as its ``step``; others pass through."""
+    try:
+        with np.errstate(all="ignore"):
+            for k, kick in enumerate(kicks, first):
+                stepped = step(p, q, kick)
+                p, q = stepped[-2:]
+                yield stepped
+    except Error as exc:
+        exc.step = k
+        exc.args = (f"step {k}: {exc}",)
+        raise
+
+
 def _increment(model: LangevinModel, dW: object) -> Array:
     """The (m,) increment of one step, zeros if omitted; refused unless finite and of size m."""
     dw = np.zeros(model.noise_dim) if dW is None else np.asarray(dW, dtype=float).reshape(-1)
@@ -400,8 +416,8 @@ def simulate(
         refuses; the message names no step.
     Error subclasses from step k
         The step's own exception, its message prefixed in place with
-        ``step k: ``, so its type and ``row`` survive; other exceptions
-        (e.g. from a custom force) propagate unchanged.
+        ``step k: ``, so its type and ``row`` survive, k recorded as its
+        ``step``; other exceptions (e.g. from a custom force) pass through.
     """
     _check_state(model, z0)
     h = _step_size(h)
@@ -416,20 +432,11 @@ def simulate(
     p = np.empty((n_steps + 1, model.dim))
     q = np.empty((n_steps + 1, model.dim))
     p[0], q[0] = z0.p, z0.q
-    k = 0
-    try:
-        kicks = _matvec(model.noise, values[:n_ok])
-        step = _Gf2Kernel(model, h)
-        with np.errstate(all="ignore"):
-            for k in range(n_ok):
-                p1, q1 = step(p[k: k + 1], q[k: k + 1], kicks[k: k + 1])
-                p[k + 1], q[k + 1] = p1[0], q1[0]
-        if n_ok < n_steps:
-            k = n_ok
-            raise EvaluationError("increment contains non-finite entries")
-    except Error as exc:
-        exc.args = (f"step {k}: {exc}",)  # in place, so the kernel's row survives
-        raise
+    kicks = _matvec(model.noise, values[:n_ok, None])  # (n, 1, d)
+    for k, (p1, q1) in enumerate(_iterate(_Gf2Kernel(model, h), p[:1], q[:1], kicks), 1):
+        p[k], q[k] = p1[0], q1[0]
+    if n_ok < n_steps:
+        raise EvaluationError(f"step {n_ok}: increment contains non-finite entries")
     return h * np.arange(n_steps + 1), p, q
 
 

@@ -30,10 +30,10 @@ counts, kernel widths and draw block sizes for a fixed :class:`SeedPlan`:
 Every model and dimension is stepped by the (R, d) step kernels of
 :mod:`.integrators` that ``gf2_step`` and ``em_step`` run with one state, so
 a realization's trajectory equals, bit for bit, the single-state map on its
-own increments, and both fail alike: the kernel's reason is prefixed with
-the realization and the step.  A failing run reports the earliest failing
-step, then the lowest realization failing there, over all tasks (a coupled
-run ranks first by chain, then by coarse step, fine before coarse).
+own increments, and both fail alike: the loop ``simulate`` steps in names
+the step, the engine a refused state's realization.  A failing run reports
+the earliest failing step, then the lowest realization failing there, over
+all tasks (a coupled run ranks by chain, then coarse step, fine first).
 
 The endpoint estimators (``mc_expectation``, ``weak_error_mc`` and
 ``one_step_ms_gap``) are validation around :func:`_endpoint_values`, in
@@ -68,7 +68,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ArgumentError, Error, EstimationError, EvaluationError, StepSizeError
-from .integrators import _KERNELS
+from .integrators import _KERNELS, _iterate
 from .models import LangevinModel, PhaseState, _count, _is_integer, _matvec, _on_rows
 from .models import _check_state, _step_size, _test_functions, _time
 
@@ -460,29 +460,24 @@ def _advance_chunk(
     """Advance a task through one chunk of increments, on the kernel of (scheme, h).
 
     With psi_rows, psi_rows[j] after step s is written to out[s, j], one
-    value per realization of the task.  A state the kernel refuses raises
-    ``realization i, step k: <reason>``; an error without a ``row`` propagates.
+    value per realization of the task.  The stepping loop names a failing
+    step k; a refused state is raised as ``realization i, step k: <reason>``.
     """
     if state.step is None:
         state.step = _KERNELS[scheme](model, h)
-    step, p, q = state.step, state.p, state.q
-    with np.errstate(all="ignore"):
-        # Sigma dw[:, s, :] for every step s, step-major: shape (n_steps, R, d).
-        for s, kick in enumerate(_matvec(model.noise, dw.transpose(1, 0, 2))):
-            try:
-                p, q = step(p, q, kick)
-            except Error as exc:
-                if exc.row is None:
-                    raise
-                index, at = state.lo + exc.row, first_step + s
-                kind = 0 if isinstance(exc, StepSizeError) else 1
-                raise EstimationError(
-                    f"realization {index}, step {at}: {exc}", where=(at, kind, index)
-                ) from exc
-            if psi_rows is not None and out is not None:
-                for j, psi in enumerate(psi_rows):
-                    out[s, j] = _on_rows(psi(p, q), p, (), "psi")
-    state.p, state.q = p, q
+    # Sigma dw[:, s, :] for every step s, step-major: shape (n_steps, R, d).
+    kicks = _matvec(model.noise, dw.transpose(1, 0, 2))
+    try:
+        for s, (p, q) in enumerate(_iterate(state.step, state.p, state.q, kicks, first_step)):
+            state.p, state.q = p, q
+            for j, psi in enumerate(psi_rows or ()):
+                out[s, j] = _on_rows(psi(p, q), p, (), "psi")
+    except Error as exc:
+        if exc.row is None or exc.step is None:
+            raise
+        index = state.lo + exc.row
+        kind = 0 if isinstance(exc, StepSizeError) else 1
+        raise EstimationError(f"realization {index}, {exc}", where=(exc.step, kind, index)) from exc
 
 
 def _validate_run(

@@ -240,6 +240,37 @@ def test_load_config_bad_file(tmp_path):
         load_config(bad, "simulate")
 
 
+def test_main_refuses_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"model": {"kind": "linear"}}\xff')
+    assert main(["structure", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {path}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1 and err.count("error:") == 1
+    assert not (tmp_path / "structure.csv").exists()
+
+
+def test_a_key_repeated_in_one_object_is_refused(tmp_path, capsys):
+    # json.loads would keep the last value: 3 trials, or a friction of 3.
+    model = '"kind": "linear", "a": 1.0, "v": 2.0, "sigma": 0.5'
+    texts = {
+        "trials": '{"model": {%s}, "experiment": {"trials": 2, "volume_steps": 4, "trials": 3}}',
+        "v": '{"model": {%s, "v": 3.0}, "experiment": {"trials": 2, "volume_steps": 4}}',
+    }
+    for key, text in texts.items():
+        path = tmp_path / f"repeated_{key}.json"
+        path.write_text(text % model, encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_config(path, "structure")
+        assert str(info.value) == f"config file {path} repeats the key '{key}' in one object"
+        assert main(["structure", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+    assert not (tmp_path / "structure.csv").exists()
+    # The same object without the repeat loads.
+    path.write_text(texts["v"].replace(', "v": 3.0', "") % model, encoding="utf-8")
+    assert load_config(path, "structure").experiment["trials"] == 2
+
+
 def test_config_hash_ignores_output_location():
     base = {
         "model": linear_section(),
@@ -863,9 +894,10 @@ def test_deterministic_weak_order_runs_on_a_long_horizon(tmp_path):
 
 
 # The shipped configs whose committed results regenerate in seconds.
-# linear_ergodic is left out, although its run takes only about 5 s: its
-# reference column depends on the BLAS stack.
+# linear_ergodic's reference column comes from a BLAS product (analysis.quad2d),
+# so another BLAS stack may move its last bits.
 _FAST_GOLDENS = [
+    ("ergodic", "linear_ergodic", "ergodic.csv"),
     ("weak-order", "linear_weak_order", "weak_order.csv"),
     ("simulate", "simulate_double_well", "trajectory.csv"),
     ("structure", "structure_linear", "structure.csv"),

@@ -296,34 +296,44 @@ def test_off_contract_model_callables_are_refused_alike_on_every_path(name):
     callable_, contract = _OFF_CONTRACT[name]
     model = dataclasses.replace(DoubleWell(v=2.0, beta=2.0).build(), **{name: callable_})
     z0, h = PhaseState([0.7], [-1.1]), 0.125
-    shape = "(1,)" if name == "force" else "(1, 1)"
-    message = (
-        f"{name} returned shape {shape} on points of shape (1, 1); "
-        f"it must map (..., d) rows to {contract}"
-    )
+
+    def message(rows: int) -> str:
+        shape = f"({rows},)" if name == "force" else f"({rows}, 1)"
+        return (
+            f"{name} returned shape {shape} on points of shape ({rows}, 1); "
+            f"it must map (..., d) rows to {contract}"
+        )
+
     with pytest.raises(EvaluationError) as info:
         gf2_jacobian(model, z0, h, [0.3])
-    assert str(info.value) == message
+    assert str(info.value) == message(1)
     if name == "force_third":
         return  # nothing else reads the third derivative
     with pytest.raises(EvaluationError) as info:
         gf2_step(model, z0, h, [0.3])
-    assert str(info.value) == message
+    assert str(info.value) == message(1)
     reason = f"^{name} returned shape "
     with pytest.raises(EvaluationError, match=reason):
         eval_model(model, [0.4])
-    with pytest.raises(EvaluationError, match="^step 0: " + name + " returned shape "):
-        simulate(model, z0, h, np.zeros((4, 1)))
     cos_sum = get_test_function("cos_sum")
-    with pytest.raises(EvaluationError, match=reason):
-        mc_expectation(model, "gf2", cos_sum, z0, h, 4 * h, 64, SeedPlan(1))
-    with pytest.raises(EvaluationError, match=reason):
-        mc_step_means(model, [cos_sum], z0, h, 4, 64, SeedPlan(1))
+    # Every loop that steps states names the step: one state, or 64 at once.
+    stepping = [
+        (lambda: simulate(model, z0, h, np.zeros((4, 1))), 1),
+        (lambda: mc_expectation(model, "gf2", cos_sum, z0, h, 4 * h, 64, SeedPlan(1)), 64),
+        (lambda: mc_step_means(model, [cos_sum], z0, h, 4, 64, SeedPlan(1)), 64),
+    ]
     if name == "force":
-        with pytest.raises(EvaluationError, match=reason):
+        with pytest.raises(EvaluationError) as info:
             em_step(model, z0, h, [0.3])
-        with pytest.raises(EvaluationError, match=reason):
-            mc_expectation(model, "em", cos_sum, z0, h, 4 * h, 64, SeedPlan(1))
+        assert str(info.value) == message(1)
+        stepping.append(
+            (lambda: mc_expectation(model, "em", cos_sum, z0, h, 4 * h, 64, SeedPlan(1)), 64)
+        )
+    for call, rows in stepping:
+        with pytest.raises(EvaluationError) as info:
+            call()
+        assert str(info.value) == f"step 0: {message(rows)}"
+        assert info.value.row is None
 
 
 def test_gf2_jacobian_determinant():

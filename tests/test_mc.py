@@ -23,6 +23,7 @@ from langevin_gf.analysis import (
     mc_weak_order,
     weak_error_linear,
 )
+from langevin_gf.cli import _structure_table, _StructureTrial
 from langevin_gf.genfun import to_augmented
 from langevin_gf.integrators import (
     AffineStepMap,
@@ -516,20 +517,40 @@ def test_every_estimator_call_reaches_the_pool_through_one_map_batches(monkeypat
 
 def test_a_package_error_without_a_row_propagates_unchanged(monkeypatch):
     # A force that itself raises EvaluationError is not a refused state: the
-    # engine adds no location and keeps its class, on either worker count.
+    # engine adds no realization and keeps its class and its row None, on
+    # either worker count.  The stepping loop that every path shares names
+    # the step, as simulate always did.
     def force(q):
         raise EvaluationError("custom force refused")
 
     model = dataclasses.replace(DoubleWell(v=4.0, beta=2.0).build(), force=force)
     z0 = PhaseState([0.0], [1.0])
-    for workers in (1, 2):
-        monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
-        with pytest.raises(EvaluationError) as info:
-            mc_expectation(model, "gf2", cos_sum, z0, 0.25, 1.0, 5000, SeedPlan(1))
-        assert type(info.value) is EvaluationError
-        assert str(info.value) == "custom force refused"
-        assert info.value.row is None
-        _assert_no_child_left()
+    calls = [
+        (lambda: simulate(model, z0, 0.25, np.zeros((4, 1))), (1,)),
+        (lambda: mc_expectation(model, "gf2", cos_sum, z0, 0.25, 1.0, 5000, SeedPlan(1)), (1, 2)),
+        (lambda: mc_expectation(model, "em", cos_sum, z0, 0.25, 1.0, 5000, SeedPlan(1)), (1, 2)),
+        (lambda: weak_error_mc(model, [cos_sum], z0, [0.5, 0.25], 1.0, 5000, 4, SeedPlan(1)),
+         (1, 2)),
+        (lambda: mc_step_means(model, [cos_sum], z0, 0.25, 4, 5000, SeedPlan(1)), (1, 2)),
+    ]
+    for call, worker_counts in calls:
+        for workers in worker_counts:
+            monkeypatch.setattr(mc, "resolve_threads", lambda: workers)
+            with pytest.raises(EvaluationError) as info:
+                call()
+            assert type(info.value) is EvaluationError
+            assert str(info.value) == "step 0: custom force refused"
+            assert info.value.row is None
+            _assert_no_child_left()
+    trials = [
+        _StructureTrial(PhaseState([0.0], [0.1 * i]), h, 0.5, np.zeros(1), np.zeros((4, 1)))
+        for i, h in enumerate([0.1, 0.2])
+    ]
+    with pytest.raises(EvaluationError) as info:
+        _structure_table(model, trials, 4)
+    assert type(info.value) is EvaluationError
+    assert str(info.value) == "trial 0, step 0: custom force refused"
+    assert info.value.row is None
 
 
 # (step, 0 refused / 1 non-finite, realization): a refused step s comes
