@@ -284,9 +284,7 @@ def conformal_defect(jac: Array, friction: float, h: float) -> float:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 != 0:
         raise ArgumentError(f"need a square even-dimensional matrix, got {mat.shape}")
     d = mat.shape[0] // 2
-    omega = np.block(
-        [[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]]
-    )
+    omega = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(d))
     return float(np.max(np.abs(mat.T @ omega @ mat - math.exp(-friction * h) * omega)))
 
 

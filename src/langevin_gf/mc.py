@@ -13,14 +13,12 @@ counts, kernel widths and draw block sizes for a fixed :class:`SeedPlan`:
   realizations, each draw block holds at most :data:`DRAW_BLOCK` normals,
   and neither size changes a result, because every kernel operation acts on
   each realization alone;
-* the tasks run on :func:`resolve_threads` processes (the CPUs this process
-  may use): the caller forks the other workers once per estimator call and
-  runs the first share of the tasks itself; each worker runs its share once
-  and exits.  A task writes only its own slots
-  of a buffer shared with the workers, and failures come back to the caller,
-  which raises the one a run in task order would raise, so the worker count
-  changes neither a value nor an error.  One task, one CPU or another live
-  thread runs every task on the caller;
+* the tasks run on :func:`resolve_threads` processes through
+  :func:`_map_batches`, which forks the workers once per estimator call and
+  runs the first share of the tasks on the caller.  A task writes only its
+  own slots of a buffer shared with the workers, and failures come back to
+  the caller, which raises the one a run in task order would raise, so the
+  worker count changes neither a value nor an error;
 * reductions over realizations use a fixed-shape pairwise summation tree
   keyed by realization index, never an order-dependent accumulation;
 * Brownian increments are drawn in chunks along the step axis, which yields
@@ -245,104 +243,17 @@ def _is_trajectory_failure(exc: BaseException) -> bool:
     return isinstance(exc, EstimationError) and exc.where is not None
 
 
-class _Workers:
-    """Forked processes that run one call's kernel tasks, once each.
-
-    The caller runs the first contiguous share of the task indices itself;
-    each worker, forked on entry, runs one later share, sends back its
-    pickled (task, exception) failures and exits.  Tasks write their values
-    into memory mapped before the fork (:func:`_shared_empty`).  :meth:`run`
-    raises what running the tasks in index order would raise.  One task,
-    one CPU or another live thread (which a fork would not copy) keeps every
-    task on the caller.
-    """
-
-    def __init__(self, task: Callable[[int], None], n_tasks: int) -> None:
-        self.task = task
-        n = 1 if threading.active_count() > 1 else min(resolve_threads(), n_tasks)
-        self.shares = [range(w * n_tasks // n, (w + 1) * n_tasks // n) for w in range(n)]
-        self.children: dict[int, BinaryIO] = {}  # live pid -> results pipe
-
-    def __enter__(self) -> "_Workers":
+def _run_share(task: Callable[[int], None], share: range) -> list[tuple[int, Exception]]:
+    """Failures of the tasks in share, in order up to the first non-trajectory one."""
+    failures = []
+    for b in share:
         try:
-            for share in self.shares[1:]:
-                self._fork(share)
-        except BaseException:
-            self.__exit__(OSError)
-            raise
-        return self
-
-    def __exit__(self, exc_type: object, *_: object) -> None:
-        for pid, results in self.children.items():
-            results.close()
-            if exc_type is not None:
-                import signal  # only a failed call kills its workers
-
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        self.children.clear()
-
-    def _fork(self, share: range) -> None:
-        results_r, results_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(results_r)
-            os.close(results_w)
-            raise
-        if pid == 0:
-            status = 1
-            try:
-                os.close(results_r)
-                for results in self.children.values():
-                    results.close()
-                with open(results_w, "wb") as out:
-                    pickle.dump([(b, _portable(e)) for b, e in self._run(share)], out)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(results_w)
-        self.children[pid] = open(results_r, "rb")
-
-    def _run(self, share: range) -> list[tuple[int, Exception]]:
-        """Failures of the tasks in share, in order up to the first non-trajectory one."""
-        failures = []
-        for b in share:
-            try:
-                self.task(b)
-            except Exception as exc:
-                failures.append((b, exc))
-                if not _is_trajectory_failure(exc):
-                    break
-        return failures
-
-    def _receive(self, pid: int) -> list[tuple[int, Exception]]:
-        results = self.children[pid]
-        try:
-            return pickle.load(results)
-        except (EOFError, pickle.UnpicklingError):
-            del self.children[pid]
-            results.close()
-            _, status = os.waitpid(pid, 0)
-            raise EstimationError(
-                "a Monte Carlo worker process exited with status "
-                f"{os.waitstatus_to_exitcode(status)}"
-            ) from None
-
-    def run(self) -> None:
-        """Run every task once, then raise the first failure in task order.
-
-        That is the lowest task's non-trajectory failure if there is one,
-        otherwise the earliest trajectory failure over all tasks.
-        """
-        failures = self._run(self.shares[0])
-        for pid in list(self.children):
-            failures += self._receive(pid)
-        others = [(b, exc) for b, exc in failures if not _is_trajectory_failure(exc)]
-        if others:
-            raise min(others, key=lambda failure: failure[0])[1]
-        if failures:
-            raise min((exc for _, exc in failures), key=lambda exc: exc.where)
+            task(b)
+        except Exception as exc:
+            failures.append((b, exc))
+            if not _is_trajectory_failure(exc):
+                break
+    return failures
 
 
 def _portable(exc: Exception) -> Exception:
@@ -357,13 +268,72 @@ def _portable(exc: Exception) -> Exception:
 def _map_batches(task: Callable[[int], None], n_batches: int) -> None:
     """Run the kernel tasks once each, on up to :func:`resolve_threads` processes.
 
+    The caller runs the first contiguous share of the task indices itself;
+    each worker, forked first, runs one later share, sends back its pickled
+    (task, exception) failures on its own pipe and exits.  Tasks write their
+    values into memory mapped before the fork (:func:`_shared_empty`).  One
+    task, one CPU or another live thread (which a fork would not copy) keeps
+    every task on the caller.  The workers are killed unless every share has
+    reported (a failed fork, a dead worker, an exception in the caller's
+    share), and are all reaped.
+
     A trajectory failure stops only its own task.  The one raised is the
     earliest (step, realization) over all tasks, so it does not depend on
     how realizations are grouped into tasks or processes; any other failure
     wins over it, the lowest task's first, as in a run in index order.
     """
-    with _Workers(task, n_batches) as workers:
-        workers.run()
+    n = 1 if threading.active_count() > 1 else min(resolve_threads(), n_batches)
+    shares = [range(w * n_batches // n, (w + 1) * n_batches // n) for w in range(n)]
+    children: dict[int, BinaryIO] = {}  # live pid -> results pipe
+    reported = False
+    try:
+        for share in shares[1:]:
+            results_r, results_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(results_r)
+                os.close(results_w)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(results_r)
+                    for results in children.values():
+                        results.close()
+                    with open(results_w, "wb") as out:
+                        pickle.dump([(b, _portable(e)) for b, e in _run_share(task, share)], out)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(results_w)
+            children[pid] = open(results_r, "rb")
+        failures = _run_share(task, shares[0])
+        for pid, results in list(children.items()):
+            try:
+                failures += pickle.load(results)
+            except (EOFError, pickle.UnpicklingError):
+                del children[pid]
+                results.close()
+                _, status = os.waitpid(pid, 0)
+                raise EstimationError(
+                    "a Monte Carlo worker process exited with status "
+                    f"{os.waitstatus_to_exitcode(status)}"
+                ) from None
+        reported = True
+    finally:
+        for pid, results in children.items():
+            results.close()
+            if not reported:
+                import signal  # only a failed call kills its workers
+
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    others = [(b, exc) for b, exc in failures if not _is_trajectory_failure(exc)]
+    if others:
+        raise min(others, key=lambda failure: failure[0])[1]
+    if failures:
+        raise min((exc for _, exc in failures), key=lambda exc: exc.where)
 
 
 def _shared_empty(shape: tuple[int, ...]) -> Array:
@@ -501,11 +471,6 @@ def _validate_run(
     return [(h, 1 if T is None else _steps_for(h, T)) for h in hs], n_realizations
 
 
-class _ChainFailure(EstimationError):
-    """A task's first failing chain: ``where`` is (chain, coarse step, 0 for the
-    fine chain or 1 for the coarse, step, kind, realization)."""
-
-
 def _endpoint_values(
     model: LangevinModel,
     scheme: str,
@@ -566,7 +531,10 @@ def _endpoint_values(
                     except EstimationError as exc:
                         if exc.where is None:
                             raise
-                        failed[j] = _ChainFailure(str(exc), where=(j, at, int(coarse), *exc.where))
+                        # (chain, coarse step, 0 fine or 1 coarse, step, kind, realization)
+                        # ranks failures as one task runs them; the driver strips the first three.
+                        where = (j, at, int(coarse), *exc.where)
+                        failed[j] = EstimationError(str(exc), where=where)
                         del runs[j]
         for j, states in runs.items():
             for k, endpoint in enumerate(endpoints):
@@ -576,7 +544,9 @@ def _endpoint_values(
 
     try:
         _map_batches(task, len(bounds))
-    except _ChainFailure as exc:
+    except EstimationError as exc:
+        if exc.where is None:
+            raise
         raise EstimationError(str(exc), where=exc.where[3:]) from None
     if not np.isfinite(values).all():
         j, k, i = np.argwhere(~np.isfinite(values))[0]

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -486,21 +487,18 @@ def test_step_means_failure_is_the_earliest_across_processes_and_chunks(monkeypa
 
 def test_every_estimator_call_reaches_the_pool_through_one_map_batches(monkeypatch):
     # _map_batches is the one door to the workers, which the benchmark
-    # tracer wraps: every estimator call opens the pool once, through it.
+    # tracer wraps: every estimator call enters it once, with two tasks,
+    # and forks its one worker there.
     monkeypatch.setattr(mc, "resolve_threads", lambda: 2)
-    entries, pools = [], []
-    map_batches, workers = mc._map_batches, mc._Workers
+    entries, forks = [], []
+    map_batches, fork = mc._map_batches, os.fork
 
     def counted_map(task, n_batches):
         entries.append(n_batches)
         return map_batches(task, n_batches)
 
-    def counted_workers(task, n_tasks):
-        pools.append(n_tasks)
-        return workers(task, n_tasks)
-
     monkeypatch.setattr(mc, "_map_batches", counted_map)
-    monkeypatch.setattr(mc, "_Workers", counted_workers)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
     model, z0, plan = DoubleWell(v=4.0, beta=2.0).build(), PhaseState([0.0], [1.0]), SeedPlan(1)
     for call in (
         lambda: mc_expectation(model, "gf2", cos_sum, z0, 0.125, 0.5, 5000, plan),
@@ -509,9 +507,10 @@ def test_every_estimator_call_reaches_the_pool_through_one_map_batches(monkeypat
         lambda: mc_step_means(model, [cos_sum], z0, 0.125, 4, 5000, plan),
     ):
         entries.clear()
-        pools.clear()
+        forks.clear()
         call()
-        assert entries == pools == [2]
+        assert entries == [2]
+        assert forks == [os.getpid()]
     _assert_no_child_left()
 
 
@@ -764,7 +763,7 @@ print(len(forks), means[0].tobytes() == means[1].tobytes())
 def test_a_fork_after_a_blas_call_in_the_caller_keeps_the_bits():
     # The CLI's ergodic command runs the Gibbs quadrature, whose products go
     # through BLAS and may start its threads, in the caller just before the
-    # engine forks; _Workers counts only Python threads.  4200 realizations
+    # engine forks; _map_batches counts only Python threads.  4200 realizations
     # are two tasks, so the two-worker run forks once.  A separate process
     # and a timeout keep a deadlocked fork from hanging the suite.
     src = os.path.dirname(os.path.dirname(mc.__file__))
@@ -903,6 +902,49 @@ def test_dead_worker_is_reported_with_its_exit_status(monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_caller_interrupted_in_its_own_share_kills_and_reaps_its_worker(monkeypatch):
+    # The worker would sleep through its share; the caller's interrupt must
+    # not wait for it.
+    monkeypatch.setattr(mc, "resolve_threads", lambda: 2)
+    parent = os.getpid()
+
+    def advance(*args, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(30)
+
+    monkeypatch.setattr(mc, "_advance_chunk", advance)
+    model, z0 = DoubleWell(v=4.0, beta=2.0).build(), PhaseState([0.0], [1.0])
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        mc_expectation(model, "gf2", cos_sum, z0, 0.125, 0.5, 5000, SeedPlan(1))
+    assert time.monotonic() - start < 10
+    _assert_no_child_left()
+
+
+def test_a_failed_fork_kills_and_reaps_the_worker_already_forked(monkeypatch):
+    # 9000 realizations are three tasks on three workers: the first fork
+    # succeeds, the second fails, and that failure is what the call raises.
+    monkeypatch.setattr(mc, "resolve_threads", lambda: 3)
+    assert len(mc._batch_bounds(9000)) == 3
+    fork, attempts = os.fork, []
+    refused = OSError("fork refused")
+
+    def failing_fork():
+        attempts.append(os.getpid())
+        if len(attempts) == 2:
+            raise refused
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    model, z0 = DoubleWell(v=4.0, beta=2.0).build(), PhaseState([0.0], [1.0])
+    with pytest.raises(OSError) as info:
+        mc_expectation(model, "gf2", cos_sum, z0, 0.125, 0.5, 9000, SeedPlan(1))
+    assert info.value is refused
+    assert len(attempts) == 2
+    _assert_no_child_left()
 
 
 # (kernel width, draw block): the first pair is the old fixed layout, the
