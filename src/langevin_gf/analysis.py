@@ -40,7 +40,7 @@ from .integrators import (
 )
 from .mc import SeedPlan, _steps_for, one_step_ms_gap, weak_error_mc
 from .models import LangevinModel, PhaseState, _count, _on_rows, gibbs_density_fn
-from .models import _check_state, _step_size, _test_functions, _time
+from .models import _check_state, _friction, _step_size, _test_functions, _time
 
 Array = np.ndarray
 
@@ -279,7 +279,7 @@ def fit_order(points: Iterable[tuple[float, float]]) -> tuple[float, float]:
 def conformal_defect(jac: Array, friction: float, h: float) -> float:
     """Max-norm defect of J^T Omega J = e^(-vh) Omega on the 2d phase space,
     for the map J over a time h >= 0."""
-    h = _time(h)
+    friction, h = _friction(friction), _time(h)
     mat = np.asarray(jac, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 != 0:
         raise ArgumentError(f"need a square even-dimensional matrix, got {mat.shape}")

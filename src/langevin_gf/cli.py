@@ -47,7 +47,8 @@ from .genfun import AugmentedState, from_augmented, gf2_step_augmented, to_augme
 from .integrators import _Gf2Kernel, _iterate, simulate
 from .mc import SeedPlan, _steps_for, derive_seed, generator_for, mc_step_means
 from .mc import sample_increments
-from .models import DoubleWell, LangevinModel, LinearOscillator, PhaseState, _is_integer, _matvec
+from .models import DoubleWell, LangevinModel, LinearOscillator, PhaseState, _matvec
+from .models import _finite_real, _is_integer
 from .observables import TEST_FUNCTIONS, get_test_function
 
 COMMANDS = ("weak-order", "ergodic", "structure", "simulate")
@@ -72,15 +73,8 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _is_number(value: object) -> bool:
-    """A finite int or float (json.loads also yields bools, NaN, inf, huge ints)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return math.isfinite(value) if isinstance(value, float) else abs(value) <= sys.float_info.max
-
-
 def _positive(value: object) -> bool:
-    return _is_number(value) and value > 0
+    return _finite_real(value) and value > 0
 
 
 def _integer(minimum: int, bound: float = math.inf) -> Callable[[object], bool]:
@@ -89,7 +83,7 @@ def _integer(minimum: int, bound: float = math.inf) -> Callable[[object], bool]:
 
 def _pairs(value: object) -> bool:
     return isinstance(value, list) and bool(value) and all(
-        isinstance(z, list) and len(z) == 2 and all(map(_is_number, z)) for z in value
+        isinstance(z, list) and len(z) == 2 and all(map(_finite_real, z)) for z in value
     )
 
 
@@ -123,7 +117,7 @@ _RULES: dict[str, dict[str, _Key]] = {
             f"expected one of {sorted(_MODELS)}",
             COMMANDS,
         ),
-        **{field.name: _Key(_is_number, "must be a finite number")
+        **{field.name: _Key(_finite_real, "must be a finite number")
            for builder in _MODELS.values() for field in dataclasses.fields(builder)},
     },
     "experiment": {
@@ -163,7 +157,7 @@ _RULES: dict[str, dict[str, _Key]] = {
     },
     "quadrature": {
         "box": _Key(
-            lambda box: isinstance(box, list) and len(box) == 2 and all(map(_is_number, box))
+            lambda box: isinstance(box, list) and len(box) == 2 and all(map(_finite_real, box))
             and box[0] < box[1],
             "must be [lo, hi] of finite numbers with lo < hi",
             default=list(DEFAULT_BOX),
@@ -439,8 +433,13 @@ def _structure_rows(
 ) -> list[tuple]:
     """The table rows, from one (trials, d) batch.
 
-    A failure is raised as ``step k: <reason>``, k the step of the volume
-    chain; the one-step checks leave the initial state and count as step 0.
+    A failure is raised in place as ``trial i, step k: <reason>``, so it
+    keeps its type and attributes.  The batch meets it by stage (the one-step
+    check as step 0, the volume chain from step 0, then the row checks), then
+    at the earliest step, a refused step matrix before a non-finite state,
+    and at the lowest trial: the kernel's ``row``, or the row checks' own
+    trial, which becomes the error's ``row`` when it has one.  A failure with
+    no row, which only a custom model raises, reads ``step k: <reason>``.
     """
     h = np.array([trial.h for trial in trials])
     kernel = _Gf2Kernel(model, h)
@@ -458,39 +457,23 @@ def _structure_rows(
         [(jac, p1, q1)] = _iterate(step, p, q, one_step_kicks[None])  # as step 0
         for volume_jac, _, _ in _iterate(step, p, q, volume_kicks):
             logdet += np.linalg.slogdet(volume_jac)[1]
-        rows = []
-        for i, trial in enumerate(trials):
+    except Error as exc:
+        if exc.row is not None:
+            exc.args = (f"trial {exc.row}, {exc}",)  # in place, so the type survives
+        raise
+    rows = []
+    for i, trial in enumerate(trials):
+        try:
             defect = conformal_defect(jac[i], model.friction, trial.h)
             rate = model.friction * volume_steps * trial.h * model.dim
             volume_rel = abs(math.expm1(logdet[i] + rate))
             equiv = _genfun_gap(model, trial, p1[i], q1[i])
-            rows.append((i, trial.h, defect, volume_rel, equiv))
-    except Error as exc:
-        if exc.step is None:  # the checks of the rows count as step 0
-            exc.args = (f"step 0: {exc}",)  # in place, so the kernel's row survives
-        raise
+        except Error as exc:  # the row checks count as step 0
+            exc.args = (f"trial {i}, step 0: {exc}",)
+            exc.row = None if exc.row is None else i
+            raise
+        rows.append((i, trial.h, defect, volume_rel, equiv))
     return rows
-
-
-def _structure_table(
-    model: LangevinModel, trials: Sequence[_StructureTrial], volume_steps: int
-) -> list[tuple]:
-    """The rows of all trials from one batch; if it fails, the first failing
-    trial run alone, raised as ``trial i, step k: <reason>`` with its ``row``,
-    when set, made i.  A row's bits do not depend on the batch, so this is
-    what a trial-by-trial run raises.
-    """
-    try:
-        return _structure_rows(model, trials, volume_steps)
-    except Error:
-        for i, trial in enumerate(trials):
-            try:
-                _structure_rows(model, [trial], volume_steps)
-            except Error as exc:
-                exc.args = (f"trial {i}, {exc}",)  # in place, so the type survives
-                exc.row = None if exc.row is None else i
-                raise
-        raise
 
 
 def _run_structure(config: ExperimentConfig) -> _Table:
@@ -510,7 +493,7 @@ def _run_structure(config: ExperimentConfig) -> _Table:
     return (
         "structure.csv",
         ("trial", "h", "conformal_defect", "volume_rel_error", "genfun_equiv_maxdiff"),
-        _structure_table(model, trials, exp["volume_steps"]),
+        _structure_rows(model, trials, exp["volume_steps"]),
     )
 
 

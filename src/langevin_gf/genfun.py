@@ -21,22 +21,12 @@ import math
 
 import numpy as np
 
-from .errors import ArgumentError, CapabilityError, EvaluationError, RangeError
+from .errors import ArgumentError, CapabilityError, EvaluationError
 from .integrators import _check_step_matrix, _increment
 from .models import LangevinModel, PhaseState, _count, eval_model
-from .models import _check_state, _step_size, _time
+from .models import _check_state, _exp_vt, _step_size, _time
 
 Array = np.ndarray
-
-# exp() overflows just above exp(709); refuse earlier with a clear error.
-_EXP_LIMIT = 700.0
-
-
-def _exp_vt(v: float, t: float) -> float:
-    """e^{vt}, or RangeError once |vt| is past _EXP_LIMIT."""
-    if abs(v * t) > _EXP_LIMIT:
-        raise RangeError(f"e^(vt) overflows at v*t = {v * t}")
-    return math.exp(v * t)
 
 
 @dataclasses.dataclass(frozen=True)

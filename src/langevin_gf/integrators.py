@@ -40,7 +40,7 @@ from .errors import (
     StepSizeError,
 )
 from .models import LangevinModel, PhaseState, _check_symmetric, _count, _matvec, _on_rows
-from .models import _check_state, _step_size, _time
+from .models import _check_state, _exp_vt, _friction, _step_size, _time
 
 Array = np.ndarray
 
@@ -97,16 +97,17 @@ class AffineStepMap:
     def __post_init__(self) -> None:
         B = np.ascontiguousarray(self.B, dtype=float)
         G = np.ascontiguousarray(self.G, dtype=float)
-        h = _step_size(self.h)
+        friction, h = _friction(self.friction), _step_size(self.h)
         if (B.ndim, G.ndim) != (2, 2) or B.shape != (len(G),) * 2 or len(G) % 2:
             raise ArgumentError(f"B must be 2d x 2d and G 2d x m, got {B.shape} and {G.shape}")
-        expected = math.exp(-self.friction * h * (B.shape[0] // 2))
+        expected = math.exp(-friction * h * (B.shape[0] // 2))
         if not abs(float(np.linalg.det(B)) - expected) <= _DET_RTOL * expected:
             raise ArgumentError(
                 "det(B) deviates from the conformal factor exp(-vhd)"
             )
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "G", G)
+        object.__setattr__(self, "friction", friction)
         object.__setattr__(self, "h", h)
 
 
@@ -176,14 +177,15 @@ def _mass_map(mass: Array) -> Callable[[Array], Array]:
 
 
 def _gf2_coefficients(v: float, h: float) -> tuple[float, ...]:
-    """(e^{-vh}, h^2/2, h(1 + vh/2)e^{-vh}, (1 + vh/2)e^{-vh}, h(1 - vh/2)e^{vh}, h/2)."""
+    """(e^{-vh}, h^2/2, h(1 + vh/2)e^{-vh}, (1 + vh/2)e^{-vh}, h(1 - vh/2)e^{vh}, h/2);
+    RangeError once e^{vh} would overflow."""
     evm, half_vh = math.exp(-v * h), 0.5 * v * h
     return (
         evm,
         0.5 * h * h,
         h * (1.0 + half_vh) * evm,
         (1.0 + half_vh) * evm,
-        h * (1.0 - half_vh) * math.exp(v * h),
+        h * (1.0 - half_vh) * _exp_vt(v, h),
         0.5 * h,
     )
 

@@ -68,7 +68,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .errors import ArgumentError, Error, EstimationError, EvaluationError, StepSizeError
 from .integrators import _KERNELS, _iterate
 from .models import LangevinModel, PhaseState, _count, _is_integer, _matvec, _on_rows
-from .models import _check_state, _step_size, _test_functions, _time
+from .models import _check_state, _exp_vt, _step_size, _test_functions, _time
 
 Array = np.ndarray
 
@@ -468,6 +468,9 @@ def _validate_run(
     hs = [_step_size(h) for h in step_sizes]
     if not hs:
         raise ArgumentError("need at least one step size")
+    if scheme == "gf2":
+        for h in hs:
+            _exp_vt(model.friction, h)  # the kernel's e^{vh}, refused before any fork
     return [(h, 1 if T is None else _steps_for(h, T)) for h in hs], n_realizations
 
 

@@ -16,10 +16,12 @@ only validate their parameters and build one.
 It also owns the argument rules that every public entry point of the package
 applies first, before any model call, draw or fork, each with its one
 message: a count (:func:`_count`), a step size (:func:`_step_size`, a finite
-real > 0), a time or horizon (:func:`_time`, a finite real >= 0), a phase
-state of the model's dimension (:func:`_check_state`) and a non-empty list of
-test functions (:func:`_test_functions`).  A bool is refused as a count, a
-step size or a time; a step size or a time is returned as a float.
+real > 0), a time or horizon (:func:`_time`, a finite real >= 0), a
+friction (:func:`_friction`, a finite real >= 0), a phase state of the
+model's dimension (:func:`_check_state`) and a non-empty list of test
+functions (:func:`_test_functions`).  A bool is refused as a count, a step
+size, a time or a friction; a count is returned as an int, the others as a float.
+:func:`_exp_vt` refuses an e^{vt} past the float range with RangeError.
 """
 
 from __future__ import annotations
@@ -31,12 +33,14 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ArgumentError, CapabilityError, EvaluationError
+from .errors import ArgumentError, CapabilityError, EvaluationError, RangeError
 
 Array = np.ndarray
 
 # Relative floor for the smallest singular value of the noise matrix.
 _NOISE_RANK_TOL = 1e-12
+# exp() overflows just above exp(709); refuse earlier with a clear error.
+_EXP_LIMIT = 700.0
 
 
 def _as_point(q: object, dim: int) -> Array:
@@ -87,6 +91,20 @@ def _time(t: object) -> float:
     if not (_finite_real(t) and t >= 0):
         raise ArgumentError(f"time must be nonnegative and finite, got {t!r}")
     return float(t)
+
+
+def _friction(v: object) -> float:
+    """``v`` as a float; ArgumentError unless it is a finite real >= 0."""
+    if not (_finite_real(v) and v >= 0):
+        raise ArgumentError("friction must be nonnegative and finite")
+    return float(v)
+
+
+def _exp_vt(v: float, t: float) -> float:
+    """e^{vt}, or RangeError once |vt| is past _EXP_LIMIT."""
+    if abs(v * t) > _EXP_LIMIT:
+        raise RangeError(f"e^(vt) overflows at v*t = {v * t}")
+    return math.exp(v * t)
 
 
 def _check_state(model: LangevinModel, z: PhaseState) -> None:
@@ -231,8 +249,7 @@ class LangevinModel:
         _check_symmetric(mass, "mass matrix is not symmetric")
         if float(np.min(np.linalg.eigvalsh(mass))) <= 0.0:
             raise ArgumentError("mass matrix is not positive definite")
-        if not (self.friction >= 0.0 and math.isfinite(self.friction)):
-            raise ArgumentError("friction must be nonnegative and finite")
+        friction = _friction(self.friction)
         sing = np.linalg.svd(noise, compute_uv=False)
         if sing[0] > 0.0 and sing[-1] <= _NOISE_RANK_TOL * sing[0]:
             raise ArgumentError(
@@ -241,7 +258,7 @@ class LangevinModel:
             )
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "noise", noise)
-        object.__setattr__(self, "friction", float(self.friction))
+        object.__setattr__(self, "friction", friction)
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "noise_dim", m)
 

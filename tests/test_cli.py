@@ -10,21 +10,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from langevin_gf import __version__
+from langevin_gf import __version__, cli
 from langevin_gf.cli import (
     ExperimentConfig,
     _checkpoint_indices,
     _draw_structure_trial,
     _genfun_gap,
     _structure_rows,
-    _structure_table,
     _StructureTrial,
     load_config,
     main,
     parse_config,
     run,
 )
-from langevin_gf.errors import ConfigError, Error, EvaluationError, StepSizeError
+from langevin_gf.errors import ConfigError, Error, EvaluationError, RangeError, StepSizeError
 from langevin_gf.integrators import gf2_jacobian, gf2_step
 from langevin_gf.mc import SeedPlan, derive_seed, generator_for
 from langevin_gf.models import DoubleWell, LangevinModel, LinearOscillator, PhaseState
@@ -554,29 +553,48 @@ def test_structure_double_well_volume_error_within_c03(tmp_path):
     assert max(float(row[3]) for row in rows) <= 1e-6
 
 
-def test_structure_failure_names_the_first_failing_trial_and_step(tmp_path, capsys):
-    # At master_seed 1, trial 19 draws h = 0.2396 and leaves the numeric
-    # domain at step 11 of its volume chain; trial-by-trial runs raised the
-    # same error, without the location.
+def _shipped_structure(seed: int, out: Path) -> dict:
     shipped = Path(__file__).resolve().parents[1] / "configs" / "structure_double_well.json"
     raw = json.loads(shipped.read_text(encoding="utf-8"))
-    raw["mc"]["master_seed"] = 1
-    raw["output"] = {"directory": str(tmp_path)}
+    raw["mc"]["master_seed"] = seed
+    raw["output"] = {"directory": str(out)}
+    return raw
+
+
+def test_structure_failure_names_the_first_failing_trial_and_step(tmp_path, capsys):
+    # At master_seed 1, trial 73 draws h = 0.2474 and leaves the numeric
+    # domain at step 9 of its volume chain, the earliest step at which any
+    # trial does.
+    raw = _shipped_structure(1, tmp_path)
     message = (
-        "trial 19, step 11: step produced a non-finite state at h=0.23959312239747693"
+        "trial 73, step 9: step produced a non-finite state at h=0.24738492177376023"
     )
     with pytest.raises(EvaluationError) as info:
         run(parse_config(raw, "structure"), "structure")
     assert str(info.value) == message
+    assert (info.value.row, info.value.step) == (73, 9)
     path = write_config(tmp_path, "structure.json", raw)
     assert main(["structure", "--config", path]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "structure.csv").exists()
 
 
-def test_structure_refused_step_is_replayed_to_the_failing_trial():
+def test_a_failing_structure_run_steps_its_trials_once(tmp_path, monkeypatch):
+    # The batch is the command's one stepping path: a failure is named from
+    # it, with no second run of any trial.
+    kernels, calls = [], []
+    kernel, rows = cli._Gf2Kernel, cli._structure_rows
+    monkeypatch.setattr(cli, "_Gf2Kernel", lambda *args: kernels.append(args) or kernel(*args))
+    monkeypatch.setattr(cli, "_structure_rows", lambda *args: calls.append(args) or rows(*args))
+    with pytest.raises(EvaluationError, match=r"^trial 73, step 9: "):
+        run(parse_config(_shipped_structure(1, tmp_path), "structure"), "structure")
+    assert len(kernels) == 1
+    assert [len(trials) for _, trials, _ in calls] == [100]
+
+
+def test_structure_refused_step_names_the_failing_trial():
     # f = c q with c = -2 / 0.125^2 makes the step matrix of the trial with
-    # h = 0.125 singular; the batch refuses it, and the replay names it.
+    # h = 0.125 singular; the batch refuses it and names it.
     c = -2.0 / 0.125**2
     model = LangevinModel(
         force=lambda q: c * q,
@@ -591,83 +609,134 @@ def test_structure_refused_step_is_replayed_to_the_failing_trial():
         _StructureTrial(PhaseState([0.1 * i], [0.2]), h, 0.5, np.zeros(1), np.zeros((4, 1)))
         for i, h in enumerate([0.1, 0.2, 0.125, 0.15])
     ]
-    with pytest.raises(StepSizeError, match=r"at h=0\.125; ") as info:
+    reason = r"^trial 2, step 0: implicit step matrix .* at h=0\.125; "
+    with pytest.raises(StepSizeError, match=reason) as info:
         _structure_rows(model, trials, 4)
     assert info.value.row == 2
-    reason = r"^trial 2, step 0: implicit step matrix .* at h=0\.125; "
-    with pytest.raises(StepSizeError, match=reason):
-        _structure_table(model, trials, 4)
+    assert _step_synchronous_failure(model, trials) == (StepSizeError, str(info.value))
+    # A Hessian that only genfun's single-point evaluation sees is refused by
+    # the row checks, whose trial replaces the row 0 of genfun's one matrix.
+    model = dataclasses.replace(
+        model, force_jacobian=lambda q: np.full(np.shape(q) + (1,), c if np.ndim(q) == 1 else 0.0)
+    )
+    with pytest.raises(StepSizeError, match=reason) as info:
+        _structure_rows(model, trials, 4)
+    assert info.value.row == 2
+    assert _step_synchronous_failure(model, trials) == (StepSizeError, str(info.value))
 
 
-def test_structure_replay_prefixes_the_failing_trial_in_place():
-    # The replay adds ``trial i, `` to the error the trial raised alone,
-    # keeping its class and attributes, where rebuilding it from the message
-    # once gave a TypeError for _Refused's constructor.  A refusal's row, 0
-    # in the one-trial replay, becomes the trial's index in the batch.
-    trials = [
-        _StructureTrial(PhaseState([0.0], [0.1 * i]), h, 0.5, np.zeros(1), np.zeros((4, 1)))
-        for i, h in enumerate([0.1, 0.2, 0.125, 0.15])
-    ]
-    # Without noise the oscillator never leaves |q| <= 0.2 from q <= 0.2, so
-    # only trial 3, started at q = 0.3, meets the refusing force.
+# Without noise the oscillator never leaves |q| <= 0.2 from q <= 0.2, so
+# only trial 3, started at q = 0.3, meets a force that refuses q > 0.25.
+_LINEAR_TRIALS = [
+    _StructureTrial(PhaseState([0.0], [0.1 * i]), h, 0.5, np.zeros(1), np.zeros((4, 1)))
+    for i, h in enumerate([0.1, 0.2, 0.125, 0.15])
+]
+
+
+def _refusing(row: int | None) -> LangevinModel:
+    """The linear oscillator with a force that raises _Refused, naming ``row``,
+    on any q > 0.25."""
     linear = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
 
     def force(q):
         if np.any(q[..., 0] > 0.25):
-            raise _Refused(7, "custom force refused")
+            raise _Refused(7, "custom force refused", row=row)
         return linear.force(q)
 
-    model = dataclasses.replace(linear, force=force)
-    with pytest.raises(_Refused) as info:
-        _structure_table(model, trials, 4)
-    assert str(info.value) == "trial 3, step 0: custom force refused (code 7)"
-    assert (info.value.code, info.value.row) == (7, 3)
+    return dataclasses.replace(linear, force=force)
 
+
+def test_structure_failure_prefixes_the_failing_trial_in_place():
+    # ``trial i, `` is added to the error the batch raised, keeping its class
+    # and attributes, where rebuilding it from the message once gave a
+    # TypeError for _Refused's constructor.  The trial is the error's row: a
+    # custom force that names row 0 of the batch names trial 0.
+    with pytest.raises(_Refused) as info:
+        _structure_rows(_refusing(0), _LINEAR_TRIALS, 4)
+    assert str(info.value) == "trial 0, step 0: custom force refused (code 7)"
+    assert (info.value.code, info.value.row) == (7, 0)
+
+    linear = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     model = dataclasses.replace(
         linear, force=lambda q: np.where(q > 0.25, np.nan, linear.force(q))
     )
     with pytest.raises(EvaluationError) as info:
-        _structure_table(model, trials, 4)
+        _structure_rows(model, _LINEAR_TRIALS, 4)
     assert str(info.value) == "trial 3, step 0: step produced a non-finite state at h=0.15"
     assert info.value.row == 3
 
+    # The row checks name the trial they check; an error without a row keeps None.
+    trials = [dataclasses.replace(trial, t_n=400.0 * i) for i, trial in enumerate(_LINEAR_TRIALS)]
+    with pytest.raises(RangeError) as info:
+        _structure_rows(linear, trials, 4)
+    assert str(info.value) == "trial 1, step 0: e^(vt) overflows at v*t = 800.0"
+    assert info.value.row is None
+    assert _step_synchronous_failure(linear, trials) == (RangeError, str(info.value))
 
-def _trial_by_trial_failure(model, trials) -> tuple[type, str] | None:
-    """The per-state reference for a structure failure: each trial, in order,
-    through gf2_jacobian and gf2_step one state at a time, then the
-    generating-function check; the one-step checks count as step 0.  The
-    volume chain needs no gf2_jacobian: gf2_step refuses a non-finite
-    Hessian as it does."""
+
+def _outcome(call, *args):
+    """What call(*args) returns, or the package Error it raises."""
+    try:
+        return call(*args)
+    except Error as exc:
+        return exc
+
+
+def _first_failure(k: int, outcomes: list) -> tuple[type, str] | None:
+    """The failure the batch meets first at step k among the trials' outcomes:
+    one without a row, which only a custom model raises before any state is
+    checked, then a refused step matrix, then a non-finite state, each at
+    the lowest trial."""
+    failures = [
+        (exc.row is not None, not isinstance(exc, StepSizeError), i, exc)
+        for i, exc in enumerate(outcomes)
+        if isinstance(exc, Error)
+    ]
+    if not failures:
+        return None
+    has_row, _, i, exc = min(failures, key=lambda failure: failure[:3])
+    return type(exc), (f"trial {i}, " if has_row else "") + f"step {k}: {exc}"
+
+
+def _step_synchronous_failure(model, trials) -> tuple[type, str] | None:
+    """The per-state reference for a structure failure.  Every trial takes
+    one step at a time alone through gf2_step, then gf2_jacobian, in the
+    batch's stages: the one-step check as step 0, the volume chain from
+    step 0, then the generating-function check trial by trial, as step 0."""
+    one_step = [[trial.dw for trial in trials]]
+    volume = list(zip(*(trial.block for trial in trials)))
+    for chain in (one_step, volume):
+        states = [trial.z for trial in trials]
+        for k, dws in enumerate(chain):
+            steps = list(zip(states, trials, dws))
+            moved = [_outcome(gf2_step, model, z, trial.h, dw) for z, trial, dw in steps]
+            failure = _first_failure(k, moved) or _first_failure(
+                k, [_outcome(gf2_jacobian, model, z, trial.h, dw) for z, trial, dw in steps]
+            )
+            if failure:
+                return failure
+            states = moved
     for i, trial in enumerate(trials):
-        k = 0
-        try:
-            gf2_jacobian(model, trial.z, trial.h, trial.dw)
-            state = trial.z
-            for k, dw in enumerate(trial.block):
-                state = gf2_step(model, state, trial.h, dw)
-            k = 0
-            direct = gf2_step(model, trial.z, trial.h, trial.dw)
-            _genfun_gap(model, trial, direct.p, direct.q)
-        except Error as exc:
-            return type(exc), f"trial {i}, step {k}: {exc}"
+        direct = gf2_step(model, trial.z, trial.h, trial.dw)
+        exc = _outcome(_genfun_gap, model, trial, direct.p, direct.q)
+        if isinstance(exc, Error):
+            return type(exc), f"trial {i}, step 0: {exc}"
     return None
 
 
-def test_structure_failures_match_the_trial_by_trial_reference(tmp_path):
-    shipped = Path(__file__).resolve().parents[1] / "configs" / "structure_double_well.json"
-    raw = json.loads(shipped.read_text(encoding="utf-8"))
+def test_structure_failures_match_the_step_synchronous_reference(tmp_path):
+    raw = _shipped_structure(0, tmp_path)
     model = DoubleWell(v=raw["model"]["v"], beta=raw["model"]["beta"]).build()
     exp = raw["experiment"]
     failing = []
     for seed in range(10):
-        raw["mc"]["master_seed"] = seed
-        raw["output"] = {"directory": str(tmp_path / str(seed))}
+        raw = _shipped_structure(seed, tmp_path / str(seed))
         plan = SeedPlan(seed)
         trials = [
             _draw_structure_trial(model, generator_for(derive_seed(plan, i)), exp["volume_steps"])
             for i in range(exp["trials"])
         ]
-        expected = _trial_by_trial_failure(model, trials)
+        expected = _step_synchronous_failure(model, trials)
         if expected is None:
             run(parse_config(raw, "structure"), "structure")
             continue
@@ -676,6 +745,15 @@ def test_structure_failures_match_the_trial_by_trial_reference(tmp_path):
             run(parse_config(raw, "structure"), "structure")
         assert (type(info.value), str(info.value)) == expected
     assert failing == [0, 1, 2, 3, 4, 5, 8, 9]
+    # A failure with no row, which only a custom model raises, names no
+    # trial, in the batch and in the reference alike.
+    model = _refusing(None)
+    with pytest.raises(_Refused) as info:
+        _structure_rows(model, _LINEAR_TRIALS, 4)
+    assert (info.value.code, info.value.row) == (7, None)
+    expected = (_Refused, "step 0: custom force refused (code 7)")
+    assert (type(info.value), str(info.value)) == expected
+    assert _step_synchronous_failure(model, _LINEAR_TRIALS) == expected
 
 
 def test_structure_rerun_byte_identical(tmp_path):

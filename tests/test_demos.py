@@ -202,8 +202,8 @@ def test_benchmark_tracer_counts_monte_carlo_work_exactly(monkeypatch):
 
 
 def test_failing_structure_run_never_steps_a_single_state(tmp_path):
-    # The structure command names a failure by rerunning its batch code on
-    # one trial at a time; the single-state maps are not a second path.
+    # The structure command names a failure from its one batch; the
+    # single-state maps are not a second path.
     tracing = _bench_module("tracing")
     config = str(ROOT / "configs" / "structure_double_well.json")
     argv = ["structure", "--config", config, "--seed", "1", "--out", str(tmp_path)]
@@ -212,8 +212,8 @@ def test_failing_structure_run_never_steps_a_single_state(tmp_path):
     metrics = tracer.layer_metrics()
     assert metrics["integrators.gf2_step.calls"] == 0
     assert metrics["integrators.gf2_jacobian.calls"] == 0
-    # Trials 0 to 18 pass alone before trial 19 fails, each with one genfun check.
-    assert metrics["genfun.gf2_step_augmented.calls"] == 19
+    # The volume chain fails at step 9, before any trial's genfun check.
+    assert metrics["genfun.gf2_step_augmented.calls"] == 0
 
 
 @pytest.mark.parametrize("name", ["weak_order_dw", "ergodic_dw", "per_state"])

@@ -616,8 +616,8 @@ def test_simulate_propagates_foreign_exceptions_unchanged():
 class _Refused(EvaluationError):
     """A package error whose constructor takes other arguments than a message."""
 
-    def __init__(self, code: int, detail: str) -> None:
-        super().__init__(f"{detail} (code {code})", row=0)
+    def __init__(self, code: int, detail: str, row: int | None = 0) -> None:
+        super().__init__(f"{detail} (code {code})", row=row)
         self.code = code
 
 

@@ -19,6 +19,8 @@ RULE_MESSAGES = (
     "time must be nonnegative and finite",
     "state dimension does not match the model",
     "need at least one test function",
+    "friction must be nonnegative and finite",
+    "e^(vt) overflows at v*t",
 )
 
 

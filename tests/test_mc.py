@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import signal
@@ -14,7 +15,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from langevin_gf import mc
-from langevin_gf.errors import ArgumentError, EstimationError, EvaluationError, StepSizeError
+from langevin_gf.errors import (
+    ArgumentError,
+    EstimationError,
+    EvaluationError,
+    RangeError,
+    StepSizeError,
+)
 from langevin_gf.analysis import (
     conformal_defect,
     ergodic_reference,
@@ -24,12 +31,13 @@ from langevin_gf.analysis import (
     mc_weak_order,
     weak_error_linear,
 )
-from langevin_gf.cli import _structure_table, _StructureTrial
-from langevin_gf.genfun import to_augmented
+from langevin_gf.cli import _structure_rows, _StructureTrial, main
+from langevin_gf.genfun import gf2_step_augmented, to_augmented
 from langevin_gf.integrators import (
     AffineStepMap,
     GaussianLaw,
     gf2_affine_map,
+    gf2_jacobian,
     gf2_step,
     linear_exact_moments,
     propagate_gaussian_chain,
@@ -517,8 +525,9 @@ def test_every_estimator_call_reaches_the_pool_through_one_map_batches(monkeypat
 def test_a_package_error_without_a_row_propagates_unchanged(monkeypatch):
     # A force that itself raises EvaluationError is not a refused state: the
     # engine adds no realization and keeps its class and its row None, on
-    # either worker count.  The stepping loop that every path shares names
-    # the step, as simulate always did.
+    # either worker count, and the structure command adds no trial.  The
+    # stepping loop that every path shares names the step, as simulate
+    # always did.
     def force(q):
         raise EvaluationError("custom force refused")
 
@@ -546,9 +555,9 @@ def test_a_package_error_without_a_row_propagates_unchanged(monkeypatch):
         for i, h in enumerate([0.1, 0.2])
     ]
     with pytest.raises(EvaluationError) as info:
-        _structure_table(model, trials, 4)
+        _structure_rows(model, trials, 4)
     assert type(info.value) is EvaluationError
-    assert str(info.value) == "trial 0, step 0: custom force refused"
+    assert str(info.value) == "step 0: custom force refused"
     assert info.value.row is None
 
 
@@ -1087,6 +1096,7 @@ _STEP = "step size must be positive and finite, got "
 _TIME = "time must be nonnegative and finite, got "
 _STATE = "state dimension does not match the model"
 _NO_PSI = "need at least one test function"
+_FRICTION = "friction must be nonnegative and finite"
 _Z0_D2 = PhaseState([0.0, 0.0], [1.0, 1.0])
 _LAW = GaussianLaw(np.zeros(2), np.zeros((2, 2)))
 
@@ -1195,6 +1205,17 @@ _WRONG_TYPES = {
     "exact_moments_time_bool": (_TIME + "True", lambda: linear_exact_moments(_LINEAR, _Z0, True)),
     "to_augmented_time_none": (_TIME + "None", lambda: to_augmented(_Z0, None, _LINEAR)),
     "conformal_defect_time_str": (_TIME + "'1'", lambda: conformal_defect(np.eye(2), 2.0, "1")),
+    # Frictions.
+    "model_friction_nan": (_FRICTION, lambda: dataclasses.replace(_LINEAR, friction=math.nan)),
+    "conformal_defect_friction_nan": (
+        _FRICTION, lambda: conformal_defect(np.eye(2), math.nan, 1.0)
+    ),
+    "conformal_defect_friction_negative": (
+        _FRICTION, lambda: conformal_defect(np.eye(2), -1000.0, 1.0)
+    ),
+    "affine_map_friction_negative": (
+        _FRICTION, lambda: AffineStepMap(np.eye(2), np.ones((2, 1)), friction=-1000.0, h=1.0)
+    ),
     # Lists of test functions.
     "weak_error_linear_no_psi": (
         _NO_PSI, lambda: weak_error_linear(_LINEAR, [], _Z0, 0.25, 1.0)
@@ -1240,6 +1261,46 @@ def test_counts_and_step_sizes_of_the_wrong_type_are_refused(name):
     with pytest.raises(ArgumentError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_every_gf2_path_refuses_an_overflowing_e_vh(tmp_path, monkeypatch, capsys):
+    # e^{vh} overflows a float past v h = 709.8; every path that would form
+    # it refuses v h = 800 with one RangeError, the estimators before any fork.
+    model, z0, plan = LinearOscillator(1.0, 800.0, 1.0).build(), _Z0, SeedPlan(1)
+    monkeypatch.setattr(mc, "resolve_threads", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before refusing"))
+    calls = [
+        lambda: gf2_step(model, z0, 1.0),
+        lambda: gf2_jacobian(model, z0, 1.0),
+        lambda: simulate(model, z0, 1.0, np.zeros((2, 1))),
+        lambda: gf2_affine_map(model, 1.0),
+        lambda: gf2_step_augmented(model, [0.0, 0.0], [1.0, 0.0], 1.0),
+        lambda: mc_expectation(model, "gf2", cos_sum, z0, 1.0, 2.0, 5000, plan),
+        lambda: weak_error_mc(model, [cos_sum], z0, [1.0], 2.0, 5000, 2, plan),
+        lambda: one_step_ms_gap(model, z0, [1.0], 2, 5000, plan),
+        lambda: mc_step_means(model, [cos_sum], z0, 1.0, 2, 5000, plan),
+    ]
+    for call in calls:
+        with pytest.raises(RangeError) as info:
+            call()
+        assert str(info.value) == "e^(vt) overflows at v*t = 800.0"
+    model_section = {"kind": "linear", "a": 1.0, "v": 800.0, "sigma": 1.0}
+    runs = {
+        "simulate": {"step_size": 1.0, "n_steps": 2, "initials": [[0.0, 1.0]]},
+        # h >= 1e-3 puts every trial's v h past the limit.
+        "structure": {"trials": 2, "volume_steps": 2},
+    }
+    for command, experiment in runs.items():
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps({
+            "model": {**model_section, "v": 800.0 if command == "simulate" else 1e6},
+            "experiment": experiment,
+            "output": {"directory": str(tmp_path / command)},
+        }))
+        assert main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: e^(vt) overflows at v*t = ") and err.count("\n") == 1
+        assert not (tmp_path / command).exists()
 
 
 def test_numpy_integer_counts_give_the_bits_of_python_integers():
