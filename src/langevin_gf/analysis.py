@@ -276,16 +276,27 @@ def fit_order(points: Iterable[tuple[float, float]]) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-def conformal_defect(jac: Array, friction: float, h: float) -> float:
-    """Max-norm defect of J^T Omega J = e^(-vh) Omega on the 2d phase space,
-    for the map J over a time h >= 0."""
-    friction, h = _friction(friction), _time(h)
+def conformal_defect(jac: Array, friction: float, h: object) -> float | Array:
+    """Max-norm defect of J^T Omega J = e^(-vh) Omega on the 2d phase space, for
+    the map J over a time h >= 0: a float for one (2d, 2d) matrix, an array (...)
+    for a (..., 2d, 2d) stack with one h per matrix.  A non-finite matrix is
+    refused with EvaluationError, whose ``row`` is a stack's first such one."""
+    friction = _friction(friction)
     mat = np.asarray(jac, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 != 0:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2] or mat.shape[-1] % 2 != 0:
         raise ArgumentError(f"need a square even-dimensional matrix, got {mat.shape}")
-    d = mat.shape[0] // 2
-    omega = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(d))
-    return float(np.max(np.abs(mat.T @ omega @ mat - math.exp(-friction * h) * omega)))
+    if np.shape(h) != mat.shape[:-2]:
+        raise ArgumentError(f"need one time per matrix of {mat.shape}, got shape {np.shape(h)}")
+    times = np.ravel(h).tolist()
+    factor = np.reshape([math.exp(-friction * _time(t)) for t in times], np.shape(h))
+    bad = ~np.all(np.isfinite(mat), axis=(-2, -1))
+    if np.any(bad):
+        row = int(np.argmax(bad)) if mat.ndim > 2 else None
+        raise EvaluationError("Jacobian contains non-finite entries", row=row)
+    omega = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(mat.shape[-1] // 2))
+    product = np.swapaxes(mat, -1, -2) @ omega @ mat
+    defect = np.max(np.abs(product - factor[..., None, None] * omega), axis=(-2, -1))
+    return float(defect) if mat.ndim == 2 else defect
 
 
 def temporal_average(series: Array) -> Array:

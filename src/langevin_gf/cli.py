@@ -43,7 +43,7 @@ from .analysis import (
     temporal_average,
 )
 from .errors import ArgumentError, ConfigError, Error
-from .genfun import AugmentedState, from_augmented, gf2_step_augmented, to_augmented
+from .genfun import _augmented_step, _lift, _lower
 from .integrators import _Gf2Kernel, _iterate, simulate
 from .mc import SeedPlan, _steps_for, derive_seed, generator_for, mc_step_means
 from .mc import sample_increments
@@ -415,37 +415,24 @@ def _draw_structure_trial(
     return _StructureTrial(z, h, t_n, dw, block)
 
 
-def _genfun_gap(
-    model: LangevinModel, trial: _StructureTrial, direct_p: np.ndarray, direct_q: np.ndarray
-) -> float:
-    """Max difference between the augmented generating-function step and the direct map."""
-    aug = to_augmented(trial.z, trial.t_n, model)
-    xg, yg = gf2_step_augmented(model, aug.X, aug.Y, trial.h, trial.dw)
-    back, _ = from_augmented(AugmentedState(X=xg, Y=yg), model)
-    return max(
-        float(np.max(np.abs(back.p - direct_p))),
-        float(np.max(np.abs(back.q - direct_q))),
-    )
-
-
 def _structure_rows(
     model: LangevinModel, trials: Sequence[_StructureTrial], volume_steps: int
 ) -> list[tuple]:
-    """The table rows, from one (trials, d) batch.
+    """The table rows, each stage run once on one (trials, d) batch.
 
-    A failure is raised in place as ``trial i, step k: <reason>``, so it
-    keeps its type and attributes.  The batch meets it by stage (the one-step
-    check as step 0, the volume chain from step 0, then the row checks), then
-    at the earliest step, a refused step matrix before a non-finite state,
-    and at the lowest trial: the kernel's ``row``, or the row checks' own
-    trial, which becomes the error's ``row`` when it has one.  A failure with
-    no row, which only a custom model raises, reads ``step k: <reason>``.
+    A failure is raised in place as ``trial i, step k: <reason>``, keeping its
+    type and attributes, with i its ``row``.  The one failure rule: by stage
+    (the one-step check as step 0, the volume chain from step 0, then the
+    defect rows and the genfun rows as step 0), then the earliest step, then
+    the lowest trial, each stage's checks going in their own order (a refused
+    step matrix before a non-finite state).  A failure with no row, which
+    only a custom model raises, reads ``step k: <reason>``.
     """
     h = np.array([trial.h for trial in trials])
     kernel = _Gf2Kernel(model, h)
     p = np.stack([trial.z.p for trial in trials])
     q = np.stack([trial.z.q for trial in trials])
-    one_step_kicks = _matvec(model.noise, np.stack([trial.dw for trial in trials]))
+    dws = np.stack([trial.dw for trial in trials])
     volume_kicks = _matvec(model.noise, np.stack([trial.block for trial in trials], axis=1))
     logdet = np.zeros(len(trials))
 
@@ -453,36 +440,30 @@ def _structure_rows(
         hess, step_matrix, p1, q1 = kernel.update(p, q, kick)
         return kernel.jacobian(q, hess, step_matrix, p1), p1, q1
 
+    def row_checks(p: np.ndarray, q: np.ndarray, dw: np.ndarray) -> tuple:
+        defect = conformal_defect(jac, model.friction, h)
+        x, y = _lift(model, p, q, np.array([trial.t_n for trial in trials]))
+        back_p, back_q = _lower(model, *_augmented_step(model, x, y, h, dw))
+        gap = np.maximum(np.abs(back_p - p1).max(axis=1), np.abs(back_q - q1).max(axis=1))
+        return defect, gap
+
     try:
-        [(jac, p1, q1)] = _iterate(step, p, q, one_step_kicks[None])  # as step 0
+        [(jac, p1, q1)] = _iterate(step, p, q, _matvec(model.noise, dws)[None])  # as step 0
         for volume_jac, _, _ in _iterate(step, p, q, volume_kicks):
             logdet += np.linalg.slogdet(volume_jac)[1]
+        [(defect, gap)] = _iterate(row_checks, p, q, dws[None])  # the row checks, as step 0
     except Error as exc:
         if exc.row is not None:
             exc.args = (f"trial {exc.row}, {exc}",)  # in place, so the type survives
         raise
-    rows = []
-    for i, trial in enumerate(trials):
-        try:
-            defect = conformal_defect(jac[i], model.friction, trial.h)
-            rate = model.friction * volume_steps * trial.h * model.dim
-            volume_rel = abs(math.expm1(logdet[i] + rate))
-            equiv = _genfun_gap(model, trial, p1[i], q1[i])
-        except Error as exc:  # the row checks count as step 0
-            exc.args = (f"trial {i}, step 0: {exc}",)
-            exc.row = None if exc.row is None else i
-            raise
-        rows.append((i, trial.h, defect, volume_rel, equiv))
-    return rows
+    rate = model.friction * volume_steps * h * model.dim
+    volume_rel = [abs(math.expm1(x)) for x in (logdet + rate).tolist()]
+    return list(zip(range(len(trials)), h.tolist(), defect, volume_rel, gap))
 
 
 def _run_structure(config: ExperimentConfig) -> _Table:
-    """Conformal defect, phase-volume error and genfun gap per trial.
-
-    Each trial draws its inputs from its own generator.  The one-step map,
-    its Jacobian and the volume chain then run once over all trials as a
-    (trials, d) batch with one step size per row.
-    """
+    """Conformal defect, phase-volume error and genfun gap per trial, each trial
+    drawn from its own generator and all checked on one batch."""
     model = _model(config)
     exp = config.experiment
     plan = SeedPlan(config.mc["master_seed"])

@@ -6,11 +6,9 @@ from __future__ import annotations
 class Error(Exception):
     """Base class for all errors raised by this package.
 
-    ``row`` is the first state of a batch that a step kernel refused, its index
-    in the (R, d) states the kernel stepped, and ``step`` the step k that the
-    stepping loop ``integrators._iterate`` named ``step k: ``; else each is None.
-    In the structure command's row checks, which run one trial at a time
-    after the batch, a ``row`` that the error sets becomes that trial's index.
+    ``row`` is the index of the first row of a batch that a check refused, and
+    ``step`` the step k that the stepping loop ``integrators._iterate`` named
+    ``step k: ``; else each is None.
     """
 
     def __init__(self, message: str = "", row: int | None = None) -> None:

@@ -39,8 +39,8 @@ from .errors import (
     RangeError,
     StepSizeError,
 )
-from .models import LangevinModel, PhaseState, _check_symmetric, _count, _matvec, _on_rows
-from .models import _check_state, _exp_vt, _friction, _step_size, _time
+from .models import LangevinModel, PhaseState, _check_finite, _check_symmetric, _count, _matvec
+from .models import _check_state, _exp_vt, _friction, _on_rows, _step_size, _time
 
 Array = np.ndarray
 
@@ -71,6 +71,8 @@ class GaussianLaw:
         n = mean.shape[0]
         if cov.shape != (n, n):
             raise ArgumentError(f"cov shape {cov.shape} does not match mean length {n}")
+        _check_finite(mean, "mean")
+        _check_finite(cov, "cov")
         _check_symmetric(cov, "cov is not symmetric")
         _check_spectrum(np.linalg.eigvalsh(cov), cov)
         object.__setattr__(self, "mean", mean)
@@ -100,6 +102,8 @@ class AffineStepMap:
         friction, h = _friction(self.friction), _step_size(self.h)
         if (B.ndim, G.ndim) != (2, 2) or B.shape != (len(G),) * 2 or len(G) % 2:
             raise ArgumentError(f"B must be 2d x 2d and G 2d x m, got {B.shape} and {G.shape}")
+        _check_finite(B, "B")
+        _check_finite(G, "G")
         expected = math.exp(-friction * h * (B.shape[0] // 2))
         if not abs(float(np.linalg.det(B)) - expected) <= _DET_RTOL * expected:
             raise ArgumentError(

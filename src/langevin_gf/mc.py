@@ -67,8 +67,8 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ArgumentError, Error, EstimationError, EvaluationError, StepSizeError
 from .integrators import _KERNELS, _iterate
-from .models import LangevinModel, PhaseState, _count, _is_integer, _matvec, _on_rows
-from .models import _check_state, _exp_vt, _step_size, _test_functions, _time
+from .models import LangevinModel, PhaseState, _check_finite, _count, _is_integer, _matvec
+from .models import _check_state, _exp_vt, _on_rows, _step_size, _test_functions, _time
 
 Array = np.ndarray
 
@@ -186,8 +186,9 @@ def pairwise_sum(values: Array, axis: int = 0, levels: int | None = None) -> Arr
     leftover unchanged, so the reduction order depends only on the array
     length, never on how the entries were produced or scheduled.  Node i of
     level L sums entries [i 2^L, (i+1) 2^L), so runs of entries cut at
-    multiples of 2^L build their nodes apart: ``levels=L`` returns them.
+    multiples of 2^L build their nodes apart: ``levels=L``, L >= 0, returns them.
     """
+    levels = levels if levels is None else _count(levels, 0, "tree levels must be nonnegative")
     arr = np.asarray(values, dtype=float)
     if arr.shape[axis] == 0:
         raise ArgumentError("cannot reduce an empty axis")
@@ -223,6 +224,7 @@ def mean_and_se(values: Array) -> EstimatorResult:
     n = arr.size
     if n < 1:
         raise ArgumentError("need at least one sample")
+    _check_finite(arr, "sample")
     mean = float(pairwise_sum(arr)) / n
     if n == 1:
         return EstimatorResult(mean=mean, std_error=0.0, n_samples=1)

@@ -7,11 +7,11 @@ A model describes the damped-driven Hamiltonian system
 with force f = grad F, symmetric positive definite mass M, friction v > 0 and
 additive noise matrix Sigma of full row rank.  This module provides the model
 container, builders of the two built-in test systems (a linear oscillator and
-a tilted double well), a d-dimensional quadratic model, single-point
-evaluation of (F, f, grad^2 F), and the Boltzmann-Gibbs density of any model
-under fluctuation-dissipation.  Everything that reads a model takes the built
-:class:`LangevinModel`; :class:`LinearOscillator` and :class:`DoubleWell`
-only validate their parameters and build one.
+a tilted double well), a d-dimensional quadratic model, evaluation of
+(F, f, grad^2 F) on rows or at one point, and the Boltzmann-Gibbs density
+of any model under fluctuation-dissipation.  Everything that reads a model
+takes the built :class:`LangevinModel`; :class:`LinearOscillator` and
+:class:`DoubleWell` only validate their parameters and build one.
 
 It also owns the argument rules that every public entry point of the package
 applies first, before any model call, draw or fork, each with its one
@@ -41,18 +41,6 @@ Array = np.ndarray
 _NOISE_RANK_TOL = 1e-12
 # exp() overflows just above exp(709); refuse earlier with a clear error.
 _EXP_LIMIT = 700.0
-
-
-def _as_point(q: object, dim: int) -> Array:
-    """Coerce a position argument to a finite (dim,) float array."""
-    arr = np.atleast_1d(np.asarray(q, dtype=float))
-    if arr.shape != (dim,):
-        raise ArgumentError(
-            f"expected a point of dimension {dim}, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ArgumentError("point contains non-finite entries")
-    return arr
 
 
 def _is_integer(value: object) -> bool:
@@ -100,10 +88,10 @@ def _friction(v: object) -> float:
     return float(v)
 
 
-def _exp_vt(v: float, t: float) -> float:
-    """e^{vt}, or RangeError once |vt| is past _EXP_LIMIT."""
+def _exp_vt(v: float, t: float, row: int | None = None) -> float:
+    """e^{vt}, or RangeError once |vt| is past _EXP_LIMIT, naming ``row`` as its row."""
     if abs(v * t) > _EXP_LIMIT:
-        raise RangeError(f"e^(vt) overflows at v*t = {v * t}")
+        raise RangeError(f"e^(vt) overflows at v*t = {v * t}", row=row)
     return math.exp(v * t)
 
 
@@ -119,6 +107,12 @@ def _test_functions(psis: Iterable[Callable]) -> list[Callable]:
     if not psis:
         raise ArgumentError("need at least one test function")
     return psis
+
+
+def _check_finite(values: Array, what: str) -> None:
+    """ArgumentError unless every entry of ``values`` is finite."""
+    if not np.all(np.isfinite(values)):
+        raise ArgumentError(f"{what} contains non-finite entries")
 
 
 def _check_symmetric(matrix: Array, message: str) -> None:
@@ -242,10 +236,8 @@ class LangevinModel:
                 "mass must be (d, d) and noise (d, m) with 1 <= d <= m, "
                 f"got {mass.shape} and {noise.shape}"
             )
-        if not np.all(np.isfinite(mass)):
-            raise ArgumentError("mass contains non-finite entries")
-        if not np.all(np.isfinite(noise)):
-            raise ArgumentError("noise contains non-finite entries")
+        _check_finite(mass, "mass")
+        _check_finite(noise, "noise")
         _check_symmetric(mass, "mass matrix is not symmetric")
         if float(np.min(np.linalg.eigvalsh(mass))) <= 0.0:
             raise ArgumentError("mass matrix is not positive definite")
@@ -345,35 +337,30 @@ def make_quadratic_model(
     return model
 
 
-def eval_model(model: LangevinModel, q: object) -> tuple[float, Array, Array]:
-    """Evaluate (F(q), f(q), grad^2 F(q)) at a single point.
-
-    Parameters
-    ----------
-    model : LangevinModel
-    q : array_like
-        Position, coerced to shape (d,).
-
-    Returns
-    -------
-    (float, (d,) ndarray, (d, d) ndarray)
-
-    Raises
-    ------
-    EvaluationError
-        If any output is non-finite or off its row contract.
-    """
-    point, d = _as_point(q, model.dim), model.dim
-    pot = float(_on_rows(model.potential(point), point, (), "potential"))
-    frc = _on_rows(model.force(point), point, (d,), "force")
-    hess = _on_rows(model.force_jacobian(point), point, (d, d), "force_jacobian")
-    if not (
-        math.isfinite(pot)
-        and np.all(np.isfinite(frc))
-        and np.all(np.isfinite(hess))
-    ):
-        raise EvaluationError(f"model evaluation is non-finite at q={point}")
+def _model_rows(model: LangevinModel, q: Array) -> tuple[Array, Array, Array]:
+    """(F(q), f(q), grad^2 F(q)) on (R, d) positions; EvaluationError off the row
+    contract or, naming the first such ``row``, where a value is not finite."""
+    d = model.dim
+    pot = _on_rows(model.potential(q), q, (), "potential")
+    frc = _on_rows(model.force(q), q, (d,), "force")
+    hess = _on_rows(model.force_jacobian(q), q, (d, d), "force_jacobian")
+    bad = ~(np.isfinite(pot) & np.all(np.isfinite(frc), axis=-1))
+    bad |= ~np.all(np.isfinite(hess), axis=(-2, -1))
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        raise EvaluationError(f"model evaluation is non-finite at q={q[row]}", row=row)
     return pot, frc, hess
+
+
+def eval_model(model: LangevinModel, q: object) -> tuple[float, Array, Array]:
+    """(F(q), f(q), grad^2 F(q)) at a single finite point q of shape (d,):
+    :func:`_model_rows` on one row."""
+    point = np.atleast_1d(np.asarray(q, dtype=float))
+    if point.shape != (model.dim,):
+        raise ArgumentError(f"expected a point of dimension {model.dim}, got shape {point.shape}")
+    _check_finite(point, "point")
+    pot, frc, hess = _model_rows(model, point[None])
+    return float(pot[0]), frc[0], hess[0]
 
 
 def gibbs_density_fn(model: LangevinModel) -> Callable[[Array, Array], Array]:

@@ -388,6 +388,23 @@ def test_conformal_defect_closed_forms():
     assert_allclose(conformal_defect(np.eye(2), v, h), 1.0 - math.exp(-v * h), rtol=1e-15)
     with pytest.raises(ArgumentError):
         conformal_defect(np.eye(3), v, h)
+    # A stack with one h per matrix gives each matrix's defect.
+    stack = np.stack([exact, np.eye(2), exact])
+    defects = conformal_defect(stack, v, np.array([h, h, 0.0]))
+    assert defects.tolist() == [
+        0.0, conformal_defect(np.eye(2), v, h), conformal_defect(exact, v, 0.0)
+    ]
+    with pytest.raises(ArgumentError, match=r"^need one time per matrix"):
+        conformal_defect(stack, v, h)
+    # A non-finite matrix is refused, not measured as nan; a stack names its row.
+    with pytest.raises(EvaluationError, match="^Jacobian contains non-finite entries$") as info:
+        conformal_defect(np.full((2, 2), np.nan), 1.0, 0.1)
+    assert info.value.row is None
+    stack[1, 0, 1] = np.inf
+    stack[2, 1, 1] = np.nan
+    with pytest.raises(EvaluationError, match="^Jacobian contains non-finite entries$") as info:
+        conformal_defect(stack, v, np.full(3, h))
+    assert info.value.row == 1
 
 
 def test_conformal_defect_of_scheme_jacobian():

@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from langevin_gf import __version__, cli
+from langevin_gf import __version__, cli, genfun
+from langevin_gf.analysis import conformal_defect
 from langevin_gf.cli import (
     ExperimentConfig,
     _checkpoint_indices,
     _draw_structure_trial,
-    _genfun_gap,
     _structure_rows,
     _StructureTrial,
     load_config,
@@ -24,6 +24,7 @@ from langevin_gf.cli import (
     run,
 )
 from langevin_gf.errors import ConfigError, Error, EvaluationError, RangeError, StepSizeError
+from langevin_gf.genfun import AugmentedState, from_augmented, gf2_step_augmented, to_augmented
 from langevin_gf.integrators import gf2_jacobian, gf2_step
 from langevin_gf.mc import SeedPlan, derive_seed, generator_for
 from langevin_gf.models import DoubleWell, LangevinModel, LinearOscillator, PhaseState
@@ -592,7 +593,7 @@ def test_a_failing_structure_run_steps_its_trials_once(tmp_path, monkeypatch):
     assert [len(trials) for _, trials, _ in calls] == [100]
 
 
-def test_structure_refused_step_names_the_failing_trial():
+def test_structure_refused_step_names_the_failing_trial(monkeypatch):
     # f = c q with c = -2 / 0.125^2 makes the step matrix of the trial with
     # h = 0.125 singular; the batch refuses it and names it.
     c = -2.0 / 0.125**2
@@ -614,14 +615,19 @@ def test_structure_refused_step_names_the_failing_trial():
         _structure_rows(model, trials, 4)
     assert info.value.row == 2
     assert _step_synchronous_failure(model, trials) == (StepSizeError, str(info.value))
-    # A Hessian that only genfun's single-point evaluation sees is refused by
-    # the row checks, whose trial replaces the row 0 of genfun's one matrix.
+    # A Hessian that turns singular once the first lift runs is seen only by
+    # the genfun rows, whose augmented step refuses the trial's row of the batch.
+    lifted = []
+    lift = genfun._lift
+    for module in (cli, genfun):
+        monkeypatch.setattr(module, "_lift", lambda *args: lifted.append(1) or lift(*args))
     model = dataclasses.replace(
-        model, force_jacobian=lambda q: np.full(np.shape(q) + (1,), c if np.ndim(q) == 1 else 0.0)
+        model, force_jacobian=lambda q: np.full(np.shape(q) + (1,), c if lifted else 0.0)
     )
     with pytest.raises(StepSizeError, match=reason) as info:
         _structure_rows(model, trials, 4)
     assert info.value.row == 2
+    lifted.clear()
     assert _step_synchronous_failure(model, trials) == (StepSizeError, str(info.value))
 
 
@@ -665,12 +671,12 @@ def test_structure_failure_prefixes_the_failing_trial_in_place():
     assert str(info.value) == "trial 3, step 0: step produced a non-finite state at h=0.15"
     assert info.value.row == 3
 
-    # The row checks name the trial they check; an error without a row keeps None.
+    # The genfun rows name the first trial whose clock is out of range as the row.
     trials = [dataclasses.replace(trial, t_n=400.0 * i) for i, trial in enumerate(_LINEAR_TRIALS)]
     with pytest.raises(RangeError) as info:
         _structure_rows(linear, trials, 4)
     assert str(info.value) == "trial 1, step 0: e^(vt) overflows at v*t = 800.0"
-    assert info.value.row is None
+    assert info.value.row == 1
     assert _step_synchronous_failure(linear, trials) == (RangeError, str(info.value))
 
 
@@ -701,8 +707,10 @@ def _first_failure(k: int, outcomes: list) -> tuple[type, str] | None:
 def _step_synchronous_failure(model, trials) -> tuple[type, str] | None:
     """The per-state reference for a structure failure.  Every trial takes
     one step at a time alone through gf2_step, then gf2_jacobian, in the
-    batch's stages: the one-step check as step 0, the volume chain from
-    step 0, then the generating-function check trial by trial, as step 0."""
+    batch's stages: the one-step check as step 0 and the volume chain from
+    step 0.  The row checks follow as step 0, each over every trial through
+    the single-state calls: the conformal defect of the one-step Jacobian,
+    then the lift, the augmented step and the inverse lift."""
     one_step = [[trial.dw for trial in trials]]
     volume = list(zip(*(trial.block for trial in trials)))
     for chain in (one_step, volume):
@@ -716,11 +724,22 @@ def _step_synchronous_failure(model, trials) -> tuple[type, str] | None:
             if failure:
                 return failure
             states = moved
-    for i, trial in enumerate(trials):
-        direct = gf2_step(model, trial.z, trial.h, trial.dw)
-        exc = _outcome(_genfun_gap, model, trial, direct.p, direct.q)
-        if isinstance(exc, Error):
-            return type(exc), f"trial {i}, step 0: {exc}"
+    jacobians = [gf2_jacobian(model, trial.z, trial.h, trial.dw) for trial in trials]
+    # Each check reads the outcome of the one before it for its trial; the
+    # defect takes a one-matrix stack, whose failure names its row.
+    checks = [
+        lambda i, trial: conformal_defect(jacobians[i][None], model.friction, [trial.h]),
+        lambda i, trial: to_augmented(trial.z, trial.t_n, model),
+        lambda i, trial: gf2_step_augmented(
+            model, outcomes[i].X, outcomes[i].Y, trial.h, trial.dw
+        ),
+        lambda i, trial: from_augmented(AugmentedState(*outcomes[i]), model),
+    ]
+    for check in checks:
+        outcomes = [_outcome(check, i, trial) for i, trial in enumerate(trials)]
+        failure = _first_failure(0, outcomes)
+        if failure:
+            return failure
     return None
 
 
@@ -754,6 +773,40 @@ def test_structure_failures_match_the_step_synchronous_reference(tmp_path):
     expected = (_Refused, "step 0: custom force refused (code 7)")
     assert (type(info.value), str(info.value)) == expected
     assert _step_synchronous_failure(model, _LINEAR_TRIALS) == expected
+
+
+@pytest.mark.parametrize("name", ["structure_linear", "structure_double_well"])
+def test_structure_rows_are_the_single_state_calls_bit_for_bit(name):
+    # Each batched row of the shipped runs gives the bits of the public R = 1
+    # calls on its trial: the augmented step, the genfun gap and the defect.
+    shipped = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    config = parse_config(json.loads(shipped.read_text(encoding="utf-8")), "structure")
+    model, volume_steps = cli._model(config), config.experiment["volume_steps"]
+    plan = SeedPlan(config.mc["master_seed"])
+    trials = [
+        _draw_structure_trial(model, generator_for(derive_seed(plan, i)), volume_steps)
+        for i in range(config.experiment["trials"])
+    ]
+    rows = _structure_rows(model, trials, volume_steps)
+    x, y = genfun._lift(
+        model,
+        np.stack([trial.z.p for trial in trials]),
+        np.stack([trial.z.q for trial in trials]),
+        np.array([trial.t_n for trial in trials]),
+    )
+    h = np.array([trial.h for trial in trials])
+    xg, yg = genfun._augmented_step(model, x, y, h, np.stack([trial.dw for trial in trials]))
+    for i, trial in enumerate(trials):
+        aug = to_augmented(trial.z, trial.t_n, model)
+        step = gf2_step_augmented(model, aug.X, aug.Y, trial.h, trial.dw)
+        assert xg[i].tobytes() + yg[i].tobytes() == step[0].tobytes() + step[1].tobytes()
+        back, _ = from_augmented(AugmentedState(*step), model)
+        direct = gf2_step(model, trial.z, trial.h, trial.dw)
+        gap = max(np.max(np.abs(back.p - direct.p)), np.max(np.abs(back.q - direct.q)))
+        jac = gf2_jacobian(model, trial.z, trial.h, trial.dw)
+        defect = conformal_defect(jac, model.friction, trial.h)
+        assert float(rows[i][4]).hex() == float(gap).hex()
+        assert float(rows[i][2]).hex() == defect.hex()
 
 
 def test_structure_rerun_byte_identical(tmp_path):

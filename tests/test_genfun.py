@@ -211,6 +211,10 @@ def test_g_alpha_catalog_errors():
         g_alpha(model, (1,), x, y)
     with pytest.raises(ArgumentError):
         g_alpha(model, (0, 1, 1, 0), x, y)
+    for alpha in (3, None):
+        with pytest.raises(ArgumentError) as info:
+            g_alpha(model, alpha, x, y)
+        assert str(info.value) == f"multi-index must be a sequence of integers, got {alpha!r}"
 
 
 def test_multi_index_validation():

@@ -1227,6 +1227,33 @@ _WRONG_TYPES = {
         _NO_PSI, lambda: linear_ergodic_series(_LINEAR, [], [_Z0], 0.25, 2)
     ),
     "ergodic_reference_no_psi": (_NO_PSI, lambda: ergodic_reference(_LINEAR, [], n_nodes=20)),
+    # Non-finite laws, maps and samples, and tree levels that are not counts.
+    "law_mean_nan": (
+        "mean contains non-finite entries", lambda: GaussianLaw([math.nan, 0.0], np.eye(2))
+    ),
+    # Checked before symmetry, whose inf - inf would warn.
+    "law_cov_inf": (
+        "cov contains non-finite entries",
+        lambda: GaussianLaw(np.zeros(2), [[math.inf, 0.0], [0.0, 1.0]]),
+    ),
+    "affine_map_G_nan": (
+        "G contains non-finite entries",
+        lambda: AffineStepMap(np.eye(2), [[math.nan], [0.0]], friction=0.0, h=0.1),
+    ),
+    "mean_and_se_nan": (
+        "sample contains non-finite entries", lambda: mean_and_se([1.0, math.nan])
+    ),
+    "pairwise_levels_negative": (
+        "tree levels must be nonnegative", lambda: pairwise_sum(np.ones(4), levels=-1)
+    ),
+    "pairwise_levels_float": (
+        "tree levels must be nonnegative; got 1.5, not an integer",
+        lambda: pairwise_sum(np.ones(4), levels=1.5),
+    ),
+    "pairwise_levels_bool": (
+        "tree levels must be nonnegative; got True, not an integer",
+        lambda: pairwise_sum(np.ones(4), levels=True),
+    ),
     # States of another dimension than the model's.
     "simulate_state_d2": (_STATE, lambda: simulate(_LINEAR, _Z0_D2, 0.1, np.zeros((2, 1)))),
     "expectation_state_d2": (
