@@ -680,6 +680,20 @@ def test_structure_failure_prefixes_the_failing_trial_in_place():
     assert _step_synchronous_failure(linear, trials) == (RangeError, str(info.value))
 
 
+def test_structure_names_the_trial_whose_potential_is_non_finite():
+    # Only the lift reads the potential, so the genfun rows refuse trial 3,
+    # started at q = 0.3, as their step 0.
+    linear = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
+    model = dataclasses.replace(
+        linear, potential=lambda q: np.where(q[..., 0] > 0.25, np.nan, linear.potential(q))
+    )
+    with pytest.raises(EvaluationError) as info:
+        _structure_rows(model, _LINEAR_TRIALS, 4)
+    assert str(info.value) == "trial 3, step 0: model evaluation is non-finite at q=[0.3]"
+    assert info.value.row == 3
+    assert _step_synchronous_failure(model, _LINEAR_TRIALS) == (EvaluationError, str(info.value))
+
+
 def _outcome(call, *args):
     """What call(*args) returns, or the package Error it raises."""
     try:

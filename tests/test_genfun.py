@@ -373,6 +373,15 @@ def test_augmented_step_errors():
         gf2_step_augmented(model, [0.1, 0.0], [0.2, 300.0], 0.5, None)
 
 
+def test_augmented_step_refuses_an_overflowing_output():
+    # x M x of X^G overflows in the auxiliary coordinate.
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
+    with pytest.raises(EvaluationError) as info:
+        gf2_step_augmented(model, [1e308, 0.0], [0.0, 0.0], 0.1, None)
+    assert str(info.value) == "augmented step produced non-finite output"
+    assert info.value.row == 0
+
+
 def test_augmented_state_validation():
     with pytest.raises(ArgumentError):
         AugmentedState(X=[1.0, 2.0], Y=[0.0, -0.5])
