@@ -40,7 +40,7 @@ from .integrators import (
 )
 from .mc import SeedPlan, _steps_for, one_step_ms_gap, weak_error_mc
 from .models import LangevinModel, PhaseState, _count, _on_rows, gibbs_density_fn
-from .models import _check_state, _friction, _step_size, _test_functions, _time
+from .models import _check_state, _finite_real, _friction, _step_size, _test_functions, _time
 
 Array = np.ndarray
 
@@ -67,9 +67,9 @@ def _legendre_grid(
     box: tuple[float, float], n_nodes: int
 ) -> tuple[Array, Array, Array, float]:
     """(p, q) node grids, axis weights and area factor of Gauss-Legendre on box x box."""
+    if len(box) != 2 or not (all(map(_finite_real, box)) and box[0] < box[1]):
+        raise ArgumentError(f"box must satisfy lo < hi, got ({', '.join(map(str, box))})")
     lo, hi = float(box[0]), float(box[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ArgumentError(f"box must satisfy lo < hi, got ({lo}, {hi})")
     n_nodes = _count(n_nodes, 2, "need at least 2 quadrature nodes per axis")
     ref_nodes, weights = _gauss_rule(np.polynomial.legendre.leggauss, n_nodes)
     nodes = 0.5 * (hi - lo) * ref_nodes + 0.5 * (hi + lo)
@@ -276,6 +276,15 @@ def fit_order(points: Iterable[tuple[float, float]]) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
+def _check_jacobians(mat: Array) -> None:
+    """EvaluationError unless the (2d, 2d) matrix, or each of a (..., 2d, 2d)
+    stack, is finite; its ``row`` is a stack's first non-finite matrix."""
+    bad = ~np.all(np.isfinite(mat), axis=(-2, -1))
+    if np.any(bad):
+        row = int(np.argmax(bad)) if mat.ndim > 2 else None
+        raise EvaluationError("Jacobian contains non-finite entries", row=row)
+
+
 def conformal_defect(jac: Array, friction: float, h: object) -> float | Array:
     """Max-norm defect of J^T Omega J = e^(-vh) Omega on the 2d phase space, for
     the map J over a time h >= 0: a float for one (2d, 2d) matrix, an array (...)
@@ -289,10 +298,7 @@ def conformal_defect(jac: Array, friction: float, h: object) -> float | Array:
         raise ArgumentError(f"need one time per matrix of {mat.shape}, got shape {np.shape(h)}")
     times = np.ravel(h).tolist()
     factor = np.reshape([math.exp(-friction * _time(t)) for t in times], np.shape(h))
-    bad = ~np.all(np.isfinite(mat), axis=(-2, -1))
-    if np.any(bad):
-        row = int(np.argmax(bad)) if mat.ndim > 2 else None
-        raise EvaluationError("Jacobian contains non-finite entries", row=row)
+    _check_jacobians(mat)
     omega = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(mat.shape[-1] // 2))
     product = np.swapaxes(mat, -1, -2) @ omega @ mat
     defect = np.max(np.abs(product - factor[..., None, None] * omega), axis=(-2, -1))
@@ -369,7 +375,7 @@ def weak_order_report(points: Sequence[WeakOrderPoint]) -> WeakOrderReport:
 def linear_ergodic_series(
     model: LangevinModel,
     psis: Sequence[Callable[[Array, Array], Array]],
-    initials: Sequence[PhaseState],
+    initials: Iterable[PhaseState],
     h: float,
     n_steps: int,
     n_nodes: int = DEFAULT_HERMITE_NODES,
@@ -392,6 +398,7 @@ def linear_ergodic_series(
     """
     if model.dim != 1:
         raise ArgumentError("the deterministic ergodic pipeline is one-dimensional")
+    initials = list(initials)
     if not initials:
         raise ArgumentError("need at least one initial state")
     for z0 in initials:

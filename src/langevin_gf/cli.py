@@ -35,6 +35,7 @@ from . import __version__
 from .analysis import (
     DEFAULT_BOX,
     DEFAULT_LEGENDRE_NODES,
+    _check_jacobians,
     conformal_defect,
     ergodic_reference,
     linear_ergodic_series,
@@ -48,7 +49,7 @@ from .integrators import _Gf2Kernel, _iterate, simulate
 from .mc import SeedPlan, _steps_for, derive_seed, generator_for, mc_step_means
 from .mc import sample_increments
 from .models import DoubleWell, LangevinModel, LinearOscillator, PhaseState, _matvec
-from .models import _finite_real, _is_integer
+from .models import _EXP_LIMIT, _finite_real, _is_integer
 from .observables import TEST_FUNCTIONS, get_test_function
 
 COMMANDS = ("weak-order", "ergodic", "structure", "simulate")
@@ -409,7 +410,10 @@ def _draw_structure_trial(
     d, m = model.dim, model.noise_dim
     z = PhaseState(gen.uniform(-2.0, 2.0, d), gen.uniform(-2.0, 2.0, d))
     h = float(gen.uniform(1e-3, 0.25))
-    t_n = float(gen.uniform(0.0, 1.0))
+    # U(0, 1), cut to keep 2 v (t_n + h) within e^{vt}'s range: the augmented
+    # step squares X = e^{vt} p in X^T M X.  The cut is exactly 1 for v <= 280.
+    v = model.friction
+    t_n = float(gen.uniform(0.0, min(1.0, max(0.0, _EXP_LIMIT / (2 * v) - h)) if v else 1.0))
     dw = gen.normal(0.0, math.sqrt(h), m)
     block = gen.normal(0.0, math.sqrt(h), (volume_steps, m))
     return _StructureTrial(z, h, t_n, dw, block)
@@ -425,11 +429,12 @@ def _structure_rows(
     (the one-step check as step 0, the volume chain from step 0, then the
     defect rows and the genfun rows as step 0), then the earliest step, then
     the lowest trial, each stage's checks going in their own order (a refused
-    step matrix before a non-finite state).  A failure with no row, which
+    step matrix before a non-finite state, and in the volume chain that state
+    before a non-finite Jacobian).  A step size past e^{vh}'s range is refused
+    before any step, as ``trial i, <reason>``.  A failure with no row, which
     only a custom model raises, reads ``step k: <reason>``.
     """
     h = np.array([trial.h for trial in trials])
-    kernel = _Gf2Kernel(model, h)
     p = np.stack([trial.z.p for trial in trials])
     q = np.stack([trial.z.q for trial in trials])
     dws = np.stack([trial.dw for trial in trials])
@@ -440,6 +445,11 @@ def _structure_rows(
         hess, step_matrix, p1, q1 = kernel.update(p, q, kick)
         return kernel.jacobian(q, hess, step_matrix, p1), p1, q1
 
+    def volume_step(p: np.ndarray, q: np.ndarray, kick: np.ndarray) -> tuple:
+        stepped = step(p, q, kick)
+        _check_jacobians(stepped[0])
+        return stepped
+
     def row_checks(p: np.ndarray, q: np.ndarray, dw: np.ndarray) -> tuple:
         defect = conformal_defect(jac, model.friction, h)
         x, y = _lift(model, p, q, np.array([trial.t_n for trial in trials]))
@@ -448,8 +458,9 @@ def _structure_rows(
         return defect, gap
 
     try:
+        kernel = _Gf2Kernel(model, h)
         [(jac, p1, q1)] = _iterate(step, p, q, _matvec(model.noise, dws)[None])  # as step 0
-        for volume_jac, _, _ in _iterate(step, p, q, volume_kicks):
+        for volume_jac, _, _ in _iterate(volume_step, p, q, volume_kicks):
             logdet += np.linalg.slogdet(volume_jac)[1]
         [(defect, gap)] = _iterate(row_checks, p, q, dws[None])  # the row checks, as step 0
     except Error as exc:

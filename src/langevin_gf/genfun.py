@@ -13,6 +13,8 @@ map exactly, which the test suite certifies numerically.
 The lift, the augmented step and the inverse lift run on (R, d + 1) rows,
 one step size and clock per row; :func:`to_augmented`,
 :func:`gf2_step_augmented` and :func:`from_augmented` are their R = 1 calls.
+Every function here reads e^{+-vt} from :func:`models._exp_rows` and each of
+x^T M x, sigma^T y and sigma^T M sigma from one term-by-term row helper.
 The route shares no code with the gf2 kernel, which it certifies.
 
 Notation: the model stores Sigma with the +Sigma dW sign convention; the
@@ -22,15 +24,14 @@ generating-function formulas are written in sigma = -Sigma.
 from __future__ import annotations
 
 import dataclasses
-import math
 from collections.abc import Sequence
 
 import numpy as np
 
 from .errors import ArgumentError, CapabilityError, EvaluationError
 from .integrators import _check_step_matrix, _increment
-from .models import LangevinModel, PhaseState, _count, _matvec, _model_rows, eval_model
-from .models import _check_finite, _check_state, _exp_vt, _step_size, _time
+from .models import LangevinModel, PhaseState, _count, _exp_rows, _matvec, _model_rows
+from .models import _check_finite, _check_state, _step_size, _time
 
 Array = np.ndarray
 
@@ -58,24 +59,32 @@ class AugmentedState:
         object.__setattr__(self, "Y", y)
 
 
-def _exp_rows(v: float, clocks: Array) -> Array:
-    """(R, 1) column of e^{vt}, one per clock by :func:`_exp_vt`, which names a refused row."""
-    return np.array([[_exp_vt(v, t, row)] for row, t in enumerate(clocks.tolist())])
+def _form(model: LangevinModel, a: Array, b: Array) -> Array:
+    """a^T M b, such as x^T M x, along the last axis of any stack of rows."""
+    return np.sum(_matvec(model.mass, a) * b, axis=-1)
+
+
+def _noise_dot(model: LangevinModel, y: Array) -> Array:
+    """(sigma_r^T y)_{r = 1..m} along the last axis: shape (..., m)."""
+    return _matvec(-model.noise.T, y)
+
+
+def _noise_gram(model: LangevinModel) -> Array:
+    """The (m, m) matrix of sigma_r1^T M sigma_r2."""
+    return _form(model, -model.noise.T[:, None], -model.noise.T[None])
 
 
 def _lift(model: LangevinModel, p: Array, q: Array, t: Array) -> tuple[Array, Array]:
     """(X, Y) rows (R, d + 1) of the (R, d) states (p, q) at the (R,) clocks t."""
-    scale = _exp_rows(model.friction, t)
+    scale = _exp_rows(model.friction, t)[0]
     pot = _model_rows(model, q)[0]
-    kinetic = np.sum(p * _matvec(model.mass, p), axis=-1)
-    aux = pot + 0.5 * kinetic + np.sum(_matvec(-model.noise.T, q), axis=-1)
+    aux = pot + 0.5 * _form(model, p, p) + np.sum(_noise_dot(model, q), axis=-1)
     return np.column_stack([scale * p, aux]), np.column_stack([q, t])
 
 
 def _lower(model: LangevinModel, x: Array, y: Array) -> tuple[Array, Array]:
     """(p, q) rows of the augmented rows (X, Y): the inverse of :func:`_lift`."""
-    scale = np.array([[math.exp(-model.friction * t)] for t in y[:, -1].tolist()])
-    return scale * x[:, :-1], y[:, :-1].copy()
+    return _exp_rows(model.friction, y[:, -1])[1] * x[:, :-1], y[:, :-1].copy()
 
 
 def to_augmented(z: PhaseState, t: float, model: LangevinModel) -> AugmentedState:
@@ -112,14 +121,10 @@ def hamiltonians(model: LangevinModel, s: AugmentedState) -> tuple[float, Array]
     H_r = e^{v y_{d+1}} sum_i sigma_r^i y_i.
     """
     x, y, t = _augmented(model, s)
-    c1 = _exp_vt(model.friction, t)
-    c2 = math.exp(-model.friction * t)
-    pot, _, _ = eval_model(model, y[:-1])
-    xpos = x[:-1]
-    h0 = c1 * pot + 0.5 * c2 * float(xpos @ model.mass @ xpos) + float(x[-1])
-    sig = -model.noise
-    hr = c1 * (sig.T @ y[:-1])
-    return h0, hr
+    [[c1]], [[c2]] = _exp_rows(model.friction, np.array([t]))
+    [pot] = _model_rows(model, y[None, :-1])[0]
+    h0 = c1 * pot + 0.5 * c2 * _form(model, x[:-1], x[:-1]) + x[-1]
+    return float(h0), c1 * _noise_dot(model, y[:-1])
 
 
 # Sign patterns (entry > 0) of the multi-indices in the closed-form catalog:
@@ -140,7 +145,6 @@ def g_alpha(model: LangevinModel, alpha: object, X: Array, y: Array) -> float:
     ArgumentError.  A pattern outside the catalog raises CapabilityError;
     one whose closed form is identically zero returns exactly 0.0.
     """
-    d = model.dim
     if not isinstance(alpha, (Sequence, np.ndarray)):
         raise ArgumentError(f"multi-index must be a sequence of integers, got {alpha!r}")
     entries = tuple(_count(j, 0, "multi-index entries must be nonnegative") for j in alpha)
@@ -155,23 +159,18 @@ def g_alpha(model: LangevinModel, alpha: object, X: Array, y: Array) -> float:
     if pattern not in _CLOSED_PATTERNS:
         raise CapabilityError(f"multi-index {entries} is outside the closed-form catalog")
 
-    c1 = _exp_vt(model.friction, t)
-    sig = -model.noise
-
+    v, xpos, ypos = model.friction, x[:-1], yv[:-1]
+    [[c1]], [[c2]] = _exp_rows(v, np.array([t]))
     if entries == (0, 0):
-        pot, frc, _ = eval_model(model, yv[:d])
-        c2 = math.exp(-model.friction * t)
-        xpos = x[:d]
-        return (
-            float(frc @ model.mass @ xpos)
-            + model.friction * c1 * pot
-            - 0.5 * model.friction * c2 * float(xpos @ model.mass @ xpos)
-        )
-    if len(entries) == 2:
-        col = sig[:, entries[1] - 1]
-        return float(col @ model.mass @ x[:d]) + model.friction * c1 * float(col @ yv[:d])
-    r1, r2 = entries[1], entries[2]
-    return c1 * float(sig[:, r1 - 1] @ model.mass @ sig[:, r2 - 1])
+        pot, frc, _ = _model_rows(model, ypos[None])
+        kinetic = _form(model, xpos, xpos)
+        value = _form(model, frc[0], xpos) + v * c1 * pot[0] - 0.5 * v * c2 * kinetic
+    elif len(entries) == 2:
+        col = -model.noise[:, entries[1] - 1]
+        value = _form(model, col, xpos) + v * c1 * _noise_dot(model, ypos)[entries[1] - 1]
+    else:
+        value = c1 * _noise_gram(model)[entries[1] - 1, entries[2] - 1]
+    return float(value)
 
 
 def _augmented_step(
@@ -184,7 +183,7 @@ def _augmented_step(
     d, v, mass, sig = model.dim, model.friction, model.mass, -model.noise
     t = y[:, d]
     _exp_rows(v, t + h)  # the step's end clock must stay within range too
-    c1, c2 = _exp_rows(v, t), np.array([[math.exp(-v * s)] for s in t.tolist()])
+    c1, c2 = _exp_rows(v, t)
     pot, frc, hess = _model_rows(model, y[:, :d])
 
     step_matrix = np.eye(d) + 0.5 * h[:, None, None] * h[:, None, None] * _matvec(mass.T, hess)
@@ -204,9 +203,9 @@ def _augmented_step(
     # Auxiliary coordinate: clock derivative of H_0 evaluated at X^G, the
     # h^2-level diagonal G_(r,r) contribution, and the noise coupling through
     # the clock derivative of H_r.
-    quad = np.sum(xg_pos * _matvec(mass, xg_pos), axis=-1, keepdims=True)
-    diag_gain = sum(float(col @ mass @ col) for col in sig.T)
-    coupling = np.sum(_matvec(sig.T, y[:, :d]) * dw, axis=-1, keepdims=True)
+    quad = _form(model, xg_pos, xg_pos)[:, None]
+    diag_gain = float(np.trace(_noise_gram(model)))
+    coupling = np.sum(_noise_dot(model, y[:, :d]) * dw, axis=-1, keepdims=True)
     xg_aux = (
         x[:, d:]
         - h * v * (c1 * pot[:, None] - 0.5 * c2 * quad)

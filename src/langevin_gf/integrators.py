@@ -40,7 +40,7 @@ from .errors import (
     StepSizeError,
 )
 from .models import LangevinModel, PhaseState, _check_finite, _check_symmetric, _count, _matvec
-from .models import _check_state, _exp_vt, _friction, _on_rows, _step_size, _time
+from .models import _check_state, _exp_rows, _exp_vt, _friction, _on_rows, _step_size, _time
 
 Array = np.ndarray
 
@@ -180,18 +180,12 @@ def _mass_map(mass: Array) -> Callable[[Array], Array]:
     return lambda x: _matvec(mass, x)
 
 
-def _gf2_coefficients(v: float, h: float) -> tuple[float, ...]:
-    """(e^{-vh}, h^2/2, h(1 + vh/2)e^{-vh}, (1 + vh/2)e^{-vh}, h(1 - vh/2)e^{vh}, h/2);
-    RangeError once e^{vh} would overflow."""
-    evm, half_vh = math.exp(-v * h), 0.5 * v * h
-    return (
-        evm,
-        0.5 * h * h,
-        h * (1.0 + half_vh) * evm,
-        (1.0 + half_vh) * evm,
-        h * (1.0 - half_vh) * _exp_vt(v, h),
-        0.5 * h,
-    )
+def _gf2_coefficients(v: float, h: float | Array, evp: float | Array, evm: float | Array) -> tuple:
+    """(e^{-vh}, h^2/2, h(1 + vh/2)e^{-vh}, (1 + vh/2)e^{-vh}, h(1 - vh/2)e^{vh}, h/2)
+    from e^{vh} and e^{-vh}, for a float h or an (R, 1) column of step sizes."""
+    half_vh = 0.5 * v * h
+    drift_p, kick_p = h * (1.0 + half_vh) * evm, (1.0 + half_vh) * evm
+    return evm, 0.5 * h * h, drift_p, kick_p, h * (1.0 - half_vh) * evp, 0.5 * h
 
 
 class _Gf2Kernel:
@@ -200,8 +194,8 @@ class _Gf2Kernel:
     Every gf2 step of the package runs here: :func:`gf2_step` with R = 1,
     the Monte Carlo engine with a whole task, and the structure command with
     one state per trial.  ``h`` is a float, or a 1-d array of R step sizes,
-    one per state; each coefficient is then an (R, 1) column whose entries
-    are computed exactly as the scalar ones.  The operations follow the map
+    one per state; each coefficient is then an (R, 1) column of the same
+    formula, and a refused e^{vh} names its row.  The operations follow the map
     in the module docstring left to right, with M applied before the scalar
     coefficients.  The implicit solve is a division for d = 1 and one LAPACK
     solve per state for d > 1; all other products are elementwise, so a
@@ -212,12 +206,11 @@ class _Gf2Kernel:
         v = model.friction
         self.model, self.h = model, h
         if np.ndim(h) == 0:
-            coefficients = _gf2_coefficients(v, h)
-            self.hh_matrix = coefficients[1]
+            coefficients = _gf2_coefficients(v, h, _exp_vt(v, h), math.exp(-v * h))
         else:
-            coefficients = np.array([_gf2_coefficients(v, float(x)) for x in h]).T[..., None]
-            self.hh_matrix = coefficients[1][..., None]
+            coefficients = _gf2_coefficients(v, h[:, None], *_exp_rows(v, h))
         self.evm, self.hh, self.drift_p, self.kick_p, self.gain_q, self.kick_q = coefficients
+        self.hh_matrix = self.hh if np.ndim(h) == 0 else self.hh[..., None]
         self.eye = np.eye(model.dim)
         self.times_mass = _mass_map(model.mass)
         self.hess_times_mass = _mass_map(model.mass.T)

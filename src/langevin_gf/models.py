@@ -21,7 +21,8 @@ friction (:func:`_friction`, a finite real >= 0), a phase state of the
 model's dimension (:func:`_check_state`) and a non-empty list of test
 functions (:func:`_test_functions`).  A bool is refused as a count, a step
 size, a time or a friction; a count is returned as an int, the others as a float.
-:func:`_exp_vt` refuses an e^{vt} past the float range with RangeError.
+:func:`_exp_vt` refuses an e^{vt} past the float range with RangeError, and
+:func:`_exp_rows` forms e^{vt} and e^{-vt} of a batch of clocks through it.
 """
 
 from __future__ import annotations
@@ -93,6 +94,13 @@ def _exp_vt(v: float, t: float, row: int | None = None) -> float:
     if abs(v * t) > _EXP_LIMIT:
         raise RangeError(f"e^(vt) overflows at v*t = {v * t}", row=row)
     return math.exp(v * t)
+
+
+def _exp_rows(v: float, t: Array) -> tuple[Array, Array]:
+    """(e^{vt}, e^{-vt}) as (R, 1) columns for the (R,) clocks t; _exp_vt names a refused row."""
+    times = t.tolist()
+    up = np.array([[_exp_vt(v, s, row)] for row, s in enumerate(times)])
+    return up, np.array([[math.exp(-v * s)] for s in times])
 
 
 def _check_state(model: LangevinModel, z: PhaseState) -> None:
@@ -267,11 +275,11 @@ class LinearOscillator:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.a > 0.0:
+        if not (_finite_real(self.a) and self.a > 0.0):
             raise ArgumentError("stiffness a must be positive")
-        if not self.v > 0.0:
+        if not (_finite_real(self.v) and self.v > 0.0):
             raise ArgumentError("friction v must be positive")
-        if self.sigma == 0.0:
+        if not (_finite_real(self.sigma) and self.sigma != 0.0):
             raise ArgumentError("noise amplitude sigma must be nonzero")
 
     def build(self) -> LangevinModel:
@@ -291,9 +299,9 @@ class DoubleWell:
     beta: float
 
     def __post_init__(self) -> None:
-        if not self.v > 0.0:
+        if not (_finite_real(self.v) and self.v > 0.0):
             raise ArgumentError("friction v must be positive")
-        if not self.beta > 0.0:
+        if not (_finite_real(self.beta) and self.beta > 0.0):
             raise ArgumentError("inverse temperature beta must be positive")
 
     def build(self) -> LangevinModel:

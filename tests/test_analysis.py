@@ -339,6 +339,16 @@ def test_linear_ergodic_series_refuses_an_empty_list_of_initials():
     assert str(info.value) == "need at least one initial state"
 
 
+def test_linear_ergodic_series_reads_an_iterator_of_initials_once():
+    # The state check once used the iterator up, leaving means of shape (0, 1, 5).
+    osc = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
+    z0 = PhaseState([3.0], [1.0])
+    _, means = linear_ergodic_series(osc, [cos_sum], (z for z in [z0]), 0.125, 4)
+    _, expected = linear_ergodic_series(osc, [cos_sum], [z0], 0.125, 4)
+    assert means.shape == (1, 1, 5)
+    assert means.tobytes() == expected.tobytes()
+
+
 def test_weak_error_linear_zero_horizon():
     model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
     z0 = PhaseState([3.0], [1.0])

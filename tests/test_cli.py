@@ -694,6 +694,46 @@ def test_structure_names_the_trial_whose_potential_is_non_finite():
     assert _step_synchronous_failure(model, _LINEAR_TRIALS) == (EvaluationError, str(info.value))
 
 
+def test_structure_refuses_a_non_finite_volume_jacobian():
+    # force_third turns inf from its third call on, the volume chain's step 1;
+    # its slogdet once made volume_rel_error nan while the command exited 0.
+    linear = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
+    calls = []
+
+    def third(q):
+        calls.append(q)
+        return linear.force_third(q) + (np.inf if len(calls) >= 3 else 0.0)
+
+    model = dataclasses.replace(linear, force_third=third)
+    trial = _StructureTrial(
+        PhaseState([0.3], [0.2]), 0.1, 0.5, np.array([0.1]), np.full((4, 1), 0.1)
+    )
+    with pytest.raises(EvaluationError) as info:
+        _structure_rows(model, [trial], 4)
+    assert str(info.value) == "trial 0, step 1: Jacobian contains non-finite entries"
+    assert (info.value.row, info.value.step) == (0, 1)
+
+
+@pytest.mark.parametrize("v", [699.0, 1000.0, 3000.0])
+def test_structure_clocks_stay_in_range_for_any_friction(tmp_path, v):
+    # t_n is drawn below e^{vt}'s range for the augmented step, so only a step
+    # size that the direct scheme itself refuses, v h > 700, fails, naming its trial.
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "structure_linear.json"
+    raw = json.loads(shipped.read_text(encoding="utf-8"))
+    raw["model"]["v"] = v
+    raw["output"] = {"directory": str(tmp_path)}
+    config = parse_config(raw, "structure")
+    if v < 2800.0:
+        (path,) = run(config, "structure")
+        _, _, rows = read_csv(path)
+        assert len(rows) == 100 and all(math.isfinite(float(x)) for row in rows for x in row)
+        return
+    with pytest.raises(RangeError) as info:
+        run(config, "structure")
+    assert str(info.value).startswith("trial 10, e^(vt) overflows at v*t = 709.79")
+    assert info.value.row == 10
+
+
 def _outcome(call, *args):
     """What call(*args) returns, or the package Error it raises."""
     try:

@@ -105,6 +105,15 @@ def test_from_augmented_frozen_point():
     assert_allclose(z.q, [0.3])
 
 
+def test_from_augmented_refuses_a_clock_past_the_range_of_the_lift():
+    # The inverse lift reads the one clock rule of the lift and the step.
+    model = LinearOscillator(a=1.0, v=2.0, sigma=0.5).build()
+    with pytest.raises(RangeError) as info:
+        from_augmented(AugmentedState(X=[1.0, 0.0], Y=[0.3, 400.0]), model)
+    assert str(info.value) == "e^(vt) overflows at v*t = 800.0"
+    assert info.value.row == 0
+
+
 def test_round_trip():
     rng = np.random.default_rng(7)
     for trial in range(60):

@@ -3,7 +3,8 @@
 No linter ships with the test environment, so two of its checks live here:
 a module-level private name that nothing in ``src/`` loads is dead code, and
 an import that its module never uses is left over from a deletion.  A third
-keeps each argument rule in one place: its message is written once.
+keeps each argument rule in one place: its message is written once.  A
+fourth keeps the generating-function route free of BLAS products.
 """
 
 from __future__ import annotations
@@ -82,6 +83,13 @@ def test_every_import_is_used_in_its_module():
                     if bound not in loaded:
                         unused.append(f"{module}: {alias.name}")
     assert unused == []
+
+
+def test_genfun_forms_its_products_term_by_term():
+    # Its closed forms go through models._matvec, so no row's bits depend on
+    # BLAS or on the rows stacked with it.
+    tree = _trees()["genfun.py"]
+    assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
 
 
 def test_each_argument_rule_is_written_once():

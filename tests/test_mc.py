@@ -29,6 +29,7 @@ from langevin_gf.analysis import (
     linear_ergodic_series,
     linear_weak_order,
     mc_weak_order,
+    quad2d,
     weak_error_linear,
 )
 from langevin_gf.cli import _structure_rows, _StructureTrial, main
@@ -1254,6 +1255,32 @@ _WRONG_TYPES = {
         "tree levels must be nonnegative; got True, not an integer",
         lambda: pairwise_sum(np.ones(4), levels=True),
     ),
+    # Model parameters and quadrature boxes, by the rule of finite reals.
+    "linear_stiffness_str": (
+        "stiffness a must be positive", lambda: LinearOscillator("1", 1.0, 0.5)
+    ),
+    "linear_stiffness_bool": (
+        "stiffness a must be positive", lambda: LinearOscillator(True, 1.0, 0.5)
+    ),
+    "linear_noise_inf": (
+        "noise amplitude sigma must be nonzero", lambda: LinearOscillator(1.0, 1.0, math.inf)
+    ),
+    "double_well_friction_str": ("friction v must be positive", lambda: DoubleWell("1", 2.0)),
+    # It built a model without noise.
+    "double_well_beta_inf": (
+        "inverse temperature beta must be positive", lambda: DoubleWell(1.0, math.inf)
+    ),
+    "quad2d_box_of_three": (
+        "box must satisfy lo < hi, got (-1.0, 1.0, 2.0)",
+        lambda: quad2d(lambda p, q: p * q, (-1.0, 1.0, 2.0), 4),
+    ),
+    "quad2d_box_str": (
+        "box must satisfy lo < hi, got (a, 1.0)", lambda: quad2d(lambda p, q: p * q, ("a", 1.0), 4)
+    ),
+    "ergodic_reference_box_of_three": (
+        "box must satisfy lo < hi, got (-1.0, 1.0, 2.0)",
+        lambda: ergodic_reference(_LINEAR, [cos_sum], (-1.0, 1.0, 2.0), 4),
+    ),
     # States of another dimension than the model's.
     "simulate_state_d2": (_STATE, lambda: simulate(_LINEAR, _Z0_D2, 0.1, np.zeros((2, 1)))),
     "expectation_state_d2": (
@@ -1326,7 +1353,9 @@ def test_every_gf2_path_refuses_an_overflowing_e_vh(tmp_path, monkeypatch, capsy
         }))
         assert main([command, "--config", str(config)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: e^(vt) overflows at v*t = ") and err.count("\n") == 1
+        # The structure command names the first trial whose step size is refused.
+        prefix = "error: trial 0, " if command == "structure" else "error: "
+        assert err.startswith(prefix + "e^(vt) overflows at v*t = ") and err.count("\n") == 1
         assert not (tmp_path / command).exists()
 
 
